@@ -23,8 +23,7 @@ from .groebner import (
     normal_form,
     saturate,
 )
-from .modules import multiplication_matrix_from
-from .orders import Block, GrevLex
+from .modules import fiber_order, multiplication_matrix_from
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -33,7 +32,6 @@ from .poly import (
     laurent_valuation,
 )
 from .schemes import (
-    AffineScheme,
     affine_line,
     detect_torus_coordinate,
     point,
@@ -48,7 +46,6 @@ from .spans import (
     SpanPiece,
     _fresh_pair,
     _pieces_equal,
-    add,
     certify_finite_flat,
     collapse_variables,
     compose,
@@ -57,6 +54,7 @@ from .spans import (
     identity_span,
     lift_into_certificate,
     make_piece,
+    rebuild_piece,
 )
 
 
@@ -97,55 +95,6 @@ def blend_value(
     one = blend.ring.one()
     return blend * cut_value(n, sign, main, aux) + (one - blend) * cut_value(
         m, sign, main, aux
-    )
-
-
-def blend_factored(
-    m: int,
-    n: int,
-    sign: str,
-    blend: Polynomial,
-    main: Polynomial,
-    aux: Polynomial | None = None,
-) -> Polynomial:
-    """The blend rewritten as ``main**k * (unit-interpolant) + tail``.
-
-    With ``k = min(m, n)`` the interpolant multiplies the lower cut
-    exponent, which exhibits the blend in the shape ``tail - main**k * f``
-    used by the valuation bound.  Agrees with :func:`blend_value`.
-    """
-    one = blend.ring.one()
-    if m >= n:
-        k = n
-        inner = blend + (one - blend) * main ** (m - n)
-    else:
-        k = m
-        inner = (one - blend) + blend * main ** (n - m)
-    tail = one if sign == "+" else aux
-    if tail is None:
-        raise ValueError("the minus cut needs the target coordinate")
-    return main**k * inner + tail
-
-
-def cut_polynomial(
-    ring: PolynomialRing, n: int, sign: str, main: str = "t", aux: str | None = None
-) -> Polynomial:
-    """Ring-level convenience wrapper around :func:`cut_value`."""
-    return cut_value(n, sign, ring.var(main), ring.var(aux) if aux else None)
-
-
-def blend_polynomial(
-    ring: PolynomialRing,
-    m: int,
-    n: int,
-    sign: str,
-    blend: str = "s",
-    main: str = "t",
-    aux: str | None = None,
-) -> Polynomial:
-    """Ring-level convenience wrapper around :func:`blend_value`."""
-    return blend_value(
-        m, n, sign, ring.var(blend), ring.var(main), ring.var(aux) if aux else None
     )
 
 
@@ -214,7 +163,7 @@ def _bound_from_values(
     outcome = _certified(alpha, budget, "valuation bound")
     cert = outcome.pieces[0]
     combined = cert.ring
-    order = Block(combined.nvars, cert.split) if cert.split else GrevLex(combined.nvars)
+    order = fiber_order(combined.nvars, cert.split)
     matrices = []
     entries = []
     for label, value in labelled:
@@ -320,15 +269,8 @@ def slice_locus(
     t_img = piece.src(tvar)
     relation = piece.ring.one() - t_img**n * f
     sliced_source = strip_coordinates(alpha.source, [tvar])
-    src_images = {v: piece.src(v) for v in sliced_source.ring.names}
-    tgt_images = {v: piece.tgt(v) for v in alpha.target.ring.names}
-    new_piece = make_piece(
-        piece.ring,
-        list(piece.relations) + [relation],
-        src_images,
-        tgt_images,
-        sliced_source,
-        alpha.target,
+    new_piece = rebuild_piece(
+        piece, piece.ring, lambda p: p, sliced_source, alpha.target, [relation]
     )
     corr = Correspondence(sliced_source, alpha.target, (new_piece,))
     outcome = certify_finite_flat(corr, budget=budget)
@@ -430,21 +372,18 @@ def cancel_family(
     for piece in alpha.pieces:
         pvar = fresh_name(parameter, piece.ring.names)
         ring = piece.ring.extend([pvar])
-        relations = [r.map_ring(ring) for r in piece.relations]
-        relations.append(
-            blend_value(
-                m,
-                n,
-                sign,
-                ring.var(pvar),
-                piece.src(src_t).map_ring(ring),
-                piece.tgt(tgt_t).map_ring(ring),
+
+        def move(p: Polynomial) -> Polynomial:
+            return p.map_ring(ring)
+
+        blend = blend_value(
+            m, n, sign, ring.var(pvar), move(piece.src(src_t)), move(piece.tgt(tgt_t))
+        )
+        pieces.append(
+            rebuild_piece(
+                piece, ring, move, source, target, [blend], src={s_name: ring.var(pvar)}
             )
         )
-        src = {v: piece.src(v).map_ring(ring) for v in stripped.ring.names}
-        src[s_name] = ring.var(pvar)
-        tgt = {v: piece.tgt(v).map_ring(ring) for v in target.ring.names}
-        pieces.append(make_piece(ring, relations, src, tgt, source, target))
     corr = Correspondence(source, target, tuple(pieces))
     outcome = certify_finite_flat(corr, budget=budget)
     return FamilyReport(corr, outcome, s_name, (m, n), sign)
@@ -459,14 +398,18 @@ def cancel_slice(
     src_t, tgt_t = _torus_feet(alpha)
     source = strip_coordinates(alpha.source, [src_t])
     target = strip_coordinates(alpha.target, [tgt_t])
-    pieces = []
-    for piece in alpha.pieces:
-        relations = list(piece.relations)
-        relations.append(cut_value(n, sign, piece.src(src_t), piece.tgt(tgt_t)))
-        src = {v: piece.src(v) for v in source.ring.names}
-        tgt = {v: piece.tgt(v) for v in target.ring.names}
-        pieces.append(make_piece(piece.ring, relations, src, tgt, source, target))
-    return Correspondence(source, target, tuple(pieces))
+    pieces = tuple(
+        rebuild_piece(
+            piece,
+            piece.ring,
+            lambda p: p,
+            source,
+            target,
+            [cut_value(n, sign, piece.src(src_t), piece.tgt(tgt_t))],
+        )
+        for piece in alpha.pieces
+    )
+    return Correspondence(source, target, pieces)
 
 
 def restrict_parameter(
@@ -501,60 +444,8 @@ def restrict_parameter(
         def down(p: Polynomial) -> Polynomial:
             return p.substitute(images, small)
 
-        relations = [down(r) for r in piece.relations]
-        src = {v: down(piece.src(v)) for v in new_source.ring.names}
-        tgt = {v: down(piece.tgt(v)) for v in corr.target.ring.names}
-        pieces.append(make_piece(small, relations, src, tgt, new_source, corr.target))
+        pieces.append(rebuild_piece(piece, small, down, new_source, corr.target))
     return Correspondence(new_source, corr.target, tuple(pieces))
-
-
-@dataclass(frozen=True)
-class VirtualCorrespondence:
-    """Formal difference of two correspondences with common feet.
-
-    Pure bookkeeping: addition is componentwise and nothing is ever
-    cancelled between the two halves.
-    """
-
-    plus: Correspondence
-    minus: Correspondence
-
-    def __post_init__(self):
-        if (
-            self.plus.source != self.minus.source
-            or self.plus.target != self.minus.target
-        ):
-            raise CancellationError("both halves need the same feet")
-
-    @property
-    def source(self) -> AffineScheme:
-        return self.plus.source
-
-    @property
-    def target(self) -> AffineScheme:
-        return self.plus.target
-
-    def __add__(self, other: VirtualCorrespondence) -> VirtualCorrespondence:
-        return VirtualCorrespondence(
-            add(self.plus, other.plus), add(self.minus, other.minus)
-        )
-
-    def negate(self) -> VirtualCorrespondence:
-        return VirtualCorrespondence(self.minus, self.plus)
-
-
-def virtual_family(
-    alpha: Correspondence,
-    m: int,
-    n: int,
-    *,
-    parameter: str = "s",
-    budget: Budget | None = None,
-) -> VirtualCorrespondence:
-    """The formal difference of the two signed blended families."""
-    plus = cancel_family(alpha, m, n, "+", parameter=parameter, budget=budget)
-    minus = cancel_family(alpha, m, n, "-", parameter=parameter, budget=budget)
-    return VirtualCorrespondence(plus.correspondence, minus.correspondence)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +496,13 @@ def _extended_with_parameter(
     source = product(alpha.source, affine_line(field, s_name))
     pvar = fresh_name(parameter, piece.ring.names)
     ring = piece.ring.extend([pvar])
-    relations = [r.map_ring(ring) for r in piece.relations]
-    src = {v: piece.src(v).map_ring(ring) for v in alpha.source.ring.names}
-    src[s_name] = ring.var(pvar)
-    tgt = {v: piece.tgt(v).map_ring(ring) for v in alpha.target.ring.names}
-    new_piece = make_piece(ring, relations, src, tgt, source, alpha.target)
+
+    def move(p: Polynomial) -> Polynomial:
+        return p.map_ring(ring)
+
+    new_piece = rebuild_piece(
+        piece, ring, move, source, alpha.target, src={s_name: ring.var(pvar)}
+    )
     return Correspondence(source, alpha.target, (new_piece,)), pvar
 
 
@@ -712,14 +605,15 @@ def torus_extension(
         stem = _fresh_pair(middle, list(piece.ring.names))
         partner = companion_name(stem)
         ring = piece.ring.extend([stem, partner], inverted=[stem])
-        relations = [r.map_ring(ring) for r in piece.relations]
-        relations.append(ring.var(stem) * ring.var(partner) - ring.one())
+
+        def move(p: Polynomial) -> Polynomial:
+            return p.map_ring(ring)
+
+        unit = ring.var(stem) * ring.var(partner) - ring.one()
         both = {gm_name: ring.var(stem), companion_name(gm_name): ring.var(partner)}
-        src = {v: piece.src(v).map_ring(ring) for v in corr.source.ring.names}
-        src.update(both)
-        tgt = {v: piece.tgt(v).map_ring(ring) for v in corr.target.ring.names}
-        tgt.update(both)
-        pieces.append(make_piece(ring, relations, src, tgt, source, target))
+        pieces.append(
+            rebuild_piece(piece, ring, move, source, target, [unit], src=both, tgt=both)
+        )
         pairs.append((stem, partner))
     return Correspondence(source, target, tuple(pieces)), tuple(pairs)
 
@@ -736,12 +630,12 @@ def line_extension(
     for piece in corr.pieces:
         pvar = fresh_name(middle, piece.ring.names)
         ring = piece.ring.extend([pvar])
-        relations = [r.map_ring(ring) for r in piece.relations]
-        src = {v: piece.src(v).map_ring(ring) for v in corr.source.ring.names}
-        src[coord] = ring.var(pvar)
-        tgt = {v: piece.tgt(v).map_ring(ring) for v in corr.target.ring.names}
-        tgt[coord] = ring.var(pvar)
-        pieces.append(make_piece(ring, relations, src, tgt, source, target))
+
+        def move(p: Polynomial) -> Polynomial:
+            return p.map_ring(ring)
+
+        line = {coord: ring.var(pvar)}
+        pieces.append(rebuild_piece(piece, ring, move, source, target, src=line, tgt=line))
         names.append(pvar)
     return Correspondence(source, target, tuple(pieces)), names[0] if names else middle
 

@@ -39,11 +39,13 @@ from .spans import (
     CertifyOutcome,
     Correspondence,
     SpanError,
-    _fresh_pair,
+    _combined_relations,
+    _combined_ring,
     certify_finite_flat,
     collapse_variables,
     equals,
     make_piece,
+    rebuild_piece,
 )
 
 
@@ -351,33 +353,14 @@ def _image_on_source(
     per_piece: list[list[Polynomial]] = []
     pulled_record: list[tuple[Polynomial, ...]] = []
     for piece in alpha.pieces:
-        taken = list(source.ring.names) + [source_u]
-        rename: dict[str, str] = {}
-        for name in piece.ring.inverted:
-            stem = _fresh_pair(name, taken)
-            rename[name] = stem
-            rename[companion_name(name)] = companion_name(stem)
-            taken.extend([stem, companion_name(stem)])
-        for name in piece.ring.names:
-            if name not in rename:
-                fresh = fresh_name(name, taken)
-                rename[name] = fresh
-                taken.append(fresh)
-        fiber = [rename[name] for name in piece.ring.names]
-        marks = {rename[name] for name in piece.ring.inverted}
-        combined = PolynomialRing(
-            source.ring.field,
-            tuple(fiber) + tuple(source.ring.names) + (source_u,),
-            frozenset(marks) | source.ring.inverted,
-        )
+        combined = _combined_ring(piece, target_ring)
+        fiber = combined.names[: len(piece.ring.names)]
+        rename = dict(zip(piece.ring.names, fiber))
 
         def lift(p: Polynomial) -> Polynomial:
             return p.map_ring(combined, rename)
 
-        relations = [lift(r) for r in piece.relations]
-        relations += [r.map_ring(combined) for r in source.relations]
-        for v in source.ring.names:
-            relations.append(combined.var(v) - lift(piece.src(v)))
+        relations = _combined_relations(piece, source, combined)
         weight = _pull_weight(
             datum.w, piece, datum, combined, combined.var(source_u), lift
         )
@@ -703,16 +686,23 @@ def _matches_input(
         for piece in alpha.pieces:
             lg2 = fresh_name(aux[0], piece.ring.names)
             ring = piece.ring.extend([lg2])
+
+            def move(p: Polynomial) -> Polynomial:
+                return p.map_ring(ring)
+
             g_up = g.substitute(
-                {v: piece.src(v).map_ring(ring) for v in alpha.source.ring.names}, ring
+                {v: move(piece.src(v)) for v in alpha.source.ring.names}, ring
             )
-            relations = [r.map_ring(ring) for r in piece.relations]
-            relations.append(g_up * ring.var(lg2) - ring.one())
-            src = {v: piece.src(v).map_ring(ring) for v in alpha.source.ring.names}
-            src[aux[0]] = ring.var(lg2)
-            tgt = {v: piece.tgt(v).map_ring(ring) for v in alpha.target.ring.names}
             pieces.append(
-                make_piece(ring, relations, src, tgt, sliced.source, alpha.target)
+                rebuild_piece(
+                    piece,
+                    ring,
+                    move,
+                    sliced.source,
+                    alpha.target,
+                    [g_up * ring.var(lg2) - ring.one()],
+                    src={aux[0]: ring.var(lg2)},
+                )
             )
         alpha = Correspondence(sliced.source, alpha.target, tuple(pieces))
     try:

@@ -140,6 +140,12 @@ def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]]
     return out
 
 
+def fiber_order(nvars: int, split: int) -> MonomialOrder:
+    """The certificate order: fiber block over base block, or plain GrevLex
+    when there are no fiber variables."""
+    return Block(nvars, split) if split else GrevLex(nvars)
+
+
 def analyze_module(
     ring: PolynomialRing,
     split: int,
@@ -158,7 +164,7 @@ def analyze_module(
     if ring.names[split:] != base_ring.names:
         raise ValueError("combined ring does not extend the base ring by fiber variables")
     budget = ensure_budget(budget, "module analysis")
-    order = Block(ring.nvars, split) if split else GrevLex(ring.nvars)
+    order = fiber_order(ring.nvars, split)
     basis = groebner_basis(relations, order, budget=budget)
     base_basis = groebner_basis(base_relations, budget=budget)
 
@@ -252,7 +258,7 @@ def multiplication_matrix(analysis: ModuleAnalysis, element: Polynomial, budget:
     the staircase basis of a free analysis."""
     if analysis.status != "free":
         raise PresentationError("multiplication matrices require a free presentation")
-    order = Block(analysis.ring.nvars, analysis.split) if analysis.split else GrevLex(analysis.ring.nvars)
+    order = fiber_order(analysis.ring.nvars, analysis.split)
     return multiplication_matrix_from(
         analysis.ring,
         analysis.split,

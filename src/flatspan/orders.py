@@ -19,9 +19,6 @@ class MonomialOrder:
     def key(self, exp: tuple[int, ...]):
         raise NotImplementedError
 
-    def greater(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return self.key(a) > self.key(b)
-
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
@@ -64,18 +61,6 @@ class Block(MonomialOrder):
             sum(tail),
             tuple(-e for e in reversed(tail)),
         )
-
-
-def order_by_name(kind: str, nvars: int, split: int | None = None) -> MonomialOrder:
-    if kind == "lex":
-        return Lex(nvars)
-    if kind == "grevlex":
-        return GrevLex(nvars)
-    if kind == "block":
-        if split is None:
-            raise ValueError("block order requires a split point")
-        return Block(nvars, split)
-    raise ValueError(f"unknown order {kind!r}")
 
 
 def exp_divides(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -104,9 +104,6 @@ class PolynomialRing:
         kept = tuple(v for v in self.names if v not in gone)
         return PolynomialRing(self.field, kept, frozenset(v for v in self.inverted if v not in gone))
 
-    def restrict_inverted(self) -> frozenset[str]:
-        return self.inverted
-
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:
     taken = set(taken)
@@ -151,10 +148,6 @@ class Polynomial:
             key=lambda kv: (sum(kv[0]), tuple(-e for e in reversed(kv[0]))),
             reverse=True,
         )
-
-    def normalize(self) -> Polynomial:
-        """Canonical form; a no-op since it is maintained by construction."""
-        return self
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -355,22 +348,6 @@ def laurent_power(ring: PolynomialRing, name: str, k: int) -> Polynomial:
     if name not in ring.inverted:
         raise ValueError(f"{name!r} is not inverted; negative powers are not defined")
     return ring.var(companion_name(name)) ** (-k)
-
-
-def laurent_encode(ring: PolynomialRing, terms: Mapping[tuple[tuple[str, int], ...], object]) -> Polynomial:
-    """Build a polynomial from Laurent-style data.
-
-    ``terms`` maps tuples of (name, integer exponent) to coefficients;
-    negative exponents are routed through companion variables.
-    """
-    total = ring.zero()
-    for powers, coeff in terms.items():
-        cv = ring.field.from_int(coeff) if isinstance(coeff, int) else coeff
-        term = ring.const(1).scale(cv)
-        for name, k in powers:
-            term = term * laurent_power(ring, name, k)
-        total = total + term
-    return total
 
 
 def laurent_valuation(p: Polynomial, name: str) -> int | None:

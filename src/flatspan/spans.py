@@ -16,7 +16,7 @@ by name or by position.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import product as iproduct
 
@@ -26,12 +26,12 @@ from .modules import (
     ModuleAnalysis,
     PresentationError,
     analyze_module,
+    fiber_order,
     fitting_ideal,
     module_presentation,
     multiplication_matrix_from,
     staircase_labels,
 )
-from .orders import Block, GrevLex
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
 from .schemes import AffineScheme
 from .schemes import product as scheme_product
@@ -121,6 +121,34 @@ def make_piece(
     )
 
 
+def rebuild_piece(
+    piece: SpanPiece,
+    ring: PolynomialRing,
+    move: Callable[[Polynomial], Polynomial],
+    source: AffineScheme,
+    target: AffineScheme,
+    extra: Sequence[Polynomial] = (),
+    src: Mapping[str, Polynomial] | None = None,
+    tgt: Mapping[str, Polynomial] | None = None,
+) -> SpanPiece:
+    """Rewrite a piece into ``ring`` along ``move``.
+
+    The relations are moved in order and followed by ``extra``.  Each leg
+    coordinate of ``source``/``target`` that ``src``/``tgt`` does not name
+    keeps the moved image of the piece's own leg.
+    """
+    src = src or {}
+    tgt = tgt or {}
+    return make_piece(
+        ring,
+        [move(r) for r in piece.relations] + list(extra),
+        {v: src[v] if v in src else move(piece.src(v)) for v in source.ring.names},
+        {v: tgt[v] if v in tgt else move(piece.tgt(v)) for v in target.ring.names},
+        source,
+        target,
+    )
+
+
 def identity_span(scheme: AffineScheme) -> Correspondence:
     ident = {v: scheme.ring.var(v) for v in scheme.ring.names}
     piece = make_piece(scheme.ring, list(scheme.relations), ident, ident, scheme, scheme)
@@ -142,14 +170,6 @@ def graph_span(
 
 def empty_span(source: AffineScheme, target: AffineScheme) -> Correspondence:
     return Correspondence(source, target, (), label="0")
-
-
-def transpose(corr: Correspondence) -> Correspondence:
-    """The same middles with source and target legs swapped."""
-    pieces = tuple(
-        SpanPiece(p.ring, p.relations, p.tgt_map, p.src_map) for p in corr.pieces
-    )
-    return Correspondence(corr.target, corr.source, pieces)
 
 
 def add(left: Correspondence, right: Correspondence) -> Correspondence:
@@ -341,13 +361,9 @@ def external_tensor(left: Correspondence, right: Correspondence) -> Corresponden
 # equality of presentations
 
 
-def _comparison_ring(field, names: tuple[str, ...]) -> PolynomialRing:
-    return PolynomialRing(field, names)
-
-
 def _piece_payload(piece: SpanPiece, names: tuple[str, ...], rename: dict[str, str], budget):
     """Relations (as a reduced basis) and map images inside a mark-free ring."""
-    ring = _comparison_ring(piece.ring.field, names)
+    ring = PolynomialRing(piece.ring.field, names)
     images = {v: ring.var(rename[v]) for v in piece.ring.names}
 
     def move(p: Polynomial) -> Polynomial:
@@ -454,49 +470,19 @@ class CertifyOutcome:
 
 def _piece_module(
     piece: SpanPiece, base: AffineScheme, budget: Budget | None
-) -> tuple[PolynomialRing, int, list[Polynomial], ModuleAnalysis]:
+) -> tuple[PolynomialRing, int, ModuleAnalysis]:
     """Combined-ring module analysis of a piece over the span's source."""
-    base_ring = base.ring
-    rename: dict[str, str] = {}
-    taken = list(base_ring.names)
-    for name in piece.ring.names:
-        if name in rename:
-            continue
-        if name in piece.ring.inverted:
-            partner = companion_name(name)
-            stem = _fresh_pair(name, taken + list(rename.values()))
-            rename[name], rename[partner] = stem, companion_name(stem)
-            taken += [stem, companion_name(stem)]
-        elif name.endswith("_inv") and name.removesuffix("_inv") in piece.ring.inverted:
-            continue
-        else:
-            fresh = name if name not in taken else fresh_name(name, taken + list(rename.values()))
-            rename[name] = fresh
-            taken.append(fresh)
-    fiber_names = tuple(rename[v] for v in piece.ring.names)
-    combined = PolynomialRing(
-        base_ring.field,
-        fiber_names + base_ring.names,
-        frozenset(rename[v] for v in piece.ring.inverted) | base_ring.inverted,
-    )
-    fiber_images = {v: combined.var(rename[v]) for v in piece.ring.names}
-
-    def lift(p: Polynomial) -> Polynomial:
-        return p.substitute(fiber_images, combined)
-
-    relations = [lift(r) for r in piece.relations]
-    relations += [r.map_ring(combined) for r in base.relations]
-    for v in base_ring.names:
-        relations.append(combined.var(v) - lift(piece.src(v)))
+    combined = _combined_ring(piece, base.ring)
+    split = len(piece.ring.names)
     analysis = analyze_module(
         combined,
-        len(fiber_names),
-        relations,
-        base_ring,
+        split,
+        _combined_relations(piece, base, combined),
+        base.ring,
         list(base.relations),
         budget=budget,
     )
-    return combined, len(fiber_names), relations, analysis
+    return combined, split, analysis
 
 
 def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> CertifyOutcome:
@@ -509,7 +495,7 @@ def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> C
     certs = []
     total = 0
     for index, piece in enumerate(corr.pieces):
-        combined, split, _, analysis = _piece_module(piece, corr.source, budget)
+        combined, split, analysis = _piece_module(piece, corr.source, budget)
         if analysis.status in ("zero", "free"):
             pres = module_presentation(analysis)
             rank = analysis.rank
@@ -579,13 +565,11 @@ def recheck_certificate(
         combined = cert.ring
         if cert.split != len(piece.ring.names):
             return False
-        order = (
-            Block(combined.nvars, cert.split) if cert.split else GrevLex(combined.nvars)
-        )
+        order = fiber_order(combined.nvars, cert.split)
         basis = list(cert.groebner)
         if not spolynomial_pairs_reduce(basis, order, budget=budget):
             return False
-        relations = _combined_relations(piece, corr.source, cert)
+        relations = _combined_relations(piece, corr.source, combined)
         for rel in relations:
             if not normal_form(rel, basis, order, budget=budget).is_zero():
                 return False
@@ -676,14 +660,26 @@ def lift_into_certificate(
     return value.substitute(images, combined)
 
 
+def _combined_ring(piece: SpanPiece, base_ring: PolynomialRing) -> PolynomialRing:
+    """The piece's variables, renamed apart from ``base_ring`` as
+    :func:`_merge_rings` does, followed by the base variables."""
+    _, rename = _merge_rings(base_ring, piece.ring)
+    return PolynomialRing(
+        base_ring.field,
+        tuple(rename[v] for v in piece.ring.names) + base_ring.names,
+        frozenset(rename[v] for v in piece.ring.inverted) | base_ring.inverted,
+    )
+
+
 def _combined_relations(
-    piece: SpanPiece, base: AffineScheme, cert: PieceCertificate
+    piece: SpanPiece, base: AffineScheme, combined: PolynomialRing
 ) -> list[Polynomial]:
-    """The defining relations of a piece, rebuilt inside a certificate's ring."""
-    combined = cert.ring
+    """The defining relations of a piece over ``base``, rebuilt in a combined
+    ring whose leading variables stand for the piece's, in order."""
+    images = {v: combined.var(combined.names[i]) for i, v in enumerate(piece.ring.names)}
 
     def lift(p: Polynomial) -> Polynomial:
-        return lift_into_certificate(piece, cert, p)
+        return p.substitute(images, combined)
 
     relations = [lift(r) for r in piece.relations]
     relations += [r.map_ring(combined) for r in base.relations]

@@ -8,25 +8,22 @@ from hypothesis import given, settings, strategies as st
 from flatspan.cancellation import (
     BoundReport,
     CancellationError,
-    VirtualCorrespondence,
-    blend_factored,
-    blend_polynomial,
     blend_value,
     cancel_family,
     cancel_slice,
-    cut_polynomial,
     cut_value,
     filtration_index,
     flatness_bound,
     flatness_bound_ext,
+    line_extension,
     restrict_parameter,
     shifted_slice,
     slice_locus,
+    torus_extension,
     torus_identity,
     unit_collapse,
     verify_cancellation,
     verify_compat,
-    virtual_family,
 )
 from flatspan.fields import GF, QQ
 from flatspan.groebner import groebner_basis
@@ -79,8 +76,8 @@ def point_span(relation_text, names, field=QQ):
 
 def test_cut_polynomial_shapes():
     ring = ring_of(["t", "u"])
-    plus = cut_polynomial(ring, 3, "+", main="t")
-    minus = cut_polynomial(ring, 3, "-", main="t", aux="u")
+    plus = cut_value(3, "+", ring.var("t"))
+    minus = cut_value(3, "-", ring.var("t"), ring.var("u"))
     assert str(plus) == "t^3 + 1"
     assert str(minus) == "t^3 + u"
 
@@ -104,12 +101,12 @@ def test_cut_polynomial_rejects_bad_input():
 )
 def test_blend_interpolates_between_the_two_cuts(m, n, sign, value):
     ring = ring_of(["s", "t", "u"])
-    blend = blend_polynomial(ring, m, n, sign, blend="s", main="t", aux="u")
+    blend = blend_value(m, n, sign, ring.var("s"), ring.var("t"), ring.var("u"))
     small = ring_of(["t", "u"])
     c = QQ.from_int(value)
     at_c = blend.substitute({"s": small.const(c)}, small)
-    cut_n = cut_polynomial(small, n, sign, main="t", aux="u")
-    cut_m = cut_polynomial(small, m, sign, main="t", aux="u")
+    cut_n = cut_value(n, sign, small.var("t"), small.var("u"))
+    cut_m = cut_value(m, sign, small.var("t"), small.var("u"))
     expected = cut_n.scale(c) + cut_m.scale(QQ.sub(QQ.one, c))
     assert at_c == expected
     assert blend.substitute({"s": small.one()}, small) == cut_n
@@ -120,9 +117,15 @@ def test_blend_interpolates_between_the_two_cuts(m, n, sign, value):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_blend_agrees_with_its_factored_form(m, n, sign):
+    # the shape tail + t^k * (interpolant), k = min(m, n), that the
+    # valuation bound reads off the blend
     ring = ring_of(["s", "t", "u"])
     s, t, u = ring.var("s"), ring.var("t"), ring.var("u")
-    assert blend_value(m, n, sign, s, t, u) == blend_factored(m, n, sign, s, t, u)
+    one = ring.one()
+    k = min(m, n)
+    tail = one if sign == "+" else u
+    factored = t**k * (s * t ** (n - k) + (one - s) * t ** (m - k)) + tail
+    assert blend_value(m, n, sign, s, t, u) == factored
 
 
 def test_factored_blend_pulls_out_the_lower_exponent():
@@ -130,8 +133,8 @@ def test_factored_blend_pulls_out_the_lower_exponent():
     s, t = ring.var("s"), ring.var("t")
     one = ring.one()
     # lower exponent 2, gap 1 and gap 2
-    assert blend_factored(3, 2, "+", s, t) == t**2 * (s + (one - s) * t) + one
-    assert blend_factored(4, 2, "+", s, t) == t**2 * (s + (one - s) * t**2) + one
+    assert blend_value(3, 2, "+", s, t) == t**2 * (s + (one - s) * t) + one
+    assert blend_value(4, 2, "+", s, t) == t**2 * (s + (one - s) * t**2) + one
 
 
 # ---------------------------------------------------------------------------
@@ -318,29 +321,72 @@ def test_minus_cut_of_the_identity_drops_exactly_one_rank():
         assert degree(cancel_slice(idG, n, "-")) == n - 1
 
 
-def test_virtual_families_keep_both_halves_apart():
-    idG = torus_identity(QQ)
-    virt = virtual_family(idG, 2, 2)
-    assert virt.source == virt.plus.source
-    assert len(virt.plus.pieces) == 1
-    doubled = virt + virt
-    assert len(doubled.plus.pieces) == 2
-    flipped = virt.negate()
-    assert flipped.plus is virt.minus and flipped.minus is virt.plus
-
-
-def test_virtual_family_rejects_mismatched_feet():
-    idG = torus_identity(QQ)
-    fam = cancel_family(idG, 2, 2, "+")
-    pt_loop = point_span("c^2", ["c"])
-    with pytest.raises(CancellationError):
-        VirtualCorrespondence(fam.correspondence, pt_loop)
-
-
 def test_restrict_parameter_validates_its_coordinate():
     fam = cancel_family(torus_identity(QQ), 2, 2, "+")
     with pytest.raises(CancellationError):
         restrict_parameter(fam.correspondence, "nope", 1)
+
+
+def presentation(corr):
+    """Ring names, inverted names, relations and both legs, one line per piece."""
+    return [
+        " | ".join(
+            [
+                ", ".join(piece.ring.names),
+                ", ".join(sorted(piece.ring.inverted)),
+                "; ".join(str(r) for r in piece.relations),
+                "; ".join(f"{k}: {v}" for k, v in piece.src_map),
+                "; ".join(f"{k}: {v}" for k, v in piece.tgt_map),
+            ]
+        )
+        for piece in corr.pieces
+    ]
+
+
+REWRITES = {
+    "cancel_family": lambda a: cancel_family(a, 2, 3, "-").correspondence,
+    "cancel_slice": lambda a: cancel_slice(a, 3, "-"),
+    "restrict_parameter": lambda a: restrict_parameter(
+        cancel_family(a, 2, 3, "+").correspondence, "s", 1
+    ),
+    "torus_extension": lambda a: torus_extension(a, "g")[0],
+    "line_extension": lambda a: line_extension(a, "x")[0],
+    "slice_locus": lambda a: slice_locus(a, a.pieces[0].ring.const(2), 2).correspondence,
+}
+
+FROZEN_PRESENTATIONS = {
+    ("identity", "cancel_family"): "t, t_inv, s | t | t*t_inv - 1; t^3*s - t^2*s + t^2 + t | s: s | ",
+    ("identity", "cancel_slice"): "t, t_inv | t | t*t_inv - 1; t^3 + t |  | ",
+    ("identity", "restrict_parameter"): "t, t_inv | t | t*t_inv - 1; t^3 + 1 |  | ",
+    ("identity", "torus_extension"): (
+        "t, t_inv, w, w_inv | t, w | t*t_inv - 1; w*w_inv - 1"
+        " | t: t; t_inv: t_inv; g: w; g_inv: w_inv | t: t; t_inv: t_inv; g: w; g_inv: w_inv"
+    ),
+    ("identity", "line_extension"): (
+        "t, t_inv, sb | t | t*t_inv - 1 | t: t; t_inv: t_inv; x: sb | t: t; t_inv: t_inv; x: sb"
+    ),
+    ("identity", "slice_locus"): "t, t_inv | t | t*t_inv - 1; -2*t^2 + 1 |  | t: t; t_inv: t_inv",
+    ("cover", "cancel_family"): "u, u_inv, s | u | u*u_inv - 1; u^6*s - u^4*s + u^4 + u^3 | s: s | ",
+    ("cover", "cancel_slice"): "u, u_inv | u | u*u_inv - 1; u^6 + u^3 |  | ",
+    ("cover", "restrict_parameter"): "u, u_inv | u | u*u_inv - 1; u^6 + 1 |  | ",
+    ("cover", "torus_extension"): (
+        "u, u_inv, w, w_inv | u, w | u*u_inv - 1; w*w_inv - 1"
+        " | t: u^2; t_inv: u_inv^2; g: w; g_inv: w_inv | t: u^3; t_inv: u_inv^3; g: w; g_inv: w_inv"
+    ),
+    ("cover", "line_extension"): (
+        "u, u_inv, sb | u | u*u_inv - 1"
+        " | t: u^2; t_inv: u_inv^2; x: sb | t: u^3; t_inv: u_inv^3; x: sb"
+    ),
+    ("cover", "slice_locus"): "u, u_inv | u | u*u_inv - 1; -2*u^4 + 1 |  | t: u^3; t_inv: u_inv^3",
+}
+
+
+@pytest.mark.parametrize("alpha_name,routine", sorted(FROZEN_PRESENTATIONS))
+def test_rewritten_presentations_are_frozen(alpha_name, routine):
+    alpha = {"identity": lambda: torus_identity(QQ), "cover": double_triple_cover}[alpha_name]()
+    assert presentation(REWRITES[routine](alpha)) == [
+        FROZEN_PRESENTATIONS[(alpha_name, routine)]
+    ]
 
 
 # ---------------------------------------------------------------------------

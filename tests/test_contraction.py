@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import flatspan
 from flatspan.contraction import (
     ContractionError,
     base_point_ideal,
@@ -301,6 +307,47 @@ def test_contract_requires_a_certificate():
 def test_contract_requires_matching_target():
     with pytest.raises(ContractionError, match="target"):
         contract(identity_span(point(QQ)), standard_contraction_data(1))
+
+
+TWO_UNITS = """\
+workspace two-units
+field QQ
+scheme G = torus t
+span w : G -> G {
+  piece {
+    vars t, t_inv, t2, t2_inv
+    rels t*t_inv - 1, t2*t2_inv - 1, t2 - t
+    source t: t, t_inv: t_inv
+    target t: t2, t_inv: t2_inv
+  }
+}
+check k = contract w
+"""
+
+
+def test_contract_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # the middle has two inverted variables, so renaming them in set order
+    # would let the string hash seed pick the pulled-back weight's names
+    path = tmp_path / "two-units.fsw"
+    path.write_text(TWO_UNITS, encoding="utf-8")
+    src = str(Path(flatspan.__file__).resolve().parent.parent)
+    script = (
+        "import sys; from flatspan.cli import main; "
+        f"sys.exit(main(['run', {str(path)!r}, '--format', 'structured']))"
+    )
+    envelopes = []
+    for seed in ("0", "3"):
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        envelope = json.loads(run.stdout)
+        for report in envelope["reports"]:
+            report.pop("timing_ms")
+        envelopes.append(envelope)
+    assert envelopes[0] == envelopes[1]
 
 
 # ---------------------------------------------------------------------------

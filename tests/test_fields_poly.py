@@ -11,7 +11,6 @@ from flatspan.poly import (
     PolynomialRing,
     RingMismatch,
     companion_name,
-    laurent_encode,
     laurent_power,
     laurent_valuation,
 )
@@ -86,8 +85,7 @@ def test_companion_bookkeeping():
 def test_laurent_encode_and_valuation():
     R = ring_qq("x", "t", "t_inv", inverted=["t"])
     # x * t^-2 + t
-    p = laurent_encode(R, {(("x", 1), ("t", -2)): 1, (("t", 1),): 1})
-    assert p == R.var("x") * R.var("t_inv") ** 2 + R.var("t")
+    p = R.var("x") * R.var("t_inv") ** 2 + R.var("t")
     assert laurent_valuation(p, "t") == -2
     assert laurent_valuation(R.one(), "t") == 0
     assert laurent_valuation(R.zero(), "t") is None
@@ -154,5 +152,6 @@ def test_ring_axioms_random(data):
 def test_normalize_idempotent_and_hash_stable(data):
     R = PolynomialRing(QQ, ("x", "y"))
     p = data.draw(polys(R))
-    assert p.normalize() == p
-    assert hash(p) == hash(p.normalize())
+    rebuilt = Polynomial(R, p.terms())
+    assert rebuilt == p
+    assert hash(p) == hash(rebuilt)

@@ -35,7 +35,6 @@ from flatspan.spans import (
     make_piece,
     recheck_certificate,
     simplify,
-    transpose,
     validate_correspondence,
 )
 
@@ -276,14 +275,6 @@ def test_composition_is_associative():
     left = compose(compose(a, b), c)
     right = compose(a, compose(b, c))
     assert equals(left, right)
-
-
-def test_transpose_swaps_legs():
-    cover = sqrt_cover()
-    flipped = transpose(cover)
-    assert flipped.source == cover.target
-    assert degree(flipped) == 1
-    assert equals(transpose(flipped), cover)
 
 
 def test_external_tensor_multiplies_degrees():
