@@ -15,15 +15,13 @@ from dataclasses import dataclass
 from .budget import Budget, ensure_budget
 from .fields import QQ, field_name
 from .groebner import (
-    eliminate,
     groebner_basis,
     ideal_intersection,
     ideals_equal,
     is_unit_ideal,
-    normal_form,
     saturate,
 )
-from .modules import fiber_order, multiplication_matrix_from
+from .modules import multiplication_matrix_from
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -162,21 +160,12 @@ def _bound_from_values(
     tvar = torus_var or detect_torus_coordinate(alpha.source)
     outcome = _certified(alpha, budget, "valuation bound")
     cert = outcome.pieces[0]
-    combined = cert.ring
-    order = fiber_order(combined.nvars, cert.split)
     matrices = []
     entries = []
     for label, value in labelled:
         lifted = lift_into_certificate(piece, cert, value)
         matrix = multiplication_matrix_from(
-            combined,
-            cert.split,
-            list(cert.groebner),
-            order,
-            alpha.source.ring,
-            lifted,
-            list(cert.staircase),
-            budget,
+            cert.ring, cert.split, list(cert.groebner), lifted, list(cert.staircase), budget
         )
         matrices.append((label, tuple(tuple(row) for row in matrix)))
         for i, row in enumerate(matrix):
@@ -325,8 +314,6 @@ class FamilyReport:
     correspondence: Correspondence
     certificate: CertifyOutcome
     parameter: str
-    indices: tuple[int, int]
-    sign: str
 
     @property
     def certified(self) -> bool:
@@ -386,7 +373,7 @@ def cancel_family(
         )
     corr = Correspondence(source, target, tuple(pieces))
     outcome = certify_finite_flat(corr, budget=budget)
-    return FamilyReport(corr, outcome, s_name, (m, n), sign)
+    return FamilyReport(corr, outcome, s_name)
 
 
 def cancel_slice(
@@ -538,14 +525,6 @@ def filtration_index(
                 )
                 certified[(m, n, sign)] = out.certified
 
-    def box_ok(i: int) -> bool:
-        return all(
-            certified[(m, n, sign)]
-            for m in range(i, window + 1)
-            for n in range(i, window + 1)
-            for sign in ("+", "-")
-        )
-
     def first_failing(i: int) -> tuple[int, int, str] | None:
         for m in range(i, window + 1):
             for n in range(i, window + 1):
@@ -554,7 +533,7 @@ def filtration_index(
                         return (m, n, sign)
         return None
 
-    index = next((i for i in range(1, window + 1) if box_ok(i)), None)
+    index = next((i for i in range(1, window + 1) if first_failing(i) is None), None)
     blocking = first_failing(index - 1 if index else window)
 
     extended, pvar = _extended_with_parameter(alpha, parameter)

@@ -74,6 +74,7 @@ from .workspace import (
     CheckRequest,
     WorkspaceDocument,
     WorkspaceError,
+    normalize,
     parse_workspace,
     print_workspace,
 )
@@ -444,13 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=DEFAULT_STEPS,
-            help=f"reduction-step budget per request (default {DEFAULT_STEPS})",
-        )
-        p.add_argument(
-            "--window",
-            type=int,
-            default=8,
-            help="filtration search window (default 8)",
+            help=f"reduction-step budget per request, positive (default {DEFAULT_STEPS})",
         )
         p.add_argument(
             "--format",
@@ -473,6 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="REPORT",
         help="re-validate a stored report envelope instead of recomputing",
     )
+    runner.add_argument(
+        "--window", type=int, default=8, help="filtration search window (default 8)"
+    )
     shared(runner)
 
     for name, (count, required, optional) in COMMANDS.items():
@@ -490,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="operand span name (alternative to positionals)",
             )
         for key in required + optional:
-            if key == "window":
-                continue  # provided by the shared flags
             p.add_argument(
                 f"--{key}", type=int if key in INT_KEYS else str, default=None
             )
@@ -553,8 +549,6 @@ def _run_single(args) -> int:
         )
     keyed = []
     for key in required + optional:
-        if key == "window":
-            continue  # carried by the flag itself
         value = getattr(args, key.replace("-", "_"), None)
         if value is None:
             if key in required:
@@ -572,7 +566,7 @@ def _run_single(args) -> int:
         doc = WorkspaceDocument(field_text=field_text, field=field_from_name(field_text))
         echo = name + "".join(f" {k}: {v}" for k, v in keyed) + f" field {field_text}"
         digest = input_digest(echo)
-    report = execute_check(doc, req, args.budget, args.window)
+    report = execute_check(doc, normalize(req, doc.spans), args.budget)
     _emit([report], digest, args)
     return report.exit_code
 
@@ -580,6 +574,8 @@ def _run_single(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.budget < 1:
+            raise WorkspaceError(f"--budget must be positive, got {args.budget}")
         if args.command == "run":
             return _run_batch(args)
         return _run_single(args)

@@ -44,7 +44,6 @@ from .spans import (
     certify_finite_flat,
     collapse_variables,
     equals,
-    make_piece,
     rebuild_piece,
 )
 
@@ -254,7 +253,7 @@ def standard_contraction_data(
         raise ContractionError("need at least one coordinate")
     scheme = torus(field, "t") if n == 1 else torus_power(field, n)
     primary = [v for v in scheme.ring.names if v in scheme.ring.inverted]
-    uring = PolynomialRing(field, scheme.ring.names + ("u",), scheme.ring.inverted)
+    uring = scheme.ring.extend(["u"])
     u = uring.var("u")
     segments = {v: u * uring.var(v) + uring.one() - u for v in primary}
     w = uring.one()
@@ -294,7 +293,6 @@ class ContractedChart:
     generator: Polynomial
     correspondence: Correspondence
     certificate: CertifyOutcome
-    source_aux: str
     u_names: tuple[str, ...]
     loc_names: tuple[str, ...]
     winv_names: tuple[str, ...]
@@ -311,7 +309,6 @@ class ContractedCorrespondence:
     parameter values 0 and 1.
     """
 
-    alpha: Correspondence
     source_ideal: tuple[Polynomial, ...]
     u_name: str
     charts: tuple[ContractedChart, ...]
@@ -404,56 +401,43 @@ def _build_chart(
     loc_names = []
     winv_names = []
     for piece in alpha.pieces:
-        taken = list(piece.ring.names)
-        u2 = fresh_name(source_u, taken)
-        taken.append(u2)
-        lg = fresh_name("lg", taken)
-        taken.append(lg)
+        u2 = fresh_name(source_u, piece.ring.names)
+        lg = fresh_name("lg", piece.ring.names + (u2,))
         ring = piece.ring.extend([u2, lg])
-        u_var = ring.var(u2)
 
         def move(p: Polynomial) -> Polynomial:
             return p.map_ring(ring)
 
-        weight = _pull_weight(datum.w, piece, datum, ring, u_var, move)
+        def pull(value: Polynomial) -> Polynomial:
+            return _pull_weight(value, piece, datum, ring, ring.var(u2), move)
+
         on_source = {v: move(piece.src(v)) for v in source.ring.names}
-        on_source[source_u] = u_var
-        gen_below = generator.substitute(on_source, ring)
-        relations = [move(r) for r in piece.relations]
-        relations.append(gen_below * ring.var(lg) - ring.one())
+        on_source[source_u] = ring.var(u2)
+        localizing = generator.substitute(on_source, ring) * ring.var(lg) - ring.one()
+        weight = pull(datum.w)
 
         # the pulled weight is invertible here because the chart avoids its
         # image; prefer rewriting its inverse in the existing variables and
         # only fall back to a reciprocal variable when no rewrite is found
-        reciprocal = modular_inverse(weight, relations, budget=budget)
+        reciprocal = modular_inverse(
+            weight, [move(r) for r in piece.relations] + [localizing], budget=budget
+        )
+        extra = [localizing]
         wv = ""
         if reciprocal is None:
-            wv = fresh_name("winv", taken)
-            bigger = ring.extend([wv])
-            relations = [r.map_ring(bigger) for r in relations]
-            weight = weight.map_ring(bigger)
-            on_source = {k: v.map_ring(bigger) for k, v in on_source.items()}
-            u_var = bigger.var(u2)
-            ring = bigger
-
-            def move(p: Polynomial) -> Polynomial:
-                return p.map_ring(ring)
-
-            relations.append(weight * ring.var(wv) - ring.one())
+            wv = fresh_name("winv", ring.names)
+            # move and pull look ``ring`` up when called, so from here on
+            # they map into the extended ring
+            ring = ring.extend([wv])
             reciprocal = ring.var(wv)
+            extra = [move(localizing), move(weight) * reciprocal - ring.one()]
 
-        src = dict(on_source)
-        src[aux] = ring.var(lg)
         tgt = {}
         for name in datum.primary:
-            tgt[name] = _pull_weight(
-                datum.f_image(name), piece, datum, ring, u_var, move
-            )
-            tgt[companion_name(name)] = (
-                _pull_weight(datum.cofactor(name), piece, datum, ring, u_var, move)
-                * reciprocal
-            )
-        pieces.append(make_piece(ring, relations, src, tgt, opened, datum.scheme))
+            tgt[name] = pull(datum.f_image(name))
+            tgt[companion_name(name)] = pull(datum.cofactor(name)) * reciprocal
+        src = {source_u: ring.var(u2), aux: ring.var(lg)}
+        pieces.append(rebuild_piece(piece, ring, move, opened, datum.scheme, extra, src, tgt))
         u_names.append(u2)
         loc_names.append(lg)
         winv_names.append(wv)
@@ -463,7 +447,6 @@ def _build_chart(
         generator,
         corr,
         certificate,
-        aux,
         tuple(u_names),
         tuple(loc_names),
         tuple(winv_names),
@@ -496,11 +479,7 @@ def contract(
         )
     source = alpha.source
     source_u = fresh_name(datum.u_name, source.ring.names)
-    on_line = PolynomialRing(
-        source.ring.field,
-        source.ring.names + (source_u,),
-        source.ring.inverted,
-    )
+    on_line = source.ring.extend([source_u])
     image, pulled = _image_on_source(alpha, datum, source_u, on_line, budget)
 
     u = on_line.var(source_u)
@@ -538,7 +517,6 @@ def contract(
         ),
     )
     return ContractedCorrespondence(
-        alpha,
         tuple(image),
         source_u,
         charts,
@@ -584,7 +562,7 @@ def _slice_chart(
     alpha: Correspondence,
     datum: ContractionDatum,
     budget: Budget,
-) -> Correspondence:
+) -> tuple[Correspondence, Correspondence]:
     """Restrict a chart to one endpoint of the parameter.
 
     The chart's localizing function is evaluated at the endpoint; when it
@@ -592,7 +570,8 @@ def _slice_chart(
     otherwise over the source localized at the evaluated function.  The
     auxiliary inverse of the pulled-back weight is collapsed away using
     the datum's invariants (the weight is 1 at parameter 0; its inverse
-    at parameter 1 is stored).
+    at parameter 1 is stored).  Returns the slice and ``alpha`` base-changed
+    to the slice's source.
     """
     source = alpha.source
     corr = chart.correspondence
@@ -614,6 +593,7 @@ def _slice_chart(
         sliced_source, aux2 = localize(source, shrunk, hint="lg")
 
     pieces = []
+    originals = []
     collapse_maps = []
     for piece, original, u2, lg, wv in zip(
         corr.pieces, alpha.pieces, chart.u_names, chart.loc_names, chart.winv_names
@@ -628,14 +608,20 @@ def _slice_chart(
         def down(p: Polynomial) -> Polynomial:
             return p.substitute(images, ring).map_ring(small)
 
-        relations = [q for q in (down(r) for r in piece.relations) if not q.is_zero()]
-        src = {}
-        for name in source.ring.names:
-            src[name] = down(piece.src(name))
+        src = {} if constant_gen else {aux2: small.var(lg)}
+        pieces.append(rebuild_piece(piece, small, down, sliced_source, datum.scheme, src=src))
         if not constant_gen:
-            src[aux2] = small.var(lg)
-        tgt = {v: down(piece.tgt(v)) for v in datum.scheme.ring.names}
-        pieces.append(make_piece(small, relations, src, tgt, sliced_source, datum.scheme))
+            # the input piece, base-changed to the localized source
+            lg2 = fresh_name(aux2, original.ring.names)
+            up = original.ring.extend([lg2])
+            legs = {v: original.src(v).map_ring(up) for v in source.ring.names}
+            unit = shrunk.substitute(legs, up) * up.var(lg2) - up.one()
+            originals.append(
+                rebuild_piece(
+                    original, up, lambda p: p.map_ring(up), sliced_source, alpha.target,
+                    [unit], src={aux2: up.var(lg2)},
+                )
+            )
 
         if not wv:
             collapse_maps.append({})
@@ -654,7 +640,9 @@ def _slice_chart(
             )
             collapse_maps.append({wv: down(inv_total)})
     sliced = Correspondence(sliced_source, datum.scheme, tuple(pieces))
-    return collapse_variables(sliced, collapse_maps, budget=budget)
+    if not constant_gen:
+        alpha = Correspondence(sliced_source, alpha.target, tuple(originals))
+    return collapse_variables(sliced, collapse_maps, budget=budget), alpha
 
 
 def _lands_on_base_point(
@@ -672,59 +660,11 @@ def _lands_on_base_point(
 def _matches_input(
     sliced: Correspondence, alpha: Correspondence, budget: Budget
 ) -> bool:
-    """Compare an endpoint slice with the original correspondence.
-
-    When the slice lives over a genuine localization of the source, the
-    original is base-changed there first so the feet agree.
-    """
-    if sliced.source != alpha.source:
-        aux = [v for v in sliced.source.ring.names if v not in alpha.source.ring.names]
-        if len(aux) != 1:
-            return False
-        g = _localized_function(sliced.source, aux[0])
-        pieces = []
-        for piece in alpha.pieces:
-            lg2 = fresh_name(aux[0], piece.ring.names)
-            ring = piece.ring.extend([lg2])
-
-            def move(p: Polynomial) -> Polynomial:
-                return p.map_ring(ring)
-
-            g_up = g.substitute(
-                {v: move(piece.src(v)) for v in alpha.source.ring.names}, ring
-            )
-            pieces.append(
-                rebuild_piece(
-                    piece,
-                    ring,
-                    move,
-                    sliced.source,
-                    alpha.target,
-                    [g_up * ring.var(lg2) - ring.one()],
-                    src={aux[0]: ring.var(lg2)},
-                )
-            )
-        alpha = Correspondence(sliced.source, alpha.target, tuple(pieces))
+    """Compare an endpoint slice with the input base-changed to its source."""
     try:
         return equals(sliced, alpha, budget=budget)
     except SpanError:
         return False
-
-
-def _localized_function(scheme: AffineScheme, aux: str) -> Polynomial:
-    """Recover g from the unit relation g * aux - 1 in a localized scheme."""
-    small = scheme.ring.drop([aux])
-    for rel in scheme.relations:
-        if aux not in rel.variables():
-            continue
-        candidate = (rel + scheme.ring.one()).substitute(
-            {aux: scheme.ring.one()}, scheme.ring
-        )
-        try:
-            return candidate.map_ring(small)
-        except (KeyError, ValueError):
-            continue
-    raise ContractionError(f"no unit relation found for {aux!r}")
 
 
 def verify_contraction_endpoints(
@@ -749,8 +689,8 @@ def verify_contraction_endpoints(
         matches = None
         lands = None
         for chart in contracted.charts:
-            sliced = _slice_chart(chart, value, alpha, datum, budget)
-            m = _matches_input(sliced, alpha, budget)
+            sliced, base_changed = _slice_chart(chart, value, alpha, datum, budget)
+            m = _matches_input(sliced, base_changed, budget)
             l = _lands_on_base_point(sliced, datum, budget)
             if matches is None:
                 matches, lands = m, l

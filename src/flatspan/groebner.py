@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .budget import Budget, ensure_budget
 from .orders import Block, GrevLex, MonomialOrder, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub
-from .poly import Polynomial, PolynomialRing
+from .poly import Polynomial, PolynomialRing, fresh_name
 
 Terms = dict
 
@@ -296,20 +296,15 @@ def saturate(
     """
     gens = list(gens)
     if not gens:
-        ring = g.ring
         return []
     ring = gens[0].ring
     if g.ring != ring:
         raise ValueError("saturating element lives in a different ring")
-    from .poly import fresh_name
-
     aux = fresh_name("sat", ring.names)
-    ext = PolynomialRing(ring.field, (aux,) + ring.names, ring.inverted)
+    ext = ring.extend([aux])
     lifted = [p.map_ring(ext) for p in gens]
     lifted.append(ext.var(aux) * g.map_ring(ext) - ext.one())
-    basis = groebner_basis(lifted, Block(ext.nvars, 1), budget=budget)
-    kept = [p for p in basis if aux not in p.variables()]
-    return [p.map_ring(ring) for p in kept]
+    return [p.map_ring(ring) for p in eliminate(lifted, [aux], budget=budget)]
 
 
 def modular_inverse(
@@ -326,8 +321,6 @@ def modular_inverse(
     variables, which is returned (in the original ring).
     """
     ring = value.ring
-    from .poly import fresh_name
-
     aux = fresh_name("rec", ring.names)
     ext = PolynomialRing(ring.field, (aux,) + ring.names, ring.inverted)
     lifted = [p.map_ring(ext) for p in relations if not p.is_zero()]
@@ -355,17 +348,13 @@ def ideal_intersection(
     if not left or not right:
         return []
     ring = left[0].ring
-    from .poly import fresh_name
-
     tag = fresh_name("mix", ring.names)
-    ext = PolynomialRing(ring.field, (tag,) + ring.names, ring.inverted)
+    ext = ring.extend([tag])
     t = ext.var(tag)
     one = ext.one()
     gens = [t * g.map_ring(ext) for g in left]
     gens += [(one - t) * g.map_ring(ext) for g in right]
-    basis = groebner_basis(gens, Block(ext.nvars, 1), budget=budget)
-    kept = [p for p in basis if tag not in p.variables()]
-    return [p.map_ring(ring) for p in kept]
+    return [p.map_ring(ring) for p in eliminate(gens, [tag], budget=budget)]
 
 
 def ideals_equal(

@@ -216,7 +216,7 @@ def analyze_module(
         )
 
     mult = {
-        v: multiplication_matrix_from(ring, split, basis, order, base_ring, ring.var(v), stair, budget)
+        v: multiplication_matrix_from(ring, split, basis, ring.var(v), stair, budget)
         for v in fiber_names
     }
     return ModuleAnalysis(status="free", staircase=tuple(stair), mult=mult, **common)
@@ -226,15 +226,19 @@ def multiplication_matrix_from(
     ring: PolynomialRing,
     split: int,
     basis: list[Polynomial],
-    order: MonomialOrder,
-    base_ring: PolynomialRing,
     element: Polynomial,
     staircase: list[tuple[int, ...]],
     budget: Budget | None = None,
 ) -> tuple[tuple[Polynomial, ...], ...]:
     """Matrix of multiplication by ``element`` on the staircase basis;
-    entry [i][j] is the coefficient of basis j in element * basis i."""
+    entry [i][j] is the coefficient of basis j in element * basis i.
+
+    ``basis`` is a Groebner basis under :func:`fiber_order`; the entries
+    live in the ring of the last ``nvars - split`` variables.
+    """
     budget = ensure_budget(budget, "multiplication matrix")
+    order = fiber_order(ring.nvars, split)
+    base_ring = ring.drop(ring.names[:split])
     index = {exp: j for j, exp in enumerate(staircase)}
     rows = []
     for gamma in staircase:
@@ -258,13 +262,10 @@ def multiplication_matrix(analysis: ModuleAnalysis, element: Polynomial, budget:
     the staircase basis of a free analysis."""
     if analysis.status != "free":
         raise PresentationError("multiplication matrices require a free presentation")
-    order = fiber_order(analysis.ring.nvars, analysis.split)
     return multiplication_matrix_from(
         analysis.ring,
         analysis.split,
         list(analysis.groebner),
-        order,
-        analysis.base_ring,
         element,
         list(analysis.staircase),
         budget,

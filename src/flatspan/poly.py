@@ -100,9 +100,12 @@ class PolynomialRing:
         return PolynomialRing(self.field, self.names + extra, self.inverted | frozenset(inverted))
 
     def drop(self, names: Iterable[str]) -> PolynomialRing:
+        """Ring without ``names``; a variable whose companion is dropped is
+        no longer marked inverted."""
         gone = set(names)
         kept = tuple(v for v in self.names if v not in gone)
-        return PolynomialRing(self.field, kept, frozenset(v for v in self.inverted if v not in gone))
+        inverted = (v for v in self.inverted if v not in gone and companion_name(v) not in gone)
+        return PolynomialRing(self.field, kept, frozenset(inverted))
 
 
 def fresh_name(base: str, taken: Iterable[str]) -> str:

@@ -42,7 +42,7 @@ class _Tok:
     col: int
 
 
-def _tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[_Tok]:
+def _tokenize(text: str) -> list[_Tok]:
     toks = []
     pos = 0
     while pos < len(text):
@@ -51,12 +51,12 @@ def _tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[_Tok
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            line, col = _position(text, pos, line_offset, col_offset)
+            line, col = _position(text, pos)
             raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
         start = m.start("num") if m.group("num") else (
             m.start("ident") if m.group("ident") else m.start("op")
         )
-        line, col = _position(text, start, line_offset, col_offset)
+        line, col = _position(text, start)
         if m.group("num"):
             toks.append(_Tok("num", m.group("num"), line, col))
         elif m.group("ident"):
@@ -64,17 +64,15 @@ def _tokenize(text: str, line_offset: int = 1, col_offset: int = 1) -> list[_Tok
         else:
             toks.append(_Tok("op", m.group("op"), line, col))
         pos = m.end()
-    end_line, end_col = _position(text, len(text), line_offset, col_offset)
+    end_line, end_col = _position(text, len(text))
     toks.append(_Tok("eof", "", end_line, end_col))
     return toks
 
 
-def _position(text: str, pos: int, line_offset: int, col_offset: int) -> tuple[int, int]:
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """One-based line and column of offset ``pos``."""
     line = text.count("\n", 0, pos)
-    if line == 0:
-        return line_offset, col_offset + pos
-    last_nl = text.rfind("\n", 0, pos)
-    return line_offset + line, pos - last_nl
+    return line + 1, pos - text.rfind("\n", 0, pos)
 
 
 class _Parser:
@@ -166,10 +164,8 @@ class _Parser:
         raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.line, t.col)
 
 
-def parse_polynomial(
-    text: str, ring: PolynomialRing, line_offset: int = 1, col_offset: int = 1
-) -> Polynomial:
-    toks = _tokenize(text, line_offset, col_offset)
+def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
+    toks = _tokenize(text)
     parser = _Parser(toks, ring)
     p = parser.parse_expr()
     t = parser.peek()

@@ -115,13 +115,6 @@ def correspondence_from_json(data: dict) -> Correspondence:
     return Correspondence(source, target, tuple(pieces))
 
 
-def _base_ring(ring: PolynomialRing, split: int) -> PolynomialRing:
-    names = ring.names[split:]
-    return PolynomialRing(
-        ring.field, names, frozenset(v for v in ring.inverted if v in names)
-    )
-
-
 def certificate_to_json(cert: PieceCertificate) -> dict:
     return {
         "ring": ring_to_json(cert.ring),
@@ -143,7 +136,7 @@ def certificate_to_json(cert: PieceCertificate) -> dict:
 def certificate_from_json(data: dict) -> PieceCertificate:
     ring = ring_from_json(data["ring"])
     split = data["split"]
-    base = _base_ring(ring, split)
+    base = ring.drop(ring.names[:split])
     matrices = tuple(
         sorted(
             (var, tuple(tuple(_poly(e, base) for e in row) for row in rows))
@@ -178,8 +171,8 @@ def outcome_from_json(data: dict) -> CertifyOutcome:
     witness = []
     for text in data.get("witness", ()):
         if pieces:
-            base = _base_ring(pieces[0].ring, pieces[0].split)
-            witness.append(_poly(text, base))
+            ring = pieces[0].ring
+            witness.append(_poly(text, ring.drop(ring.names[: pieces[0].split])))
     return CertifyOutcome(
         data["status"], data.get("rank"), pieces, data.get("detail", ""), tuple(witness)
     )

@@ -91,7 +91,7 @@ class Correspondence:
                     raise SpanError("structure map image lives outside the piece ring")
 
 
-def _map_tuple(ring: PolynomialRing, images: dict[str, Polynomial], order: tuple[str, ...]):
+def _map_tuple(images: dict[str, Polynomial], order: tuple[str, ...]):
     return tuple((name, images[name]) for name in order)
 
 
@@ -116,8 +116,8 @@ def make_piece(
     return SpanPiece(
         ring,
         tuple(relations),
-        _map_tuple(ring, src_images, source.ring.names),
-        _map_tuple(ring, tgt_images, target.ring.names),
+        _map_tuple(src_images, source.ring.names),
+        _map_tuple(tgt_images, target.ring.names),
     )
 
 
@@ -200,16 +200,6 @@ def validate_correspondence(corr: Correspondence, budget: Budget | None = None) 
 # piece-level canonicalization
 
 
-def _drop_variable(
-    ring: PolynomialRing, name: str
-) -> PolynomialRing:
-    names = tuple(v for v in ring.names if v != name)
-    inverted = frozenset(
-        v for v in ring.inverted if v != name and companion_name(v) != name
-    )
-    return PolynomialRing(ring.field, names, inverted)
-
-
 def _linear_solutions(relations: list[Polynomial]) -> tuple[str, Polynomial] | None:
     """Find a relation of the form c*v - p with p free of v and c a unit."""
     for rel in relations:
@@ -242,16 +232,13 @@ def simplify_piece(piece: SpanPiece, budget: Budget | None = None) -> SpanPiece:
         if hit is None:
             break
         name, image = hit
-        small = _drop_variable(ring, name)
+        small = ring.drop([name])
         images = {
             v: (image.map_ring(ring) if v == name else ring.var(v)) for v in ring.names
         }
         # substitute within the full ring first, then reinterpret
-        relations = [
-            r.substitute(images, ring).map_ring(small)
-            for r in relations
-            if r.substitute(images, ring) != ring.zero()
-        ]
+        substituted = (r.substitute(images, ring) for r in relations)
+        relations = [r.map_ring(small) for r in substituted if not r.is_zero()]
         src = {k: p.substitute(images, ring).map_ring(small) for k, p in src.items()}
         tgt = {k: p.substitute(images, ring).map_ring(small) for k, p in tgt.items()}
         ring = small
@@ -306,6 +293,20 @@ def _merge_rings(
     return PolynomialRing(left.field, merged_names, merged_inverted), rename
 
 
+def _glue(
+    a: SpanPiece, b: SpanPiece
+) -> tuple[PolynomialRing, Callable[[Polynomial], Polynomial], list[Polynomial]]:
+    """The merged ring of two pieces, the map importing ``b`` into it, and
+    the relations of ``a`` followed by the imported relations of ``b``."""
+    ring, rename = _merge_rings(a.ring, b.ring)
+    import_right = {v: ring.var(rename[v]) for v in b.ring.names}
+
+    def move(p: Polynomial) -> Polynomial:
+        return p.substitute(import_right, ring)
+
+    return ring, move, [r.map_ring(ring) for r in a.relations] + [move(r) for r in b.relations]
+
+
 def compose(left: Correspondence, right: Correspondence) -> Correspondence:
     """The correspondence ``X -> W`` obtained by fiber product over the middle.
 
@@ -320,14 +321,7 @@ def compose(left: Correspondence, right: Correspondence) -> Correspondence:
     middle = left.target
     pieces = []
     for a, b in iproduct(left.pieces, right.pieces):
-        ring, rename = _merge_rings(a.ring, b.ring)
-        import_right = {v: ring.var(rename[v]) for v in b.ring.names}
-
-        def move(p: Polynomial) -> Polynomial:
-            return p.substitute(import_right, ring)
-
-        relations = [r.map_ring(ring) for r in a.relations]
-        relations += [move(r) for r in b.relations]
+        ring, move, relations = _glue(a, b)
         for y in middle.ring.names:
             relations.append(a.tgt(y).map_ring(ring) - move(b.src(y)))
         src = {k: a.src(k).map_ring(ring) for k in left.source.ring.names}
@@ -342,13 +336,7 @@ def external_tensor(left: Correspondence, right: Correspondence) -> Corresponden
     target = scheme_product(left.target, right.target)
     pieces = []
     for a, b in iproduct(left.pieces, right.pieces):
-        ring, rename = _merge_rings(a.ring, b.ring)
-        import_right = {v: ring.var(rename[v]) for v in b.ring.names}
-
-        def move(p: Polynomial) -> Polynomial:
-            return p.substitute(import_right, ring)
-
-        relations = [r.map_ring(ring) for r in a.relations] + [move(r) for r in b.relations]
+        ring, move, relations = _glue(a, b)
         src = {k: a.src(k).map_ring(ring) for k in left.source.ring.names}
         src.update({k: move(b.src(k)) for k in right.source.ring.names})
         tgt = {k: a.tgt(k).map_ring(ring) for k in left.target.ring.names}
@@ -565,6 +553,10 @@ def recheck_certificate(
         combined = cert.ring
         if cert.split != len(piece.ring.names):
             return False
+        # the stored matrices live over the certificate's base block, which
+        # must be the source ring itself
+        if combined.drop(combined.names[: cert.split]) != corr.source.ring:
+            return False
         order = fiber_order(combined.nvars, cert.split)
         basis = list(cert.groebner)
         if not spolynomial_pairs_reduce(basis, order, budget=budget):
@@ -582,14 +574,7 @@ def recheck_certificate(
         for name, recorded in cert.matrices:
             try:
                 fresh = multiplication_matrix_from(
-                    combined,
-                    cert.split,
-                    basis,
-                    order,
-                    corr.source.ring,
-                    combined.var(name),
-                    list(cert.staircase),
-                    budget,
+                    combined, cert.split, basis, combined.var(name), list(cert.staircase), budget
                 )
             except PresentationError:
                 return False

@@ -351,19 +351,13 @@ class _Parser:
             ring = PolynomialRing(field, names, inverted)
         except ValueError as err:
             raise self.error(str(err), opened) from err
-        relations = [self.poly(text, ring, line) for line, text in rels_text]
-        src = {key: self.poly(text, ring, line) for line, key, text in src_text}
-        tgt = {key: self.poly(text, ring, line) for line, key, text in tgt_text}
+        relations = [_poly(text, ring, line) for line, text in rels_text]
+        src = {key: _poly(text, ring, line) for line, key, text in src_text}
+        tgt = {key: _poly(text, ring, line) for line, key, text in tgt_text}
         try:
             return make_piece(ring, relations, src, tgt, source, target)
         except (SpanError, KeyError) as err:
             raise self.error(f"piece maps do not match the feet: {err}", opened)
-
-    def poly(self, text: str, ring: PolynomialRing, line: int):
-        try:
-            return parse_polynomial(text, ring)
-        except ParseError as err:
-            raise self.error(f"bad polynomial {text!r}: {err.message}", line) from err
 
     def parse_check(self, line: int, text: str) -> None:
         m = _CHECK.match(text)
@@ -417,30 +411,43 @@ class _Parser:
             (key, dict(args)[key]) for key in required + optional if key in given
         )
         check = CheckRequest(name, command, operands, ordered, line)
-        self.checks.append(self.normalize(check, line))
+        self.checks.append(normalize(check, self.spans))
 
-    def normalize(self, check: CheckRequest, line: int) -> CheckRequest:
-        """Canonicalize argument values (integers, signs, polynomials)."""
-        ring = None
-        if check.operands and check.command in ("bound", "slice"):
-            corr = self.spans[check.operands[0]]
-            if len(corr.pieces) == 1:
-                ring = corr.pieces[0].ring
-        args = []
-        for key, value in check.args:
-            if key in INT_KEYS:
-                if not re.fullmatch(r"-?\d+", value):
-                    raise self.error(f"argument {key!r} must be an integer", line)
-                args.append((key, str(int(value))))
-            elif key in SIGN_KEYS:
-                if value not in ("+", "-"):
-                    raise self.error(f"argument {key!r} must be + or -", line)
-                args.append((key, value))
-            elif key in POLY_KEYS and ring is not None:
-                args.append((key, format_polynomial(self.poly(value, ring, line))))
-            else:
-                args.append((key, value))
-        return CheckRequest(check.name, check.command, check.operands, tuple(args), line)
+
+def _poly(text: str, ring: PolynomialRing, line: int | None):
+    try:
+        return parse_polynomial(text, ring)
+    except ParseError as err:
+        raise WorkspaceError(f"bad polynomial {text!r}: {err.message}", line) from err
+
+
+def normalize(check: CheckRequest, spans: dict[str, Correspondence]) -> CheckRequest:
+    """Canonicalize argument values (integers, signs, polynomials).
+
+    Polynomials are reformatted only when the first operand names a
+    single-piece span in ``spans``.
+    """
+    line = check.line or None
+    ring = None
+    if check.operands and check.command in ("bound", "slice"):
+        corr = spans.get(check.operands[0])
+        if corr is not None and len(corr.pieces) == 1:
+            ring = corr.pieces[0].ring
+    args = []
+    for key, value in check.args:
+        if key in INT_KEYS:
+            if not re.fullmatch(r"-?\d+", value):
+                raise WorkspaceError(f"argument {key!r} must be an integer", line)
+            args.append((key, str(int(value))))
+        elif key in SIGN_KEYS:
+            if value not in ("+", "-"):
+                raise WorkspaceError(f"argument {key!r} must be + or -", line)
+            args.append((key, value))
+        elif key in POLY_KEYS and ring is not None:
+            args.append((key, format_polynomial(_poly(value, ring, line))))
+        else:
+            args.append((key, value))
+    return CheckRequest(check.name, check.command, check.operands, tuple(args), check.line)
 
 
 def parse_workspace(text: str) -> WorkspaceDocument:

@@ -246,3 +246,51 @@ def test_envelope_echoes_the_request(capsys, tmp_path):
     assert first["request"] == {"operands": ["idg"], "args": {"m": "1", "n": "1", "sign": "+"}}
     assert payload["tool"] == "flatspan"
     assert payload["input_digest"].startswith("sha256:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", workspace("span-algebra"), "--budget", "0"],
+        ["certify", "--workspace", workspace("span-algebra"), "--corr", "idg", "--budget", "-5"],
+    ],
+)
+def test_nonpositive_budget_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "--budget" in err
+    assert "Traceback" not in err
+
+
+def test_single_command_echo_is_normalized_as_in_a_batch(capsys, tmp_path):
+    out = tmp_path / "single.json"
+    code = main(
+        [
+            "bound", "--workspace", workspace("valuation-bounds"), "Z",
+            "--f", "t_inv^2*x", "--format", "structured", "--out", str(out),
+        ]
+    )
+    capsys.readouterr()
+    assert code == 0
+    single = json.loads(out.read_text(encoding="utf-8"))
+    _, batch, _ = structured(capsys, tmp_path, "valuation-bounds")
+    echoes = [r["request"] for r in batch["reports"] if r["command"] == "bound"]
+    assert single["input_digest"] == batch["input_digest"]
+    assert single["reports"][0]["request"] == {"operands": ["Z"], "args": {"f": "x*t_inv^2"}}
+    assert single["reports"][0]["request"] in echoes
+
+
+def test_window_is_only_a_filtration_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["certify", "--workspace", workspace("span-algebra"), "--corr", "idg", "--window", "3"]
+        )
+    assert exit_info.value.code == 2
+    assert "--window" in capsys.readouterr().err
+    code, out, _ = run_cli(
+        capsys, "filtration", "--workspace", workspace("cancel-families"), "--corr", "idg",
+        "--window", "2",
+    )
+    assert code == 0
+    assert "window: 2" in out

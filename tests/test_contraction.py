@@ -426,3 +426,131 @@ def test_cover_endpoint_uses_a_localized_comparison():
     report = verify_contraction_endpoints(alpha, datum, result)
     assert report.dichotomy
     assert report.identity_at == 1
+
+
+# ---------------------------------------------------------------------------
+# frozen chart and slice presentations
+
+
+def empty_middle():
+    """Identity legs on G over a middle whose relations generate the unit
+    ideal; the pulled weight has no inverse to rewrite, so the chart needs
+    a reciprocal variable."""
+    target = punctured_line()
+    ring = target.ring
+    t, ti = ring.var("t"), ring.var("t_inv")
+    ident = {"t": t, "t_inv": ti}
+    piece = make_piece(ring, [t * ti - ring.one(), ring.one()], ident, ident, target, target)
+    return Correspondence(target, target, (piece,))
+
+
+def presentation(corr):
+    # zero relations are inert (every Groebner call drops them), so they
+    # are left out of the comparison
+    return [
+        (
+            piece.ring.names,
+            sorted(piece.ring.inverted),
+            [str(r) for r in piece.relations if not r.is_zero()],
+            {k: str(v) for k, v in piece.src_map},
+            {k: str(v) for k, v in piece.tgt_map},
+        )
+        for piece in corr.pieces
+    ]
+
+
+FROZEN = {
+    "empty": (
+        [
+            (
+                ("t", "t_inv", "u", "lg", "winv"),
+                ["t"],
+                ["t*t_inv - 1", "1", "lg - 1", "t*u*winv - u*winv + winv - 1"],
+                {"t": "t", "t_inv": "t_inv", "u": "u", "lg": "lg"},
+                {"t": "t*u - u + 1", "t_inv": "winv"},
+            )
+        ],
+        [
+            (("t", "t_inv"), ["t"], ["1"], {"t": "t", "t_inv": "t_inv"}, {"t": "1", "t_inv": "1"}),
+            (("t", "t_inv"), ["t"], ["1"], {"t": "t", "t_inv": "t_inv"}, {"t": "t", "t_inv": "t_inv"}),
+        ],
+        (True, True, True, True),
+    ),
+    "identity": (
+        [
+            (
+                ("t", "t_inv", "u", "lg"),
+                ["t"],
+                ["t*t_inv - 1", "t*u*lg - u*lg + lg - 1"],
+                {"t": "t", "t_inv": "t_inv", "u": "u", "lg": "lg"},
+                {"t": "t*u - u + 1", "t_inv": "lg"},
+            )
+        ],
+        [
+            (
+                ("t", "t_inv"),
+                ["t"],
+                ["t*t_inv - 1"],
+                {"t": "t", "t_inv": "t_inv"},
+                {"t": "1", "t_inv": "1"},
+            ),
+            # the chart function specializes to t at parameter 1, so this
+            # slice lives over the source localized at t
+            (
+                ("t", "t_inv", "lg"),
+                ["t"],
+                ["t*t_inv - 1", "t*lg - 1"],
+                {"t": "t", "t_inv": "t_inv", "lg": "lg"},
+                {"t": "t", "t_inv": "lg"},
+            ),
+        ],
+        (False, True, True, False),
+    ),
+    "point-2": (
+        [(("u", "lg"), [], ["u*lg + lg - 1"], {"u": "u", "lg": "lg"}, {"t": "u + 1", "t_inv": "lg"})],
+        [
+            ((), [], [], {}, {"t": "1", "t_inv": "1"}),
+            ((), [], [], {}, {"t": "2", "t_inv": "1/2"}),
+        ],
+        (False, True, True, False),
+    ),
+    "sqrt-two": (
+        [
+            (
+                ("z", "u", "lg"),
+                [],
+                ["z^2 - 2", "u^2*lg + 2*u*lg - lg - 1"],
+                {"u": "u", "lg": "lg"},
+                {"t": "z*u - u + 1", "t_inv": "z*u*lg + u*lg - lg"},
+            )
+        ],
+        [
+            (("z",), [], ["z^2 - 2"], {}, {"t": "1", "t_inv": "1"}),
+            (("z",), [], ["z^2 - 2"], {}, {"t": "z", "t_inv": "1/2*z"}),
+        ],
+        (False, True, True, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_chart_and_slice_presentations_are_frozen(monkeypatch, name):
+    alpha = empty_middle() if name == "empty" else pool_member(name)
+    datum = standard_contraction_data(1)
+    result = contract(alpha, datum)
+    charts, slices, roles = FROZEN[name]
+    assert len(result.charts) == 1
+    assert presentation(result.charts[0].correspondence) == charts
+
+    seen = []
+    lands = flatspan.contraction._lands_on_base_point
+
+    def spy(sliced, datum, budget):
+        seen.append(sliced)
+        return lands(sliced, datum, budget)
+
+    monkeypatch.setattr(flatspan.contraction, "_lands_on_base_point", spy)
+    report = verify_contraction_endpoints(alpha, datum, result)
+    assert [presentation(s)[0] for s in seen] == slices
+    zero, one = report.slices
+    assert (zero.matches_input, zero.lands_on_base_point, one.matches_input, one.lands_on_base_point) == roles
