@@ -6,12 +6,21 @@ S-pair schedule; two schedules ("normal" = minimal lcm first, "fifo" =
 oldest first) are provided so that independence can be tested rather than
 assumed.
 
+Pending S-pairs sit in one heap; a schedule is only the key a pair gets
+when it is created, ending in the pair's indices ``(j, i)`` with ``i < j``.
+"normal" prefixes the order key of the pair's lcm.  "fifo" uses ``(j, i)``
+alone: pairs are created in increasing ``(j, i)`` order, so the smallest
+key is always the oldest pending pair.  Because every key ends in the
+unique ``(j, i)``, ties never reach heap internals and the pop order, and
+with it every step count, is fixed by the input.
+
 Internally polynomials are plain ``{exponent_tuple: coefficient}`` dicts;
 the public entry points speak :class:`~flatspan.poly.Polynomial`.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .budget import Budget, ensure_budget
@@ -64,13 +73,19 @@ def _reduce_full(
     return out
 
 
-def _spoly(field, f: Terms, g: Terms, order: MonomialOrder) -> Terms:
-    lf, lg = _lead(f, order), _lead(g, order)
+def _spoly(field, f: Terms, lf: tuple[int, ...], g: Terms, lg: tuple[int, ...]) -> Terms:
     lcm = exp_lcm(lf, lg)
     a = _mul_monomial(field, f, exp_sub(lcm, lf), field.inv(f[lf]))
     b = _mul_monomial(field, g, exp_sub(lcm, lg), field.inv(g[lg]))
     _sub_inplace(field, a, b)
     return a
+
+
+# Schedule name -> the part of a pair's heap key in front of ``(j, i)``.
+_SCHEDULES = {
+    "normal": lambda order, a, b: (order.key(exp_lcm(a, b)),),
+    "fifo": lambda order, a, b: (),
+}
 
 
 def _buchberger_dicts(
@@ -90,21 +105,19 @@ def _buchberger_dicts(
             basis.append(r)
             lms.append(_lead(r, order))
 
-    pairs: list[tuple[int, int]] = [(i, j) for j in range(len(basis)) for i in range(j)]
+    rank = _SCHEDULES[strategy]
+    queue: list[tuple] = []
+
+    def push(j: int):
+        for i in range(j):
+            heappush(queue, (*rank(order, lms[i], lms[j]), j, i))
+
+    for j in range(len(basis)):
+        push(j)
     done: set[frozenset[int]] = set()
 
-    def pair_key(p: tuple[int, int]):
-        i, j = p
-        return (order.key(exp_lcm(lms[i], lms[j])), j, i)
-
-    while pairs:
-        if strategy == "normal":
-            pick = min(range(len(pairs)), key=lambda k: pair_key(pairs[k]))
-        elif strategy == "fifo":
-            pick = 0
-        else:
-            raise ValueError(f"unknown S-pair strategy {strategy!r}")
-        i, j = pairs.pop(pick)
+    while queue:
+        *_, j, i = heappop(queue)
         done.add(frozenset((i, j)))
         lcm = exp_lcm(lms[i], lms[j])
         if exp_coprime(lms[i], lms[j]):
@@ -123,13 +136,12 @@ def _buchberger_dicts(
         if skip:
             continue
         budget.spend(1, "S-pair formation")
-        s = _spoly(field, basis[i], basis[j], order)
+        s = _spoly(field, basis[i], lms[i], basis[j], lms[j])
         r = _reduce_full(field, s, list(zip(lms, basis)), order, budget)
         if r:
-            t = len(basis)
             basis.append(r)
             lms.append(_lead(r, order))
-            pairs.extend((a, t) for a in range(t))
+            push(len(basis) - 1)
     return _reduce_basis(field, basis, order, budget)
 
 
@@ -175,6 +187,8 @@ def groebner_basis(
 ) -> list[Polynomial]:
     """Reduced Groebner basis; ``[]`` for the zero ideal, ``[1]`` for the
     unit ideal."""
+    if strategy not in _SCHEDULES:
+        raise ValueError(f"unknown S-pair strategy {strategy!r}")
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -233,7 +247,7 @@ def spolynomial_pairs_reduce(
         for i in range(j):
             if exp_coprime(lms[i], lms[j]):
                 continue
-            s = _spoly(ring.field, dicts[i], dicts[j], order)
+            s = _spoly(ring.field, dicts[i], lms[i], dicts[j], lms[j])
             if _reduce_full(ring.field, s, table, order, budget):
                 return False
     return True

@@ -65,12 +65,35 @@ def test_normal_form_univariate_frozen():
     assert in_ideal(P("t^3 + t", R), basis)
 
 
-def test_schedules_agree_on_reduced_output():
-    gens = [P("x^3 - 2*x*y"), P("x^2*y - 2*y^2 + x")]
-    a = groebner_basis(gens, strategy="normal")
-    b = groebner_basis(gens, strategy="fifo")
+# Budget.used for ("normal", "fifo"), recorded before the pair queue became
+# a heap: a change that reorders pops moves these, and with them the step at
+# which a budgeted check runs out (exit code 3).
+@pytest.mark.parametrize(
+    "order, field, steps",
+    [
+        pytest.param(GrevLex(3), QQ, (29, 27), id="GrevLex-QQ"),
+        pytest.param(GrevLex(3), GF(5), (29, 27), id="GrevLex-GF5"),
+        pytest.param(Lex(3), QQ, (569, 918), id="Lex-QQ"),
+        pytest.param(Lex(3), GF(5), (492, 791), id="Lex-GF5"),
+        pytest.param(Block(3, 1), QQ, (89, 68), id="Block-QQ"),
+        pytest.param(Block(3, 1), GF(5), (89, 68), id="Block-GF5"),
+    ],
+)
+def test_schedules_agree_on_reduced_output(order, field, steps):
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    gens = [P("x^2 + y*z - 1", ring), P("x*y - z^2", ring), P("y^3 - x*z + 2", ring)]
+    normal, fifo = Budget(), Budget()
+    a = groebner_basis(gens, order, normal, "normal")
+    b = groebner_basis(gens, order, fifo, "fifo")
     assert a == b
-    assert is_groebner_oracle(a, GrevLex(2))
+    assert is_groebner_oracle(a, order)
+    assert (normal.used, fifo.used) == steps
+
+
+@pytest.mark.parametrize("gens", [["x"], ["x*y - 1", "x*y - 1"], ["x", "y"]])
+def test_unknown_strategy_is_rejected_before_any_work(gens):
+    with pytest.raises(ValueError, match="unknown S-pair strategy"):
+        groebner_basis([P(g) for g in gens], strategy="bogus")
 
 
 def test_eliminate_projection_frozen():
