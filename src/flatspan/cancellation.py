@@ -125,10 +125,6 @@ class BoundReport:
     matrices: tuple[tuple[str, tuple[tuple[Polynomial, ...], ...]], ...]
     entries: tuple[BoundEntry, ...]
 
-    @property
-    def min_valuation(self) -> int | None:
-        return min((e.valuation for e in self.entries), default=None)
-
     def admits(self, n: int) -> bool:
         """Whether the valuation criterion certifies the n-th slice."""
         return all(n + e.valuation >= 1 for e in self.entries)
@@ -258,9 +254,7 @@ def slice_locus(
     t_img = piece.src(tvar)
     relation = piece.ring.one() - t_img**n * f
     sliced_source = strip_coordinates(alpha.source, [tvar])
-    new_piece = rebuild_piece(
-        piece, piece.ring, lambda p: p, sliced_source, alpha.target, [relation]
-    )
+    new_piece = rebuild_piece(piece, piece.ring, {}, sliced_source, alpha.target, [relation])
     corr = Correspondence(sliced_source, alpha.target, (new_piece,))
     outcome = certify_finite_flat(corr, budget=budget)
     if outcome.certified:
@@ -359,17 +353,10 @@ def cancel_family(
     for piece in alpha.pieces:
         pvar = fresh_name(parameter, piece.ring.names)
         ring = piece.ring.extend([pvar])
-
-        def move(p: Polynomial) -> Polynomial:
-            return p.map_ring(ring)
-
-        blend = blend_value(
-            m, n, sign, ring.var(pvar), move(piece.src(src_t)), move(piece.tgt(tgt_t))
-        )
+        main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
+        blend = blend_value(m, n, sign, ring.var(pvar), main, aux)
         pieces.append(
-            rebuild_piece(
-                piece, ring, move, source, target, [blend], src={s_name: ring.var(pvar)}
-            )
+            rebuild_piece(piece, ring, {}, source, target, [blend], src={s_name: ring.var(pvar)})
         )
     corr = Correspondence(source, target, tuple(pieces))
     outcome = certify_finite_flat(corr, budget=budget)
@@ -389,7 +376,7 @@ def cancel_slice(
         rebuild_piece(
             piece,
             piece.ring,
-            lambda p: p,
+            {},
             source,
             target,
             [cut_value(n, sign, piece.src(src_t), piece.tgt(tgt_t))],
@@ -426,12 +413,9 @@ def restrict_parameter(
                 f"source coordinate {name!r} does not map to a bare middle variable"
             )
         small = piece.ring.drop([pvar])
-        images = {pvar: small.const(c)}
-
-        def down(p: Polynomial) -> Polynomial:
-            return p.substitute(images, small)
-
-        pieces.append(rebuild_piece(piece, small, down, new_source, corr.target))
+        pieces.append(
+            rebuild_piece(piece, small, {pvar: small.const(c)}, new_source, corr.target)
+        )
     return Correspondence(new_source, corr.target, tuple(pieces))
 
 
@@ -483,13 +467,7 @@ def _extended_with_parameter(
     source = product(alpha.source, affine_line(field, s_name))
     pvar = fresh_name(parameter, piece.ring.names)
     ring = piece.ring.extend([pvar])
-
-    def move(p: Polynomial) -> Polynomial:
-        return p.map_ring(ring)
-
-    new_piece = rebuild_piece(
-        piece, ring, move, source, alpha.target, src={s_name: ring.var(pvar)}
-    )
+    new_piece = rebuild_piece(piece, ring, {}, source, alpha.target, src={s_name: ring.var(pvar)})
     return Correspondence(source, alpha.target, (new_piece,)), pvar
 
 
@@ -584,15 +562,9 @@ def torus_extension(
         stem = _fresh_pair(middle, list(piece.ring.names))
         partner = companion_name(stem)
         ring = piece.ring.extend([stem, partner], inverted=[stem])
-
-        def move(p: Polynomial) -> Polynomial:
-            return p.map_ring(ring)
-
         unit = ring.var(stem) * ring.var(partner) - ring.one()
         both = {gm_name: ring.var(stem), companion_name(gm_name): ring.var(partner)}
-        pieces.append(
-            rebuild_piece(piece, ring, move, source, target, [unit], src=both, tgt=both)
-        )
+        pieces.append(rebuild_piece(piece, ring, {}, source, target, [unit], src=both, tgt=both))
         pairs.append((stem, partner))
     return Correspondence(source, target, tuple(pieces)), tuple(pairs)
 
@@ -609,12 +581,8 @@ def line_extension(
     for piece in corr.pieces:
         pvar = fresh_name(middle, piece.ring.names)
         ring = piece.ring.extend([pvar])
-
-        def move(p: Polynomial) -> Polynomial:
-            return p.map_ring(ring)
-
         line = {coord: ring.var(pvar)}
-        pieces.append(rebuild_piece(piece, ring, move, source, target, src=line, tgt=line))
+        pieces.append(rebuild_piece(piece, ring, {}, source, target, src=line, tgt=line))
         names.append(pvar)
     return Correspondence(source, target, tuple(pieces)), names[0] if names else middle
 

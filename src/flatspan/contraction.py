@@ -41,6 +41,7 @@ from .spans import (
     SpanError,
     _combined_relations,
     _combined_ring,
+    _fiber_rename,
     certify_finite_flat,
     collapse_variables,
     equals,
@@ -322,19 +323,19 @@ class ContractedCorrespondence:
         return self.avoids_zero and self.avoids_one and self.rank is not None
 
 
-def _pull_weight(
-    value: Polynomial,
+def _weight_images(
     piece,
     datum: ContractionDatum,
     ring: PolynomialRing,
     u_var: Polynomial,
-    move,
-) -> Polynomial:
-    """Substitute target images for scheme coordinates and the chart's own
-    parameter variable for the datum's."""
-    images = {v: move(piece.tgt(v)) for v in datum.scheme.ring.names}
+    rename: dict[str, str] | None = None,
+) -> dict[str, Polynomial]:
+    """Images that pull the datum's functions back to ``ring``: the piece's
+    target legs (renamed by ``rename``) for the scheme coordinates and
+    ``u_var`` for the parameter."""
+    images = {v: piece.tgt(v).map_ring(ring, rename) for v in datum.scheme.ring.names}
     images[datum.u_name] = u_var
-    return value.substitute(images, ring)
+    return images
 
 
 def _image_on_source(
@@ -351,18 +352,12 @@ def _image_on_source(
     pulled_record: list[tuple[Polynomial, ...]] = []
     for piece in alpha.pieces:
         combined = _combined_ring(piece, target_ring)
-        fiber = combined.names[: len(piece.ring.names)]
-        rename = dict(zip(piece.ring.names, fiber))
-
-        def lift(p: Polynomial) -> Polynomial:
-            return p.map_ring(combined, rename)
-
+        rename = _fiber_rename(piece, combined)
         relations = _combined_relations(piece, source, combined)
-        weight = _pull_weight(
-            datum.w, piece, datum, combined, combined.var(source_u), lift
-        )
+        images = _weight_images(piece, datum, combined, combined.var(source_u), rename)
+        weight = datum.w.substitute(images, combined)
         pulled_record.append((weight,))
-        image = eliminate(relations + [weight], fiber, budget=budget)
+        image = eliminate(relations + [weight], list(rename.values()), budget=budget)
         per_piece.append([p.map_ring(target_ring) for p in image])
     if not per_piece:
         return [target_ring.one()], pulled_record
@@ -404,40 +399,32 @@ def _build_chart(
         u2 = fresh_name(source_u, piece.ring.names)
         lg = fresh_name("lg", piece.ring.names + (u2,))
         ring = piece.ring.extend([u2, lg])
-
-        def move(p: Polynomial) -> Polynomial:
-            return p.map_ring(ring)
-
-        def pull(value: Polynomial) -> Polynomial:
-            return _pull_weight(value, piece, datum, ring, ring.var(u2), move)
-
-        on_source = {v: move(piece.src(v)) for v in source.ring.names}
+        on_source = {v: piece.src(v).map_ring(ring) for v in source.ring.names}
         on_source[source_u] = ring.var(u2)
         localizing = generator.substitute(on_source, ring) * ring.var(lg) - ring.one()
-        weight = pull(datum.w)
+        weight = datum.w.substitute(_weight_images(piece, datum, ring, ring.var(u2)), ring)
 
         # the pulled weight is invertible here because the chart avoids its
         # image; prefer rewriting its inverse in the existing variables and
         # only fall back to a reciprocal variable when no rewrite is found
         reciprocal = modular_inverse(
-            weight, [move(r) for r in piece.relations] + [localizing], budget=budget
+            weight, [r.map_ring(ring) for r in piece.relations] + [localizing], budget=budget
         )
         extra = [localizing]
         wv = ""
         if reciprocal is None:
             wv = fresh_name("winv", ring.names)
-            # move and pull look ``ring`` up when called, so from here on
-            # they map into the extended ring
             ring = ring.extend([wv])
             reciprocal = ring.var(wv)
-            extra = [move(localizing), move(weight) * reciprocal - ring.one()]
+            extra = [localizing.map_ring(ring), weight.map_ring(ring) * reciprocal - ring.one()]
 
+        images = _weight_images(piece, datum, ring, ring.var(u2))
         tgt = {}
         for name in datum.primary:
-            tgt[name] = pull(datum.f_image(name))
-            tgt[companion_name(name)] = pull(datum.cofactor(name)) * reciprocal
+            tgt[name] = datum.f_image(name).substitute(images, ring)
+            tgt[companion_name(name)] = datum.cofactor(name).substitute(images, ring) * reciprocal
         src = {source_u: ring.var(u2), aux: ring.var(lg)}
-        pieces.append(rebuild_piece(piece, ring, move, opened, datum.scheme, extra, src, tgt))
+        pieces.append(rebuild_piece(piece, ring, {}, opened, datum.scheme, extra, src, tgt))
         u_names.append(u2)
         loc_names.append(lg)
         winv_names.append(wv)
@@ -577,10 +564,7 @@ def _slice_chart(
     corr = chart.correspondence
     field = source.ring.field
     uname = [v for v in chart.generator.ring.names if v not in source.ring.names][0]
-    at_value = chart.generator.substitute(
-        {uname: chart.generator.ring.const(value)}, chart.generator.ring
-    )
-    shrunk = at_value.map_ring(source.ring)
+    shrunk = chart.generator.substitute({uname: source.ring.const(value)}, source.ring)
     constant_gen = shrunk.is_constant()
     if constant_gen:
         if shrunk.is_zero():
@@ -598,18 +582,12 @@ def _slice_chart(
     for piece, original, u2, lg, wv in zip(
         corr.pieces, alpha.pieces, chart.u_names, chart.loc_names, chart.winv_names
     ):
-        ring = piece.ring
-        drop = [u2, lg] if constant_gen else [u2]
-        small = ring.drop(drop)
-        images = {u2: ring.const(value)}
+        small = piece.ring.drop([u2, lg] if constant_gen else [u2])
+        images = {u2: small.const(value)}
         if constant_gen:
-            images[lg] = ring.const(aux_image_value)
-
-        def down(p: Polynomial) -> Polynomial:
-            return p.substitute(images, ring).map_ring(small)
-
+            images[lg] = small.const(aux_image_value)
         src = {} if constant_gen else {aux2: small.var(lg)}
-        pieces.append(rebuild_piece(piece, small, down, sliced_source, datum.scheme, src=src))
+        pieces.append(rebuild_piece(piece, small, images, sliced_source, datum.scheme, src=src))
         if not constant_gen:
             # the input piece, base-changed to the localized source
             lg2 = fresh_name(aux2, original.ring.names)
@@ -618,8 +596,7 @@ def _slice_chart(
             unit = shrunk.substitute(legs, up) * up.var(lg2) - up.one()
             originals.append(
                 rebuild_piece(
-                    original, up, lambda p: p.map_ring(up), sliced_source, alpha.target,
-                    [unit], src={aux2: up.var(lg2)},
+                    original, up, {}, sliced_source, alpha.target, [unit], src={aux2: up.var(lg2)}
                 )
             )
 
@@ -631,14 +608,8 @@ def _slice_chart(
             # at parameter 1 the pulled weight is the weight at 1 composed
             # with the original target leg, whose stored inverse pulls back
             # the same way
-            inv_total = datum.w_one_inverse.substitute(
-                {
-                    v: original.tgt(v).map_ring(ring)
-                    for v in datum.scheme.ring.names
-                },
-                ring,
-            )
-            collapse_maps.append({wv: down(inv_total)})
+            legs = {v: original.tgt(v).map_ring(small) for v in datum.scheme.ring.names}
+            collapse_maps.append({wv: datum.w_one_inverse.substitute(legs, small)})
     sliced = Correspondence(sliced_source, datum.scheme, tuple(pieces))
     if not constant_gen:
         alpha = Correspondence(sliced_source, alpha.target, tuple(originals))

@@ -18,6 +18,8 @@ class Field:
     """Common interface for exact coefficient fields."""
 
     characteristic: int
+    zero: object
+    one: object
 
     def add(self, a, b):
         raise NotImplementedError
@@ -46,19 +48,13 @@ class Field:
     def to_str(self, a) -> str:
         raise NotImplementedError
 
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
 
 class RationalField(Field):
     """The field of rational numbers with arbitrary-precision arithmetic."""
 
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -109,6 +105,8 @@ class PrimeField(Field):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
+        self.zero = 0
+        self.one = 1
 
     def add(self, a, b):
         return (a + b) % self.p

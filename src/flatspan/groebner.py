@@ -258,15 +258,6 @@ def is_unit_ideal(basis: Sequence[Polynomial]) -> bool:
     return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
 
 
-def in_ideal(
-    p: Polynomial,
-    basis: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-    budget: Budget | None = None,
-) -> bool:
-    return normal_form(p, basis, order, budget).is_zero()
-
-
 def _permuted_ring(ring: PolynomialRing, first: Sequence[str]) -> PolynomialRing:
     rest = [v for v in ring.names if v not in set(first)]
     return PolynomialRing(ring.field, tuple(first) + tuple(rest), ring.inverted)

@@ -140,6 +140,28 @@ def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]]
     return out
 
 
+def classify_leads(
+    basis: list[Polynomial], order: MonomialOrder, split: int
+) -> tuple[list[tuple[int, ...]] | int, list[Polynomial], list[Polynomial]]:
+    """Sort a basis by leading monomial.
+
+    Returns the staircase under the pure-fiber leads (or the index of a
+    fiber direction without a pure power), the base-only elements, and the
+    mixed elements whose lead involves fiber and base variables.
+    """
+    pure, base_only, mixed = [], [], []
+    for g in basis:
+        lm = g.leading_exponent(order)
+        fp, bp = _fiber_part(lm, split), _base_part(lm, split)
+        if any(fp) and not any(bp):
+            pure.append(fp)
+        elif any(bp) and not any(fp):
+            base_only.append(g)
+        elif any(fp):
+            mixed.append(g)
+    return _staircase(pure, split), base_only, mixed
+
+
 def fiber_order(nvars: int, split: int) -> MonomialOrder:
     """The certificate order: fiber block over base block, or plain GrevLex
     when there are no fiber variables."""
@@ -182,16 +204,7 @@ def analyze_module(
         basis = []
 
     fiber_names = ring.names[:split]
-    pure, base_only, mixed = [], [], []
-    for g in basis:
-        lm = g.leading_exponent(order)
-        fp, bp = _fiber_part(lm, split), _base_part(lm, split)
-        if any(fp) and not any(bp):
-            pure.append(g)
-        elif any(bp) and not any(fp):
-            base_only.append(g)
-        elif any(fp):
-            mixed.append(g)
+    stair, base_only, mixed = classify_leads(basis, order, split)
 
     # torsion: a base-only element not already implied by the base relations
     torsion = []
@@ -202,7 +215,6 @@ def analyze_module(
     if torsion:
         return ModuleAnalysis(status="torsion", torsion_witness=tuple(torsion), **common)
 
-    stair = _staircase([_fiber_part(g.leading_exponent(order), split) for g in pure], split)
     if isinstance(stair, int):
         return ModuleAnalysis(
             status="not_finite", not_finite_direction=fiber_names[stair], **common

@@ -169,12 +169,6 @@ class Polynomial:
             return -1
         return max(sum(exp) for exp in self._terms)
 
-    def degree_in(self, name: str) -> int:
-        i = self.ring.index(name)
-        if not self._terms:
-            return -1
-        return max(exp[i] for exp in self._terms)
-
     def variables(self) -> set[str]:
         used = set()
         for exp in self._terms:
@@ -296,7 +290,10 @@ class Polynomial:
 
     def substitute(self, images: Mapping[str, Polynomial], target: PolynomialRing) -> Polynomial:
         """Apply the ring map given by ``images``; names without an image
-        must exist verbatim in the target ring."""
+        must exist verbatim in the target ring.  Renaming variables is
+        :meth:`map_ring`'s job; with no images this is ``map_ring(target)``."""
+        if not images:
+            return self.map_ring(target)
         f = target.field
         if f != self.ring.field:
             raise RingMismatch("cannot substitute across different fields")

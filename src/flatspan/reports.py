@@ -42,6 +42,10 @@ class ReportError(Exception):
     pass
 
 
+# what a malformed stored envelope raises while it is rebuilt
+_MALFORMED = (ReportError, KeyError, ValueError, TypeError, AttributeError, SpanError)
+
+
 # ---------------------------------------------------------------------------
 # object <-> JSON
 
@@ -55,6 +59,8 @@ def ring_to_json(ring: PolynomialRing) -> dict:
 
 
 def ring_from_json(data: dict) -> PolynomialRing:
+    if not isinstance(data, dict):
+        raise ReportError(f"stored ring {data!r} is not an object")
     return PolynomialRing(
         field_from_name(data["field"]),
         tuple(data["names"]),
@@ -301,6 +307,9 @@ def _structural(payload: dict, messages: list[str]) -> bool:
 
 
 def _recheck_block(block: dict, limit: int | None, messages: list[str], where: str) -> bool:
+    if not isinstance(block, dict):
+        messages.append(f"{where}: certificate block {block!r} is not an object")
+        return False
     budget = Budget(limit, "certificate recheck") if limit else None
     kind = block.get("kind")
     if kind == "finite-flat":
@@ -360,8 +369,16 @@ def recheck_envelope(
                 f"({payload['input_digest']} vs {expected})"
             )
             ok = False
+    reports = payload.get("reports", [])
+    if not isinstance(reports, list):
+        messages.append("envelope 'reports' is not a list")
+        ok, reports = False, []
     codes = []
-    for index, report in enumerate(payload.get("reports", [])):
+    for index, report in enumerate(reports):
+        if not isinstance(report, dict):
+            messages.append(f"report {index} is not an object")
+            ok = False
+            continue
         where = report.get("name") or f"report {index}"
         verdict = report.get("verdict")
         if verdict not in VERDICTS:
@@ -375,26 +392,31 @@ def recheck_envelope(
                 f"from verdict {verdict!r}"
             )
             ok = False
-        result = report.get("data", {}).get("result")
+        data = report.get("data", {})
+        certificates = report.get("certificates", [])
+        if not isinstance(data, dict) or not isinstance(certificates, list):
+            messages.append(f"{where}: 'data' is not an object or 'certificates' is not a list")
+            ok = False
+            continue
+        result = data.get("result")
         if isinstance(result, dict):
             try:
                 correspondence_from_json(result)
-            except (ReportError, KeyError, ValueError, SpanError) as err:
+            except _MALFORMED as err:
                 messages.append(f"{where}: stored result is not a valid presentation: {err}")
                 ok = False
-        for block in report.get("certificates", []):
+        for block in certificates:
             try:
                 if not _recheck_block(block, budget_limit, messages, where):
                     ok = False
-            except (ReportError, KeyError, ValueError, SpanError) as err:
+            except _MALFORMED as err:
                 messages.append(f"{where}: certificate could not be rebuilt: {err}")
                 ok = False
     if "exit_code" in payload and codes and payload["exit_code"] != max(codes):
         messages.append("envelope exit code does not match its reports")
         ok = False
     if ok:
-        count = len(payload.get("reports", []))
-        messages.append(f"recheck: {count} report(s) agree")
+        messages.append(f"recheck: {len(reports)} report(s) agree")
     return ok, messages
 
 

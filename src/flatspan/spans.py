@@ -16,7 +16,7 @@ by name or by position.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import product as iproduct
 
@@ -26,6 +26,7 @@ from .modules import (
     ModuleAnalysis,
     PresentationError,
     analyze_module,
+    classify_leads,
     fiber_order,
     fitting_ideal,
     module_presentation,
@@ -124,26 +125,35 @@ def make_piece(
 def rebuild_piece(
     piece: SpanPiece,
     ring: PolynomialRing,
-    move: Callable[[Polynomial], Polynomial],
+    images: Mapping[str, Polynomial],
     source: AffineScheme,
     target: AffineScheme,
     extra: Sequence[Polynomial] = (),
     src: Mapping[str, Polynomial] | None = None,
     tgt: Mapping[str, Polynomial] | None = None,
 ) -> SpanPiece:
-    """Rewrite a piece into ``ring`` along ``move``.
+    """Rewrite a piece into ``ring``, substituting ``images`` (elements of
+    ``ring``) for the piece variables they name.
 
-    The relations are moved in order and followed by ``extra``.  Each leg
-    coordinate of ``source``/``target`` that ``src``/``tgt`` does not name
-    keeps the moved image of the piece's own leg.
+    Every other piece variable keeps its name, so with no images this is
+    ``map_ring(ring)``.  The relations are moved in order and followed by
+    ``extra``.  Each leg coordinate of ``source``/``target`` that
+    ``src``/``tgt`` does not name keeps the moved image of the piece's own
+    leg.
     """
     src = src or {}
     tgt = tgt or {}
     return make_piece(
         ring,
-        [move(r) for r in piece.relations] + list(extra),
-        {v: src[v] if v in src else move(piece.src(v)) for v in source.ring.names},
-        {v: tgt[v] if v in tgt else move(piece.tgt(v)) for v in target.ring.names},
+        [r.substitute(images, ring) for r in piece.relations] + list(extra),
+        {
+            v: src[v] if v in src else piece.src(v).substitute(images, ring)
+            for v in source.ring.names
+        },
+        {
+            v: tgt[v] if v in tgt else piece.tgt(v).substitute(images, ring)
+            for v in target.ring.names
+        },
         source,
         target,
     )
@@ -166,10 +176,6 @@ def graph_span(
     corr = Correspondence(source, target, (piece,), label=label)
     validate_correspondence(corr)
     return corr
-
-
-def empty_span(source: AffineScheme, target: AffineScheme) -> Correspondence:
-    return Correspondence(source, target, (), label="0")
 
 
 def add(left: Correspondence, right: Correspondence) -> Correspondence:
@@ -232,16 +238,12 @@ def simplify_piece(piece: SpanPiece, budget: Budget | None = None) -> SpanPiece:
         if hit is None:
             break
         name, image = hit
-        small = ring.drop([name])
-        images = {
-            v: (image.map_ring(ring) if v == name else ring.var(v)) for v in ring.names
-        }
-        # substitute within the full ring first, then reinterpret
+        ring = ring.drop([name])
+        images = {name: image.map_ring(ring)}
         substituted = (r.substitute(images, ring) for r in relations)
-        relations = [r.map_ring(small) for r in substituted if not r.is_zero()]
-        src = {k: p.substitute(images, ring).map_ring(small) for k, p in src.items()}
-        tgt = {k: p.substitute(images, ring).map_ring(small) for k, p in tgt.items()}
-        ring = small
+        relations = [r for r in substituted if not r.is_zero()]
+        src = {k: p.substitute(images, ring) for k, p in src.items()}
+        tgt = {k: p.substitute(images, ring) for k, p in tgt.items()}
     basis = groebner_basis(relations, budget=budget)
     src = {k: normal_form(p, basis, budget=budget) for k, p in src.items()}
     tgt = {k: normal_form(p, basis, budget=budget) for k, p in tgt.items()}
@@ -295,16 +297,12 @@ def _merge_rings(
 
 def _glue(
     a: SpanPiece, b: SpanPiece
-) -> tuple[PolynomialRing, Callable[[Polynomial], Polynomial], list[Polynomial]]:
-    """The merged ring of two pieces, the map importing ``b`` into it, and
-    the relations of ``a`` followed by the imported relations of ``b``."""
+) -> tuple[PolynomialRing, dict[str, str], list[Polynomial]]:
+    """The merged ring of two pieces, the rename importing ``b`` into it,
+    and the relations of ``a`` followed by the imported relations of ``b``."""
     ring, rename = _merge_rings(a.ring, b.ring)
-    import_right = {v: ring.var(rename[v]) for v in b.ring.names}
-
-    def move(p: Polynomial) -> Polynomial:
-        return p.substitute(import_right, ring)
-
-    return ring, move, [r.map_ring(ring) for r in a.relations] + [move(r) for r in b.relations]
+    relations = [r.map_ring(ring) for r in a.relations]
+    return ring, rename, relations + [r.map_ring(ring, rename) for r in b.relations]
 
 
 def compose(left: Correspondence, right: Correspondence) -> Correspondence:
@@ -321,11 +319,11 @@ def compose(left: Correspondence, right: Correspondence) -> Correspondence:
     middle = left.target
     pieces = []
     for a, b in iproduct(left.pieces, right.pieces):
-        ring, move, relations = _glue(a, b)
+        ring, rename, relations = _glue(a, b)
         for y in middle.ring.names:
-            relations.append(a.tgt(y).map_ring(ring) - move(b.src(y)))
+            relations.append(a.tgt(y).map_ring(ring) - b.src(y).map_ring(ring, rename))
         src = {k: a.src(k).map_ring(ring) for k in left.source.ring.names}
-        tgt = {k: move(b.tgt(k)) for k in right.target.ring.names}
+        tgt = {k: b.tgt(k).map_ring(ring, rename) for k in right.target.ring.names}
         pieces.append(make_piece(ring, relations, src, tgt, left.source, right.target))
     return Correspondence(left.source, right.target, tuple(pieces))
 
@@ -336,11 +334,11 @@ def external_tensor(left: Correspondence, right: Correspondence) -> Corresponden
     target = scheme_product(left.target, right.target)
     pieces = []
     for a, b in iproduct(left.pieces, right.pieces):
-        ring, move, relations = _glue(a, b)
+        ring, rename, relations = _glue(a, b)
         src = {k: a.src(k).map_ring(ring) for k in left.source.ring.names}
-        src.update({k: move(b.src(k)) for k in right.source.ring.names})
+        src.update({k: b.src(k).map_ring(ring, rename) for k in right.source.ring.names})
         tgt = {k: a.tgt(k).map_ring(ring) for k in left.target.ring.names}
-        tgt.update({k: move(b.tgt(k)) for k in right.target.ring.names})
+        tgt.update({k: b.tgt(k).map_ring(ring, rename) for k in right.target.ring.names})
         pieces.append(make_piece(ring, relations, src, tgt, source, target))
     return Correspondence(source, target, tuple(pieces))
 
@@ -352,14 +350,13 @@ def external_tensor(left: Correspondence, right: Correspondence) -> Corresponden
 def _piece_payload(piece: SpanPiece, names: tuple[str, ...], rename: dict[str, str], budget):
     """Relations (as a reduced basis) and map images inside a mark-free ring."""
     ring = PolynomialRing(piece.ring.field, names)
-    images = {v: ring.var(rename[v]) for v in piece.ring.names}
-
-    def move(p: Polynomial) -> Polynomial:
-        return p.substitute(images, ring)
-
-    basis = groebner_basis([move(r) for r in piece.relations], budget=budget)
-    src = tuple(normal_form(move(img), basis, budget=budget) for _, img in piece.src_map)
-    tgt = tuple(normal_form(move(img), basis, budget=budget) for _, img in piece.tgt_map)
+    basis = groebner_basis([r.map_ring(ring, rename) for r in piece.relations], budget=budget)
+    src = tuple(
+        normal_form(img.map_ring(ring, rename), basis, budget=budget) for _, img in piece.src_map
+    )
+    tgt = tuple(
+        normal_form(img.map_ring(ring, rename), basis, budget=budget) for _, img in piece.tgt_map
+    )
     return basis, src, tgt
 
 
@@ -369,14 +366,10 @@ def _pieces_equal(a: SpanPiece, b: SpanPiece, budget: Budget | None) -> bool:
             f"middles have {len(a.ring.names)} and {len(b.ring.names)} variables; "
             "no canonical matching is declared"
         )
-    if sorted(a.ring.names) == sorted(b.ring.names):
-        names = a.ring.names
-        rename_b = {v: v for v in b.ring.names}
-    else:
-        names = a.ring.names
-        rename_b = {v: names[i] for i, v in enumerate(b.ring.names)}
-    rename_a = {v: v for v in a.ring.names}
-    basis_a, src_a, tgt_a = _piece_payload(a, names, rename_a, budget)
+    names = a.ring.names
+    # match variables by name when the name sets agree, else by position
+    rename_b = {} if sorted(names) == sorted(b.ring.names) else dict(zip(b.ring.names, names))
+    basis_a, src_a, tgt_a = _piece_payload(a, names, {}, budget)
     basis_b, src_b, tgt_b = _piece_payload(b, names, rename_b, budget)
     return basis_a == basis_b and src_a == src_b and tgt_a == tgt_b
 
@@ -542,12 +535,17 @@ def recheck_certificate(
     """Confirm a stored certificate without recomputing its Groebner bases.
 
     Checks that the claimed basis reduces the defining relations to zero,
-    that all S-polynomials of the claimed basis reduce to zero, and that
-    the staircase avoids the basis leading terms.
+    that all S-polynomials of the claimed basis reduce to zero, that no
+    basis lead mixes fiber and base variables, that the staircase is the
+    one the pure-fiber leads cut out, that every fiber variable has a
+    matrix and every matrix recomputes, and that the rank is the total
+    staircase size.
     """
     if not outcome.certified:
         return False
     if len(corr.pieces) != len(outcome.pieces):
+        return False
+    if outcome.rank != sum(len(cert.staircase) for cert in outcome.pieces):
         return False
     for piece, cert in zip(corr.pieces, outcome.pieces):
         combined = cert.ring
@@ -558,19 +556,21 @@ def recheck_certificate(
         if combined.drop(combined.names[: cert.split]) != corr.source.ring:
             return False
         order = fiber_order(combined.nvars, cert.split)
-        basis = list(cert.groebner)
+        basis = [b for b in cert.groebner if not b.is_zero()]
         if not spolynomial_pairs_reduce(basis, order, budget=budget):
             return False
         relations = _combined_relations(piece, corr.source, combined)
         for rel in relations:
             if not normal_form(rel, basis, order, budget=budget).is_zero():
                 return False
-        leads = [b.leading_exponent(order) for b in basis if not b.is_zero()]
-        for exp in cert.staircase:
-            padded = tuple(exp) + (0,) * (combined.nvars - cert.split)
-            for lead in leads:
-                if all(l <= e for l, e in zip(lead, padded)):
-                    return False
+        stair, _, mixed = classify_leads(basis, order, cert.split)
+        if any(b.is_constant() for b in basis):
+            stair = []  # the unit ideal presents the zero module
+        if mixed or stair != list(cert.staircase):
+            return False
+        fiber = combined.names[: cert.split]
+        if stair and not set(fiber) <= {name for name, _ in cert.matrices}:
+            return False
         for name, recorded in cert.matrices:
             try:
                 fresh = multiplication_matrix_from(
@@ -620,12 +620,9 @@ def collapse_variables(
         kept = eliminate(list(piece.relations), drop, budget=budget)
         small = ring.drop(drop)
         relations = [p.map_ring(small) for p in kept]
-
-        def down(p: Polynomial) -> Polynomial:
-            return p.substitute(mapping, ring).map_ring(small)
-
-        src = {v: down(piece.src(v)) for v in corr.source.ring.names}
-        tgt = {v: down(piece.tgt(v)) for v in corr.target.ring.names}
+        moved = {name: image.map_ring(small) for name, image in mapping.items()}
+        src = {v: piece.src(v).substitute(moved, small) for v in corr.source.ring.names}
+        tgt = {v: piece.tgt(v).substitute(moved, small) for v in corr.target.ring.names}
         pieces.append(make_piece(small, relations, src, tgt, corr.source, corr.target))
     return Correspondence(corr.source, corr.target, tuple(pieces), label=corr.label)
 
@@ -639,10 +636,13 @@ def lift_into_certificate(
     certificate ring, so lifted values can be reduced against the stored
     basis alongside the base coordinates.
     """
-    combined = cert.ring
-    fiber = combined.names[: cert.split]
-    images = {v: combined.var(fiber[i]) for i, v in enumerate(piece.ring.names)}
-    return value.substitute(images, combined)
+    return value.map_ring(cert.ring, _fiber_rename(piece, cert.ring))
+
+
+def _fiber_rename(piece: SpanPiece, combined: PolynomialRing) -> dict[str, str]:
+    """The piece's variables onto the leading (fiber) names of ``combined``,
+    in order."""
+    return dict(zip(piece.ring.names, combined.names))
 
 
 def _combined_ring(piece: SpanPiece, base_ring: PolynomialRing) -> PolynomialRing:
@@ -661,13 +661,9 @@ def _combined_relations(
 ) -> list[Polynomial]:
     """The defining relations of a piece over ``base``, rebuilt in a combined
     ring whose leading variables stand for the piece's, in order."""
-    images = {v: combined.var(combined.names[i]) for i, v in enumerate(piece.ring.names)}
-
-    def lift(p: Polynomial) -> Polynomial:
-        return p.substitute(images, combined)
-
-    relations = [lift(r) for r in piece.relations]
+    rename = _fiber_rename(piece, combined)
+    relations = [r.map_ring(combined, rename) for r in piece.relations]
     relations += [r.map_ring(combined) for r in base.relations]
     for v in base.ring.names:
-        relations.append(combined.var(v) - lift(piece.src(v)))
+        relations.append(combined.var(v) - piece.src(v).map_ring(combined, rename))
     return relations

@@ -125,6 +125,56 @@ def test_recheck_catches_a_tampered_certificate(capsys, tmp_path):
     assert "fails re-validation" in text
 
 
+def _first_block(payload, kind):
+    for report in payload["reports"]:
+        for block in report["certificates"]:
+            if block["kind"] == kind and block.get("entries", True):
+                return report, block
+    raise AssertionError(f"no {kind} certificate")
+
+
+def _reports_not_a_list(payload):
+    payload["reports"] = 5
+
+
+def _report_not_an_object(payload):
+    payload["reports"] = ["a"]
+
+
+def _certificate_not_an_object(payload):
+    report, _ = _first_block(payload, "finite-flat")
+    report["certificates"][0] = 5
+
+
+def _data_not_an_object(payload):
+    payload["reports"][0]["data"] = [1]
+
+
+def _valuation_ring_missing(payload):
+    _, block = _first_block(payload, "valuation-bound")
+    block["ring"] = None
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _reports_not_a_list,
+        _report_not_an_object,
+        _certificate_not_an_object,
+        _data_not_an_object,
+        _valuation_ring_missing,
+    ],
+)
+def test_recheck_reports_a_malformed_envelope_as_a_finding(capsys, tmp_path, tamper):
+    _, payload, out = structured(capsys, tmp_path, "valuation-bounds")
+    tamper(payload)
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("valuation-bounds"), "--recheck", str(out))
+    assert code == 1
+    assert "agree" not in text and "Traceback" not in err
+    assert "not a list" in text or "not an object" in text
+
+
 def test_recheck_catches_a_workspace_mismatch(capsys, tmp_path):
     _, _, out = structured(capsys, tmp_path, "valuation-bounds")
     code, text, _ = run_cli(capsys, "run", workspace("span-algebra"), "--recheck", str(out))

@@ -27,7 +27,6 @@ from flatspan.spans import (
     certify_finite_flat,
     compose,
     degree,
-    empty_span,
     equals,
     external_tensor,
     graph_span,
@@ -206,7 +205,7 @@ def test_certify_detects_torsion_middle():
 
 def test_empty_span_certifies_rank_zero():
     line = affine_line(QQ, "x")
-    assert degree(empty_span(line, line)) == 0
+    assert degree(Correspondence(line, line, (), label="0")) == 0
 
 
 def test_validate_rejects_bad_structure_map():
@@ -405,6 +404,90 @@ def test_recheck_rejects_tampered_staircase():
     fat = replace(cert, staircase=cert.staircase + ((7, 0),))
     forged = replace(out, pieces=(fat,))
     assert not recheck_certificate(cover, forged)
+
+
+def _root_cover():
+    """A cover of A^1_x with source x -> y^2 and target x -> y: rank 2 with
+    staircase {1, y} and one matrix, for y."""
+    line = affine_line(QQ, "x")
+    ring = PolynomialRing(QQ, ("y",))
+    y = ring.var("y")
+    piece = make_piece(ring, [], {"x": y * y}, {"x": y}, line, line)
+    cover = Correspondence(line, line, (piece,))
+    out = certify_finite_flat(cover)
+    assert out.rank == 2 and len(out.pieces[0].matrices) == 1
+    return cover, out
+
+
+@pytest.mark.parametrize("staircase", [((0,),), ()], ids=["one", "empty"])
+def test_recheck_rejects_an_incomplete_staircase(staircase):
+    from dataclasses import replace
+
+    cover, out = _root_cover()
+    labels = ("1",) * len(staircase)
+    thin = replace(out.pieces[0], staircase=staircase, labels=labels, matrices=())
+    assert not recheck_certificate(cover, replace(out, rank=len(staircase), pieces=(thin,)))
+
+
+def test_recheck_rejects_a_missing_matrix():
+    from dataclasses import replace
+
+    cover, out = _root_cover()
+    bare = replace(out.pieces[0], matrices=())
+    assert not recheck_certificate(cover, replace(out, pieces=(bare,)))
+
+
+def test_recheck_rejects_a_rank_the_pieces_do_not_add_up_to():
+    from dataclasses import replace
+
+    cover, out = _root_cover()
+    assert recheck_certificate(cover, out)
+    assert not recheck_certificate(cover, replace(out, rank=5))
+
+
+def test_recheck_rejects_a_mixed_lead():
+    """k[y, z]/(y^2, y*z) over A^1_x along x -> z: the lead x*y mixes fiber
+    and base (y is x-torsion), so certification is inconclusive.  A forged
+    rank-2 certificate on the staircase {1, y} recomputes its matrices."""
+    from flatspan.groebner import groebner_basis
+    from flatspan.modules import fiber_order, multiplication_matrix_from
+    from flatspan.spans import CertifyOutcome, PieceCertificate
+
+    line = affine_line(QQ, "x")
+    ring = PolynomialRing(QQ, ("y", "z"))
+    y, z = ring.var("y"), ring.var("z")
+    span = Correspondence(line, line, (make_piece(ring, [y * y, y * z], {"x": z}, {"x": z}, line, line),))
+    assert certify_finite_flat(span).status == "inconclusive"
+    combined = PolynomialRing(QQ, ("y", "z", "x"))
+    gens = [parse_polynomial(t, combined) for t in ("y^2", "y*z", "x - z")]
+    basis = groebner_basis(gens, fiber_order(3, 2))
+    stair = [(0, 0), (1, 0)]
+    matrices = tuple(
+        (v, multiplication_matrix_from(combined, 2, basis, combined.var(v), stair)) for v in "yz"
+    )
+    cert = PieceCertificate(combined, 2, tuple(basis), tuple(stair), ("1", "y"), matrices, ())
+    assert not recheck_certificate(span, CertifyOutcome("certified", 2, (cert,)))
+
+
+def test_recheck_rejects_a_staircase_over_the_unit_ideal():
+    from dataclasses import replace
+
+    line = affine_line(QQ, "x")
+    ring = PolynomialRing(QQ, ("y",))
+    y = ring.var("y")
+    empty = Correspondence(line, line, (make_piece(ring, [ring.one()], {"x": y}, {"x": y}, line, line),))
+    out = certify_finite_flat(empty)
+    assert out.rank == 0 and recheck_certificate(empty, out)
+    cert = out.pieces[0]
+    zero = PolynomialRing(QQ, ("x",)).zero()
+    forged = replace(
+        cert,
+        groebner=cert.groebner + (cert.ring.var("y"),),
+        staircase=((0,),),
+        labels=("1",),
+        matrices=(("y", ((zero,),)),),
+    )
+    assert not recheck_certificate(empty, replace(out, rank=1, pieces=(forged,)))
 
 
 def test_recheck_rejects_foreign_relations():
