@@ -1,9 +1,10 @@
 """Step budgets for potentially explosive computations.
 
-Every leading-term cancellation in the division algorithm costs one step;
-minor expansions in determinant work are also charged here.  Exhausting a
-budget raises, and callers surface that as an inconclusive outcome rather
-than an answer.
+Every leading-term cancellation in the division algorithm and every S-pair
+formed costs one step, charged under its phase; minor expansions in
+determinant work are charged here too.  Exhausting a budget raises
+:class:`BudgetExhausted`, which names the phase, and callers surface that
+as an inconclusive outcome rather than an answer.
 """
 
 from __future__ import annotations
@@ -12,30 +13,22 @@ DEFAULT_STEPS = 10**6
 
 
 class BudgetExhausted(RuntimeError):
-    def __init__(self, limit: int, context: str):
-        super().__init__(f"step budget of {limit} exhausted during {context}")
+    def __init__(self, limit: int, phase: str):
+        super().__init__(f"step budget of {limit} exhausted during {phase}")
         self.limit = limit
-        self.context = context
+        self.phase = phase
 
 
 class Budget:
-    __slots__ = ("limit", "used", "context")
+    __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int = DEFAULT_STEPS, context: str = "computation"):
+    def __init__(self, limit: int = DEFAULT_STEPS):
         if limit <= 0:
             raise ValueError("budget limit must be positive")
         self.limit = limit
         self.used = 0
-        self.context = context
 
-    def spend(self, n: int = 1, context: str | None = None):
+    def spend(self, n: int, phase: str):
         self.used += n
         if self.used > self.limit:
-            raise BudgetExhausted(self.limit, context or self.context)
-
-    def remaining(self) -> int:
-        return max(0, self.limit - self.used)
-
-
-def ensure_budget(budget: Budget | None, context: str = "computation") -> Budget:
-    return budget if budget is not None else Budget(context=context)
+            raise BudgetExhausted(self.limit, phase)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import Budget, ensure_budget
+from .budget import Budget
 from .fields import QQ, field_name
 from .groebner import (
     groebner_basis,
@@ -122,7 +122,6 @@ class BoundReport:
 
     n_bound: int
     torus_var: str
-    matrices: tuple[tuple[str, tuple[tuple[Polynomial, ...], ...]], ...]
     entries: tuple[BoundEntry, ...]
 
     def admits(self, n: int) -> bool:
@@ -130,17 +129,17 @@ class BoundReport:
         return all(n + e.valuation >= 1 for e in self.entries)
 
 
-def _single_piece(alpha: Correspondence, context: str) -> SpanPiece:
+def _single_piece(alpha: Correspondence, task: str) -> SpanPiece:
     if len(alpha.pieces) != 1:
-        raise CancellationError(f"{context} needs a single-piece middle")
+        raise CancellationError(f"{task} needs a single-piece middle")
     return alpha.pieces[0]
 
 
-def _certified(alpha: Correspondence, budget: Budget, context: str) -> CertifyOutcome:
+def _certified(alpha: Correspondence, budget: Budget, task: str) -> CertifyOutcome:
     outcome = certify_finite_flat(alpha, budget=budget)
     if not outcome.certified:
         raise CancellationError(
-            f"{context} needs the middle certified finite free over the source; "
+            f"{task} needs the middle certified finite free over the source; "
             f"certification says {outcome.status}: {outcome.detail}"
         )
     return outcome
@@ -156,14 +155,12 @@ def _bound_from_values(
     tvar = torus_var or detect_torus_coordinate(alpha.source)
     outcome = _certified(alpha, budget, "valuation bound")
     cert = outcome.pieces[0]
-    matrices = []
     entries = []
     for label, value in labelled:
         lifted = lift_into_certificate(piece, cert, value)
         matrix = multiplication_matrix_from(
             cert.ring, cert.split, list(cert.groebner), lifted, list(cert.staircase), budget
         )
-        matrices.append((label, tuple(tuple(row) for row in matrix)))
         for i, row in enumerate(matrix):
             for j, entry in enumerate(row):
                 v = laurent_valuation(entry, tvar)
@@ -171,7 +168,7 @@ def _bound_from_values(
                     entries.append(BoundEntry(label, i, j, v, entry))
     vals = [e.valuation for e in entries]
     n_bound = max(0, -min(vals)) if vals else 0
-    return BoundReport(n_bound, tvar, tuple(matrices), tuple(entries))
+    return BoundReport(n_bound, tvar, tuple(entries))
 
 
 def flatness_bound(
@@ -188,7 +185,7 @@ def flatness_bound(
     matrix of ``f`` over the certified basis has entries in the source
     ring, and the bound is driven by their worst torus valuation.
     """
-    budget = ensure_budget(budget, "flatness bound")
+    budget = budget or Budget()
     return _bound_from_values(alpha, [("f", f)], torus_var, budget)
 
 
@@ -207,7 +204,7 @@ def flatness_bound_ext(
     valuations, so the minimum over the two unshifted matrices bounds all
     shifted combinations at once.
     """
-    budget = ensure_budget(budget, "uniform flatness bound")
+    budget = budget or Budget()
     return _bound_from_values(alpha, [("f1", f1), ("f2", f2)], torus_var, budget)
 
 
@@ -248,7 +245,7 @@ def slice_locus(
     finite-free certificate or with an explicit valuation bound admitting
     the exponent.
     """
-    budget = ensure_budget(budget, "slice")
+    budget = budget or Budget()
     piece = _single_piece(alpha, "slicing")
     tvar = torus_var or detect_torus_coordinate(alpha.source)
     t_img = piece.src(tvar)
@@ -342,7 +339,7 @@ def cancel_family(
     torus factor.  Specializing the parameter to 1 recovers the n-th cut,
     0 the m-th (see :func:`restrict_parameter`).
     """
-    budget = ensure_budget(budget, "blended family")
+    budget = budget or Budget()
     src_t, tgt_t = _torus_feet(alpha)
     field = alpha.source.ring.field
     stripped = strip_coordinates(alpha.source, [src_t])
@@ -363,12 +360,9 @@ def cancel_family(
     return FamilyReport(corr, outcome, s_name)
 
 
-def cancel_slice(
-    alpha: Correspondence, n: int, sign: str, *, budget: Budget | None = None
-) -> Correspondence:
+def cancel_slice(alpha: Correspondence, n: int, sign: str) -> Correspondence:
     """Cut the middle along the n-th torus cut locus, dropping both torus
     feet."""
-    ensure_budget(budget, "cut slice")
     src_t, tgt_t = _torus_feet(alpha)
     source = strip_coordinates(alpha.source, [src_t])
     target = strip_coordinates(alpha.target, [tgt_t])
@@ -386,9 +380,7 @@ def cancel_slice(
     return Correspondence(source, target, pieces)
 
 
-def restrict_parameter(
-    corr: Correspondence, name: str, value, *, budget: Budget | None = None
-) -> Correspondence:
+def restrict_parameter(corr: Correspondence, name: str, value) -> Correspondence:
     """Specialize a free source coordinate to a constant and drop it.
 
     The coordinate must map to a bare variable of each middle, as the
@@ -487,7 +479,7 @@ def filtration_index(
     and ``f2 = -(1 - s)``, and the minus families divide by the (unit)
     target coordinate to reach the same shape.
     """
-    budget = ensure_budget(budget, "filtration search")
+    budget = budget or Budget()
     _certified(alpha, budget, "filtration search")
     if window < 1:
         raise ValueError("window must be at least 1")
@@ -536,8 +528,11 @@ def filtration_index(
 
 @dataclass(frozen=True)
 class CompatReport:
+    """Both naturality sides, and the first span's blended family."""
+
     push_ok: bool
     pull_ok: bool
+    family: FamilyReport
     detail: str = ""
 
     @property
@@ -649,7 +644,7 @@ def verify_compat(
     glue variables the constructions identify, so equality is on the
     nose, not up to unverified isomorphism.
     """
-    budget = ensure_budget(budget, "naturality check")
+    budget = budget or Budget()
     apiece = _single_piece(alpha, "naturality check")
     _single_piece(beta, "naturality check")
     _single_piece(gamma, "naturality check")
@@ -666,10 +661,8 @@ def verify_compat(
     lhs = cancel_family(
         compose(alpha, gamma_t), m, n, sign, parameter=parameter, budget=budget
     ).correspondence
-    rhs = compose(
-        cancel_family(alpha, m, n, sign, parameter=parameter, budget=budget).correspondence,
-        gamma,
-    )
+    family = cancel_family(alpha, m, n, sign, parameter=parameter, budget=budget)
+    rhs = compose(family.correspondence, gamma)
     w, w_inv = gpairs[0]
     lring = lhs.pieces[0].ring
     push_collapse = {
@@ -690,9 +683,8 @@ def verify_compat(
     lhs2 = cancel_family(
         composite, m, n, sign, parameter=parameter, budget=budget
     ).correspondence
-    rho_alpha = cancel_family(alpha, m, n, sign, parameter=parameter, budget=budget)
-    beta_line, sb = line_extension(beta, rho_alpha.parameter)
-    rhs2 = compose(beta_line, rho_alpha.correspondence)
+    beta_line, sb = line_extension(beta, family.parameter)
+    rhs2 = compose(beta_line, family.correspondence)
     w2, w2_inv = bpairs[0]
     l2ring = lhs2.pieces[0].ring
     pull_collapse = {
@@ -713,7 +705,7 @@ def verify_compat(
     if not pull_ok:
         details.append(f"source side: {why}")
 
-    return CompatReport(push_ok, pull_ok, "; ".join(details))
+    return CompatReport(push_ok, pull_ok, family, "; ".join(details))
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +774,13 @@ def verify_cancellation(
     """
     if field is None:
         field = QQ
-    budget = ensure_budget(budget, "slice-identity verification")
+    budget = budget or Budget()
     checks = []
 
     # (a) both signed cuts of the unit-factor correspondence coincide
     p_span = unit_collapse(field)
-    plus = cancel_slice(p_span, n, "+", budget=budget)
-    minus = cancel_slice(p_span, n, "-", budget=budget)
+    plus = cancel_slice(p_span, n, "+")
+    minus = cancel_slice(p_span, n, "-")
     ok_a = equals(plus, minus, budget=budget)
     checks.append(
         SubCheck(
@@ -820,7 +812,7 @@ def verify_cancellation(
     # (c) the parameter-0 endpoint is the plus cut on the affine line
     tring = PolynomialRing(field, ("t",))
     tv = tring.var("t")
-    at_zero = restrict_parameter(homotopy, "s", 0, budget=budget)
+    at_zero = restrict_parameter(homotopy, "s", 0)
     plus_cut = _ideal_span(field, [tv**n + tring.one()], tring)
     ok_c = equals(at_zero, plus_cut, budget=budget)
     checks.append(
@@ -839,12 +831,12 @@ def verify_cancellation(
     recombined = ideals_equal(
         ideal_intersection(origin, away, budget=budget), [minus_poly], budget=budget
     )
-    at_one = restrict_parameter(homotopy, "s", 1, budget=budget)
+    at_one = restrict_parameter(homotopy, "s", 1)
     minus_span = _ideal_span(field, [minus_poly], tring)
     endpoint_ok = equals(at_one, minus_span, budget=budget)
     origin_rank = degree(_ideal_span(field, [tv], tring), budget=budget)
     away_rank = degree(_ideal_span(field, list(away), tring), budget=budget)
-    torus_rank = degree(cancel_slice(torus_identity(field), n, "-", budget=budget), budget=budget)
+    torus_rank = degree(cancel_slice(torus_identity(field), n, "-"), budget=budget)
     ok_d = (
         endpoint_ok
         and comaximal
@@ -875,7 +867,7 @@ def verify_cancellation(
         budget=budget,
     )
     full_rank = degree(plus_cut, budget=budget)
-    torus_plus = degree(cancel_slice(torus_identity(field), n, "+", budget=budget), budget=budget)
+    torus_plus = degree(cancel_slice(torus_identity(field), n, "+"), budget=budget)
     ok_e = unchanged and full_rank == n and torus_plus == n
     checks.append(
         SubCheck(

@@ -99,9 +99,9 @@ def _span(doc: WorkspaceDocument, req: CheckRequest, index: int):
     return corr
 
 
-def _middle_ring(corr, context: str):
+def _middle_ring(corr, task: str):
     if len(corr.pieces) != 1:
-        raise WorkspaceError(f"{context} needs a single-piece span")
+        raise WorkspaceError(f"{task} needs a single-piece span")
     return corr.pieces[0].ring
 
 
@@ -252,7 +252,7 @@ def _h_cancel(doc, req, budget, window):
 def _h_cancel_slice(doc, req, budget, window):
     alpha = _span(doc, req, 0)
     n, sign = int(req.arg("n")), req.arg("sign")
-    corr = cancel_slice(alpha, n, sign, budget=budget)
+    corr = cancel_slice(alpha, n, sign)
     outcome = certify_finite_flat(corr, budget=budget)
     return _certify_verdict(corr, outcome, extra={"n": n, "sign": sign})
 
@@ -284,7 +284,7 @@ def _h_verify_compat(doc, req, budget, window):
     }
     if not rep.ok:
         return "fail", rep.detail, data, []
-    fam = cancel_family(first, m, n, sign, budget=budget)
+    fam = rep.family
     certificates = (
         [finite_flat_block(fam.correspondence, fam.certificate)] if fam.certified else []
     )
@@ -405,7 +405,7 @@ def execute_check(
 ) -> Report:
     """Run one request against a workspace; exceptions become verdicts."""
     start = time.perf_counter()
-    budget = Budget(budget_limit, f"check {req.name}")
+    budget = Budget(budget_limit)
     try:
         verdict, detail, data, certificates = HANDLERS[req.command](
             doc, req, budget, window
@@ -519,9 +519,13 @@ def _run_batch(args) -> int:
     digest = input_digest(canonical)
     if args.recheck:
         payload = load_envelope(Path(args.recheck).read_text(encoding="utf-8"))
-        ok, messages = recheck_envelope(
-            payload, workspace_text=canonical, budget_limit=args.budget
-        )
+        try:
+            ok, messages = recheck_envelope(
+                payload, workspace_text=canonical, budget_limit=args.budget
+            )
+        except BudgetExhausted as err:
+            print(f"recheck: inconclusive: {err}")
+            return 3
         for line in messages:
             print(line)
         return 0 if ok else 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .budget import Budget, ensure_budget
+from .budget import Budget
 from .fields import QQ, Field
 from .groebner import (
     eliminate,
@@ -218,7 +218,7 @@ def make_contraction_datum(
     field inverses.  Raises :class:`ContractionError` when any hypothesis
     fails.
     """
-    budget = ensure_budget(budget, "contraction data check")
+    budget = budget or Budget()
     field = scheme.ring.field
     point = dict(base_point)
     for name in list(point):
@@ -428,7 +428,7 @@ def _build_chart(
         u_names.append(u2)
         loc_names.append(lg)
         winv_names.append(wv)
-    corr = Correspondence(opened, datum.scheme, tuple(pieces), label="contracted")
+    corr = Correspondence(opened, datum.scheme, tuple(pieces))
     certificate = certify_finite_flat(corr, budget=budget)
     return ContractedChart(
         generator,
@@ -453,7 +453,7 @@ def contract(
     rank must agree with the input).  Failure of the parameter values 0
     or 1 to stay inside the complement is reported, never suppressed.
     """
-    budget = ensure_budget(budget, "contraction")
+    budget = budget or Budget()
     if alpha.target != datum.scheme:
         raise ContractionError(
             "correspondence target does not match the interpolation scheme"
@@ -651,7 +651,7 @@ def verify_contraction_endpoints(
     send every target coordinate to the base point.  Which endpoint plays
     which role is reported, not assumed.  All charts must agree.
     """
-    budget = ensure_budget(budget, "endpoint check")
+    budget = budget or Budget()
     if contracted is None:
         contracted = contract(alpha, datum, budget=budget)
     per_value: dict[int, tuple[bool, bool]] = {}

@@ -23,7 +23,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .budget import Budget, ensure_budget
+from .budget import Budget
 from .orders import Block, GrevLex, MonomialOrder, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub
 from .poly import Polynomial, PolynomialRing, fresh_name
 
@@ -199,7 +199,7 @@ def groebner_basis(
     order = order or default_order(ring)
     if order.nvars != ring.nvars:
         raise ValueError("order arity does not match ring")
-    budget = ensure_budget(budget, "groebner basis")
+    budget = budget or Budget()
     out = _buchberger_dicts(ring.field, [g.terms() for g in gens], order, budget, strategy)
     return [Polynomial(ring, d) for d in out]
 
@@ -214,7 +214,7 @@ def normal_form(
     Groebner basis for the order)."""
     ring = p.ring
     order = order or default_order(ring)
-    budget = ensure_budget(budget, "normal form")
+    budget = budget or Budget()
     pairs = []
     for g in basis:
         if g.is_zero():
@@ -239,7 +239,7 @@ def spolynomial_pairs_reduce(
         return True
     ring = polys[0].ring
     order = order or default_order(ring)
-    budget = ensure_budget(budget, "basis recheck")
+    budget = budget or Budget()
     dicts = [g.terms() for g in polys]
     lms = [_lead(d, order) for d in dicts]
     table = list(zip(lms, dicts))

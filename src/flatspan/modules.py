@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budget import Budget, ensure_budget
+from .budget import Budget
 from .groebner import groebner_basis, is_unit_ideal, normal_form
 from .orders import Block, GrevLex, MonomialOrder, exp_divides
 from .poly import Polynomial, PolynomialRing
@@ -185,7 +185,7 @@ def analyze_module(
     """
     if ring.names[split:] != base_ring.names:
         raise ValueError("combined ring does not extend the base ring by fiber variables")
-    budget = ensure_budget(budget, "module analysis")
+    budget = budget or Budget()
     order = fiber_order(ring.nvars, split)
     basis = groebner_basis(relations, order, budget=budget)
     base_basis = groebner_basis(base_relations, budget=budget)
@@ -248,7 +248,7 @@ def multiplication_matrix_from(
     ``basis`` is a Groebner basis under :func:`fiber_order`; the entries
     live in the ring of the last ``nvars - split`` variables.
     """
-    budget = ensure_budget(budget, "multiplication matrix")
+    budget = budget or Budget()
     order = fiber_order(ring.nvars, split)
     base_ring = ring.drop(ring.names[:split])
     index = {exp: j for j, exp in enumerate(staircase)}
@@ -284,11 +284,11 @@ def multiplication_matrix(analysis: ModuleAnalysis, element: Polynomial, budget:
     )
 
 
-def staircase_labels(analysis: ModuleAnalysis) -> tuple[str, ...]:
-    """Readable monomial labels for the staircase basis."""
-    names = analysis.ring.names[: analysis.split]
+def staircase_labels(names: tuple[str, ...], staircase) -> tuple[str, ...]:
+    """Readable monomial labels for a staircase basis over the fiber
+    variables ``names``."""
     out = []
-    for exp in analysis.staircase:
+    for exp in staircase:
         mono = "*".join(
             f"{n}^{k}" if k > 1 else n for n, k in zip(names, exp) if k
         )
@@ -302,7 +302,7 @@ def module_presentation(analysis: ModuleAnalysis) -> ModulePresentation:
     if analysis.status in ("free", "zero"):
         return ModulePresentation(
             base_ring=analysis.base_ring,
-            generators=staircase_labels(analysis) if analysis.status == "free" else (),
+            generators=staircase_labels(analysis.ring.names[: analysis.split], analysis.staircase),
             relations=(),
         )
     if analysis.status == "torsion" and analysis.split == 0:
@@ -353,7 +353,7 @@ def _minors(rows: list[list[Polynomial]], k: int, ring: PolynomialRing, budget: 
 def fitting_ideal(pres: ModulePresentation, r: int, budget: Budget | None = None) -> list[Polynomial]:
     """Reduced Groebner basis of the r-th Fitting ideal (minors of size
     g - r, where g is the number of generators)."""
-    budget = ensure_budget(budget, "fitting ideal")
+    budget = budget or Budget()
     g = len(pres.generators)
     k = g - r
     ring = pres.base_ring
@@ -369,7 +369,7 @@ def fitting_ideal(pres: ModulePresentation, r: int, budget: Budget | None = None
 def locally_free_of_rank(pres: ModulePresentation, r: int, budget: Budget | None = None) -> bool:
     """Fitting criterion: locally free of constant rank r iff
     Fitt_{r-1} = 0 and Fitt_r = (1)."""
-    budget = ensure_budget(budget, "fitting criterion")
+    budget = budget or Budget()
     below = fitting_ideal(pres, r - 1, budget)
     at = fitting_ideal(pres, r, budget)
     return below == [] and is_unit_ideal(at)

@@ -80,17 +80,6 @@ class PolynomialRing:
         exp = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {exp: self.field.one})
 
-    def monomial(self, exps: Mapping[str, int], coeff=1) -> Polynomial:
-        e = [0] * self.nvars
-        for name, k in exps.items():
-            if k < 0:
-                raise ValueError("negative exponent; use laurent_power for inverted names")
-            e[self.index(name)] = k
-        cv = self.field.from_int(coeff) if isinstance(coeff, int) else coeff
-        if cv == self.field.zero:
-            return self.zero()
-        return Polynomial(self, {tuple(e): cv})
-
     def extend(self, names: Iterable[str], inverted: Iterable[str] = ()) -> PolynomialRing:
         """Ring with extra variables appended (names must be fresh)."""
         extra = tuple(names)
@@ -221,7 +210,7 @@ class Polynomial:
 
     def __pow__(self, k: int) -> Polynomial:
         if k < 0:
-            raise ValueError("negative power; use laurent_power for inverted names")
+            raise ValueError("negative power; use the companion of an inverted name")
         result = self.ring.one()
         base = self
         while k:
@@ -239,13 +228,6 @@ class Polynomial:
         if cv == f.zero:
             return self.ring.zero()
         return Polynomial(self.ring, {e: f.mul(v, cv) for e, v in self._terms.items()})
-
-    def monic(self, order) -> Polynomial:
-        """Divide by the leading coefficient under the given order."""
-        if self.is_zero():
-            return self
-        lead = max(self._terms, key=order.key)
-        return self.scale(self.ring.field.inv(self._terms[lead]))
 
     def leading_exponent(self, order) -> tuple[int, ...]:
         if self.is_zero():
@@ -339,15 +321,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<poly {self}>"
-
-
-def laurent_power(ring: PolynomialRing, name: str, k: int) -> Polynomial:
-    """``name**k`` for any integer k, using the companion for k < 0."""
-    if k >= 0:
-        return ring.var(name) ** k
-    if name not in ring.inverted:
-        raise ValueError(f"{name!r} is not inverted; negative powers are not defined")
-    return ring.var(companion_name(name)) ** (-k)
 
 
 def laurent_valuation(p: Polynomial, name: str) -> int | None:

@@ -310,7 +310,7 @@ def _recheck_block(block: dict, limit: int | None, messages: list[str], where: s
     if not isinstance(block, dict):
         messages.append(f"{where}: certificate block {block!r} is not an object")
         return False
-    budget = Budget(limit, "certificate recheck") if limit else None
+    budget = Budget(limit) if limit else None
     kind = block.get("kind")
     if kind == "finite-flat":
         corr = correspondence_from_json(block["span"])
@@ -348,6 +348,33 @@ def _recheck_block(block: dict, limit: int | None, messages: list[str], where: s
     return False
 
 
+# report data keys that restate a certificate: the block kind, and how to
+# read the same value off such a block
+_CLAIMS = {
+    "rank": ("finite-flat", lambda block: block["outcome"]["rank"]),
+    "degree": ("finite-flat", lambda block: block["outcome"]["rank"]),
+    "bound": ("valuation-bound", lambda block: block["bound"]),
+}
+
+
+def _claims_hold(data: dict, certificates: list, messages: list[str], where: str) -> bool:
+    """A pass report's rank, degree or bound must equal that of every
+    certificate of the matching kind it carries, and it must carry one."""
+    ok = True
+    for key, (kind, carried) in _CLAIMS.items():
+        if key not in data:
+            continue
+        blocks = [b for b in certificates if isinstance(b, dict) and b.get("kind") == kind]
+        try:
+            values = [carried(block) for block in blocks]
+        except _MALFORMED:
+            continue  # the block's own recheck reports it
+        if not values or any(v != data[key] for v in values):
+            messages.append(f"{where}: claims {key} {data[key]!r}; {kind} certificates: {values}")
+            ok = False
+    return ok
+
+
 def recheck_envelope(
     payload: dict,
     workspace_text: str | None = None,
@@ -356,8 +383,10 @@ def recheck_envelope(
     """Re-validate a stored envelope.
 
     Checks the digest against the workspace (when one is supplied), the
-    exit-code/verdict correspondence, and every embedded certificate.
-    Returns overall agreement plus human-readable findings.
+    exit-code/verdict correspondence, every embedded certificate, and that
+    each pass report's rank, degree or bound is the one its certificates
+    carry.  Returns overall agreement plus human-readable findings; a
+    budget that runs out raises :class:`BudgetExhausted`.
     """
     messages: list[str] = []
     ok = _structural(payload, messages)
@@ -412,6 +441,8 @@ def recheck_envelope(
             except _MALFORMED as err:
                 messages.append(f"{where}: certificate could not be rebuilt: {err}")
                 ok = False
+        if verdict == "pass" and not _claims_hold(data, certificates, messages, where):
+            ok = False
     if "exit_code" in payload and codes and payload["exit_code"] != max(codes):
         messages.append("envelope exit code does not match its reports")
         ok = False

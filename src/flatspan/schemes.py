@@ -9,7 +9,7 @@ finite products of those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import Field
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
@@ -19,7 +19,6 @@ from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
 class AffineScheme:
     ring: PolynomialRing
     relations: tuple[Polynomial, ...]
-    label: str = dc_field(default="", compare=False)
 
     def __post_init__(self):
         for rel in self.relations:
@@ -32,11 +31,11 @@ class AffineScheme:
 
 
 def point(field: Field) -> AffineScheme:
-    return AffineScheme(PolynomialRing(field, ()), (), label="pt")
+    return AffineScheme(PolynomialRing(field, ()), ())
 
 
 def affine_line(field: Field, name: str = "t") -> AffineScheme:
-    return AffineScheme(PolynomialRing(field, (name,)), (), label=f"A1({name})")
+    return AffineScheme(PolynomialRing(field, (name,)), ())
 
 
 def torus(field: Field, name: str = "t") -> AffineScheme:
@@ -44,7 +43,7 @@ def torus(field: Field, name: str = "t") -> AffineScheme:
     inv = companion_name(name)
     ring = PolynomialRing(field, (name, inv), frozenset([name]))
     rel = ring.var(name) * ring.var(inv) - ring.one()
-    return AffineScheme(ring, (rel,), label=f"Gm({name})")
+    return AffineScheme(ring, (rel,))
 
 
 def product(left: AffineScheme, right: AffineScheme) -> AffineScheme:
@@ -61,8 +60,7 @@ def product(left: AffineScheme, right: AffineScheme) -> AffineScheme:
     rels = tuple(r.map_ring(ring) for r in left.relations) + tuple(
         r.map_ring(ring) for r in right.relations
     )
-    label = f"{left.label or '?'}x{right.label or '?'}"
-    return AffineScheme(ring, rels, label=label)
+    return AffineScheme(ring, rels)
 
 
 def torus_power(field: Field, n: int, stem: str = "t") -> AffineScheme:
@@ -72,7 +70,7 @@ def torus_power(field: Field, n: int, stem: str = "t") -> AffineScheme:
     out = torus(field, f"{stem}1")
     for i in range(2, n + 1):
         out = product(out, torus(field, f"{stem}{i}"))
-    return AffineScheme(out.ring, out.relations, label=f"Gm^{n}")
+    return out
 
 
 def localize(scheme: AffineScheme, g: Polynomial, hint: str = "loc") -> tuple[AffineScheme, str]:
@@ -84,7 +82,7 @@ def localize(scheme: AffineScheme, g: Polynomial, hint: str = "loc") -> tuple[Af
     ring = scheme.ring.extend([name])
     rel = g.map_ring(ring) * ring.var(name) - ring.one()
     rels = tuple(r.map_ring(ring) for r in scheme.relations) + (rel,)
-    return AffineScheme(ring, rels, label=scheme.label and f"{scheme.label}[1/{hint}]"), name
+    return AffineScheme(ring, rels), name
 
 
 def strip_coordinates(scheme: AffineScheme, names: list[str]) -> AffineScheme:
@@ -116,7 +114,7 @@ def strip_coordinates(scheme: AffineScheme, names: list[str]) -> AffineScheme:
                 f"cannot strip {sorted(gone)}: relation {rel!r} ties them to the rest"
             )
         kept_rels.append(rel.map_ring(ring))
-    return AffineScheme(ring, tuple(kept_rels), label=scheme.label)
+    return AffineScheme(ring, tuple(kept_rels))
 
 
 def detect_torus_coordinate(scheme: AffineScheme) -> str:

@@ -17,7 +17,7 @@ by name or by position.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 from .budget import Budget
@@ -73,7 +73,6 @@ class Correspondence:
     source: AffineScheme
     target: AffineScheme
     pieces: tuple[SpanPiece, ...]
-    label: str = dc_field(default="", compare=False)
 
     def __post_init__(self):
         for piece in self.pieces:
@@ -162,18 +161,18 @@ def rebuild_piece(
 def identity_span(scheme: AffineScheme) -> Correspondence:
     ident = {v: scheme.ring.var(v) for v in scheme.ring.names}
     piece = make_piece(scheme.ring, list(scheme.relations), ident, ident, scheme, scheme)
-    return Correspondence(scheme, scheme, (piece,), label="id")
+    return Correspondence(scheme, scheme, (piece,))
 
 
 def graph_span(
-    source: AffineScheme, target: AffineScheme, images: dict[str, Polynomial], label: str = ""
+    source: AffineScheme, target: AffineScheme, images: dict[str, Polynomial]
 ) -> Correspondence:
     """The graph of the morphism sending target coordinates to ``images``."""
     if set(images) != set(target.ring.names):
         raise SpanError("graph images must cover exactly the target coordinates")
     ident = {v: source.ring.var(v) for v in source.ring.names}
     piece = make_piece(source.ring, list(source.relations), ident, images, source, target)
-    corr = Correspondence(source, target, (piece,), label=label)
+    corr = Correspondence(source, target, (piece,))
     validate_correspondence(corr)
     return corr
 
@@ -489,7 +488,7 @@ def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> C
                     split,
                     tuple(analysis.groebner),
                     tuple(analysis.staircase),
-                    staircase_labels(analysis) if analysis.status == "free" else (),
+                    staircase_labels(combined.names[:split], analysis.staircase),
                     tuple((name, tuple(tuple(row) for row in mat)) for name, mat in matrices),
                     tuple(analysis.base_groebner),
                     below,
@@ -537,9 +536,10 @@ def recheck_certificate(
     Checks that the claimed basis reduces the defining relations to zero,
     that all S-polynomials of the claimed basis reduce to zero, that no
     basis lead mixes fiber and base variables, that the staircase is the
-    one the pure-fiber leads cut out, that every fiber variable has a
-    matrix and every matrix recomputes, and that the rank is the total
-    staircase size.
+    one the pure-fiber leads cut out and carries its own labels, that
+    every fiber variable has a matrix and every matrix recomputes, that
+    the stored base basis is the source's reduced basis (the one basis
+    recomputed here), and that the rank is the total staircase size.
     """
     if not outcome.certified:
         return False
@@ -547,13 +547,16 @@ def recheck_certificate(
         return False
     if outcome.rank != sum(len(cert.staircase) for cert in outcome.pieces):
         return False
+    base_basis = tuple(groebner_basis(list(corr.source.relations), budget=budget))
     for piece, cert in zip(corr.pieces, outcome.pieces):
         combined = cert.ring
         if cert.split != len(piece.ring.names):
             return False
-        # the stored matrices live over the certificate's base block, which
-        # must be the source ring itself
+        # the stored matrices and base basis live over the certificate's base
+        # block, which must be the source ring itself
         if combined.drop(combined.names[: cert.split]) != corr.source.ring:
+            return False
+        if cert.base_groebner != base_basis:
             return False
         order = fiber_order(combined.nvars, cert.split)
         basis = [b for b in cert.groebner if not b.is_zero()]
@@ -566,9 +569,9 @@ def recheck_certificate(
         stair, _, mixed = classify_leads(basis, order, cert.split)
         if any(b.is_constant() for b in basis):
             stair = []  # the unit ideal presents the zero module
-        if mixed or stair != list(cert.staircase):
-            return False
         fiber = combined.names[: cert.split]
+        if mixed or stair != list(cert.staircase) or cert.labels != staircase_labels(fiber, stair):
+            return False
         if stair and not set(fiber) <= {name for name, _ in cert.matrices}:
             return False
         for name, recorded in cert.matrices:
@@ -624,7 +627,7 @@ def collapse_variables(
         src = {v: piece.src(v).substitute(moved, small) for v in corr.source.ring.names}
         tgt = {v: piece.tgt(v).substitute(moved, small) for v in corr.target.ring.names}
         pieces.append(make_piece(small, relations, src, tgt, corr.source, corr.target))
-    return Correspondence(corr.source, corr.target, tuple(pieces), label=corr.label)
+    return Correspondence(corr.source, corr.target, tuple(pieces))
 
 
 def lift_into_certificate(

@@ -79,7 +79,6 @@ class SchemeDecl:
     name: str
     kind: str
     args: tuple[str, ...]
-    line: int = 0
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,6 @@ class SpanDecl:
     name: str
     source: str
     target: str
-    line: int = 0
 
 
 @dataclass(frozen=True)
@@ -256,7 +254,7 @@ class _Parser:
                 raise self.error(str(err), line) from err
         else:
             raise self.error(f"unrecognized scheme form {rhs!r}", line)
-        self.scheme_decls.append(SchemeDecl(name, kind, args, line))
+        self.scheme_decls.append(SchemeDecl(name, kind, args))
         self.schemes[name] = built
 
     def lookup_scheme(self, name: str, line: int) -> AffineScheme:
@@ -295,7 +293,7 @@ class _Parser:
             validate_correspondence(corr)
         except SpanError as err:
             raise self.error(f"span {name!r}: {err}", line) from err
-        self.span_decls.append(SpanDecl(name, src_name, tgt_name, line))
+        self.span_decls.append(SpanDecl(name, src_name, tgt_name))
         self.spans[name] = corr
 
     def parse_piece(self, opened: int, field, source, target):

@@ -148,9 +148,9 @@ def test_bound_for_inverse_square_weight_is_two():
     assert report.n_bound == 2
     assert min(e.valuation for e in report.entries) == -2
     assert report.torus_var == "t"
-    [(label, matrix)] = report.matrices
-    assert label == "f"
-    assert len(matrix) == 1 and str(matrix[0][0]) == "x*t_inv^2"
+    [entry] = report.entries
+    assert entry.label == "f" and (entry.row, entry.col) == (0, 0)
+    assert str(entry.value) == "x*t_inv^2"
 
 
 def test_bound_for_constant_weight_is_zero():

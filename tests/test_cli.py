@@ -125,6 +125,87 @@ def test_recheck_catches_a_tampered_certificate(capsys, tmp_path):
     assert "fails re-validation" in text
 
 
+def test_recheck_that_runs_out_of_budget_is_inconclusive(capsys, tmp_path):
+    _, _, out = structured(capsys, tmp_path, "span-algebra")
+    argv = ("run", workspace("span-algebra"), "--recheck", str(out), "--budget", "3")
+    code, text, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert len(text.splitlines()) == 1
+    assert text.startswith("recheck: inconclusive: step budget of 3 exhausted during ")
+    assert "Traceback" not in err
+
+
+def _set(key, value):
+    return lambda report: report["data"].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "name, check, tamper",
+    [
+        ("valuation-bounds", "s2", _set("rank", 7)),
+        ("valuation-bounds", "b1", _set("bound", 0)),
+        ("valuation-bounds", "b3", _set("bound", 0)),
+        ("valuation-bounds", "s1", _set("bound", 0)),
+        ("span-algebra", "c5", _set("degree", 5)),
+        ("span-algebra", "c4", lambda report: report["certificates"].clear()),
+    ],
+    ids=["rank", "bound-b1", "bound-b3", "bound-s1", "degree", "no-certificate"],
+)
+def test_recheck_ties_each_claim_to_its_certificates(capsys, tmp_path, name, check, tamper):
+    """Each tamper leaves every certificate intact and changes only what
+    the report claims, or drops the certificate behind the claim."""
+    _, payload, out = structured(capsys, tmp_path, name)
+    [report] = [r for r in payload["reports"] if r["name"] == check]
+    assert report["verdict"] == "pass"
+    tamper(report)
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, _ = run_cli(capsys, "run", workspace(name), "--recheck", str(out))
+    assert code == 1
+    assert f"{check}: claims " in text and "agree" not in text
+
+
+COMPAT_DOC = """workspace compat
+field QQ
+scheme G = torus t
+scheme P = point
+span idg : G -> G {
+  piece {
+    vars t, t_inv
+    rels t*t_inv - 1
+    source t: t, t_inv: t_inv
+    target t: t, t_inv: t_inv
+  }
+}
+span beta : P -> P {
+  piece {
+    vars b
+    rels b^2 + 1
+  }
+}
+span gamma : P -> P {
+  piece {
+    vars c
+    rels c^2 - 2*c
+  }
+}
+check n1 = verify-compat idg beta gamma m: 2 n: 2 sign: +
+"""
+
+
+def test_verify_compat_carries_the_family_certificate():
+    from flatspan.cancellation import cancel_family
+    from flatspan.cli import execute_check
+    from flatspan.reports import finite_flat_block
+    from flatspan.workspace import parse_workspace
+
+    doc = parse_workspace(COMPAT_DOC)
+    report = execute_check(doc, doc.checks[0])
+    assert report.verdict == "pass"
+    fam = cancel_family(doc.spans["idg"], 2, 2, "+")
+    assert fam.certified
+    assert report.certificates == [finite_flat_block(fam.correspondence, fam.certificate)]
+
+
 def _first_block(payload, kind):
     for report in payload["reports"]:
         for block in report["certificates"]:

@@ -62,7 +62,7 @@ def torus_squaring(name="t"):
         name: gm.ring.var(name) ** 2,
         inv: gm.ring.var(inv) ** 2,
     }
-    return graph_span(gm, gm, images, label="square")
+    return graph_span(gm, gm, images)
 
 
 def torus_power_cover(k: int, name="t"):
@@ -205,7 +205,7 @@ def test_certify_detects_torsion_middle():
 
 def test_empty_span_certifies_rank_zero():
     line = affine_line(QQ, "x")
-    assert degree(Correspondence(line, line, (), label="0")) == 0
+    assert degree(Correspondence(line, line, ())) == 0
 
 
 def test_validate_rejects_bad_structure_map():
@@ -443,6 +443,25 @@ def test_recheck_rejects_a_rank_the_pieces_do_not_add_up_to():
     cover, out = _root_cover()
     assert recheck_certificate(cover, out)
     assert not recheck_certificate(cover, replace(out, rank=5))
+
+
+def test_recheck_rejects_a_foreign_base_basis():
+    """The stored base basis (x - 1) claims the source is the point x = 1."""
+    from dataclasses import replace
+
+    cover, out = _root_cover()
+    x = PolynomialRing(QQ, ("x",)).var("x")
+    moved = replace(out.pieces[0], base_groebner=(x - x.ring.one(),))
+    assert not recheck_certificate(cover, replace(out, pieces=(moved,)))
+
+
+def test_recheck_rejects_labels_the_staircase_does_not_carry():
+    from dataclasses import replace
+
+    cover, out = _root_cover()
+    assert out.pieces[0].labels == ("1", "y")
+    relabelled = replace(out.pieces[0], labels=("7",))
+    assert not recheck_certificate(cover, replace(out, pieces=(relabelled,)))
 
 
 def test_recheck_rejects_a_mixed_lead():

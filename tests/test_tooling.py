@@ -40,3 +40,28 @@ def test_every_budget_phase_is_traced():
     }
     assert phases
     assert phases <= set(tracing.PHASES)
+
+
+def test_traced_budget_accounts_for_every_step():
+    """The tracer's counting Budget subclass must keep working with the
+    program's Budget: every step of an explicit budget lands in a phase."""
+    import flatspan.budget
+    import flatspan.spans
+    from flatspan.fields import QQ
+    from flatspan.schemes import torus
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        G = torus(QQ)
+        ring = G.ring
+        square = {"t": ring.var("t") ** 2, "t_inv": ring.var("t_inv") ** 2}
+        span = flatspan.spans.graph_span(G, G, square)
+        budget = flatspan.budget.Budget(10**5)
+        outcome = flatspan.spans.certify_finite_flat(span, budget=budget)
+    finally:
+        tracer.uninstall()
+    assert outcome.certified
+    assert budget.used > 0 and budget in tracer.budgets
+    assert tracer.coverage_errors() == []
