@@ -14,13 +14,21 @@ key is always the oldest pending pair.  Because every key ends in the
 unique ``(j, i)``, ties never reach heap internals and the pop order, and
 with it every step count, is fixed by the input.
 
+Division never rescans the working polynomial: its monomials sit in a
+heap keyed by the order's ``heap_key``, so the next lead is one pop.  A
+cancelled monomial stays in the heap and is skipped when popped (lazy
+deletion); cancelling a lead only adds smaller monomials, so a popped
+monomial never returns.  Irreducible terms therefore reach the remainder in
+descending order, and a reduced polynomial's lead is read as its first key
+rather than recomputed.
+
 Internally polynomials are plain ``{exponent_tuple: coefficient}`` dicts;
 the public entry points speak :class:`~flatspan.poly.Polynomial`.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .budget import Budget
@@ -54,21 +62,43 @@ def _reduce_full(
 
     The largest monomial is reduced against the first basis element whose
     leading monomial divides it; irreducible terms migrate to the result.
+    Leads come off a heap of ``(order.heap_key(e), e)`` with lazy deletion
+    (see the module docstring), and ``ratio * x^shift * g`` is subtracted
+    straight into ``work``, skipping ``g``'s lead, which cancels exactly.
+    The result's keys are in descending order, so its lead is its first key.
     """
     work = dict(work)
+    hkey = order.heap_key
+    heap = [(hkey(e), e) for e in work]
+    heapify(heap)
+    sub, mul, neg, zero = field.sub, field.mul, field.neg, field.zero
     out: Terms = {}
-    while work:
-        lead = _lead(work, order)
-        c = work[lead]
+    while heap:
+        lead = heappop(heap)[1]
+        c = work.pop(lead, None)
+        if c is None:
+            continue
         for lm, g in basis:
             if exp_divides(lm, lead):
                 budget.spend(1, "polynomial reduction")
                 ratio = field.div(c, g[lm])
                 shift = exp_sub(lead, lm)
-                _sub_inplace(field, work, _mul_monomial(field, g, shift, ratio))
+                for e, gc in g.items():
+                    if e == lm:
+                        continue
+                    m = exp_add(e, shift)
+                    old = work.get(m)
+                    if old is None:
+                        work[m] = neg(mul(gc, ratio))
+                        heappush(heap, (hkey(m), m))
+                    else:
+                        s = sub(old, mul(gc, ratio))
+                        if s == zero:
+                            del work[m]
+                        else:
+                            work[m] = s
                 break
         else:
-            del work[lead]
             out[lead] = c
     return out
 
@@ -103,7 +133,7 @@ def _buchberger_dicts(
         r = _reduce_full(field, g, list(zip(lms, basis)), order, budget)
         if r:
             basis.append(r)
-            lms.append(_lead(r, order))
+            lms.append(next(iter(r)))
 
     rank = _SCHEDULES[strategy]
     queue: list[tuple] = []
@@ -140,14 +170,17 @@ def _buchberger_dicts(
         r = _reduce_full(field, s, list(zip(lms, basis)), order, budget)
         if r:
             basis.append(r)
-            lms.append(_lead(r, order))
+            lms.append(next(iter(r)))
             push(len(basis) - 1)
     return _reduce_basis(field, basis, order, budget)
 
 
 def _reduce_basis(field, basis: list[Terms], order: MonomialOrder, budget: Budget) -> list[Terms]:
-    """Minimal, fully tail-reduced, monic, canonically sorted basis."""
-    lms = [_lead(g, order) for g in basis]
+    """Minimal, fully tail-reduced, monic, canonically sorted basis.
+
+    Every element of ``basis`` is a :func:`_reduce_full` result, so its
+    lead is its first key."""
+    lms = [next(iter(g)) for g in basis]
     alive = []
     for i in range(len(basis)):
         lm = lms[i]
@@ -165,10 +198,9 @@ def _reduce_basis(field, basis: list[Terms], order: MonomialOrder, budget: Budge
         others = [(lms[j], basis[j]) for j in alive if j != i]
         r = _reduce_full(field, basis[i], others, order, budget)
         if r:
-            lc = r[_lead(r, order)]
-            inv = field.inv(lc)
+            inv = field.inv(next(iter(r.values())))
             reduced.append({e: field.mul(c, inv) for e, c in r.items()})
-    reduced.sort(key=lambda g: order.key(_lead(g, order)))
+    reduced.sort(key=lambda g: order.key(next(iter(g))))
     return reduced
 
 

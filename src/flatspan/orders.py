@@ -1,13 +1,16 @@
 """Monomial orders on exponent vectors.
 
 An order exposes ``key(exponents) -> comparable`` such that the usual tuple
-comparison realizes the order.  All orders here are global (1 is minimal),
-which the division algorithm relies on.
+comparison realizes the order, and ``heap_key`` reversing it, so that a
+``heapq`` of ``(heap_key(e), e)`` pops the largest monomial first.  All
+orders here are global (1 is minimal), which the division algorithm relies
+on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, le, neg, sub
 from typing import Sequence
 
 
@@ -17,6 +20,13 @@ class MonomialOrder:
     nvars: int
 
     def key(self, exp: tuple[int, ...]):
+        raise NotImplementedError
+
+    def heap_key(self, exp: tuple[int, ...]):
+        """Injective key whose minimum is the order's maximum:
+        ``key(a) < key(b)`` exactly when ``heap_key(a) > heap_key(b)``.
+        ``heapq`` pops its minimum, so the division loop keys its heap of
+        pending monomials with this."""
         raise NotImplementedError
 
 
@@ -29,6 +39,9 @@ class Lex(MonomialOrder):
     def key(self, exp):
         return exp
 
+    def heap_key(self, exp):
+        return tuple(map(neg, exp))
+
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
@@ -38,6 +51,9 @@ class GrevLex(MonomialOrder):
 
     def key(self, exp):
         return (sum(exp), tuple(-e for e in reversed(exp)))
+
+    def heap_key(self, exp):
+        return (-sum(exp), exp[::-1])
 
 
 @dataclass(frozen=True)
@@ -62,10 +78,14 @@ class Block(MonomialOrder):
             tuple(-e for e in reversed(tail)),
         )
 
+    def heap_key(self, exp):
+        head, tail = exp[: self.split], exp[self.split :]
+        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
+
 
 def exp_divides(a: Sequence[int], b: Sequence[int]) -> bool:
     """Whether monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_lcm(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -73,11 +93,11 @@ def exp_lcm(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def exp_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_coprime(a: Sequence[int], b: Sequence[int]) -> bool:

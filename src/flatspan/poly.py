@@ -291,14 +291,19 @@ class Polynomial:
                 cache[key] = base**k
             return cache[key]
 
-        total = target.zero()
+        total: dict[tuple[int, ...], object] = {}
         for exp, c in self._terms.items():
             term = target.const(1).scale(c)
             for i, k in enumerate(exp):
                 if k:
                     term = term * var_power(i, k)
-            total = total + term
-        return total
+            for e, tc in term._terms.items():
+                s = f.add(total.get(e, f.zero), tc)
+                if s == f.zero:
+                    total.pop(e, None)
+                else:
+                    total[e] = s
+        return Polynomial(target, total)
 
     # -- comparison ----------------------------------------------------
 

@@ -7,7 +7,8 @@ reduction loop.
 
 from __future__ import annotations
 
-from flatspan.orders import MonomialOrder, exp_divides, exp_lcm, exp_sub
+from flatspan.budget import Budget
+from flatspan.orders import MonomialOrder, exp_add, exp_divides, exp_lcm, exp_sub
 from flatspan.poly import Polynomial
 
 
@@ -67,3 +68,37 @@ def generates_same_ideal(
     return all(naive_divide(g, basis_b, order).is_zero() for g in a) and all(
         naive_divide(g, basis_a, order).is_zero() for g in b
     )
+
+
+def rescanning_reduce(p: Polynomial, divisors: list[Polynomial], order: MonomialOrder, budget: Budget) -> Polynomial:
+    """Full division with the lead found by rescanning the working terms.
+
+    Each step takes ``max`` of the remaining terms, cancels it with the
+    first divisor whose lead divides it (one budget step per cancellation)
+    or moves it to the remainder.  The remainder's terms are inserted in
+    the order they are found, so term order is part of what it fixes.
+    """
+    f = p.ring.field
+    reducers = [(max(d.terms(), key=order.key), d.terms()) for d in divisors if not d.is_zero()]
+    work = p.terms()
+    out = {}
+    while work:
+        lead = max(work, key=order.key)
+        c = work[lead]
+        for lm, d in reducers:
+            if exp_divides(lm, lead):
+                budget.spend(1, "polynomial reduction")
+                ratio = f.div(c, d[lm])
+                shift = exp_sub(lead, lm)
+                for e, dc in d.items():
+                    m = exp_add(e, shift)
+                    s = f.sub(work.get(m, f.zero), f.mul(dc, ratio))
+                    if s == f.zero:
+                        work.pop(m, None)
+                    else:
+                        work[m] = s
+                break
+        else:
+            del work[lead]
+            out[lead] = c
+    return Polynomial(p.ring, out)

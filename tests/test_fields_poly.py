@@ -173,3 +173,34 @@ def test_normalize_idempotent_and_hash_stable(data):
     rebuilt = Polynomial(R, p.terms())
     assert rebuilt == p
     assert hash(p) == hash(rebuilt)
+
+
+def _substitute_by_fold(p, images, target):
+    """``substitute`` as a running sum, ``total = total + term`` per term."""
+    total = target.zero()
+    for exp, c in p.terms().items():
+        term = target.const(1).scale(c)
+        for name, k in zip(p.ring.names, exp):
+            if k:
+                term = term * (images[name] if name in images else target.var(name)) ** k
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_matches_the_running_sum(data):
+    exps3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    for field in (QQ, GF(5)):
+        R = PolynomialRing(field, ("x", "y", "z"))
+        S = PolynomialRing(field, ("u", "y", "z"))
+        p = _from_items(R, data.draw(st.lists(st.tuples(exps3, coeffs), max_size=6)))
+        mapped = data.draw(st.lists(st.sampled_from(R.names), unique=True))
+        images = {
+            v: _from_items(S, data.draw(st.lists(st.tuples(exps3, coeffs), max_size=3)))
+            for v in mapped
+        }
+        images.setdefault("x", S.var("u"))  # S has no x
+        got = p.substitute(images, S)
+        want = _substitute_by_fold(p, images, S)
+        assert list(got.terms().items()) == list(want.terms().items())

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import QQ as sQQ, GF as sGF, groebner as sympy_groebner, symbols
 
 from flatspan.budget import Budget, BudgetExhausted
@@ -18,7 +19,7 @@ from flatspan.groebner import (
 from flatspan.orders import Block, GrevLex, Lex
 from flatspan.poly import Polynomial, PolynomialRing
 
-from oracles import is_groebner_oracle, naive_divide
+from oracles import is_groebner_oracle, naive_divide, rescanning_reduce
 
 Rxy = PolynomialRing(QQ, ("x", "y"))
 
@@ -221,3 +222,44 @@ def test_modular_inverse_through_a_quadratic_relation():
     found = modular_inverse(z, [z * z - ring.const(2)])
     assert found is not None
     assert normal_form(found * z - ring.one(), groebner_basis([z * z - ring.const(2)])) == ring.zero()
+
+
+def _drawn_poly(data, ring, max_terms, top=3):
+    exps = st.tuples(*[st.integers(0, top)] * ring.nvars)
+    items = data.draw(st.lists(st.tuples(exps, st.integers(-4, 4)), max_size=max_terms))
+    return Polynomial(ring, {e: ring.field.from_int(c) for e, c in items})
+
+
+def _reduce_or_exhaust(reduce, budget):
+    try:
+        return reduce(budget)
+    except BudgetExhausted as exc:
+        return exc.phase
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([QQ, GF(5)]),
+    st.sampled_from([Lex(3), GrevLex(3), Block(3, 1), Block(3, 2)]),
+)
+def test_normal_form_matches_the_rescanning_division(data, field, order):
+    # The engine keeps the working terms in a heap; the oracle rescans them
+    # with max.  Same leads, same reducers, same remainder term order, same
+    # steps, and the same step at which a small budget runs out.
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    p = _drawn_poly(data, ring, 8)
+    if data.draw(st.booleans()):
+        # low-degree divisors, so that several leads often divide one term
+        basis = [_drawn_poly(data, ring, 4, top=1) for _ in range(data.draw(st.integers(1, 4)))]
+    else:  # a reduced basis of a small ideal, kept small so Lex stays fast
+        gens = [_drawn_poly(data, ring, 3, top=2) for _ in range(data.draw(st.integers(1, 2)))]
+        basis = groebner_basis(gens, order)
+    limit = data.draw(st.sampled_from([10**6, 1, 2, 3, 5, 8]))
+    ours, theirs = Budget(limit), Budget(limit)
+    got = _reduce_or_exhaust(lambda b: normal_form(p, basis, order, b), ours)
+    want = _reduce_or_exhaust(lambda b: rescanning_reduce(p, basis, order, b), theirs)
+    assert got == want  # a remainder, or the phase that ran out
+    if isinstance(want, Polynomial):
+        assert list(got.terms()) == list(want.terms())
+    assert ours.used == theirs.used
