@@ -3,9 +3,10 @@
 The operations here turn a finite-flat correspondence between
 torus-augmented schemes into a family over an affine parameter line,
 slice that family at torus cut loci, and certify (or refute) flatness of
-the resulting middles.  The headline entry points are
-:func:`cancel_family`, :func:`filtration_index`, :func:`verify_compat`
-and :func:`verify_cancellation`.
+the resulting middles.  :func:`blended_family` builds a family and
+:func:`cancel_family` also certifies it; the other headline entry points
+are :func:`filtration_index`, :func:`verify_compat` and
+:func:`verify_cancellation`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ from .spans import (
 
 class CancellationError(Exception):
     """A family/bound operation received an input it cannot handle."""
+
+
+# stem of the parameter a blended family adjoins, made fresh where taken
+PARAMETER = "s"
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +152,13 @@ def _certified(alpha: Correspondence, budget: Budget, task: str) -> CertifyOutco
 
 def _bound_from_values(
     alpha: Correspondence,
+    outcome: CertifyOutcome,
     labelled: list[tuple[str, Polynomial]],
-    torus_var: str | None,
     budget: Budget,
 ) -> BoundReport:
+    """``outcome`` is ``alpha``'s certificate, as :func:`_certified` returns it."""
     piece = _single_piece(alpha, "valuation bound")
-    tvar = torus_var or detect_torus_coordinate(alpha.source)
-    outcome = _certified(alpha, budget, "valuation bound")
+    tvar = detect_torus_coordinate(alpha.source)
     cert = outcome.pieces[0]
     entries = []
     for label, value in labelled:
@@ -175,18 +180,18 @@ def flatness_bound(
     alpha: Correspondence,
     f: Polynomial,
     *,
-    torus_var: str | None = None,
     budget: Budget | None = None,
 ) -> BoundReport:
     """Exponent bound for the slices ``Z(1 - t**n * f)`` of the middle.
 
-    ``alpha`` must certify finite free over its source, which carries the
-    inverted coordinate ``torus_var``; ``f`` lives on the middle.  The
-    matrix of ``f`` over the certified basis has entries in the source
-    ring, and the bound is driven by their worst torus valuation.
+    ``alpha`` must certify finite free over its source, which carries an
+    inverted torus coordinate; ``f`` lives on the middle.  The matrix of
+    ``f`` over the certified basis has entries in the source ring, and
+    the bound is driven by their worst torus valuation.
     """
     budget = budget or Budget()
-    return _bound_from_values(alpha, [("f", f)], torus_var, budget)
+    outcome = _certified(alpha, budget, "valuation bound")
+    return _bound_from_values(alpha, outcome, [("f", f)], budget)
 
 
 def flatness_bound_ext(
@@ -194,7 +199,6 @@ def flatness_bound_ext(
     f1: Polynomial,
     f2: Polynomial,
     *,
-    torus_var: str | None = None,
     budget: Budget | None = None,
 ) -> BoundReport:
     """One bound valid for every combination ``f1 * t**a + f2 * t**b``.
@@ -205,7 +209,8 @@ def flatness_bound_ext(
     shifted combinations at once.
     """
     budget = budget or Budget()
-    return _bound_from_values(alpha, [("f1", f1), ("f2", f2)], torus_var, budget)
+    outcome = _certified(alpha, budget, "valuation bound")
+    return _bound_from_values(alpha, outcome, [("f1", f1), ("f2", f2)], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,6 @@ def slice_locus(
     f: Polynomial,
     n: int,
     *,
-    torus_var: str | None = None,
     budget: Budget | None = None,
 ) -> SliceReport:
     """Cut the middle along ``1 - t**n * f`` and classify it over the base.
@@ -247,7 +251,7 @@ def slice_locus(
     """
     budget = budget or Budget()
     piece = _single_piece(alpha, "slicing")
-    tvar = torus_var or detect_torus_coordinate(alpha.source)
+    tvar = detect_torus_coordinate(alpha.source)
     t_img = piece.src(tvar)
     relation = piece.ring.one() - t_img**n * f
     sliced_source = strip_coordinates(alpha.source, [tvar])
@@ -258,7 +262,7 @@ def slice_locus(
         return SliceReport("certified-flf", corr, outcome.rank, outcome)
     if outcome.status == "not_locally_free":
         return SliceReport("not-flat", corr, None, outcome, witness=outcome.witness)
-    bound = flatness_bound(alpha, f, torus_var=tvar, budget=budget)
+    bound = flatness_bound(alpha, f, budget=budget)
     if bound.admits(n):
         return SliceReport("flat-by-certificate", corr, None, outcome, bound=bound)
     return SliceReport("inconclusive", corr, None, outcome, bound=bound)
@@ -272,22 +276,14 @@ def shifted_slice(
     b: int,
     n: int,
     *,
-    torus_var: str | None = None,
     budget: Budget | None = None,
 ) -> SliceReport:
     """Slice along ``1 - t**n * (f1 * t**a + f2 * t**b)``."""
     if a < 0 or b < 0:
         raise ValueError("shift exponents must be nonnegative")
     piece = _single_piece(alpha, "slicing")
-    tvar = torus_var or detect_torus_coordinate(alpha.source)
-    t_img = piece.src(tvar)
-    return slice_locus(
-        alpha,
-        f1 * t_img**a + f2 * t_img**b,
-        n,
-        torus_var=tvar,
-        budget=budget,
-    )
+    t_img = piece.src(detect_torus_coordinate(alpha.source))
+    return slice_locus(alpha, f1 * t_img**a + f2 * t_img**b, n, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -322,42 +318,43 @@ def _torus_feet(alpha: Correspondence) -> tuple[str, str]:
     )
 
 
-def cancel_family(
-    alpha: Correspondence,
-    m: int,
-    n: int,
-    sign: str,
-    *,
-    parameter: str = "s",
-    budget: Budget | None = None,
-) -> FamilyReport:
+def blended_family(
+    alpha: Correspondence, m: int, n: int, sign: str
+) -> tuple[Correspondence, str]:
     """Blend the m-th and n-th cut loci of the middle into one family.
 
     ``alpha`` must run between torus-augmented schemes.  The middle gains
     the relation ``blend(m, n)`` in a fresh parameter; the source trades
     its torus factor for the parameter line, and the target forgets its
     torus factor.  Specializing the parameter to 1 recovers the n-th cut,
-    0 the m-th (see :func:`restrict_parameter`).
+    0 the m-th (see :func:`restrict_parameter`).  Returns the family and
+    the name of its parameter coordinate; nothing is certified.
     """
-    budget = budget or Budget()
     src_t, tgt_t = _torus_feet(alpha)
     field = alpha.source.ring.field
     stripped = strip_coordinates(alpha.source, [src_t])
-    s_name = fresh_name(parameter, stripped.ring.names)
+    s_name = fresh_name(PARAMETER, stripped.ring.names)
     source = product(stripped, affine_line(field, s_name))
     target = strip_coordinates(alpha.target, [tgt_t])
     pieces = []
     for piece in alpha.pieces:
-        pvar = fresh_name(parameter, piece.ring.names)
+        pvar = fresh_name(PARAMETER, piece.ring.names)
         ring = piece.ring.extend([pvar])
         main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
         blend = blend_value(m, n, sign, ring.var(pvar), main, aux)
         pieces.append(
             rebuild_piece(piece, ring, {}, source, target, [blend], src={s_name: ring.var(pvar)})
         )
-    corr = Correspondence(source, target, tuple(pieces))
-    outcome = certify_finite_flat(corr, budget=budget)
-    return FamilyReport(corr, outcome, s_name)
+    return Correspondence(source, target, tuple(pieces)), s_name
+
+
+def cancel_family(
+    alpha: Correspondence, m: int, n: int, sign: str, *, budget: Budget | None = None
+) -> FamilyReport:
+    """The :func:`blended_family` of ``alpha`` with its certification
+    attempt."""
+    corr, s_name = blended_family(alpha, m, n, sign)
+    return FamilyReport(corr, certify_finite_flat(corr, budget=budget or Budget()), s_name)
 
 
 def cancel_slice(alpha: Correspondence, n: int, sign: str) -> Correspondence:
@@ -447,17 +444,15 @@ class FiltrationReport:
         return self.index is not None
 
 
-def _extended_with_parameter(
-    alpha: Correspondence, parameter: str
-) -> tuple[Correspondence, str]:
+def _extended_with_parameter(alpha: Correspondence) -> tuple[Correspondence, str]:
     """Adjoin a free parameter line to the source, leaving the middle
     otherwise untouched.  Returns the new span and the middle variable
     holding the parameter (single-piece only)."""
     piece = _single_piece(alpha, "parameter extension")
     field = alpha.source.ring.field
-    s_name = fresh_name(parameter, alpha.source.ring.names)
+    s_name = fresh_name(PARAMETER, alpha.source.ring.names)
     source = product(alpha.source, affine_line(field, s_name))
-    pvar = fresh_name(parameter, piece.ring.names)
+    pvar = fresh_name(PARAMETER, piece.ring.names)
     ring = piece.ring.extend([pvar])
     new_piece = rebuild_piece(piece, ring, {}, source, alpha.target, src={s_name: ring.var(pvar)})
     return Correspondence(source, alpha.target, (new_piece,)), pvar
@@ -467,7 +462,6 @@ def filtration_index(
     alpha: Correspondence,
     *,
     window: int = 8,
-    parameter: str = "s",
     budget: Budget | None = None,
 ) -> FiltrationReport:
     """Search for the least index whose upper box certifies entirely.
@@ -479,16 +473,16 @@ def filtration_index(
     and ``f2 = -(1 - s)``, and the minus families divide by the (unit)
     target coordinate to reach the same shape.
     """
-    budget = budget or Budget()
-    _certified(alpha, budget, "filtration search")
     if window < 1:
         raise ValueError("window must be at least 1")
+    budget = budget or Budget()
+    _certified(alpha, budget, "filtration search")
     entries = []
     certified = {}
     for m in range(1, window + 1):
         for n in range(1, window + 1):
             for sign in ("+", "-"):
-                fam = cancel_family(alpha, m, n, sign, parameter=parameter, budget=budget)
+                fam = cancel_family(alpha, m, n, sign, budget=budget)
                 out = fam.certificate
                 entries.append(
                     FiltrationEntry(m, n, sign, out.status, out.rank if out.certified else None)
@@ -506,18 +500,16 @@ def filtration_index(
     index = next((i for i in range(1, window + 1) if first_failing(i) is None), None)
     blocking = first_failing(index - 1 if index else window)
 
-    extended, pvar = _extended_with_parameter(alpha, parameter)
+    extended, pvar = _extended_with_parameter(alpha)
     piece = extended.pieces[0]
     s = piece.ring.var(pvar)
     one = piece.ring.one()
     _, tgt_t = _torus_feet(alpha)
     t2_inv = alpha.pieces[0].tgt(companion_name(tgt_t)).map_ring(piece.ring)
-    src_t = detect_torus_coordinate(alpha.source)
-    bound_plus = flatness_bound_ext(
-        extended, -s, -(one - s), torus_var=src_t, budget=budget
-    )
-    bound_minus = flatness_bound_ext(
-        extended, -(s * t2_inv), -((one - s) * t2_inv), torus_var=src_t, budget=budget
+    outcome = _certified(extended, budget, "valuation bound")
+    bound_plus = _bound_from_values(extended, outcome, [("f1", -s), ("f2", -(one - s))], budget)
+    bound_minus = _bound_from_values(
+        extended, outcome, [("f1", -(s * t2_inv)), ("f2", -((one - s) * t2_inv))], budget
     )
     return FiltrationReport(index, window, tuple(entries), blocking, bound_plus, bound_minus)
 
@@ -541,7 +533,7 @@ class CompatReport:
 
 
 def torus_extension(
-    corr: Correspondence, gm_name: str, *, middle: str = "w"
+    corr: Correspondence, gm_name: str
 ) -> tuple[Correspondence, tuple[tuple[str, str], ...]]:
     """Cross a correspondence with a common torus factor on both feet.
 
@@ -554,7 +546,7 @@ def torus_extension(
     pieces = []
     pairs = []
     for piece in corr.pieces:
-        stem = _fresh_pair(middle, list(piece.ring.names))
+        stem = _fresh_pair("w", list(piece.ring.names))
         partner = companion_name(stem)
         ring = piece.ring.extend([stem, partner], inverted=[stem])
         unit = ring.var(stem) * ring.var(partner) - ring.one()
@@ -564,9 +556,7 @@ def torus_extension(
     return Correspondence(source, target, tuple(pieces)), tuple(pairs)
 
 
-def line_extension(
-    corr: Correspondence, coord: str, *, middle: str = "sb"
-) -> tuple[Correspondence, str]:
+def line_extension(corr: Correspondence, coord: str) -> tuple[Correspondence, str]:
     """Cross a correspondence with a common affine line on both feet."""
     field = corr.source.ring.field
     source = product(corr.source, affine_line(field, coord))
@@ -574,12 +564,12 @@ def line_extension(
     pieces = []
     names = []
     for piece in corr.pieces:
-        pvar = fresh_name(middle, piece.ring.names)
+        pvar = fresh_name("sb", piece.ring.names)
         ring = piece.ring.extend([pvar])
         line = {coord: ring.var(pvar)}
         pieces.append(rebuild_piece(piece, ring, {}, source, target, src=line, tgt=line))
         names.append(pvar)
-    return Correspondence(source, target, tuple(pieces)), names[0] if names else middle
+    return Correspondence(source, target, tuple(pieces)), names[0] if names else "sb"
 
 
 def _collapse_piece(
@@ -589,7 +579,7 @@ def _collapse_piece(
     images, shrinking the presentation without changing the quotient."""
     _single_piece(corr, "naturality comparison")
     try:
-        return collapse_variables(corr, collapse, budget=budget).pieces[0]
+        return collapse_variables(corr, [collapse], budget=budget).pieces[0]
     except SpanError as err:
         raise CancellationError(str(err)) from err
 
@@ -610,18 +600,13 @@ def _collapsed_equal(
     return False, "canonical presentations differ"
 
 
-def _require_free_names(parameter: str, *corrs: Correspondence) -> None:
+def _require_free_names(*corrs: Correspondence) -> None:
     for corr in corrs:
         for piece in corr.pieces:
-            if parameter in piece.ring.names:
-                raise CancellationError(
-                    f"parameter name {parameter!r} already used by a middle; "
-                    "pick another"
-                )
-        if parameter in corr.source.ring.names or parameter in corr.target.ring.names:
-            raise CancellationError(
-                f"parameter name {parameter!r} already used by a foot; pick another"
-            )
+            if PARAMETER in piece.ring.names:
+                raise CancellationError(f"parameter name {PARAMETER!r} already used by a middle")
+        if PARAMETER in corr.source.ring.names or PARAMETER in corr.target.ring.names:
+            raise CancellationError(f"parameter name {PARAMETER!r} already used by a foot")
 
 
 def verify_compat(
@@ -632,7 +617,6 @@ def verify_compat(
     n: int,
     sign: str,
     *,
-    parameter: str = "s",
     budget: Budget | None = None,
 ) -> CompatReport:
     """Naturality of the blended family in both feet.
@@ -640,15 +624,17 @@ def verify_compat(
     Checks that blending after postcomposition with ``gamma`` (crossed
     with the torus) matches postcomposing the blended family, and the
     analogous statement for precomposition with ``beta`` (crossed with
-    the parameter line).  Both sides are compared after collapsing the
-    glue variables the constructions identify, so equality is on the
-    nose, not up to unverified isomorphism.
+    the parameter line).  The comparison sides are built with
+    :func:`blended_family` and compared as presentations after collapsing
+    the glue variables the constructions identify, so equality is on the
+    nose, not up to unverified isomorphism.  Only the reported family of
+    ``alpha`` itself is certified.
     """
     budget = budget or Budget()
     apiece = _single_piece(alpha, "naturality check")
     _single_piece(beta, "naturality check")
     _single_piece(gamma, "naturality check")
-    _require_free_names(parameter, alpha, beta, gamma)
+    _require_free_names(alpha, beta, gamma)
     src_t, tgt_t = _torus_feet(alpha)
     details = []
 
@@ -658,10 +644,8 @@ def verify_compat(
             "middle variable names collide between the first and third spans; "
             "rename them apart"
         )
-    lhs = cancel_family(
-        compose(alpha, gamma_t), m, n, sign, parameter=parameter, budget=budget
-    ).correspondence
-    family = cancel_family(alpha, m, n, sign, parameter=parameter, budget=budget)
+    lhs, _ = blended_family(compose(alpha, gamma_t), m, n, sign)
+    family = cancel_family(alpha, m, n, sign, budget=budget)
     rhs = compose(family.correspondence, gamma)
     w, w_inv = gpairs[0]
     lring = lhs.pieces[0].ring
@@ -680,9 +664,7 @@ def verify_compat(
             "rename them apart"
         )
     composite = compose(beta_t, alpha)
-    lhs2 = cancel_family(
-        composite, m, n, sign, parameter=parameter, budget=budget
-    ).correspondence
+    lhs2, _ = blended_family(composite, m, n, sign)
     beta_line, sb = line_extension(beta, family.parameter)
     rhs2 = compose(beta_line, family.correspondence)
     w2, w2_inv = bpairs[0]
@@ -694,7 +676,7 @@ def verify_compat(
     r2ring = rhs2.pieces[0].ring
     # the parameter variable of the blended middle keeps its fresh name
     # through the composition because the name sets are disjoint
-    rho_pvar = fresh_name(parameter, apiece.ring.names)
+    rho_pvar = fresh_name(PARAMETER, apiece.ring.names)
     if rho_pvar not in r2ring.names:
         raise CancellationError(
             "the blended parameter was renamed during composition; "
@@ -712,20 +694,21 @@ def verify_compat(
 # the end-to-end verifier
 
 
-def torus_identity(field, name: str = "t") -> Correspondence:
-    """The identity correspondence of the one-dimensional torus."""
-    return identity_span(torus(field, name))
+def torus_identity(field) -> Correspondence:
+    """The identity correspondence of the one-dimensional torus in ``t``."""
+    return identity_span(torus(field, "t"))
 
 
-def unit_collapse(field, name: str = "t") -> Correspondence:
-    """The torus self-correspondence that factors through the unit point."""
-    G = torus(field, name)
-    partner = companion_name(name)
-    ring = PolynomialRing(field, (name, partner), frozenset([name]))
-    relations = [ring.var(name) * ring.var(partner) - ring.one()]
-    src = {name: ring.var(name), partner: ring.var(partner)}
+def unit_collapse(field) -> Correspondence:
+    """The self-correspondence of the torus in ``t`` that factors through
+    the unit point."""
+    G = torus(field, "t")
+    ring = PolynomialRing(field, ("t", "t_inv"), frozenset(["t"]))
+    t, t_inv = ring.var("t"), ring.var("t_inv")
+    relations = [t * t_inv - ring.one()]
+    src = {"t": t, "t_inv": t_inv}
     one = ring.one()
-    tgt = {name: one, partner: one}
+    tgt = {"t": one, "t_inv": one}
     piece = make_piece(ring, relations, src, tgt, G, G)
     return Correspondence(G, G, (piece,))
 

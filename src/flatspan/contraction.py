@@ -390,7 +390,7 @@ def _build_chart(
 ) -> ContractedChart:
     source = alpha.source
     line = affine_line(source.ring.field, source_u)
-    opened, aux = localize(product(source, line), generator, hint="lg")
+    opened, aux = localize(product(source, line), generator)
     pieces = []
     u_names = []
     loc_names = []
@@ -574,7 +574,7 @@ def _slice_chart(
         sliced_source = source
         aux_image_value = field.inv(shrunk.constant_value())
     else:
-        sliced_source, aux2 = localize(source, shrunk, hint="lg")
+        sliced_source, aux2 = localize(source, shrunk)
 
     pieces = []
     originals = []

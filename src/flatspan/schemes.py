@@ -63,22 +63,22 @@ def product(left: AffineScheme, right: AffineScheme) -> AffineScheme:
     return AffineScheme(ring, rels)
 
 
-def torus_power(field: Field, n: int, stem: str = "t") -> AffineScheme:
-    """(A1 minus 0)^n with coordinates stem1..stemN."""
+def torus_power(field: Field, n: int) -> AffineScheme:
+    """(A1 minus 0)^n with coordinates t1..tN."""
     if n < 1:
         raise ValueError("need at least one factor")
-    out = torus(field, f"{stem}1")
+    out = torus(field, "t1")
     for i in range(2, n + 1):
-        out = product(out, torus(field, f"{stem}{i}"))
+        out = product(out, torus(field, f"t{i}"))
     return out
 
 
-def localize(scheme: AffineScheme, g: Polynomial, hint: str = "loc") -> tuple[AffineScheme, str]:
-    """Scheme with ``g`` inverted via a fresh inverse variable; returns the
-    new scheme and the name of the inverse variable."""
+def localize(scheme: AffineScheme, g: Polynomial) -> tuple[AffineScheme, str]:
+    """Scheme with ``g`` inverted via a fresh inverse variable (stem
+    ``lg``); returns the new scheme and the name of the inverse variable."""
     if g.ring != scheme.ring:
         raise ValueError("localizing element lives in a different ring")
-    name = fresh_name(hint, scheme.ring.names)
+    name = fresh_name("lg", scheme.ring.names)
     ring = scheme.ring.extend([name])
     rel = g.map_ring(ring) * ring.var(name) - ring.one()
     rels = tuple(r.map_ring(ring) for r in scheme.relations) + (rel,)

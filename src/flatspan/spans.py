@@ -588,25 +588,21 @@ def recheck_certificate(
 
 def collapse_variables(
     corr: Correspondence,
-    images: Mapping[str, Polynomial] | Sequence[Mapping[str, Polynomial]],
+    images: Sequence[Mapping[str, Polynomial]],
     budget: Budget | None = None,
 ) -> Correspondence:
     """Drop middle variables that the relations identify with polynomials
     in the remaining ones.
 
-    ``images`` maps each doomed variable to its claimed replacement (one
-    mapping shared by all pieces, or one per piece); the claim is checked
-    by normal form before anything is removed, so the quotient is
-    untouched.  Raises :class:`SpanError` when a claim fails.
+    ``images`` holds one mapping per piece, from each doomed variable to
+    its claimed replacement; the claim is checked by normal form before
+    anything is removed, so the quotient is untouched.  Raises
+    :class:`SpanError` when a claim fails.
     """
-    if isinstance(images, Mapping):
-        per_piece = [images] * len(corr.pieces)
-    else:
-        per_piece = list(images)
-        if len(per_piece) != len(corr.pieces):
-            raise SpanError("need one collapse mapping per piece")
+    if len(images) != len(corr.pieces):
+        raise SpanError("need one collapse mapping per piece")
     pieces = []
-    for piece, mapping in zip(corr.pieces, per_piece):
+    for piece, mapping in zip(corr.pieces, images):
         if not mapping:
             pieces.append(piece)
             continue

@@ -9,6 +9,7 @@ from flatspan.cancellation import (
     BoundReport,
     CancellationError,
     blend_value,
+    blended_family,
     cancel_family,
     cancel_slice,
     cut_value,
@@ -344,6 +345,7 @@ def presentation(corr):
 
 
 REWRITES = {
+    "blended_family": lambda a: blended_family(a, 2, 3, "-")[0],
     "cancel_family": lambda a: cancel_family(a, 2, 3, "-").correspondence,
     "cancel_slice": lambda a: cancel_slice(a, 3, "-"),
     "restrict_parameter": lambda a: restrict_parameter(
@@ -355,6 +357,7 @@ REWRITES = {
 }
 
 FROZEN_PRESENTATIONS = {
+    ("identity", "blended_family"): "t, t_inv, s | t | t*t_inv - 1; t^3*s - t^2*s + t^2 + t | s: s | ",
     ("identity", "cancel_family"): "t, t_inv, s | t | t*t_inv - 1; t^3*s - t^2*s + t^2 + t | s: s | ",
     ("identity", "cancel_slice"): "t, t_inv | t | t*t_inv - 1; t^3 + t |  | ",
     ("identity", "restrict_parameter"): "t, t_inv | t | t*t_inv - 1; t^3 + 1 |  | ",
@@ -366,6 +369,7 @@ FROZEN_PRESENTATIONS = {
         "t, t_inv, sb | t | t*t_inv - 1 | t: t; t_inv: t_inv; x: sb | t: t; t_inv: t_inv; x: sb"
     ),
     ("identity", "slice_locus"): "t, t_inv | t | t*t_inv - 1; -2*t^2 + 1 |  | t: t; t_inv: t_inv",
+    ("cover", "blended_family"): "u, u_inv, s | u | u*u_inv - 1; u^6*s - u^4*s + u^4 + u^3 | s: s | ",
     ("cover", "cancel_family"): "u, u_inv, s | u | u*u_inv - 1; u^6*s - u^4*s + u^4 + u^3 | s: s | ",
     ("cover", "cancel_slice"): "u, u_inv | u | u*u_inv - 1; u^6 + u^3 |  | ",
     ("cover", "restrict_parameter"): "u, u_inv | u | u*u_inv - 1; u^6 + 1 |  | ",
@@ -467,6 +471,24 @@ def test_families_commute_for_the_unit_collapse():
     gamma = point_span("c^3 - c", ["c"])
     report = verify_compat(unit_collapse(QQ), beta, gamma, 2, 3, "+")
     assert report.ok
+
+
+def test_compat_certifies_only_the_reported_family(monkeypatch):
+    import flatspan.cancellation as cancellation
+
+    original = cancellation.certify_finite_flat
+    certified = []
+
+    def counting(corr, **kwargs):
+        certified.append(corr)
+        return original(corr, **kwargs)
+
+    monkeypatch.setattr(cancellation, "certify_finite_flat", counting)
+    beta = point_span("b^2 - 2", ["b"])
+    gamma = point_span("c^2", ["c"])
+    report = verify_compat(double_triple_cover(), beta, gamma, 2, 2, "+")
+    assert report.ok, report.detail
+    assert certified == [report.family.correspondence]
 
 
 def test_compat_rejects_colliding_middle_names():

@@ -425,3 +425,13 @@ def test_window_is_only_a_filtration_flag(capsys):
     )
     assert code == 0
     assert "window: 2" in out
+
+
+def test_bad_window_is_rejected_before_any_work(capsys):
+    code, out, _ = run_cli(
+        capsys, "filtration", "--workspace", workspace("cancel-families"), "--corr", "idg",
+        "--window", "0", "--budget", "1",
+    )
+    assert code == 2
+    assert out.count("[error]") == 1 and "[inconclusive]" not in out
+    assert "window must be at least 1" in out

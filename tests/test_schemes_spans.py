@@ -525,7 +525,7 @@ def test_collapse_variables_removes_an_identified_variable():
     ident = {"t": t, "t_inv": ti}
     piece = make_piece(ring, rels, ident, ident, G, G)
     fat = Correspondence(G, G, (piece,))
-    thin = collapse_variables(fat, {"v": t * t})
+    thin = collapse_variables(fat, [{"v": t * t}])
     assert thin.pieces[0].ring.names == ("t", "t_inv")
     assert equals(thin, identity_span(G))
 
@@ -541,7 +541,7 @@ def test_collapse_variables_rejects_wrong_claims():
     piece = make_piece(ring, rels, ident, ident, G, G)
     fat = Correspondence(G, G, (piece,))
     with pytest.raises(SpanError, match="collapse"):
-        collapse_variables(fat, {"v": t})
+        collapse_variables(fat, [{"v": t}])
 
 
 def test_collapse_variables_takes_one_mapping_per_piece():
