@@ -156,7 +156,7 @@ def _bound_from_values(
     labelled: list[tuple[str, Polynomial]],
     budget: Budget,
 ) -> BoundReport:
-    """``outcome`` is ``alpha``'s certificate, as :func:`_certified` returns it."""
+    """Bound ``labelled`` over ``outcome``, a certified outcome of ``alpha``."""
     piece = _single_piece(alpha, "valuation bound")
     tvar = detect_torus_coordinate(alpha.source)
     cert = outcome.pieces[0]
@@ -461,7 +461,7 @@ def _extended_with_parameter(alpha: Correspondence) -> tuple[Correspondence, str
 def filtration_index(
     alpha: Correspondence,
     *,
-    window: int = 8,
+    window: int,
     budget: Budget | None = None,
 ) -> FiltrationReport:
     """Search for the least index whose upper box certifies entirely.
@@ -532,44 +532,39 @@ class CompatReport:
         return self.push_ok and self.pull_ok
 
 
-def torus_extension(
-    corr: Correspondence, gm_name: str
-) -> tuple[Correspondence, tuple[tuple[str, str], ...]]:
-    """Cross a correspondence with a common torus factor on both feet.
+def torus_extension(corr: Correspondence, gm_name: str) -> tuple[Correspondence, str]:
+    """Cross a single-piece correspondence with a common torus factor on
+    both feet.
 
     The middle gains a fresh unit pair carried identically by both
-    structure maps; the pair names are returned piece by piece.
+    structure maps; the stem of the pair is returned (its partner is the
+    stem's companion name).
     """
+    piece = _single_piece(corr, "torus extension")
     field = corr.source.ring.field
     source = product(corr.source, torus(field, gm_name))
     target = product(corr.target, torus(field, gm_name))
-    pieces = []
-    pairs = []
-    for piece in corr.pieces:
-        stem = _fresh_pair("w", list(piece.ring.names))
-        partner = companion_name(stem)
-        ring = piece.ring.extend([stem, partner], inverted=[stem])
-        unit = ring.var(stem) * ring.var(partner) - ring.one()
-        both = {gm_name: ring.var(stem), companion_name(gm_name): ring.var(partner)}
-        pieces.append(rebuild_piece(piece, ring, {}, source, target, [unit], src=both, tgt=both))
-        pairs.append((stem, partner))
-    return Correspondence(source, target, tuple(pieces)), tuple(pairs)
+    stem = _fresh_pair("w", list(piece.ring.names))
+    partner = companion_name(stem)
+    ring = piece.ring.extend([stem, partner], inverted=[stem])
+    unit = ring.var(stem) * ring.var(partner) - ring.one()
+    both = {gm_name: ring.var(stem), companion_name(gm_name): ring.var(partner)}
+    new_piece = rebuild_piece(piece, ring, {}, source, target, [unit], src=both, tgt=both)
+    return Correspondence(source, target, (new_piece,)), stem
 
 
 def line_extension(corr: Correspondence, coord: str) -> tuple[Correspondence, str]:
-    """Cross a correspondence with a common affine line on both feet."""
+    """Cross a single-piece correspondence with a common affine line on both
+    feet; returns the middle variable carrying the line."""
+    piece = _single_piece(corr, "line extension")
     field = corr.source.ring.field
     source = product(corr.source, affine_line(field, coord))
     target = product(corr.target, affine_line(field, coord))
-    pieces = []
-    names = []
-    for piece in corr.pieces:
-        pvar = fresh_name("sb", piece.ring.names)
-        ring = piece.ring.extend([pvar])
-        line = {coord: ring.var(pvar)}
-        pieces.append(rebuild_piece(piece, ring, {}, source, target, src=line, tgt=line))
-        names.append(pvar)
-    return Correspondence(source, target, tuple(pieces)), names[0] if names else "sb"
+    pvar = fresh_name("sb", piece.ring.names)
+    ring = piece.ring.extend([pvar])
+    line = {coord: ring.var(pvar)}
+    new_piece = rebuild_piece(piece, ring, {}, source, target, src=line, tgt=line)
+    return Correspondence(source, target, (new_piece,)), pvar
 
 
 def _collapse_piece(
@@ -638,41 +633,36 @@ def verify_compat(
     src_t, tgt_t = _torus_feet(alpha)
     details = []
 
-    gamma_t, gpairs = torus_extension(gamma, tgt_t)
-    if not set(gamma_t.pieces[0].ring.names).isdisjoint(apiece.ring.names):
-        raise CancellationError(
-            "middle variable names collide between the first and third spans; "
-            "rename them apart"
-        )
-    lhs, _ = blended_family(compose(alpha, gamma_t), m, n, sign)
+    def blended_through(outer: Correspondence, after: bool):
+        """Blend ``alpha`` composed with ``outer`` crossed with the torus on
+        the shared foot (``outer`` after ``alpha`` when ``after``, before it
+        otherwise); the glue pair collapses onto ``alpha``'s leg there."""
+        foot, leg = (tgt_t, apiece.tgt) if after else (src_t, apiece.src)
+        crossed, w = torus_extension(outer, foot)
+        if not set(crossed.pieces[0].ring.names).isdisjoint(apiece.ring.names):
+            spans = "first and third" if after else "second and first"
+            raise CancellationError(
+                f"middle variable names collide between the {spans} spans; rename them apart"
+            )
+        composite = compose(alpha, crossed) if after else compose(crossed, alpha)
+        lhs, _ = blended_family(composite, m, n, sign)
+        ring = lhs.pieces[0].ring
+        glue = {
+            w: leg(foot).map_ring(ring),
+            companion_name(w): leg(companion_name(foot)).map_ring(ring),
+        }
+        return lhs, glue
+
+    lhs, push_collapse = blended_through(gamma, after=True)
     family = cancel_family(alpha, m, n, sign, budget=budget)
     rhs = compose(family.correspondence, gamma)
-    w, w_inv = gpairs[0]
-    lring = lhs.pieces[0].ring
-    push_collapse = {
-        w: apiece.tgt(tgt_t).map_ring(lring),
-        w_inv: apiece.tgt(companion_name(tgt_t)).map_ring(lring),
-    }
     push_ok, why = _collapsed_equal(lhs, push_collapse, rhs, {}, budget)
     if not push_ok:
         details.append(f"target side: {why}")
 
-    beta_t, bpairs = torus_extension(beta, src_t)
-    if not set(beta_t.pieces[0].ring.names).isdisjoint(apiece.ring.names):
-        raise CancellationError(
-            "middle variable names collide between the second and first spans; "
-            "rename them apart"
-        )
-    composite = compose(beta_t, alpha)
-    lhs2, _ = blended_family(composite, m, n, sign)
+    lhs2, pull_collapse = blended_through(beta, after=False)
     beta_line, sb = line_extension(beta, family.parameter)
     rhs2 = compose(beta_line, family.correspondence)
-    w2, w2_inv = bpairs[0]
-    l2ring = lhs2.pieces[0].ring
-    pull_collapse = {
-        w2: apiece.src(src_t).map_ring(l2ring),
-        w2_inv: apiece.src(companion_name(src_t)).map_ring(l2ring),
-    }
     r2ring = rhs2.pieces[0].ring
     # the parameter variable of the blended middle keeps its fresh name
     # through the composition because the name sets are disjoint

@@ -30,11 +30,10 @@ from pathlib import Path
 from .budget import DEFAULT_STEPS, Budget, BudgetExhausted
 from .cancellation import (
     CancellationError,
+    _bound_from_values,
     cancel_family,
     cancel_slice,
     filtration_index,
-    flatness_bound,
-    flatness_bound_ext,
     shifted_slice,
     slice_locus,
     verify_cancellation,
@@ -105,28 +104,29 @@ def _middle_ring(corr, task: str):
     return corr.pieces[0].ring
 
 
-def _certify_verdict(corr, outcome, extra: dict | None = None):
+def _certify_verdict(
+    corr, outcome, extra=None, *, label="finite free of rank {}", key="rank", keep=False
+):
+    """The verdict, detail, data and certificates of one certification.
+
+    A pass reports the rank under ``key`` followed by ``extra`` and
+    carries the certificate; ``keep`` makes ``extra`` the data of a fail
+    or inconclusive verdict too, in place of any torsion witness.
+    """
     if outcome.certified:
-        data = {"rank": outcome.rank}
-        if extra:
-            data.update(extra)
-        return (
-            "pass",
-            f"finite free of rank {outcome.rank}",
-            data,
-            [finite_flat_block(corr, outcome)],
-        )
+        data = {key: outcome.rank, **(extra or {})}
+        return "pass", label.format(outcome.rank), data, [finite_flat_block(corr, outcome)]
+    data = dict(extra) if keep else {}
     if outcome.status == "inconclusive":
-        return "inconclusive", outcome.detail, {}, []
-    data = {}
-    if outcome.witness:
+        return "inconclusive", outcome.detail, data, []
+    if outcome.witness and not keep:
         data["witness"] = [format_polynomial(w) for w in outcome.witness]
     status = outcome.status.replace("_", " ")
     return "fail", f"{status}: {outcome.detail}", data, []
 
 
 def _algebra(op):
-    def handler(doc, req, budget, window):
+    def handler(doc, req, budget):
         left = _span(doc, req, 0)
         right = _span(doc, req, 1)
         result = op(left, right)
@@ -142,26 +142,19 @@ def _algebra(op):
     return handler
 
 
-def _h_certify(doc, req, budget, window):
+def _h_certify(doc, req, budget):
     alpha = _span(doc, req, 0)
     outcome = certify_finite_flat(alpha, budget=budget)
     return _certify_verdict(alpha, outcome)
 
 
-def _h_degree(doc, req, budget, window):
+def _h_degree(doc, req, budget):
     alpha = _span(doc, req, 0)
     outcome = certify_finite_flat(alpha, budget=budget)
-    if outcome.certified:
-        return (
-            "pass",
-            f"degree {outcome.rank}",
-            {"degree": outcome.rank},
-            [finite_flat_block(alpha, outcome)],
-        )
-    return _certify_verdict(alpha, outcome)
+    return _certify_verdict(alpha, outcome, label="degree {}", key="degree")
 
 
-def _h_bound(doc, req, budget, window):
+def _h_bound(doc, req, budget):
     alpha = _span(doc, req, 0)
     ring = _middle_ring(alpha, "bound")
     f = parse_polynomial(req.arg("f"), ring)
@@ -170,9 +163,10 @@ def _h_bound(doc, req, budget, window):
         return _certify_verdict(alpha, outcome)
     f2_text = req.arg("f2")
     if f2_text is None:
-        rep = flatness_bound(alpha, f, budget=budget)
+        labelled = [("f", f)]
     else:
-        rep = flatness_bound_ext(alpha, f, parse_polynomial(f2_text, ring), budget=budget)
+        labelled = [("f1", f), ("f2", parse_polynomial(f2_text, ring))]
+    rep = _bound_from_values(alpha, outcome, labelled, budget)
     table = [
         f"{e.label}[{e.row},{e.col}] valuation {e.valuation}: {format_polynomial(e.value)}"
         for e in rep.entries
@@ -187,7 +181,7 @@ def _h_bound(doc, req, budget, window):
     )
 
 
-def _h_slice(doc, req, budget, window):
+def _h_slice(doc, req, budget):
     alpha = _span(doc, req, 0)
     ring = _middle_ring(alpha, "slice")
     f = parse_polynomial(req.arg("f"), ring)
@@ -229,37 +223,31 @@ def _h_slice(doc, req, budget, window):
     return "inconclusive", detail, data, []
 
 
-def _h_cancel(doc, req, budget, window):
+def _h_cancel(doc, req, budget):
     alpha = _span(doc, req, 0)
     m, n, sign = int(req.arg("m")), int(req.arg("n")), req.arg("sign")
     fam = cancel_family(alpha, m, n, sign, budget=budget)
     extra = {"parameter": fam.parameter, "indices": f"{m},{n}", "sign": sign}
-    if fam.certified:
-        data = {"rank": fam.rank, **extra}
-        return (
-            "pass",
-            f"blended family finite free of rank {fam.rank}",
-            data,
-            [finite_flat_block(fam.correspondence, fam.certificate)],
-        )
-    outcome = fam.certificate
-    if outcome.status == "inconclusive":
-        return "inconclusive", outcome.detail, extra, []
-    status = outcome.status.replace("_", " ")
-    return "fail", f"{status}: {outcome.detail}", extra, []
+    return _certify_verdict(
+        fam.correspondence,
+        fam.certificate,
+        extra,
+        label="blended family finite free of rank {}",
+        keep=True,
+    )
 
 
-def _h_cancel_slice(doc, req, budget, window):
+def _h_cancel_slice(doc, req, budget):
     alpha = _span(doc, req, 0)
     n, sign = int(req.arg("n")), req.arg("sign")
     corr = cancel_slice(alpha, n, sign)
     outcome = certify_finite_flat(corr, budget=budget)
-    return _certify_verdict(corr, outcome, extra={"n": n, "sign": sign})
+    return _certify_verdict(corr, outcome, {"n": n, "sign": sign})
 
 
-def _h_filtration(doc, req, budget, window):
+def _h_filtration(doc, req, budget):
     alpha = _span(doc, req, 0)
-    size = int(req.arg("window", str(window)))
+    size = int(req.arg("window", "8"))
     rep = filtration_index(alpha, window=size, budget=budget)
     certified = sum(1 for e in rep.entries if e.status == "certified")
     data = {"window": size, "families": len(rep.entries), "certified": certified}
@@ -272,7 +260,7 @@ def _h_filtration(doc, req, budget, window):
     return "fail", f"no fully certified level within window {size}", data, certificates
 
 
-def _h_verify_compat(doc, req, budget, window):
+def _h_verify_compat(doc, req, budget):
     first = _span(doc, req, 0)
     second = _span(doc, req, 1)
     third = _span(doc, req, 2)
@@ -291,7 +279,7 @@ def _h_verify_compat(doc, req, budget, window):
     return "pass", "both naturality identities hold", data, certificates
 
 
-def _h_verify_cancellation(doc, req, budget, window):
+def _h_verify_cancellation(doc, req, budget):
     n = int(req.arg("n"))
     rep = verify_cancellation(n, doc.field, budget=budget)
     data = {check.name: ("ok" if check.ok else check.detail) for check in rep.checks}
@@ -301,8 +289,14 @@ def _h_verify_cancellation(doc, req, budget, window):
     return "fail", f"{len(bad)} of {len(rep.checks)} sub-checks fail", data, []
 
 
-def _datum_for(corr, budget):
-    scheme = corr.target
+def _contracted(doc, req, budget):
+    """Contract the operand along the standard datum of its target.
+
+    Returns the span, the checked datum, the contraction and one
+    finite-flat certificate block per chart.
+    """
+    alpha = _span(doc, req, 0)
+    scheme = alpha.target
     primaries = [v for v in scheme.ring.names if v in scheme.ring.inverted]
     if not primaries:
         raise WorkspaceError(
@@ -315,13 +309,13 @@ def _datum_for(corr, budget):
         raise WorkspaceError(
             f"contraction expects target coordinates named {wanted} with inverses"
         )
-    return datum
-
-
-def _h_contract(doc, req, budget, window):
-    alpha = _span(doc, req, 0)
-    datum = _datum_for(alpha, budget)
     con = contract(alpha, datum, budget=budget)
+    blocks = [finite_flat_block(chart.correspondence, chart.certificate) for chart in con.charts]
+    return alpha, datum, con, blocks
+
+
+def _h_contract(doc, req, budget):
+    _, _, con, certificates = _contracted(doc, req, budget)
     data = {
         "avoided-locus": [format_polynomial(g) for g in con.source_ideal],
         "parameter": con.u_name,
@@ -333,10 +327,6 @@ def _h_contract(doc, req, budget, window):
             label: [format_polynomial(p) for p in gens] for label, gens in con.chain
         },
     }
-    certificates = [
-        finite_flat_block(chart.correspondence, chart.certificate)
-        for chart in con.charts
-    ]
     if con.ok:
         detail = f"complement covered by {len(con.charts)} chart(s), rank {con.rank}"
         return "pass", detail, data, certificates
@@ -350,10 +340,8 @@ def _h_contract(doc, req, budget, window):
     return "fail", "; ".join(problems), data, []
 
 
-def _h_verify_contraction(doc, req, budget, window):
-    alpha = _span(doc, req, 0)
-    datum = _datum_for(alpha, budget)
-    con = contract(alpha, datum, budget=budget)
+def _h_verify_contraction(doc, req, budget):
+    alpha, datum, con, certificates = _contracted(doc, req, budget)
     rep = verify_contraction_endpoints(alpha, datum, con, budget=budget)
     data = {
         "identity-at": rep.identity_at,
@@ -366,10 +354,6 @@ def _h_verify_contraction(doc, req, budget, window):
         if piece.lands_on_base_point:
             roles.append("lands on the base point")
         data[f"endpoint-{piece.value}"] = "; ".join(roles) or "neither role"
-    certificates = [
-        finite_flat_block(chart.correspondence, chart.certificate)
-        for chart in con.charts
-    ]
     if rep.dichotomy:
         detail = (
             f"identity at parameter {rep.identity_at}, "
@@ -401,15 +385,12 @@ def execute_check(
     doc: WorkspaceDocument,
     req: CheckRequest,
     budget_limit: int = DEFAULT_STEPS,
-    window: int = 8,
 ) -> Report:
     """Run one request against a workspace; exceptions become verdicts."""
     start = time.perf_counter()
     budget = Budget(budget_limit)
     try:
-        verdict, detail, data, certificates = HANDLERS[req.command](
-            doc, req, budget, window
-        )
+        verdict, detail, data, certificates = HANDLERS[req.command](doc, req, budget)
     except BudgetExhausted as err:
         verdict, detail, data, certificates = "inconclusive", str(err), {}, []
     except USER_ERRORS as err:
@@ -467,9 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--recheck",
         metavar="REPORT",
         help="re-validate a stored report envelope instead of recomputing",
-    )
-    runner.add_argument(
-        "--window", type=int, default=8, help="filtration search window (default 8)"
     )
     shared(runner)
 
@@ -536,7 +514,7 @@ def _run_batch(args) -> int:
         if missing:
             raise WorkspaceError(f"no check named {sorted(missing)[0]!r}")
         checks = tuple(c for c in checks if c.name in wanted)
-    reports = [execute_check(doc, req, args.budget, args.window) for req in checks]
+    reports = [execute_check(doc, req, args.budget) for req in checks]
     _emit(reports, digest, args)
     return max((r.exit_code for r in reports), default=0)
 

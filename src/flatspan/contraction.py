@@ -641,10 +641,11 @@ def _matches_input(
 def verify_contraction_endpoints(
     alpha: Correspondence,
     datum: ContractionDatum,
-    contracted: ContractedCorrespondence | None = None,
+    contracted: ContractedCorrespondence,
     budget: Budget | None = None,
 ) -> EndpointReport:
-    """Check the endpoint dichotomy of a contraction.
+    """Check the endpoint dichotomy of ``contracted``, the contraction of
+    ``alpha`` along ``datum``.
 
     Each chart is restricted to parameter values 0 and 1; exactly one of
     the two slices must equal the input correspondence and the other must
@@ -652,28 +653,19 @@ def verify_contraction_endpoints(
     which role is reported, not assumed.  All charts must agree.
     """
     budget = budget or Budget()
-    if contracted is None:
-        contracted = contract(alpha, datum, budget=budget)
-    per_value: dict[int, tuple[bool, bool]] = {}
-    consistent = True
-    for value in (0, 1):
-        matches = None
-        lands = None
+    roles = ([], [])  # (matches the input, lands on the base point) per chart, at 0 and 1
+    for value, pairs in enumerate(roles):
         for chart in contracted.charts:
             sliced, base_changed = _slice_chart(chart, value, alpha, datum, budget)
-            m = _matches_input(sliced, base_changed, budget)
-            l = _lands_on_base_point(sliced, datum, budget)
-            if matches is None:
-                matches, lands = m, l
-            elif (m, l) != (matches, lands):
-                consistent = False
-        per_value[value] = (bool(matches), bool(lands))
-    slices = tuple(
-        EndpointSlice(value, per_value[value][0], per_value[value][1])
-        for value in (0, 1)
-    )
-    eq0, land0 = per_value[0]
-    eq1, land1 = per_value[1]
+            pairs.append(
+                (
+                    _matches_input(sliced, base_changed, budget),
+                    _lands_on_base_point(sliced, datum, budget),
+                )
+            )
+    consistent = all(len(set(pairs)) <= 1 for pairs in roles)
+    (eq0, land0), (eq1, land1) = (pairs[0] if pairs else (False, False) for pairs in roles)
+    slices = (EndpointSlice(0, eq0, land0), EndpointSlice(1, eq1, land1))
     if eq1 and not eq0:
         identity_at = 1
         dichotomy = land0

@@ -122,6 +122,6 @@ def detect_torus_coordinate(scheme: AffineScheme) -> str:
     marked = sorted(scheme.ring.inverted)
     if len(marked) != 1:
         raise ValueError(
-            f"scheme has {len(marked)} inverted coordinates {marked}; specify one explicitly"
+            f"scheme has {len(marked)} inverted coordinates {marked}; expected exactly one"
         )
     return marked[0]

@@ -499,6 +499,20 @@ def test_compat_rejects_colliding_middle_names():
         verify_compat(alpha, beta, clash, 2, 2, "+")
 
 
+@pytest.mark.parametrize(
+    "beta_name,gamma_name,spans",
+    [("b", "t", "first and third"), ("t", "c", "second and first")],
+)
+def test_compat_names_the_colliding_spans(beta_name, gamma_name, spans):
+    beta = point_span(f"{beta_name}^2 - 2", [beta_name])
+    gamma = point_span(f"{gamma_name}^2", [gamma_name])
+    with pytest.raises(CancellationError) as err:
+        verify_compat(torus_identity(QQ), beta, gamma, 2, 2, "+")
+    assert str(err.value) == (
+        f"middle variable names collide between the {spans} spans; rename them apart"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the end-to-end verifier
 

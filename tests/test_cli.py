@@ -305,6 +305,50 @@ def test_bound_example_reports_the_documented_bound(capsys):
     assert "valuation -2" in out
 
 
+@pytest.mark.parametrize("check", ["b1", "b2", "b3"])
+def test_bound_certifies_its_span_once(capsys, monkeypatch, check):
+    import flatspan.cancellation as cancellation
+    import flatspan.cli as cli
+
+    original = cli.certify_finite_flat
+    calls = []
+
+    def counting(corr, **kwargs):
+        calls.append(corr)
+        return original(corr, **kwargs)
+
+    monkeypatch.setattr(cli, "certify_finite_flat", counting)
+    monkeypatch.setattr(cancellation, "certify_finite_flat", counting)
+    code, out, _ = run_cli(capsys, "run", workspace("valuation-bounds"), "--only", check)
+    assert code == 0 and "[pass]" in out
+    assert len(calls) == 1
+
+
+def test_missing_torus_coordinate_states_the_requirement(capsys, tmp_path):
+    doc = tmp_path / "no-torus.fsw"
+    doc.write_text(
+        """workspace no-torus
+field QQ
+scheme L = line x
+scheme P = point
+span Z : L -> P {
+  piece {
+    vars x
+    rels x
+    source x: x
+  }
+}
+check c = cancel Z m: 1 n: 1 sign: +
+""",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "run", str(doc))
+    assert code == 2
+    assert "[error]" in out
+    assert "scheme has 0 inverted coordinates []; expected exactly one" in out
+    assert "specify" not in out
+
+
 def test_single_certify_pass_and_fail(capsys):
     code, out, _ = run_cli(
         capsys, "certify", "--workspace", workspace("span-algebra"), "--corr", "idg"
@@ -417,6 +461,10 @@ def test_window_is_only_a_filtration_flag(capsys):
         main(
             ["certify", "--workspace", workspace("span-algebra"), "--corr", "idg", "--window", "3"]
         )
+    assert exit_info.value.code == 2
+    assert "--window" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", workspace("cancel-families"), "--window", "3"])
     assert exit_info.value.code == 2
     assert "--window" in capsys.readouterr().err
     code, out, _ = run_cli(

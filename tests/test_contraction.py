@@ -392,14 +392,14 @@ def test_endpoint_dichotomy_on_the_pool(name):
 def test_endpoint_report_names_the_base_point_ideal():
     alpha = rational_point(2)
     datum = standard_contraction_data(1)
-    report = verify_contraction_endpoints(alpha, datum)
+    report = verify_contraction_endpoints(alpha, datum, contract(alpha, datum))
     assert [str(g) for g in report.base_point_ideal] == ["t - 1"]
 
 
 def test_endpoints_on_a_sum_of_points():
     pair = add(rational_point(2), rational_point(3))
     datum = standard_contraction_data(1)
-    report = verify_contraction_endpoints(pair, datum)
+    report = verify_contraction_endpoints(pair, datum, contract(pair, datum))
     assert report.dichotomy
     assert report.identity_at == 1
 
@@ -407,7 +407,7 @@ def test_endpoints_on_a_sum_of_points():
 def test_endpoints_on_the_square():
     alpha = plane_point(2, 3)
     datum = standard_contraction_data(2)
-    report = verify_contraction_endpoints(alpha, datum)
+    report = verify_contraction_endpoints(alpha, datum, contract(alpha, datum))
     assert report.dichotomy
     assert report.identity_at == 1
 
