@@ -32,8 +32,8 @@ from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .budget import Budget
-from .orders import Block, GrevLex, MonomialOrder, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub
-from .poly import Polynomial, PolynomialRing, fresh_name
+from .orders import GrevLex, MonomialOrder, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub, fiber_order
+from .poly import Polynomial, fresh_name
 
 Terms = dict
 
@@ -207,10 +207,6 @@ def _reduce_basis(field, basis: list[Terms], order: MonomialOrder, budget: Budge
 # -- public API --------------------------------------------------------
 
 
-def default_order(ring: PolynomialRing) -> MonomialOrder:
-    return GrevLex(ring.nvars)
-
-
 def groebner_basis(
     gens: Iterable[Polynomial],
     order: MonomialOrder | None = None,
@@ -228,7 +224,7 @@ def groebner_basis(
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
-    order = order or default_order(ring)
+    order = order or GrevLex(ring.nvars)
     if order.nvars != ring.nvars:
         raise ValueError("order arity does not match ring")
     budget = budget or Budget()
@@ -245,7 +241,7 @@ def normal_form(
     """Remainder of full division by ``basis`` (unique when basis is a
     Groebner basis for the order)."""
     ring = p.ring
-    order = order or default_order(ring)
+    order = order or GrevLex(ring.nvars)
     budget = budget or Budget()
     pairs = []
     for g in basis:
@@ -270,7 +266,7 @@ def spolynomial_pairs_reduce(
     if not polys:
         return True
     ring = polys[0].ring
-    order = order or default_order(ring)
+    order = order or GrevLex(ring.nvars)
     budget = budget or Budget()
     dicts = [g.terms() for g in polys]
     lms = [_lead(d, order) for d in dicts]
@@ -290,11 +286,6 @@ def is_unit_ideal(basis: Sequence[Polynomial]) -> bool:
     return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
 
 
-def _permuted_ring(ring: PolynomialRing, first: Sequence[str]) -> PolynomialRing:
-    rest = [v for v in ring.names if v not in set(first)]
-    return PolynomialRing(ring.field, tuple(first) + tuple(rest), ring.inverted)
-
-
 def eliminate(
     gens: Iterable[Polynomial],
     drop: Sequence[str],
@@ -310,13 +301,9 @@ def eliminate(
         return []
     ring = gens[0].ring
     drop = list(drop)
-    for v in drop:
-        ring.index(v)  # validate
-    if not drop:
-        return groebner_basis(gens, budget=budget)
-    work = _permuted_ring(ring, drop)
+    work = ring.leading(drop)
     moved = [g.map_ring(work) for g in gens]
-    basis = groebner_basis(moved, Block(work.nvars, len(drop)), budget=budget)
+    basis = groebner_basis(moved, fiber_order(work.nvars, len(drop)), budget=budget)
     dropset = set(drop)
     kept = [g for g in basis if not (g.variables() & dropset)]
     return [g.map_ring(ring) for g in kept]
@@ -359,10 +346,10 @@ def modular_inverse(
     """
     ring = value.ring
     aux = fresh_name("rec", ring.names)
-    ext = PolynomialRing(ring.field, (aux,) + ring.names, ring.inverted)
+    ext = ring.extend([aux]).leading([aux])
     lifted = [p.map_ring(ext) for p in relations if not p.is_zero()]
     lifted.append(value.map_ring(ext) * ext.var(aux) - ext.one())
-    order = Block(ext.nvars, 1)
+    order = fiber_order(ext.nvars, 1)
     basis = groebner_basis(lifted, order, budget=budget)
     target = tuple([1] + [0] * ring.nvars)
     for g in basis:

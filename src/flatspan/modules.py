@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .groebner import groebner_basis, is_unit_ideal, normal_form
-from .orders import Block, GrevLex, MonomialOrder, exp_divides
+from .orders import GrevLex, MonomialOrder, exp_divides, fiber_order
 from .poly import Polynomial, PolynomialRing
 
 
@@ -98,19 +98,9 @@ class ModuleAnalysis:
         raise PresentationError(f"rank undefined for status {self.status!r}")
 
 
-def _fiber_part(exp: tuple[int, ...], split: int) -> tuple[int, ...]:
-    return exp[:split]
-
-
-def _base_part(exp: tuple[int, ...], split: int) -> tuple[int, ...]:
-    return exp[split:]
-
-
 def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]] | str:
     """Monomials not under any pure-fiber leading monomial, or the name of
     an unbounded direction."""
-    if split == 0:
-        return [()]
     mins = [None] * split
     for alpha in pure:
         support = [i for i, e in enumerate(alpha) if e]
@@ -118,8 +108,6 @@ def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]]
             i = support[0]
             if mins[i] is None or alpha[i] < mins[i]:
                 mins[i] = alpha[i]
-        elif not support:
-            return []  # unit ideal handled earlier; defensive
     for i, m in enumerate(mins):
         if m is None:
             return i  # type: ignore[return-value]
@@ -152,7 +140,7 @@ def classify_leads(
     pure, base_only, mixed = [], [], []
     for g in basis:
         lm = g.leading_exponent(order)
-        fp, bp = _fiber_part(lm, split), _base_part(lm, split)
+        fp, bp = lm[:split], lm[split:]
         if any(fp) and not any(bp):
             pure.append(fp)
         elif any(bp) and not any(fp):
@@ -160,12 +148,6 @@ def classify_leads(
         elif any(fp):
             mixed.append(g)
     return _staircase(pure, split), base_only, mixed
-
-
-def fiber_order(nvars: int, split: int) -> MonomialOrder:
-    """The certificate order: fiber block over base block, or plain GrevLex
-    when there are no fiber variables."""
-    return Block(nvars, split) if split else GrevLex(nvars)
 
 
 def analyze_module(
@@ -200,8 +182,6 @@ def analyze_module(
 
     if is_unit_ideal(basis):
         return ModuleAnalysis(status="zero", **common)
-    if not basis:
-        basis = []
 
     fiber_names = ring.names[:split]
     stair, base_only, mixed = classify_leads(basis, order, split)
@@ -258,13 +238,13 @@ def multiplication_matrix_from(
         nf = normal_form(element * mono, basis, order, budget=budget)
         row = [dict() for _ in staircase]
         for exp, c in nf.terms().items():
-            fp = _fiber_part(exp, split)
+            fp = exp[:split]
             j = index.get(fp)
             if j is None:
                 raise PresentationError(
                     f"irreducible fiber monomial {fp} outside the staircase; basis is inconsistent"
                 )
-            row[j][_base_part(exp, split)] = c
+            row[j][exp[split:]] = c
         rows.append(tuple(Polynomial(base_ring, d) for d in row))
     return tuple(rows)
 

@@ -83,6 +83,12 @@ class Block(MonomialOrder):
         return (-sum(head), head[::-1], -sum(tail), tail[::-1])
 
 
+def fiber_order(nvars: int, split: int) -> MonomialOrder:
+    """The one block order: the leading ``split`` variables over the rest,
+    or plain GrevLex when that block is empty."""
+    return Block(nvars, split) if split else GrevLex(nvars)
+
+
 def exp_divides(a: Sequence[int], b: Sequence[int]) -> bool:
     """Whether monomial a divides monomial b."""
     return all(map(le, a, b))

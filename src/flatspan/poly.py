@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Mapping
 
 from .fields import Field, FieldError
+from .orders import GrevLex
 
 MAX_EXPONENT = 2**31 - 1
 
@@ -88,6 +89,15 @@ class PolynomialRing:
                 raise ValueError(f"variable {v!r} already present")
         return PolynomialRing(self.field, self.names + extra, self.inverted | frozenset(inverted))
 
+    def leading(self, names: Iterable[str]) -> PolynomialRing:
+        """The same ring with ``names`` moved to the front, in the given
+        order; the other names keep theirs."""
+        first = tuple(names)
+        for v in first:
+            self.index(v)  # validate
+        rest = tuple(v for v in self.names if v not in first)
+        return PolynomialRing(self.field, first + rest, self.inverted)
+
     def drop(self, names: Iterable[str]) -> PolynomialRing:
         """Ring without ``names``; a variable whose companion is dropped is
         no longer marked inverted."""
@@ -135,11 +145,8 @@ class Polynomial:
 
     def items_sorted(self):
         """Terms in descending graded-reverse-lex order (canonical)."""
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (sum(kv[0]), tuple(-e for e in reversed(kv[0]))),
-            reverse=True,
-        )
+        key = GrevLex(self.ring.nvars).key
+        return [(e, self._terms[e]) for e in sorted(self._terms, key=key, reverse=True)]
 
     def is_zero(self) -> bool:
         return not self._terms

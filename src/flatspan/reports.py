@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
-from .budget import Budget
+from .budget import DEFAULT_STEPS, Budget
 from .fields import field_from_name, field_name
 from .poly import Polynomial, PolynomialRing, laurent_valuation
 from .polyparse import ParseError, format_polynomial, parse_polynomial
@@ -306,11 +306,11 @@ def _structural(payload: dict, messages: list[str]) -> bool:
     return ok
 
 
-def _recheck_block(block: dict, limit: int | None, messages: list[str], where: str) -> bool:
+def _recheck_block(block: dict, limit: int, messages: list[str], where: str) -> bool:
     if not isinstance(block, dict):
         messages.append(f"{where}: certificate block {block!r} is not an object")
         return False
-    budget = Budget(limit) if limit else None
+    budget = Budget(limit)
     kind = block.get("kind")
     if kind == "finite-flat":
         corr = correspondence_from_json(block["span"])
@@ -357,10 +357,34 @@ _CLAIMS = {
 }
 
 
-def _claims_hold(data: dict, certificates: list, messages: list[str], where: str) -> bool:
-    """A pass report's rank, degree or bound must equal that of every
-    certificate of the matching kind it carries, and it must carry one."""
+# command -> the certificate kinds of which its pass must carry at least one.
+# verify-compat is left out, since its pass carries nothing when the family
+# is uncertified; compose, add, tensor and verify-cancellation carry none.
+_CARRIES = {
+    "certify": ("finite-flat",),
+    "degree": ("finite-flat",),
+    "cancel": ("finite-flat",),
+    "cancel-slice": ("finite-flat",),
+    "bound": ("finite-flat",),
+    "contract": ("finite-flat",),
+    "verify-contraction": ("finite-flat",),
+    "slice": ("finite-flat", "valuation-bound"),
+    "filtration": ("valuation-bound",),
+}
+
+
+def _claims_hold(
+    command, data: dict, certificates: list, messages: list[str], where: str
+) -> bool:
+    """A pass report must carry a certificate of a kind its command's row
+    of :data:`_CARRIES` names.  Its rank, degree or bound must equal that
+    of every certificate of the matching kind it carries, and it must
+    carry one."""
     ok = True
+    needed = _CARRIES.get(command, ()) if isinstance(command, str) else ()
+    if needed and not any(isinstance(b, dict) and b.get("kind") in needed for b in certificates):
+        messages.append(f"{where}: a {command} pass carries no {' or '.join(needed)} certificate")
+        ok = False
     for key, (kind, carried) in _CLAIMS.items():
         if key not in data:
             continue
@@ -378,15 +402,17 @@ def _claims_hold(data: dict, certificates: list, messages: list[str], where: str
 def recheck_envelope(
     payload: dict,
     workspace_text: str | None = None,
-    budget_limit: int | None = None,
+    budget_limit: int = DEFAULT_STEPS,
 ) -> tuple[bool, list[str]]:
     """Re-validate a stored envelope.
 
     Checks the digest against the workspace (when one is supplied), the
-    exit-code/verdict correspondence, every embedded certificate, and that
-    each pass report's rank, degree or bound is the one its certificates
-    carry.  Returns overall agreement plus human-readable findings; a
-    budget that runs out raises :class:`BudgetExhausted`.
+    exit-code/verdict correspondence, every embedded certificate (each
+    under one budget of ``budget_limit`` steps), that each pass carries the
+    certificate kind its command needs, and that each pass report's rank,
+    degree or bound is the one its certificates carry.  Returns overall
+    agreement plus human-readable findings; a budget that runs out raises
+    :class:`BudgetExhausted`.
     """
     messages: list[str] = []
     ok = _structural(payload, messages)
@@ -441,7 +467,8 @@ def recheck_envelope(
             except _MALFORMED as err:
                 messages.append(f"{where}: certificate could not be rebuilt: {err}")
                 ok = False
-        if verdict == "pass" and not _claims_hold(data, certificates, messages, where):
+        command = report.get("command")
+        if verdict == "pass" and not _claims_hold(command, data, certificates, messages, where):
             ok = False
     if "exit_code" in payload and codes and payload["exit_code"] != max(codes):
         messages.append("envelope exit code does not match its reports")

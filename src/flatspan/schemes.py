@@ -52,11 +52,7 @@ def product(left: AffineScheme, right: AffineScheme) -> AffineScheme:
     clash = set(left.ring.names) & set(right.ring.names)
     if clash:
         raise ValueError(f"product factors share variable names {sorted(clash)}")
-    ring = PolynomialRing(
-        left.field,
-        left.ring.names + right.ring.names,
-        left.ring.inverted | right.ring.inverted,
-    )
+    ring = left.ring.extend(right.ring.names, right.ring.inverted)
     rels = tuple(r.map_ring(ring) for r in left.relations) + tuple(
         r.map_ring(ring) for r in right.relations
     )

@@ -23,16 +23,15 @@ from itertools import product as iproduct
 from .budget import Budget
 from .groebner import eliminate, groebner_basis, normal_form, spolynomial_pairs_reduce
 from .modules import (
-    ModuleAnalysis,
     PresentationError,
     analyze_module,
     classify_leads,
-    fiber_order,
     fitting_ideal,
     module_presentation,
     multiplication_matrix_from,
     staircase_labels,
 )
+from .orders import fiber_order
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
 from .schemes import AffineScheme
 from .schemes import product as scheme_product
@@ -275,20 +274,15 @@ def _merge_rings(
     rename: dict[str, str] = {}
     taken = list(left.names)
     for name in right.names:
-        if name in rename:
-            continue
+        if name.endswith("_inv") and name.removesuffix("_inv") in right.inverted:
+            continue  # renamed with its stem
         if name in right.inverted:
-            partner = companion_name(name)
-            stem = _fresh_pair(name, taken + list(rename.values()))
-            rename[name] = stem
-            rename[partner] = companion_name(stem)
-            taken.extend([stem, companion_name(stem)])
-        elif name.endswith("_inv") and name.removesuffix("_inv") in right.inverted:
-            continue  # handled with its partner
+            stem = _fresh_pair(name, taken)
+            rename[name], rename[companion_name(name)] = stem, companion_name(stem)
+            taken += [stem, companion_name(stem)]
         else:
-            fresh = name if name not in taken else fresh_name(name, taken + list(rename.values()))
-            rename[name] = fresh
-            taken.append(fresh)
+            rename[name] = fresh_name(name, taken)
+            taken.append(rename[name])
     merged_names = left.names + tuple(rename[n] for n in right.names)
     merged_inverted = left.inverted | frozenset(rename[v] for v in right.inverted)
     return PolynomialRing(left.field, merged_names, merged_inverted), rename
@@ -448,23 +442,6 @@ class CertifyOutcome:
         return self.status == "certified"
 
 
-def _piece_module(
-    piece: SpanPiece, base: AffineScheme, budget: Budget | None
-) -> tuple[PolynomialRing, int, ModuleAnalysis]:
-    """Combined-ring module analysis of a piece over the span's source."""
-    combined = _combined_ring(piece, base.ring)
-    split = len(piece.ring.names)
-    analysis = analyze_module(
-        combined,
-        split,
-        _combined_relations(piece, base, combined),
-        base.ring,
-        list(base.relations),
-        budget=budget,
-    )
-    return combined, split, analysis
-
-
 def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> CertifyOutcome:
     """Certify the middle finite locally free over the source, piecewise.
 
@@ -474,8 +451,14 @@ def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> C
     """
     certs = []
     total = 0
+    base = corr.source
     for index, piece in enumerate(corr.pieces):
-        combined, split, analysis = _piece_module(piece, corr.source, budget)
+        combined = _combined_ring(piece, base.ring)
+        split = len(piece.ring.names)
+        relations = _combined_relations(piece, base, combined)
+        analysis = analyze_module(
+            combined, split, relations, base.ring, list(base.relations), budget=budget
+        )
         if analysis.status in ("zero", "free"):
             pres = module_presentation(analysis)
             rank = analysis.rank
@@ -645,14 +628,10 @@ def _fiber_rename(piece: SpanPiece, combined: PolynomialRing) -> dict[str, str]:
 
 
 def _combined_ring(piece: SpanPiece, base_ring: PolynomialRing) -> PolynomialRing:
-    """The piece's variables, renamed apart from ``base_ring`` as
-    :func:`_merge_rings` does, followed by the base variables."""
-    _, rename = _merge_rings(base_ring, piece.ring)
-    return PolynomialRing(
-        base_ring.field,
-        tuple(rename[v] for v in piece.ring.names) + base_ring.names,
-        frozenset(rename[v] for v in piece.ring.inverted) | base_ring.inverted,
-    )
+    """The ring :func:`_merge_rings` builds from ``base_ring`` and the
+    piece's, with the piece's (renamed) variables moved to the front."""
+    merged, rename = _merge_rings(base_ring, piece.ring)
+    return merged.leading(rename[v] for v in piece.ring.names)
 
 
 def _combined_relations(

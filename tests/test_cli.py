@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -113,6 +114,29 @@ def test_recheck_agrees_with_every_stored_report(capsys, tmp_path, name):
     assert "agree" in text
 
 
+# per shipped workspace: the exit code of ``run --format structured`` and the
+# sha256 of its envelope, indented as written, with every timing_ms set to 0.
+# A change that means to alter envelope bytes updates these and says so.
+SHIPPED_ENVELOPES = {
+    "cancel-families": (0, "8677d15e3a3e61c3ce2302cb0170cdca51ca5c9cf73af4617a3e0484fb29bd4f"),
+    "contraction-basics": (0, "59e4296411eeca1d093cc8c9f9338d7dd82711e6ecd913148a213abcddce1a08"),
+    "failing-checks": (1, "889d58e75da421613675af71d0900bdbfdd7527f07b750e3abfa9bc19cc8c4d4"),
+    "level3-verifier": (0, "8f297ed3ea8d21a68b12d5e0634ccf45acf054bfcd02139d2ed768f1d508c1be"),
+    "mod5-cuts": (0, "009f4524d9eecfa487f1a07ed0ecab92232e31189f0b87452f17cc4ae10a56e4"),
+    "span-algebra": (0, "356577a8bb09a5042b789301f373442254bbfaa290be93451dd1fcec30894afe"),
+    "valuation-bounds": (0, "ddeb9c23e7ba41509db0d7507e8dd154c6d4a82f76f70166c9efe16848befe7a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in WORKSPACES.glob("*.fsw")))
+def test_shipped_envelopes_are_pinned(capsys, tmp_path, name):
+    code, payload, _ = structured(capsys, tmp_path, name)
+    for report in payload["reports"]:
+        report["timing_ms"] = 0
+    digest = hashlib.sha256(json.dumps(payload, indent=2).encode("utf-8")).hexdigest()
+    assert (code, digest) == SHIPPED_ENVELOPES[name]
+
+
 def test_recheck_catches_a_tampered_certificate(capsys, tmp_path):
     _, payload, out = structured(capsys, tmp_path, "valuation-bounds")
     for report in payload["reports"]:
@@ -162,6 +186,52 @@ def test_recheck_ties_each_claim_to_its_certificates(capsys, tmp_path, name, che
     code, text, _ = run_cli(capsys, "run", workspace(name), "--recheck", str(out))
     assert code == 1
     assert f"{check}: claims " in text and "agree" not in text
+
+
+def _flip_to_pass(payload):
+    for report in payload["reports"]:
+        assert report["verdict"] == "fail"
+        report["verdict"], report["exit_code"] = "pass", 0
+    payload["exit_code"] = 0
+
+
+def _drop_filtration_bounds(payload):
+    [report] = [r for r in payload["reports"] if r["command"] == "filtration"]
+    assert report["verdict"] == "pass" and "bound" not in report["data"]
+    report["certificates"].clear()
+
+
+@pytest.mark.parametrize(
+    "name, tamper, findings",
+    [
+        (
+            "failing-checks",
+            _flip_to_pass,
+            [
+                "f1: a certify pass carries no finite-flat certificate",
+                "f2: a degree pass carries no finite-flat certificate",
+            ],
+        ),
+        (
+            "cancel-families",
+            _drop_filtration_bounds,
+            ["ix: a filtration pass carries no valuation-bound certificate"],
+        ),
+    ],
+    ids=["flipped-fails", "filtration-without-bounds"],
+)
+def test_recheck_demands_the_certificate_a_pass_of_its_command_makes(
+    capsys, tmp_path, name, tamper, findings
+):
+    """Each tamper claims a pass whose data restates no rank, degree or
+    bound, and leaves it without the certificate its command makes."""
+    _, payload, out = structured(capsys, tmp_path, name)
+    tamper(payload)
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, _ = run_cli(capsys, "run", workspace(name), "--recheck", str(out))
+    assert code == 1 and "agree" not in text
+    for finding in findings:
+        assert finding in text
 
 
 COMPAT_DOC = """workspace compat

@@ -56,6 +56,16 @@ def test_constant_collapse():
     assert (x + x).is_zero()
 
 
+def test_leading_moves_names_to_the_front_and_keeps_the_rest():
+    R = ring_qq("a", "t", "t_inv", "b", inverted=["t"])
+    moved = R.leading(["b", "t_inv"])
+    assert moved.names == ("b", "t_inv", "a", "t")
+    assert moved.inverted == R.inverted and moved.field == R.field
+    assert R.leading([]) == R
+    with pytest.raises(RingMismatch):
+        R.leading(["z"])
+
+
 def test_ring_mismatch_rejected():
     a = ring_qq("x").var("x")
     b = ring_qq("y").var("y")

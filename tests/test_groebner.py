@@ -104,7 +104,9 @@ def test_eliminate_projection_frozen():
 
 def test_eliminate_empty_drop_is_groebner():
     gens = [P("x*y"), P("x^2 + y^2")]
-    assert eliminate(gens, []) == groebner_basis(gens)
+    eliminated, direct = Budget(), Budget()
+    assert eliminate(gens, [], eliminated) == groebner_basis(gens, budget=direct)
+    assert eliminated.used == direct.used > 0
 
 
 def test_saturate_strips_supported_component():

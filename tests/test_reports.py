@@ -85,6 +85,27 @@ def test_finite_flat_block_rechecks_green():
     assert ok, messages
 
 
+def test_recheck_without_a_limit_gives_each_block_one_budget(monkeypatch):
+    import flatspan.reports as reports
+    from flatspan.budget import DEFAULT_STEPS, Budget
+
+    seen = []
+
+    def recording(corr, outcome, budget=None):
+        seen.append(budget)
+        return True
+
+    monkeypatch.setattr(reports, "recheck_certificate", recording)
+    alpha = square_pair()
+    block = finite_flat_block(alpha, certify_finite_flat(alpha))
+    report = Report("c", "certify", ("a",), {"rank": 2}, "pass", certificates=[block])
+    payload = json.loads(json.dumps(envelope_json([report], input_digest("x"))))
+    ok, messages = recheck_envelope(payload)
+    assert ok, messages
+    [budget] = seen
+    assert isinstance(budget, Budget) and budget.limit == DEFAULT_STEPS
+
+
 def test_tampered_basis_is_caught_by_recheck():
     alpha = square_pair()
     outcome = certify_finite_flat(alpha)
@@ -117,8 +138,9 @@ def test_bound_block_roundtrips_and_rechecks():
     f = parse_polynomial("t*t_inv^2", ident.pieces[0].ring)
     rep = flatness_bound(ident, f)
     assert rep.n_bound == 1
-    report = Report("b", "bound", ("a",), {"f": "t*t_inv^2"}, "pass",
-                    certificates=[bound_block(rep)])
+    # a bound pass carries the finite-flat certificate its bound is read from
+    blocks = [finite_flat_block(ident, certify_finite_flat(ident)), bound_block(rep)]
+    report = Report("b", "bound", ("a",), {"f": "t*t_inv^2"}, "pass", certificates=blocks)
     payload = json.loads(json.dumps(envelope_json([report], input_digest("x"))))
     ok, messages = recheck_envelope(payload)
     assert ok, messages

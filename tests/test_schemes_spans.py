@@ -284,6 +284,17 @@ def test_external_tensor_multiplies_degrees():
     assert degree(both) == 6
 
 
+def test_merge_rings_renames_a_companion_listed_before_its_stem():
+    from flatspan.spans import _merge_rings
+
+    left = PolynomialRing(QQ, ("t", "t_inv", "x", "w", "w2"), frozenset(["t"]))
+    right = PolynomialRing(QQ, ("t_inv", "x", "t"), frozenset(["t"]))
+    merged, rename = _merge_rings(left, right)
+    assert rename == {"t_inv": "t2_inv", "x": "x2", "t": "t2"}
+    assert merged.names == left.names + ("t2_inv", "x2", "t2")
+    assert merged.inverted == frozenset(["t", "t2"])
+
+
 # ---------------------------------------------------------------------------
 # equality semantics
 
@@ -469,7 +480,8 @@ def test_recheck_rejects_a_mixed_lead():
     and base (y is x-torsion), so certification is inconclusive.  A forged
     rank-2 certificate on the staircase {1, y} recomputes its matrices."""
     from flatspan.groebner import groebner_basis
-    from flatspan.modules import fiber_order, multiplication_matrix_from
+    from flatspan.modules import multiplication_matrix_from
+    from flatspan.orders import fiber_order
     from flatspan.spans import CertifyOutcome, PieceCertificate
 
     line = affine_line(QQ, "x")
