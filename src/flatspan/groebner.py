@@ -6,13 +6,24 @@ S-pair schedule; two schedules ("normal" = minimal lcm first, "fifo" =
 oldest first) are provided so that independence can be tested rather than
 assumed.
 
-Pending S-pairs sit in one heap; a schedule is only the key a pair gets
-when it is created, ending in the pair's indices ``(j, i)`` with ``i < j``.
-"normal" prefixes the order key of the pair's lcm.  "fifo" uses ``(j, i)``
-alone: pairs are created in increasing ``(j, i)`` order, so the smallest
-key is always the oldest pending pair.  Because every key ends in the
-unique ``(j, i)``, ties never reach heap internals and the pop order, and
-with it every step count, is fixed by the input.
+Every basis element is kept monic: each remainder the completion appends
+is scaled by the inverse of its lead coefficient once, when it is added.
+An S-polynomial depends only on ``f/lc(f)`` and ``g/lc(g)``, and dividing
+by ``g`` or by ``g/lc(g)`` subtracts the same quotient term
+``c * x^shift * g/lc(g)``, so the S-polynomials, remainders, cancellations
+and budget charges are those of a non-monic basis; only the coefficient
+work moves out of the loop.  S-polynomials are built from exponent shifts
+alone, and a reduction step's quotient coefficient is the cancelled
+coefficient itself: no inversion or division happens per step.
+
+Pending S-pairs sit in one heap as records ``(*rank, j, i, lcm)`` with
+``i < j``; the pair's lcm is computed once, when it is pushed.  A schedule
+is only the ``rank`` a pair gets then.  "normal" ranks by the order key of
+the lcm.  "fifo" ranks by nothing, so ``(j, i)`` decides: pairs are created
+in increasing ``(j, i)`` order, so the smallest key is always the oldest
+pending pair.  Because ``(j, i)`` is unique, the lcm is never compared,
+ties never reach heap internals and the pop order, and with it every step
+count, is fixed by the input.
 
 Division never rescans the working polynomial: its monomials sit in a
 heap keyed by the order's ``heap_key``, so the next lead is one pop.  A
@@ -29,6 +40,7 @@ the public entry points speak :class:`~flatspan.poly.Polynomial`.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .budget import Budget
@@ -38,40 +50,51 @@ from .poly import Polynomial, fresh_name
 Terms = dict
 
 
-def _lead(d: Terms, order: MonomialOrder) -> tuple[int, ...]:
-    return max(d, key=order.key)
+def _monic(field, d: Terms) -> Terms:
+    """``d`` scaled by the inverse of its first coefficient, which is its
+    lead's when ``d`` is lead-first; ``d`` itself when that is already 1."""
+    lc = next(iter(d.values()))
+    if lc == field.one:
+        return d
+    inv = field.inv(lc)
+    mul = field.mul
+    return {e: mul(c, inv) for e, c in d.items()}
 
 
-def _mul_monomial(field, d: Terms, exp: tuple[int, ...], coeff) -> Terms:
-    return {exp_add(e, exp): field.mul(c, coeff) for e, c in d.items()}
-
-
-def _sub_inplace(field, a: Terms, b: Terms):
-    for e, c in b.items():
-        s = field.sub(a.get(e, field.zero), c)
-        if s == field.zero:
-            a.pop(e, None)
-        else:
-            a[e] = s
+def _monic_divisors(
+    field, polys: Sequence[Polynomial], order: MonomialOrder
+) -> list[tuple[tuple[int, ...], Terms]]:
+    """``(lead, monic lead-first terms)`` of each (nonzero) polynomial, the
+    form :func:`_reduce_full` and :func:`_spoly` take."""
+    out = []
+    for g in polys:
+        d = g.terms()
+        lm = g.leading_exponent(order)
+        if next(iter(d)) != lm:
+            d = {lm: d[lm], **d}
+        out.append((lm, _monic(field, d)))
+    return out
 
 
 def _reduce_full(
     field, work: Terms, basis: Sequence[tuple[tuple[int, ...], Terms]], order: MonomialOrder, budget: Budget
 ) -> Terms:
-    """Full (head and tail) reduction; deterministic.
+    """Full (head and tail) reduction by a monic basis; deterministic.
 
-    The largest monomial is reduced against the first basis element whose
+    Each basis entry is ``(lead, g)`` with ``g`` monic and lead-first.  The
+    largest monomial is reduced against the first basis element whose
     leading monomial divides it; irreducible terms migrate to the result.
     Leads come off a heap of ``(order.heap_key(e), e)`` with lazy deletion
-    (see the module docstring), and ``ratio * x^shift * g`` is subtracted
-    straight into ``work``, skipping ``g``'s lead, which cancels exactly.
-    The result's keys are in descending order, so its lead is its first key.
+    (see the module docstring).  The quotient coefficient is the popped
+    coefficient ``c`` itself, and ``c * x^shift * g`` is subtracted straight
+    into ``work``, skipping ``g``'s lead, which cancels exactly.  The
+    result's keys are in descending order, so its lead is its first key.
     """
     work = dict(work)
     hkey = order.heap_key
     heap = [(hkey(e), e) for e in work]
     heapify(heap)
-    sub, mul, neg, zero = field.sub, field.mul, field.neg, field.zero
+    add, mul, neg = field.add, field.mul, field.neg
     out: Terms = {}
     while heap:
         lead = heappop(heap)[1]
@@ -81,40 +104,53 @@ def _reduce_full(
         for lm, g in basis:
             if exp_divides(lm, lead):
                 budget.spend(1, "polynomial reduction")
-                ratio = field.div(c, g[lm])
+                nc = neg(c)
                 shift = exp_sub(lead, lm)
-                for e, gc in g.items():
-                    if e == lm:
-                        continue
+                for e, gc in islice(g.items(), 1, None):
                     m = exp_add(e, shift)
                     old = work.get(m)
                     if old is None:
-                        work[m] = neg(mul(gc, ratio))
+                        work[m] = mul(gc, nc)
                         heappush(heap, (hkey(m), m))
                     else:
-                        s = sub(old, mul(gc, ratio))
-                        if s == zero:
-                            del work[m]
-                        else:
+                        s = add(old, mul(gc, nc))
+                        if s:
                             work[m] = s
+                        else:
+                            del work[m]
                 break
         else:
             out[lead] = c
     return out
 
 
-def _spoly(field, f: Terms, lf: tuple[int, ...], g: Terms, lg: tuple[int, ...]) -> Terms:
-    lcm = exp_lcm(lf, lg)
-    a = _mul_monomial(field, f, exp_sub(lcm, lf), field.inv(f[lf]))
-    b = _mul_monomial(field, g, exp_sub(lcm, lg), field.inv(g[lg]))
-    _sub_inplace(field, a, b)
-    return a
+def _spoly(
+    field, f: Terms, lf: tuple[int, ...], g: Terms, lg: tuple[int, ...], lcm: tuple[int, ...]
+) -> Terms:
+    """``x^u*f - x^v*g`` where ``x^u*lf = x^v*lg = lcm``, for monic
+    lead-first ``f`` and ``g``: the leads cancel exactly and are skipped,
+    and every other term is only shifted."""
+    u, v = exp_sub(lcm, lf), exp_sub(lcm, lg)
+    s = {exp_add(e, u): c for e, c in islice(f.items(), 1, None)}
+    sub, neg = field.sub, field.neg
+    for e, c in islice(g.items(), 1, None):
+        m = exp_add(e, v)
+        old = s.get(m)
+        if old is None:
+            s[m] = neg(c)
+        else:
+            d = sub(old, c)
+            if d:
+                s[m] = d
+            else:
+                del s[m]
+    return s
 
 
-# Schedule name -> the part of a pair's heap key in front of ``(j, i)``.
+# Schedule name -> the part of a pair's heap key in front of ``(j, i, lcm)``.
 _SCHEDULES = {
-    "normal": lambda order, a, b: (order.key(exp_lcm(a, b)),),
-    "fifo": lambda order, a, b: (),
+    "normal": lambda order, lcm: (order.key(lcm),),
+    "fifo": lambda order, lcm: (),
 }
 
 
@@ -125,83 +161,80 @@ def _buchberger_dicts(
     budget: Budget,
     strategy: str,
 ) -> list[Terms]:
-    basis: list[Terms] = []
+    table: list[tuple[tuple[int, ...], Terms]] = []  # (lead, monic lead-first element)
     lms: list[tuple[int, ...]] = []
     for g in gens:
         if not g:
             continue
-        r = _reduce_full(field, g, list(zip(lms, basis)), order, budget)
+        r = _reduce_full(field, g, table, order, budget)
         if r:
-            basis.append(r)
             lms.append(next(iter(r)))
+            table.append((lms[-1], _monic(field, r)))
 
     rank = _SCHEDULES[strategy]
     queue: list[tuple] = []
 
     def push(j: int):
+        lj = lms[j]
         for i in range(j):
-            heappush(queue, (*rank(order, lms[i], lms[j]), j, i))
+            lcm = exp_lcm(lms[i], lj)
+            heappush(queue, (*rank(order, lcm), j, i, lcm))
 
-    for j in range(len(basis)):
+    for j in range(len(table)):
         push(j)
-    done: set[frozenset[int]] = set()
+    done: set[tuple[int, int]] = set()  # popped pairs (i, j), i < j
 
     while queue:
-        *_, j, i = heappop(queue)
-        done.add(frozenset((i, j)))
-        lcm = exp_lcm(lms[i], lms[j])
+        *_, j, i, lcm = heappop(queue)
+        done.add((i, j))
         if exp_coprime(lms[i], lms[j]):
             continue  # product criterion
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        for k, lk in enumerate(lms):
+            if k == i or k == j or not exp_divides(lk, lcm):
                 continue
-            if (
-                exp_divides(lms[k], lcm)
-                and frozenset((i, k)) in done
-                and frozenset((j, k)) in done
-            ):
+            if ((k, i) if k < i else (i, k)) in done and ((k, j) if k < j else (j, k)) in done:
                 skip = True  # chain criterion
                 break
         if skip:
             continue
         budget.spend(1, "S-pair formation")
-        s = _spoly(field, basis[i], lms[i], basis[j], lms[j])
-        r = _reduce_full(field, s, list(zip(lms, basis)), order, budget)
+        s = _spoly(field, table[i][1], lms[i], table[j][1], lms[j], lcm)
+        r = _reduce_full(field, s, table, order, budget)
         if r:
-            basis.append(r)
             lms.append(next(iter(r)))
-            push(len(basis) - 1)
-    return _reduce_basis(field, basis, order, budget)
+            table.append((lms[-1], _monic(field, r)))
+            push(len(table) - 1)
+    return _reduce_basis(field, table, order, budget)
 
 
-def _reduce_basis(field, basis: list[Terms], order: MonomialOrder, budget: Budget) -> list[Terms]:
+def _reduce_basis(
+    field, table: list[tuple[tuple[int, ...], Terms]], order: MonomialOrder, budget: Budget
+) -> list[Terms]:
     """Minimal, fully tail-reduced, monic, canonically sorted basis.
 
-    Every element of ``basis`` is a :func:`_reduce_full` result, so its
-    lead is its first key."""
-    lms = [next(iter(g)) for g in basis]
+    Every element of ``table`` is monic and lead-first.  A kept element's
+    lead is divisible by no other kept lead, so reduction leaves it, and its
+    coefficient 1, in front."""
     alive = []
-    for i in range(len(basis)):
-        lm = lms[i]
-        redundant = False
-        for j in range(len(basis)):
-            if i == j:
-                continue
-            if exp_divides(lms[j], lm) and (lms[j] != lm or j < i):
-                redundant = True
-                break
-        if not redundant:
+    for i, (lm, _) in enumerate(table):
+        if not any(
+            exp_divides(lj, lm) and (lj != lm or j < i) for j, (lj, _) in enumerate(table) if j != i
+        ):
             alive.append(i)
-    reduced: list[Terms] = []
-    for i in alive:
-        others = [(lms[j], basis[j]) for j in alive if j != i]
-        r = _reduce_full(field, basis[i], others, order, budget)
-        if r:
-            inv = field.inv(next(iter(r.values())))
-            reduced.append({e: field.mul(c, inv) for e, c in r.items()})
+    reduced = [
+        _reduce_full(field, table[i][1], [table[j] for j in alive if j != i], order, budget) for i in alive
+    ]
     reduced.sort(key=lambda g: order.key(next(iter(g))))
     return reduced
+
+
+def _order_for(ring, order: MonomialOrder | None) -> MonomialOrder:
+    """``order``, or GrevLex by default, checked against the ring's arity."""
+    order = order or GrevLex(ring.nvars)
+    if order.nvars != ring.nvars:
+        raise ValueError("order arity does not match ring")
+    return order
 
 
 # -- public API --------------------------------------------------------
@@ -224,9 +257,7 @@ def groebner_basis(
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
-    order = order or GrevLex(ring.nvars)
-    if order.nvars != ring.nvars:
-        raise ValueError("order arity does not match ring")
+    order = _order_for(ring, order)
     budget = budget or Budget()
     out = _buchberger_dicts(ring.field, [g.terms() for g in gens], order, budget, strategy)
     return [Polynomial(ring, d) for d in out]
@@ -239,19 +270,18 @@ def normal_form(
     budget: Budget | None = None,
 ) -> Polynomial:
     """Remainder of full division by ``basis`` (unique when basis is a
-    Groebner basis for the order)."""
+    Groebner basis for the order).  Any basis is accepted: each divisor is
+    scaled monic once, which leaves every quotient term, and so the
+    remainder and the steps charged, unchanged."""
     ring = p.ring
-    order = order or GrevLex(ring.nvars)
+    order = _order_for(ring, order)
     budget = budget or Budget()
-    pairs = []
-    for g in basis:
-        if g.is_zero():
-            continue
+    divisors = [g for g in basis if not g.is_zero()]
+    for g in divisors:
         if g.ring != ring:
             raise ValueError("basis element in a different ring")
-        d = g.terms()
-        pairs.append((_lead(d, order), d))
-    return Polynomial(ring, _reduce_full(ring.field, p.terms(), pairs, order, budget))
+    table = _monic_divisors(ring.field, divisors, order)
+    return Polynomial(ring, _reduce_full(ring.field, p.terms(), table, order, budget))
 
 
 def spolynomial_pairs_reduce(
@@ -261,22 +291,22 @@ def spolynomial_pairs_reduce(
 ) -> bool:
     """Buchberger criterion: does every S-polynomial of ``basis`` reduce to
     zero against it?  Used to recheck a stored basis without rerunning the
-    completion."""
+    completion.  Any basis is accepted; it is scaled monic once."""
     polys = [g for g in basis if not g.is_zero()]
     if not polys:
         return True
     ring = polys[0].ring
-    order = order or GrevLex(ring.nvars)
+    field = ring.field
+    order = _order_for(ring, order)
     budget = budget or Budget()
-    dicts = [g.terms() for g in polys]
-    lms = [_lead(d, order) for d in dicts]
-    table = list(zip(lms, dicts))
-    for j in range(len(dicts)):
+    table = _monic_divisors(field, polys, order)
+    for j, (lj, gj) in enumerate(table):
         for i in range(j):
-            if exp_coprime(lms[i], lms[j]):
+            li, gi = table[i]
+            if exp_coprime(li, lj):
                 continue
-            s = _spoly(ring.field, dicts[i], lms[i], dicts[j], lms[j])
-            if _reduce_full(ring.field, s, table, order, budget):
+            s = _spoly(field, gi, li, gj, lj, exp_lcm(li, lj))
+            if _reduce_full(field, s, table, order, budget):
                 return False
     return True
 

@@ -50,7 +50,7 @@ class GrevLex(MonomialOrder):
     nvars: int
 
     def key(self, exp):
-        return (sum(exp), tuple(-e for e in reversed(exp)))
+        return (sum(exp), tuple(map(neg, exp[::-1])))
 
     def heap_key(self, exp):
         return (-sum(exp), exp[::-1])
@@ -73,9 +73,9 @@ class Block(MonomialOrder):
         head, tail = exp[: self.split], exp[self.split :]
         return (
             sum(head),
-            tuple(-e for e in reversed(head)),
+            tuple(map(neg, head[::-1])),
             sum(tail),
-            tuple(-e for e in reversed(tail)),
+            tuple(map(neg, tail[::-1])),
         )
 
     def heap_key(self, exp):
@@ -95,7 +95,7 @@ def exp_divides(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def exp_lcm(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -107,4 +107,6 @@ def exp_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 
 def exp_coprime(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    """Whether monomials a and b share no variable (exponents are
+    non-negative, so no position has a nonzero minimum)."""
+    return not any(map(min, a, b))

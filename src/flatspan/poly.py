@@ -72,7 +72,7 @@ class PolynomialRing:
 
     def const(self, c) -> Polynomial:
         cv = self.field.from_int(c) if isinstance(c, int) else c
-        if cv == self.field.zero:
+        if not cv:
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * self.nvars: cv})
 
@@ -125,9 +125,8 @@ class Polynomial:
     def __init__(self, ring: PolynomialRing, terms: Mapping[tuple[int, ...], object]):
         self.ring = ring
         clean = {}
-        zero = ring.field.zero
         for exp, c in terms.items():
-            if c == zero:
+            if not c:
                 continue
             for e in exp:
                 if e < 0:
@@ -185,7 +184,7 @@ class Polynomial:
         out = dict(self._terms)
         for exp, c in other._terms.items():
             s = f.add(out.get(exp, f.zero), c)
-            if s == f.zero:
+            if not s:
                 out.pop(exp, None)
             else:
                 out[exp] = s
@@ -209,7 +208,7 @@ class Polynomial:
                     if x > MAX_EXPONENT:
                         raise ExponentOverflow(f"exponent {x} exceeds {MAX_EXPONENT}")
                 s = f.add(out.get(e, f.zero), f.mul(c1, c2))
-                if s == f.zero:
+                if not s:
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -232,7 +231,7 @@ class Polynomial:
     def scale(self, c) -> Polynomial:
         f = self.ring.field
         cv = f.from_int(c) if isinstance(c, int) else c
-        if cv == f.zero:
+        if not cv:
             return self.ring.zero()
         return Polynomial(self.ring, {e: f.mul(v, cv) for e, v in self._terms.items()})
 
@@ -271,7 +270,7 @@ class Polynomial:
                 e[pos[i]] = k
             key = tuple(e)
             s = f.add(out.get(key, f.zero), c)
-            if s == f.zero:
+            if not s:
                 out.pop(key, None)
             else:
                 out[key] = s
@@ -306,7 +305,7 @@ class Polynomial:
                     term = term * var_power(i, k)
             for e, tc in term._terms.items():
                 s = f.add(total.get(e, f.zero), tc)
-                if s == f.zero:
+                if not s:
                     total.pop(e, None)
                 else:
                     total[e] = s

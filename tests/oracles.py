@@ -7,8 +7,10 @@ reduction loop.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from flatspan.budget import Budget
-from flatspan.orders import MonomialOrder, exp_add, exp_divides, exp_lcm, exp_sub
+from flatspan.orders import MonomialOrder, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub
 from flatspan.poly import Polynomial
 
 
@@ -102,3 +104,70 @@ def rescanning_reduce(p: Polynomial, divisors: list[Polynomial], order: Monomial
             del work[lead]
             out[lead] = c
     return Polynomial(p.ring, out)
+
+
+def unnormalized_buchberger(
+    gens: list[Polynomial], order: MonomialOrder, budget: Budget, strategy: str
+) -> list[Polynomial]:
+    """Reduced Groebner basis by Buchberger's loop on a basis that is made
+    monic only at the end; the reference for the engine's pair loop.
+
+    Pairs ``(j, i)`` are ranked by the lcm's order key ("normal") or by
+    nothing ("fifo"), the lcm is recomputed at every pop and popped pairs
+    are kept as frozensets.  A pair passing the product and chain criteria
+    costs one "S-pair formation" step, and its :func:`naive_spoly` is
+    divided by :func:`rescanning_reduce` against the (non-monic) basis.
+    Interreduction drops elements whose lead another lead divides (the
+    later of two equal leads), reduces each survivor by the others and
+    scales it monic.
+    """
+    basis: list[Polynomial] = []
+    lms: list[tuple[int, ...]] = []
+
+    def adjoin(r: Polynomial) -> bool:
+        if r.is_zero():
+            return False
+        basis.append(r)
+        lms.append(r.leading_exponent(order))
+        return True
+
+    for g in gens:
+        adjoin(rescanning_reduce(g, basis, order, budget))
+    queue: list[tuple] = []
+
+    def push(j: int):
+        for i in range(j):
+            rank = (order.key(exp_lcm(lms[i], lms[j])),) if strategy == "normal" else ()
+            heappush(queue, (*rank, j, i))
+
+    for j in range(len(basis)):
+        push(j)
+    done: set[frozenset[int]] = set()
+    while queue:
+        *_, j, i = heappop(queue)
+        done.add(frozenset((i, j)))
+        lcm = exp_lcm(lms[i], lms[j])
+        if exp_coprime(lms[i], lms[j]):
+            continue
+        if any(
+            k not in (i, j)
+            and exp_divides(lms[k], lcm)
+            and frozenset((i, k)) in done
+            and frozenset((j, k)) in done
+            for k in range(len(basis))
+        ):
+            continue
+        budget.spend(1, "S-pair formation")
+        if adjoin(rescanning_reduce(naive_spoly(basis[i], basis[j], order), basis, order, budget)):
+            push(len(basis) - 1)
+    alive = [
+        i
+        for i, lm in enumerate(lms)
+        if not any(j != i and exp_divides(lj, lm) and (lj != lm or j < i) for j, lj in enumerate(lms))
+    ]
+    out = []
+    for i in alive:
+        r = rescanning_reduce(basis[i], [basis[j] for j in alive if j != i], order, budget)
+        out.append(r.scale(r.ring.field.inv(r.terms()[lms[i]])))
+    out.sort(key=lambda g: order.key(g.leading_exponent(order)))
+    return out

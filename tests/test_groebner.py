@@ -15,11 +15,12 @@ from flatspan.groebner import (
     modular_inverse,
     normal_form,
     saturate,
+    spolynomial_pairs_reduce,
 )
 from flatspan.orders import Block, GrevLex, Lex
 from flatspan.poly import Polynomial, PolynomialRing
 
-from oracles import is_groebner_oracle, naive_divide, rescanning_reduce
+from oracles import is_groebner_oracle, naive_divide, rescanning_reduce, unnormalized_buchberger
 
 Rxy = PolynomialRing(QQ, ("x", "y"))
 
@@ -257,11 +258,56 @@ def test_normal_form_matches_the_rescanning_division(data, field, order):
     else:  # a reduced basis of a small ideal, kept small so Lex stays fast
         gens = [_drawn_poly(data, ring, 3, top=2) for _ in range(data.draw(st.integers(1, 2)))]
         basis = groebner_basis(gens, order)
+    divisors = basis
+    if data.draw(st.booleans()):  # divisors with any lead coefficient
+        divisors = [g.scale(field.from_int(data.draw(st.sampled_from([2, 3, -1, -2])))) for g in basis]
     limit = data.draw(st.sampled_from([10**6, 1, 2, 3, 5, 8]))
     ours, theirs = Budget(limit), Budget(limit)
-    got = _reduce_or_exhaust(lambda b: normal_form(p, basis, order, b), ours)
-    want = _reduce_or_exhaust(lambda b: rescanning_reduce(p, basis, order, b), theirs)
+    got = _reduce_or_exhaust(lambda b: normal_form(p, divisors, order, b), ours)
+    want = _reduce_or_exhaust(lambda b: rescanning_reduce(p, divisors, order, b), theirs)
     assert got == want  # a remainder, or the phase that ran out
     if isinstance(want, Polynomial):
         assert list(got.terms()) == list(want.terms())
     assert ours.used == theirs.used
+    # the S-pair check reads only the divisors up to scaling
+    plain, scaled = Budget(limit), Budget(limit)
+    verdict = _reduce_or_exhaust(lambda b: spolynomial_pairs_reduce(basis, order, b), plain)
+    assert _reduce_or_exhaust(lambda b: spolynomial_pairs_reduce(divisors, order, b), scaled) == verdict
+    assert plain.used == scaled.used
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([QQ, GF(5)]),
+    st.sampled_from([Lex(3), GrevLex(3), Block(3, 1), Block(3, 2)]),
+    st.sampled_from(["normal", "fifo"]),
+)
+def test_buchberger_matches_the_unnormalized_kernel(data, field, order, strategy):
+    # The engine keeps its basis monic and carries each pair's lcm; the
+    # oracle runs the pair loop on the basis as reduced and divides by any
+    # lead.  Same basis and term order, same steps, same phase run out in.
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    gens = [_drawn_poly(data, ring, 3, top=2) for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        # a unit last: its pairs are coprime and pop first under "normal",
+        # and its lead divides every lcm, so the chain criterion reads
+        # exactly the pairs the product criterion retired
+        gens.append(ring.one())
+    limit = data.draw(st.sampled_from([10**6, 1, 2, 3, 5, 8, 13]))
+    ours, theirs = Budget(limit), Budget(limit)
+    got = _reduce_or_exhaust(lambda b: groebner_basis(gens, order, b, strategy), ours)
+    want = _reduce_or_exhaust(lambda b: unnormalized_buchberger(gens, order, b, strategy), theirs)
+    assert got == want  # a basis, or the phase that ran out
+    if isinstance(want, list):
+        assert [list(g.terms()) for g in got] == [list(g.terms()) for g in want]
+    assert ours.used == theirs.used
+
+
+def test_division_entry_points_reject_an_order_of_another_arity():
+    ring = PolynomialRing(QQ, ("x", "y", "z"))
+    basis = groebner_basis([P("x^2 - y", ring), P("y*z - 1", ring)])
+    with pytest.raises(ValueError, match="order arity does not match ring"):
+        normal_form(P("x^3", ring), basis, Block(5, 2))
+    with pytest.raises(ValueError, match="order arity does not match ring"):
+        spolynomial_pairs_reduce(basis, Lex(7))

@@ -1,6 +1,6 @@
 from hypothesis import given, settings, strategies as st
 
-from flatspan.orders import Block, GrevLex, Lex
+from flatspan.orders import Block, GrevLex, Lex, exp_coprime, exp_lcm
 
 
 def _orders(n):
@@ -18,3 +18,7 @@ def test_heap_key_reverses_key_and_both_are_injective(data, n):
                 assert (order.key(a) < order.key(b)) == (order.heap_key(a) > order.heap_key(b))
                 assert (order.key(a) == order.key(b)) == (a == b)
                 assert (order.heap_key(a) == order.heap_key(b)) == (a == b)
+    for a in sample:
+        for b in sample:
+            assert exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+            assert exp_coprime(a, b) == all(x == 0 or y == 0 for x, y in zip(a, b))
