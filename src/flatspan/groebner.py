@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 
 from .budget import Budget
 from .orders import GrevLex, MonomialOrder, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub, fiber_order
-from .poly import Polynomial, fresh_name
+from .poly import Polynomial, PolynomialRing, fresh_name
 
 Terms = dict
 
@@ -296,6 +296,9 @@ def spolynomial_pairs_reduce(
     if not polys:
         return True
     ring = polys[0].ring
+    for g in polys:
+        if g.ring != ring:
+            raise ValueError("basis element in a different ring")
     field = ring.field
     order = _order_for(ring, order)
     budget = budget or Budget()
@@ -316,6 +319,25 @@ def is_unit_ideal(basis: Sequence[Polynomial]) -> bool:
     return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
 
 
+def elimination_basis(
+    ring: PolynomialRing,
+    gens: Iterable[Polynomial],
+    drop: Sequence[str],
+    budget: Budget | None = None,
+) -> tuple[PolynomialRing, MonomialOrder, list[Polynomial]]:
+    """The reduced basis of ``gens`` (polynomials of ``ring``) with the
+    ``drop`` variables leading: returns the reordered ring, its block order
+    and the basis there.
+
+    The basis decides membership in the ideal, and its elements free of
+    ``drop`` generate the elimination ideal (Elimination Theorem).
+    """
+    work = ring.leading(drop)
+    order = fiber_order(work.nvars, len(drop))
+    basis = groebner_basis([g.map_ring(work) for g in gens], order, budget=budget)
+    return work, order, basis
+
+
 def eliminate(
     gens: Iterable[Polynomial],
     drop: Sequence[str],
@@ -324,19 +346,16 @@ def eliminate(
     """Generators of (ideal) ∩ k[remaining variables].
 
     Returned polynomials live in the original ring but do not involve the
-    dropped variables.  Uses a block order with the dropped block leading.
+    dropped variables; they are the drop-free elements of
+    :func:`elimination_basis`.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
     ring = gens[0].ring
-    drop = list(drop)
-    work = ring.leading(drop)
-    moved = [g.map_ring(work) for g in gens]
-    basis = groebner_basis(moved, fiber_order(work.nvars, len(drop)), budget=budget)
+    _, _, basis = elimination_basis(ring, gens, drop, budget)
     dropset = set(drop)
-    kept = [g for g in basis if not (g.variables() & dropset)]
-    return [g.map_ring(ring) for g in kept]
+    return [g.map_ring(ring) for g in basis if not (g.variables() & dropset)]
 
 
 def saturate(
@@ -376,15 +395,14 @@ def modular_inverse(
     """
     ring = value.ring
     aux = fresh_name("rec", ring.names)
-    ext = ring.extend([aux]).leading([aux])
+    ext = ring.extend([aux])
     lifted = [p.map_ring(ext) for p in relations if not p.is_zero()]
     lifted.append(value.map_ring(ext) * ext.var(aux) - ext.one())
-    order = fiber_order(ext.nvars, 1)
-    basis = groebner_basis(lifted, order, budget=budget)
+    work, order, basis = elimination_basis(ext, lifted, [aux], budget)
     target = tuple([1] + [0] * ring.nvars)
     for g in basis:
         if g.leading_exponent(order) == target:
-            expr = ext.var(aux) - g  # monic leading term, so this is the rewrite
+            expr = work.var(aux) - g  # monic leading term, so this is the rewrite
             if aux in expr.variables():
                 return None
             return expr.map_ring(ring)

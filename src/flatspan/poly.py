@@ -15,6 +15,7 @@ exceeding the cap is a hard error rather than silent wraparound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .fields import Field, FieldError
@@ -245,36 +246,48 @@ class Polynomial:
     def map_ring(self, target: PolynomialRing, rename: Mapping[str, str] | None = None) -> Polynomial:
         """Reinterpret in ``target``, matching variables by (renamed) name.
 
-        Every variable actually used must exist in the target; unused
-        variables may be dropped.  Coefficients are converted through the
-        target field only when the fields agree (no characteristic mixing).
+        A relabeling only: each exponent is permuted into the target's
+        positions and every coefficient is copied, so no field arithmetic
+        runs and the terms keep their order.  Every variable actually used
+        must exist in the target, and no two used variables may land on one
+        target name (either breach raises :class:`RingMismatch`); unused
+        variables may be dropped.  The fields must agree (no characteristic mixing).
         """
         if target.field != self.ring.field:
             raise RingMismatch("cannot move polynomials between different fields")
+        names = self.ring.names
         rename = rename or {}
-        pos = []
-        for name in self.ring.names:
-            new = rename.get(name, name)
-            pos.append(target.names.index(new) if new in target.names else None)
-        out: dict[tuple[int, ...], object] = {}
-        f = target.field
-        for exp, c in self._terms.items():
-            e = [0] * target.nvars
-            for i, k in enumerate(exp):
-                if not k:
-                    continue
-                if pos[i] is None:
+        slot = {v: j for j, v in enumerate(target.names)}
+        terms = self._terms
+        n = len(names)
+        pick = [n] * target.nvars  # source position read by each target slot; n reads 0
+        for i, v in enumerate(names):
+            j = slot.get(rename.get(v, v))
+            if j is None:
+                if any(exp[i] for exp in terms):
+                    raise RingMismatch(f"variable {v!r} is used but absent from target ring")
+            elif pick[j] == n:
+                pick[j] = i
+            elif any(exp[i] for exp in terms):
+                if any(exp[pick[j]] for exp in terms):
                     raise RingMismatch(
-                        f"variable {self.ring.names[i]!r} is used but absent from target ring"
+                        f"variables {names[pick[j]]!r} and {v!r} both map to {target.names[j]!r}"
                     )
-                e[pos[i]] = k
-            key = tuple(e)
-            s = f.add(out.get(key, f.zero), c)
-            if not s:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial(target, out)
+                pick[j] = i
+        if pick == list(range(n)):
+            return Polynomial._relabeled(target, terms)
+        get = itemgetter(*pick) if len(pick) > 1 else lambda e: tuple(e[k] for k in pick)
+        if n in pick:
+            return Polynomial._relabeled(target, {get(exp + (0,)): c for exp, c in terms.items()})
+        return Polynomial._relabeled(target, {get(exp): c for exp, c in terms.items()})
+
+    @classmethod
+    def _relabeled(cls, ring: PolynomialRing, terms: dict) -> Polynomial:
+        """A polynomial of ``ring`` over terms already in canonical form
+        (shared, never copied): the constructor's checks are skipped."""
+        p = cls.__new__(cls)
+        p.ring, p._terms, p._hash = ring, terms, None
+        return p
 
     def substitute(self, images: Mapping[str, Polynomial], target: PolynomialRing) -> Polynomial:
         """Apply the ring map given by ``images``; names without an image

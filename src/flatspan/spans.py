@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 from .budget import Budget
-from .groebner import eliminate, groebner_basis, normal_form, spolynomial_pairs_reduce
+from .groebner import elimination_basis, groebner_basis, normal_form, spolynomial_pairs_reduce
 from .modules import (
     PresentationError,
     analyze_module,
@@ -578,30 +578,42 @@ def collapse_variables(
     in the remaining ones.
 
     ``images`` holds one mapping per piece, from each doomed variable to
-    its claimed replacement; the claim is checked by normal form before
-    anything is removed, so the quotient is untouched.  Raises
-    :class:`SpanError` when a claim fails.
+    its claimed replacement.  Each piece with a mapping is completed once,
+    in the block order with the doomed variables leading
+    (:func:`~flatspan.groebner.elimination_basis`).  Every claim
+    ``v - image`` is checked against that basis by normal form before
+    anything is removed, so the quotient is untouched, and the basis
+    elements free of doomed variables become the new relations: the
+    generators :func:`~flatspan.groebner.eliminate` returns.  Raises
+    :class:`SpanError`, before any Groebner work, when a doomed name is not
+    a variable of its piece or an image uses a doomed variable, and when a
+    claim fails.
     """
     if len(images) != len(corr.pieces):
         raise SpanError("need one collapse mapping per piece")
+    for piece, mapping in zip(corr.pieces, images):
+        for name, image in mapping.items():
+            if name not in piece.ring.names:
+                raise SpanError(f"cannot collapse {name!r}: not a variable of the piece")
+            if image.variables() & mapping.keys():
+                raise SpanError(f"cannot collapse {name!r}: its image uses a collapsed variable")
     pieces = []
     for piece, mapping in zip(corr.pieces, images):
         if not mapping:
             pieces.append(piece)
             continue
         ring = piece.ring
-        basis = groebner_basis(list(piece.relations), budget=budget)
+        drop = list(mapping)
+        work, order, basis = elimination_basis(ring, piece.relations, drop, budget)
         for name, image in mapping.items():
-            gap = normal_form(ring.var(name) - image, basis, budget=budget)
+            gap = normal_form((ring.var(name) - image).map_ring(work), basis, order, budget=budget)
             if not gap.is_zero():
                 raise SpanError(
                     f"cannot collapse {name!r}: the relations do not identify "
                     "it with the claimed image"
                 )
-        drop = list(mapping)
-        kept = eliminate(list(piece.relations), drop, budget=budget)
         small = ring.drop(drop)
-        relations = [p.map_ring(small) for p in kept]
+        relations = [g.map_ring(small) for g in basis if not (g.variables() & mapping.keys())]
         moved = {name: image.map_ring(small) for name, image in mapping.items()}
         src = {v: piece.src(v).substitute(moved, small) for v in corr.source.ring.names}
         tgt = {v: piece.tgt(v).substitute(moved, small) for v in corr.target.ring.names}

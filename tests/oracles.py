@@ -10,8 +10,10 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from flatspan.budget import Budget
+from flatspan.groebner import eliminate, groebner_basis, normal_form
 from flatspan.orders import MonomialOrder, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub
-from flatspan.poly import Polynomial
+from flatspan.poly import Polynomial, PolynomialRing, RingMismatch
+from flatspan.spans import Correspondence, SpanError, make_piece
 
 
 def naive_divide(p: Polynomial, divisors: list[Polynomial], order: MonomialOrder) -> Polynomial:
@@ -171,3 +173,58 @@ def unnormalized_buchberger(
         out.append(r.scale(r.ring.field.inv(r.terms()[lms[i]])))
     out.sort(key=lambda g: order.key(g.leading_exponent(order)))
     return out
+
+
+def accumulating_map_ring(p: Polynomial, target: PolynomialRing, rename: dict[str, str] | None = None) -> Polynomial:
+    """``p`` moved into ``target`` by matching (renamed) names, each term's
+    coefficient added into the target's through the field and the result
+    built by the validating constructor; the reference for
+    :meth:`Polynomial.map_ring` on renames that merge no used variables."""
+    if target.field != p.ring.field:
+        raise RingMismatch("cannot move polynomials between different fields")
+    rename = rename or {}
+    pos = []
+    for name in p.ring.names:
+        new = rename.get(name, name)
+        pos.append(target.names.index(new) if new in target.names else None)
+    out: dict[tuple[int, ...], object] = {}
+    f = target.field
+    for exp, c in p.terms().items():
+        e = [0] * target.nvars
+        for i, k in enumerate(exp):
+            if not k:
+                continue
+            if pos[i] is None:
+                raise RingMismatch(f"variable {p.ring.names[i]!r} is used but absent from target ring")
+            e[pos[i]] = k
+        key = tuple(e)
+        s = f.add(out.get(key, f.zero), c)
+        if not s:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return Polynomial(target, out)
+
+
+def two_basis_collapse(corr: Correspondence, images: list[dict[str, Polynomial]], budget: Budget) -> Correspondence:
+    """:func:`flatspan.spans.collapse_variables` built from two completions
+    per piece: the claims are checked against a degree-reverse-lex basis,
+    and the new relations are what :func:`eliminate` returns."""
+    pieces = []
+    for piece, mapping in zip(corr.pieces, images):
+        if not mapping:
+            pieces.append(piece)
+            continue
+        ring = piece.ring
+        basis = groebner_basis(list(piece.relations), budget=budget)
+        for name, image in mapping.items():
+            if not normal_form(ring.var(name) - image, basis, budget=budget).is_zero():
+                raise SpanError(f"cannot collapse {name!r}")
+        drop = list(mapping)
+        small = ring.drop(drop)
+        relations = [g.map_ring(small) for g in eliminate(list(piece.relations), drop, budget=budget)]
+        moved = {name: image.map_ring(small) for name, image in mapping.items()}
+        src = {v: piece.src(v).substitute(moved, small) for v in corr.source.ring.names}
+        tgt = {v: piece.tgt(v).substitute(moved, small) for v in corr.target.ring.names}
+        pieces.append(make_piece(small, relations, src, tgt, corr.source, corr.target))
+    return Correspondence(corr.source, corr.target, tuple(pieces))

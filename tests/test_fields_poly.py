@@ -175,6 +175,45 @@ def test_rename_by_map_ring_matches_substitute(data):
         assert list(p.substitute({}, wider).terms().items()) == list(moved.terms().items())
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_map_ring_relabels_as_the_accumulating_loop(data):
+    """The same terms in the same order as adding each coefficient into the
+    target through the field; a used variable with no target name, or two
+    used variables on one, raises."""
+    from oracles import accumulating_map_ring
+
+    powers = st.sampled_from([0, 0, 1, 2, 3])
+    field = data.draw(st.sampled_from([QQ, GF(5)]))
+    R = PolynomialRing(field, ("x", "y", "z"))
+    p = _from_items(R, data.draw(st.lists(st.tuples(st.tuples(powers, powers, powers), coeffs), max_size=6)))
+    rename = dict(zip(R.names, data.draw(st.lists(st.sampled_from("abxyz"), min_size=3, max_size=3))))
+    names = set(rename.values()) | data.draw(st.sets(st.sampled_from("abcxyz")))
+    names -= data.draw(st.sets(st.sampled_from(sorted(names)), max_size=1))
+    target = PolynomialRing(field, tuple(data.draw(st.permutations(sorted(names)))))
+    try:
+        want = accumulating_map_ring(p, target, rename)
+    except RingMismatch:
+        with pytest.raises(RingMismatch):
+            p.map_ring(target, rename)
+        return
+    landed = [rename[v] for v in p.variables()]
+    if len(set(landed)) < len(landed):
+        with pytest.raises(RingMismatch, match="both map to"):
+            p.map_ring(target, rename)
+        return
+    got = p.map_ring(target, rename)
+    assert got == want
+    assert list(got.terms().items()) == list(want.terms().items())
+
+
+def test_map_ring_refuses_to_merge_used_variables():
+    R, S = ring_qq("x", "y"), ring_qq("z")
+    with pytest.raises(RingMismatch, match="both map to 'z'"):
+        (R.var("x") * R.var("y")).map_ring(S, {"x": "z", "y": "z"})
+    assert R.var("y").map_ring(S, {"x": "z", "y": "z"}) == S.var("z")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_normalize_idempotent_and_hash_stable(data):

@@ -311,3 +311,12 @@ def test_division_entry_points_reject_an_order_of_another_arity():
         normal_form(P("x^3", ring), basis, Block(5, 2))
     with pytest.raises(ValueError, match="order arity does not match ring"):
         spolynomial_pairs_reduce(basis, Lex(7))
+
+
+def test_pair_check_rejects_a_basis_spread_over_rings():
+    first = P("x^2 - y")
+    modular = P("x*y - 1", PolynomialRing(GF(5), ("x", "y")))
+    renamed = P("u*v - 1", PolynomialRing(QQ, ("u", "v")))
+    for other in (modular, renamed):
+        with pytest.raises(ValueError, match="basis element in a different ring"):
+            spolynomial_pairs_reduce([first, other])

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flatspan.fields import QQ
-from flatspan.poly import PolynomialRing
+import flatspan.groebner
+import flatspan.spans
+from flatspan.budget import Budget
+from flatspan.fields import GF, QQ
+from flatspan.poly import Polynomial, PolynomialRing
 from flatspan.polyparse import parse_polynomial
 from flatspan.schemes import (
     AffineScheme,
@@ -570,3 +574,106 @@ def test_collapse_variables_takes_one_mapping_per_piece():
     assert all(p.ring.names == ("t", "t_inv") for p in thin.pieces)
     with pytest.raises(SpanError, match="per piece"):
         collapse_variables(fat, [{"v": t}])
+
+
+def _chain_span():
+    """One piece over the torus with ``v = u`` and ``u = t^2``."""
+    G = torus(QQ, "t")
+    ring = PolynomialRing(QQ, ("t", "t_inv", "u", "v"), frozenset(["t"]))
+    t, ti, u, v = (ring.var(n) for n in ring.names)
+    ident = {"t": t, "t_inv": ti}
+    piece = make_piece(ring, [t * ti - ring.one(), v - u, u - t * t], ident, ident, G, G)
+    return Correspondence(G, G, (piece,)), ring
+
+
+def test_collapse_variables_rejects_a_bad_mapping_before_any_groebner_work(monkeypatch):
+    from flatspan.spans import collapse_variables
+
+    fat, ring = _chain_span()
+    t, u = ring.var("t"), ring.var("u")
+
+    def no_completion(*args, **kwargs):
+        raise AssertionError("a completion ran before the mapping was checked")
+
+    for module in (flatspan.spans, flatspan.groebner):
+        monkeypatch.setattr(module, "groebner_basis", no_completion)
+    with pytest.raises(SpanError, match="image uses a collapsed variable"):
+        collapse_variables(fat, [{"v": u, "u": t * t}])
+    with pytest.raises(SpanError, match="not a variable of the piece"):
+        collapse_variables(fat, [{"zz": t}])
+
+
+def test_collapse_variables_completes_each_piece_once(monkeypatch):
+    from flatspan.spans import collapse_variables
+
+    fat, ring = _chain_span()
+    t = ring.var("t")
+    calls = []
+    for module in (flatspan.spans, flatspan.groebner):
+        original = module.groebner_basis
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "groebner_basis", counting)
+    thin = collapse_variables(fat, [{"v": t * t, "u": t * t}])
+    assert len(calls) == 1
+    assert thin.pieces[0].ring.names == ("t", "t_inv")
+    assert equals(thin, identity_span(torus(QQ, "t")))
+
+
+_small = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
+
+
+def _draw_poly(data, ring, names):
+    """A sum of at most three terms in the two variables ``names``."""
+    total = ring.zero()
+    a, b = (ring.index(n) for n in names)
+    for i, j, c in data.draw(st.lists(_small, max_size=3)):
+        exp = [0] * ring.nvars
+        exp[a], exp[b] = i, j
+        total = total + Polynomial(ring, {tuple(exp): ring.field.one}).scale(c)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_basis_collapse_matches_the_two_basis_collapse(data):
+    """Same rings, relations (term order included) and maps as checking the
+    claims in degree-reverse-lex and then eliminating, and a SpanError on
+    exactly the same claims."""
+    from flatspan.spans import collapse_variables
+    from oracles import two_basis_collapse
+
+    field = data.draw(st.sampled_from([QQ, GF(5)]))
+    G, line = torus(field, "t"), affine_line(field, "x")
+    ring = PolynomialRing(field, ("t", "t_inv", "u", "v"), frozenset(["t"]))
+    t, ti, u, v = (ring.var(n) for n in ring.names)
+    g = _draw_poly(data, ring, ("t", "t_inv"))
+    f = _draw_poly(data, ring, ("t", "u"))
+    relations = [t * ti - ring.one(), u - g, v - f]
+    if data.draw(st.booleans()):
+        relations.append(_draw_poly(data, ring, ("t", "t_inv")))
+    piece = make_piece(ring, relations, {"t": t, "t_inv": ti}, {"x": u + v}, G, line)
+    corr = Correspondence(G, line, (piece,))
+    doomed = data.draw(st.sampled_from([("u",), ("v",), ("u", "v")]))
+    # no image may use a doomed variable: when u goes too, v's image is f(t, g)
+    truths = {"u": g, "v": f.substitute({"u": g}, ring) if "u" in doomed else f}
+    mapping = {}
+    for name in doomed:
+        image = truths[name]
+        if data.draw(st.booleans()):
+            image = image + _draw_poly(data, ring, ("t", "t_inv"))  # perhaps a false claim
+        mapping[name] = image
+    try:
+        want = two_basis_collapse(corr, [mapping], Budget())
+    except SpanError:
+        with pytest.raises(SpanError, match="do not identify"):
+            collapse_variables(corr, [mapping])
+        return
+    got = collapse_variables(corr, [mapping])
+    assert got == want
+    assert [list(r.terms().items()) for r in got.pieces[0].relations] == [
+        list(r.terms().items()) for r in want.pieces[0].relations
+    ]
