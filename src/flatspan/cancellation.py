@@ -43,6 +43,7 @@ from .spans import (
     Correspondence,
     SpanError,
     SpanPiece,
+    _canonical,
     _fresh_pair,
     _pieces_equal,
     certify_finite_flat,
@@ -567,18 +568,6 @@ def line_extension(corr: Correspondence, coord: str) -> tuple[Correspondence, st
     return Correspondence(source, target, (new_piece,)), pvar
 
 
-def _collapse_piece(
-    corr: Correspondence, collapse: dict[str, Polynomial], budget: Budget
-) -> SpanPiece:
-    """Remove middle variables that the relations identify with the given
-    images, shrinking the presentation without changing the quotient."""
-    _single_piece(corr, "naturality comparison")
-    try:
-        return collapse_variables(corr, [collapse], budget=budget).pieces[0]
-    except SpanError as err:
-        raise CancellationError(str(err)) from err
-
-
 def _collapsed_equal(
     left: Correspondence,
     left_collapse: dict[str, Polynomial],
@@ -586,11 +575,18 @@ def _collapsed_equal(
     right_collapse: dict[str, Polynomial],
     budget: Budget,
 ) -> tuple[bool, str]:
+    """Collapse the given middle variables of both single-piece sides (the
+    quotients are unchanged) and compare the canonical presentations."""
     if left.source != right.source or left.target != right.target:
         return False, "the two sides have different feet"
-    lp = _collapse_piece(left, left_collapse, budget)
-    rp = _collapse_piece(right, right_collapse, budget)
-    if _pieces_equal(lp, rp, budget):
+    _single_piece(left, "naturality comparison")
+    _single_piece(right, "naturality comparison")
+    try:
+        lp = collapse_variables(left, [left_collapse], budget=budget).pieces[0]
+        rp = collapse_variables(right, [right_collapse], budget=budget).pieces[0]
+    except SpanError as err:
+        raise CancellationError(str(err)) from err
+    if _pieces_equal(_canonical(lp, lp.ring, {}, budget), rp, budget):
         return True, ""
     return False, "canonical presentations differ"
 

@@ -46,6 +46,7 @@ from .contraction import (
     verify_contraction_endpoints,
 )
 from .fields import FieldError, field_from_name
+from .poly import ExponentOverflow
 from .polyparse import ParseError, format_polynomial, parse_polynomial
 from .reports import (
     Report,
@@ -87,6 +88,7 @@ USER_ERRORS = (
     ParseError,
     FieldError,
     ValueError,
+    ExponentOverflow,
 )
 
 

@@ -98,8 +98,8 @@ class ModuleAnalysis:
         raise PresentationError(f"rank undefined for status {self.status!r}")
 
 
-def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]] | str:
-    """Monomials not under any pure-fiber leading monomial, or the name of
+def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]] | int:
+    """Monomials not under any pure-fiber leading monomial, or the index of
     an unbounded direction."""
     mins = [None] * split
     for alpha in pure:
@@ -110,7 +110,7 @@ def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]]
                 mins[i] = alpha[i]
     for i, m in enumerate(mins):
         if m is None:
-            return i  # type: ignore[return-value]
+            return i
     out = []
 
     def walk(prefix: tuple[int, ...]):

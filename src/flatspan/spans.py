@@ -220,17 +220,12 @@ def _linear_solutions(relations: list[Polynomial]) -> tuple[str, Polynomial] | N
     return None
 
 
-def simplify_piece(piece: SpanPiece, budget: Budget | None = None) -> SpanPiece:
-    """Eliminate linearly-solved variables, then canonicalize.
-
-    Relations are replaced by their reduced Groebner basis and structure
-    maps by normal forms, so equal quotients built along different routes
-    print and compare identically.
-    """
+def _eliminate_linear(piece: SpanPiece) -> SpanPiece:
+    """Drop every variable some relation solves linearly, substituting its
+    solution into the other relations and the legs."""
     ring = piece.ring
     relations = list(piece.relations)
-    src = dict(piece.src_map)
-    tgt = dict(piece.tgt_map)
+    src, tgt = piece.src_map, piece.tgt_map
     while True:
         hit = _linear_solutions(relations)
         if hit is None:
@@ -240,17 +235,30 @@ def simplify_piece(piece: SpanPiece, budget: Budget | None = None) -> SpanPiece:
         images = {name: image.map_ring(ring)}
         substituted = (r.substitute(images, ring) for r in relations)
         relations = [r for r in substituted if not r.is_zero()]
-        src = {k: p.substitute(images, ring) for k, p in src.items()}
-        tgt = {k: p.substitute(images, ring) for k, p in tgt.items()}
-    basis = groebner_basis(relations, budget=budget)
-    src = {k: normal_form(p, basis, budget=budget) for k, p in src.items()}
-    tgt = {k: normal_form(p, basis, budget=budget) for k, p in tgt.items()}
-    return SpanPiece(
-        ring,
-        tuple(basis),
-        tuple((k, src[k]) for k, _ in piece.src_map),
-        tuple((k, tgt[k]) for k, _ in piece.tgt_map),
+        src = tuple((k, p.substitute(images, ring)) for k, p in src)
+        tgt = tuple((k, p.substitute(images, ring)) for k, p in tgt)
+    return SpanPiece(ring, tuple(relations), src, tgt)
+
+
+def _canonical(
+    piece: SpanPiece, ring: PolynomialRing, rename: Mapping[str, str], budget: Budget | None
+) -> SpanPiece:
+    """``piece`` moved into ``ring`` through ``rename``, its relations replaced
+    by their reduced Groebner basis (unique for the order) and its legs by
+    normal forms."""
+    basis = groebner_basis([r.map_ring(ring, rename) for r in piece.relations], budget=budget)
+    src, tgt = (
+        tuple((k, normal_form(p.map_ring(ring, rename), basis, budget=budget)) for k, p in legs)
+        for legs in (piece.src_map, piece.tgt_map)
     )
+    return SpanPiece(ring, tuple(basis), src, tgt)
+
+
+def simplify_piece(piece: SpanPiece, budget: Budget | None = None) -> SpanPiece:
+    """Eliminate linearly-solved variables, then canonicalize, so equal
+    quotients built along different routes print and compare identically."""
+    piece = _eliminate_linear(piece)
+    return _canonical(piece, piece.ring, {}, budget)
 
 
 def simplify(corr: Correspondence, budget: Budget | None = None) -> Correspondence:
@@ -340,31 +348,18 @@ def external_tensor(left: Correspondence, right: Correspondence) -> Corresponden
 # equality of presentations
 
 
-def _piece_payload(piece: SpanPiece, names: tuple[str, ...], rename: dict[str, str], budget):
-    """Relations (as a reduced basis) and map images inside a mark-free ring."""
-    ring = PolynomialRing(piece.ring.field, names)
-    basis = groebner_basis([r.map_ring(ring, rename) for r in piece.relations], budget=budget)
-    src = tuple(
-        normal_form(img.map_ring(ring, rename), basis, budget=budget) for _, img in piece.src_map
-    )
-    tgt = tuple(
-        normal_form(img.map_ring(ring, rename), basis, budget=budget) for _, img in piece.tgt_map
-    )
-    return basis, src, tgt
-
-
 def _pieces_equal(a: SpanPiece, b: SpanPiece, budget: Budget | None) -> bool:
+    """Whether ``b``, canonicalized in ``a``'s ring, equals ``a``, which must
+    already be canonical.  Variables match by name when the name sets agree,
+    else by position; different variable counts raise IncomparableSpans."""
     if len(a.ring.names) != len(b.ring.names):
         raise IncomparableSpans(
             f"middles have {len(a.ring.names)} and {len(b.ring.names)} variables; "
             "no canonical matching is declared"
         )
     names = a.ring.names
-    # match variables by name when the name sets agree, else by position
-    rename_b = {} if sorted(names) == sorted(b.ring.names) else dict(zip(b.ring.names, names))
-    basis_a, src_a, tgt_a = _piece_payload(a, names, {}, budget)
-    basis_b, src_b, tgt_b = _piece_payload(b, names, rename_b, budget)
-    return basis_a == basis_b and src_a == src_b and tgt_a == tgt_b
+    rename = {} if sorted(names) == sorted(b.ring.names) else dict(zip(b.ring.names, names))
+    return a == _canonical(b, a.ring, rename, budget)
 
 
 def _piece_sort_key(piece: SpanPiece):
@@ -380,15 +375,16 @@ def _piece_sort_key(piece: SpanPiece):
 def equals(left: Correspondence, right: Correspondence, budget: Budget | None = None) -> bool:
     """Presentation-level equality after canonical simplification.
 
-    Pieces are matched greedily after sorting; two middles with different
-    variable counts and no name overlap raise :class:`IncomparableSpans`.
-    A ``False`` here means the canonical presentations differ; hunting for
-    exotic isomorphisms is out of scope.
+    Left pieces are simplified and sorted; each right piece loses its
+    linearly solved variables and is completed in the ring of the left piece
+    it is matched against (greedily).  Single-piece middles with different
+    variable counts raise :class:`IncomparableSpans`.  A ``False`` here means
+    the canonical presentations differ; exotic isomorphisms are out of scope.
     """
     if left.source != right.source or left.target != right.target:
         return False
     a = [simplify_piece(p, budget=budget) for p in left.pieces]
-    b = [simplify_piece(p, budget=budget) for p in right.pieces]
+    b = [_eliminate_linear(p) for p in right.pieces]
     if len(a) != len(b):
         return False
     a.sort(key=_piece_sort_key)

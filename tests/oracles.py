@@ -13,7 +13,15 @@ from flatspan.budget import Budget
 from flatspan.groebner import eliminate, groebner_basis, normal_form
 from flatspan.orders import MonomialOrder, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub
 from flatspan.poly import Polynomial, PolynomialRing, RingMismatch
-from flatspan.spans import Correspondence, SpanError, make_piece
+from flatspan.spans import (
+    Correspondence,
+    IncomparableSpans,
+    SpanError,
+    SpanPiece,
+    _piece_sort_key,
+    make_piece,
+    simplify_piece,
+)
 
 
 def naive_divide(p: Polynomial, divisors: list[Polynomial], order: MonomialOrder) -> Polynomial:
@@ -228,3 +236,38 @@ def two_basis_collapse(corr: Correspondence, images: list[dict[str, Polynomial]]
         tgt = {v: piece.tgt(v).substitute(moved, small) for v in corr.target.ring.names}
         pieces.append(make_piece(small, relations, src, tgt, corr.source, corr.target))
     return Correspondence(corr.source, corr.target, tuple(pieces))
+
+
+def _payload(piece: SpanPiece, names: tuple[str, ...], rename: dict[str, str], budget):
+    """Relations (as a reduced basis) and map images inside a mark-free ring."""
+    ring = PolynomialRing(piece.ring.field, names)
+    basis = groebner_basis([r.map_ring(ring, rename) for r in piece.relations], budget=budget)
+    src = tuple(normal_form(img.map_ring(ring, rename), basis, budget=budget) for _, img in piece.src_map)
+    tgt = tuple(normal_form(img.map_ring(ring, rename), basis, budget=budget) for _, img in piece.tgt_map)
+    return basis, src, tgt
+
+
+def payload_equals(left: Correspondence, right: Correspondence, budget: Budget | None = None) -> bool:
+    """:func:`flatspan.spans.equals` with every compared piece put in canonical
+    form twice: both sides are simplified, and each compared pair is then
+    completed again in a ring without inverted-variable marks."""
+    if left.source != right.source or left.target != right.target:
+        return False
+    a = sorted((simplify_piece(p, budget=budget) for p in left.pieces), key=_piece_sort_key)
+    remaining = [simplify_piece(p, budget=budget) for p in right.pieces]
+    if len(a) != len(remaining):
+        return False
+    for piece in a:
+        names = piece.ring.names
+        for i, other in enumerate(remaining):
+            if len(names) != len(other.ring.names):
+                if len(a) == 1:
+                    raise IncomparableSpans("different variable counts")
+                continue
+            rename = {} if sorted(names) == sorted(other.ring.names) else dict(zip(other.ring.names, names))
+            if _payload(piece, names, {}, budget) == _payload(other, names, rename, budget):
+                remaining.pop(i)
+                break
+        else:
+            return False
+    return True

@@ -553,3 +553,37 @@ def test_bad_window_is_rejected_before_any_work(capsys):
     assert code == 2
     assert out.count("[error]") == 1 and "[inconclusive]" not in out
     assert "window must be at least 1" in out
+
+
+def test_an_exponent_over_the_cap_is_an_error_report(tmp_path, capsys):
+    """An exponent past 2^31 - 1 is a bad request: that check reports an
+    error with exit 2 and the other checks of the batch still report."""
+    text = (WORKSPACES / "cancel-families.fsw").read_text(encoding="utf-8")
+    text += "".join(
+        f"check big{i} = {request}\n"
+        for i, request in enumerate(
+            [
+                "cancel-slice idg n: 3000000000 sign: +",
+                "cancel idg m: 1 n: 3000000000 sign: +",
+                "slice idg f: t n: 3000000000",
+            ]
+        )
+    )
+    doc = tmp_path / "big.fsw"
+    doc.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", str(doc))
+    assert code == 2
+    assert out.count("[error] big") == 3 and out.count("exceeds 2147483647") == 3
+    assert out.count("[pass]") == 5
+    code, out, _ = run_cli(capsys, "verify-cancellation", "--n", "3000000000")
+    assert code == 2
+    assert "[error]" in out and "exceeds 2147483647" in out
+
+
+def test_every_command_has_a_handler():
+    from flatspan.cli import HANDLERS
+    from flatspan.reports import _CARRIES
+    from flatspan.workspace import COMMANDS
+
+    assert set(COMMANDS) == set(HANDLERS)
+    assert set(_CARRIES) <= set(COMMANDS)

@@ -677,3 +677,79 @@ def test_one_basis_collapse_matches_the_two_basis_collapse(data):
     assert [list(r.terms().items()) for r in got.pieces[0].relations] == [
         list(r.terms().items()) for r in want.pieces[0].relations
     ]
+
+
+def test_single_piece_equals_completes_each_side_once(monkeypatch):
+    calls = []
+    original = flatspan.spans.groebner_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flatspan.spans, "groebner_basis", counting)
+    assert equals(torus_power_cover(3), torus_power_cover(3))
+    assert len(calls) == 2
+
+
+def _draw_middle(data, field):
+    """Ring, relations and target image of a torus-to-line piece with one or
+    two middle variables beyond ``t, t_inv``."""
+    extra = data.draw(st.sampled_from([("u",), ("u", "v")]))
+    ring = PolynomialRing(field, ("t", "t_inv") + extra, frozenset(["t"]))
+    relations = [ring.var("t") * ring.var("t_inv") - ring.one()]
+    for pair in [("t", "u"), extra[-2:]][: len(extra)]:
+        relations.append(_draw_poly(data, ring, pair))
+    return ring, relations, ring.var(extra[-1]) + _draw_poly(data, ring, (extra[-1], "t"))
+
+
+def _variant(data, field, middle):
+    """``middle`` presented again: the same ideal and image written another
+    way, its variables renamed, its inverted-variable marks dropped, or an
+    unrelated middle."""
+    ring, relations, image = middle
+    kind = data.draw(st.sampled_from(["same", "renamed", "unmarked", "unrelated"]))
+    if kind == "unrelated":
+        return _draw_middle(data, field)
+    if kind == "same":
+        scale = data.draw(st.integers(1, 4))
+        unit = relations[0] * ring.var(ring.names[-1])
+        return ring, [r.scale(scale) for r in reversed(relations)], image + unit
+    if kind == "renamed":
+        moved = PolynomialRing(field, ("t", "t_inv", "p", "q")[: ring.nvars], ring.inverted)
+    else:
+        moved = PolynomialRing(field, ring.names)
+    rename = dict(zip(ring.names, moved.names))
+    return moved, [r.map_ring(moved, rename) for r in relations], image.map_ring(moved, rename)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equals_matches_the_twice_canonicalized_comparison(data):
+    """The same verdict as simplifying both sides and completing every
+    compared pair again without marks, or IncomparableSpans on the same
+    draws."""
+    from oracles import payload_equals
+
+    field = data.draw(st.sampled_from([QQ, GF(5), GF(7)]))
+    G, line = torus(field, "t"), affine_line(field, "x")
+
+    def span(middles):
+        pieces = []
+        for ring, relations, image in middles:
+            legs = {"t": ring.var("t"), "t_inv": ring.var("t_inv")}
+            pieces.append(make_piece(ring, relations, legs, {"x": image}, G, line))
+        return Correspondence(G, line, tuple(pieces))
+
+    middles = [_draw_middle(data, field) for _ in range(data.draw(st.integers(1, 2)))]
+    others = [_variant(data, field, m) for m in middles]
+    if data.draw(st.booleans()):
+        others.reverse()
+    left, right = span(middles), span(others)
+    try:
+        want = payload_equals(left, right, Budget())
+    except IncomparableSpans:
+        with pytest.raises(IncomparableSpans):
+            equals(left, right, Budget())
+        return
+    assert equals(left, right, Budget()) == want
