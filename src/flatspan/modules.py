@@ -26,11 +26,12 @@ products) is a localization of a polynomial ring and therefore integral.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .budget import Budget
 from .groebner import groebner_basis, is_unit_ideal, normal_form
-from .orders import GrevLex, MonomialOrder, exp_divides, fiber_order
+from .orders import GrevLex, exp_divides, fiber_order
 from .poly import Polynomial, PolynomialRing
 
 
@@ -128,28 +129,6 @@ def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]]
     return out
 
 
-def classify_leads(
-    basis: list[Polynomial], order: MonomialOrder, split: int
-) -> tuple[list[tuple[int, ...]] | int, list[Polynomial], list[Polynomial]]:
-    """Sort a basis by leading monomial.
-
-    Returns the staircase under the pure-fiber leads (or the index of a
-    fiber direction without a pure power), the base-only elements, and the
-    mixed elements whose lead involves fiber and base variables.
-    """
-    pure, base_only, mixed = [], [], []
-    for g in basis:
-        lm = g.leading_exponent(order)
-        fp, bp = lm[:split], lm[split:]
-        if any(fp) and not any(bp):
-            pure.append(fp)
-        elif any(bp) and not any(fp):
-            base_only.append(g)
-        elif any(fp):
-            mixed.append(g)
-    return _staircase(pure, split), base_only, mixed
-
-
 def analyze_module(
     ring: PolynomialRing,
     split: int,
@@ -163,15 +142,37 @@ def analyze_module(
     ``ring`` lists the fiber variables first (``split`` of them) followed
     by the base variables, which must coincide with ``base_ring.names`` in
     order.  ``relations`` must already contain the base relations and the
-    structure identifications.
+    structure identifications.  Completes ``relations`` under
+    :func:`fiber_order` and ``base_relations`` in the base ring, then hands
+    both reduced bases to :func:`classify_basis`.
     """
     if ring.names[split:] != base_ring.names:
         raise ValueError("combined ring does not extend the base ring by fiber variables")
     budget = budget or Budget()
-    order = fiber_order(ring.nvars, split)
-    basis = groebner_basis(relations, order, budget=budget)
+    basis = groebner_basis(relations, fiber_order(ring.nvars, split), budget=budget)
     base_basis = groebner_basis(base_relations, budget=budget)
+    return classify_basis(ring, split, basis, base_ring, base_basis, budget)
 
+
+def classify_basis(
+    ring: PolynomialRing,
+    split: int,
+    basis: Sequence[Polynomial],
+    base_ring: PolynomialRing,
+    base_basis: Sequence[Polynomial],
+    budget: Budget | None = None,
+) -> ModuleAnalysis:
+    """Classify the quotient by ``basis`` as a module over ``base_ring``.
+
+    ``basis`` is a Groebner basis of nonzero elements under
+    :func:`fiber_order` and ``base_basis`` the reduced basis of the base
+    relations.  A constant element means ``zero``; otherwise the leads
+    decide as the module docstring lists, and a ``free`` analysis carries
+    the staircase and every fiber variable's matrix.  Certification and
+    recheck both classify through here.  Raises :class:`PresentationError`
+    when the basis is inconsistent with its own staircase.
+    """
+    budget = budget or Budget()
     common = dict(
         ring=ring,
         split=split,
@@ -179,12 +180,20 @@ def analyze_module(
         base_ring=base_ring,
         base_groebner=tuple(base_basis),
     )
-
-    if is_unit_ideal(basis):
+    if any(g.is_constant() for g in basis):
         return ModuleAnalysis(status="zero", **common)
 
-    fiber_names = ring.names[:split]
-    stair, base_only, mixed = classify_leads(basis, order, split)
+    order = fiber_order(ring.nvars, split)
+    pure, base_only, mixed = [], [], []
+    for g in basis:
+        lm = g.leading_exponent(order)
+        fp, bp = lm[:split], lm[split:]
+        if not any(bp):
+            pure.append(fp)
+        elif not any(fp):
+            base_only.append(g)
+        else:
+            mixed.append(g)
 
     # torsion: a base-only element not already implied by the base relations
     torsion = []
@@ -195,6 +204,8 @@ def analyze_module(
     if torsion:
         return ModuleAnalysis(status="torsion", torsion_witness=tuple(torsion), **common)
 
+    fiber_names = ring.names[:split]
+    stair = _staircase(pure, split)
     if isinstance(stair, int):
         return ModuleAnalysis(
             status="not_finite", not_finite_direction=fiber_names[stair], **common

@@ -62,7 +62,7 @@ def product(left: AffineScheme, right: AffineScheme) -> AffineScheme:
 def torus_power(field: Field, n: int) -> AffineScheme:
     """(A1 minus 0)^n with coordinates t1..tN."""
     if n < 1:
-        raise ValueError("need at least one factor")
+        raise ValueError(f"torus^{n} needs at least one factor")
     out = torus(field, "t1")
     for i in range(2, n + 1):
         out = product(out, torus(field, f"t{i}"))

@@ -23,13 +23,12 @@ from itertools import product as iproduct
 from .budget import Budget
 from .groebner import elimination_basis, groebner_basis, normal_form, spolynomial_pairs_reduce
 from .modules import (
+    ModuleAnalysis,
     PresentationError,
     analyze_module,
-    classify_leads,
+    classify_basis,
     fitting_ideal,
     module_presentation,
-    multiplication_matrix_from,
-    staircase_labels,
 )
 from .orders import fiber_order
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
@@ -446,7 +445,6 @@ def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> C
     staircase size.
     """
     certs = []
-    total = 0
     base = corr.source
     for index, piece in enumerate(corr.pieces):
         combined = _combined_ring(piece, base.ring)
@@ -456,25 +454,7 @@ def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> C
             combined, split, relations, base.ring, list(base.relations), budget=budget
         )
         if analysis.status in ("zero", "free"):
-            pres = module_presentation(analysis)
-            rank = analysis.rank
-            below = tuple(fitting_ideal(pres, rank - 1, budget))
-            at = tuple(fitting_ideal(pres, rank, budget))
-            matrices = tuple(sorted((analysis.mult or {}).items()))
-            certs.append(
-                PieceCertificate(
-                    combined,
-                    split,
-                    tuple(analysis.groebner),
-                    tuple(analysis.staircase),
-                    staircase_labels(combined.names[:split], analysis.staircase),
-                    tuple((name, tuple(tuple(row) for row in mat)) for name, mat in matrices),
-                    tuple(analysis.base_groebner),
-                    below,
-                    at,
-                )
-            )
-            total += rank
+            certs.append(_piece_certificate(analysis, budget))
             continue
         if analysis.status == "torsion":
             witness = ", ".join(str(w) for w in analysis.torsion_witness)
@@ -495,7 +475,7 @@ def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> C
                 ),
             )
         return CertifyOutcome(status="inconclusive", detail=f"piece {index}: {analysis.detail}")
-    return CertifyOutcome(status="certified", rank=total, pieces=tuple(certs))
+    return CertifyOutcome(status="certified", rank=sum(c.rank for c in certs), pieces=tuple(certs))
 
 
 def degree(corr: Correspondence, budget: Budget | None = None) -> int:
@@ -507,33 +487,49 @@ def degree(corr: Correspondence, budget: Budget | None = None) -> int:
     return outcome.rank
 
 
+def _piece_certificate(analysis: ModuleAnalysis, budget: Budget | None) -> PieceCertificate:
+    """The certificate of a free or zero analysis: its bases, staircase and
+    labels, the matrices sorted by variable, and the Fitting ideals around
+    its rank."""
+    pres = module_presentation(analysis)
+    rank = analysis.rank
+    return PieceCertificate(
+        analysis.ring,
+        analysis.split,
+        analysis.groebner,
+        analysis.staircase,
+        pres.generators,
+        tuple(sorted((analysis.mult or {}).items())),
+        analysis.base_groebner,
+        tuple(fitting_ideal(pres, rank - 1, budget)),
+        tuple(fitting_ideal(pres, rank, budget)),
+    )
+
+
 def recheck_certificate(
     corr: Correspondence, outcome: CertifyOutcome, budget: Budget | None = None
 ) -> bool:
     """Confirm a stored certificate without recomputing its Groebner bases.
 
-    Checks that the claimed basis reduces the defining relations to zero,
-    that all S-polynomials of the claimed basis reduce to zero, that no
-    basis lead mixes fiber and base variables, that the staircase is the
-    one the pure-fiber leads cut out and carries its own labels, that
-    every fiber variable has a matrix and every matrix recomputes, that
-    the stored base basis is the source's reduced basis (the one basis
-    recomputed here), and that the rank is the total staircase size.
+    The stored basis must pass the S-pair criterion and reduce the piece's
+    defining relations to zero, and the stored base basis must be the
+    source's reduced basis (the one basis recomputed here).  Then the piece
+    certificate is re-derived from the stored basis the way certification
+    derives it (:func:`~flatspan.modules.classify_basis`, which must find
+    the module free or zero), and must equal the stored one.  The rank must
+    be the total staircase size.
     """
-    if not outcome.certified:
-        return False
-    if len(corr.pieces) != len(outcome.pieces):
+    if not outcome.certified or len(corr.pieces) != len(outcome.pieces):
         return False
     if outcome.rank != sum(len(cert.staircase) for cert in outcome.pieces):
         return False
     base_basis = tuple(groebner_basis(list(corr.source.relations), budget=budget))
     for piece, cert in zip(corr.pieces, outcome.pieces):
         combined = cert.ring
-        if cert.split != len(piece.ring.names):
-            return False
         # the stored matrices and base basis live over the certificate's base
         # block, which must be the source ring itself
-        if combined.drop(combined.names[: cert.split]) != corr.source.ring:
+        base_ring = combined.drop(combined.names[: cert.split])
+        if cert.split != len(piece.ring.names) or base_ring != corr.source.ring:
             return False
         if cert.base_groebner != base_basis:
             return False
@@ -541,27 +537,15 @@ def recheck_certificate(
         basis = [b for b in cert.groebner if not b.is_zero()]
         if not spolynomial_pairs_reduce(basis, order, budget=budget):
             return False
-        relations = _combined_relations(piece, corr.source, combined)
-        for rel in relations:
+        for rel in _combined_relations(piece, corr.source, combined):
             if not normal_form(rel, basis, order, budget=budget).is_zero():
                 return False
-        stair, _, mixed = classify_leads(basis, order, cert.split)
-        if any(b.is_constant() for b in basis):
-            stair = []  # the unit ideal presents the zero module
-        fiber = combined.names[: cert.split]
-        if mixed or stair != list(cert.staircase) or cert.labels != staircase_labels(fiber, stair):
+        try:
+            analysis = classify_basis(combined, cert.split, basis, base_ring, base_basis, budget)
+        except PresentationError:
             return False
-        if stair and not set(fiber) <= {name for name, _ in cert.matrices}:
+        if analysis.status not in ("free", "zero") or _piece_certificate(analysis, budget) != cert:
             return False
-        for name, recorded in cert.matrices:
-            try:
-                fresh = multiplication_matrix_from(
-                    combined, cert.split, basis, combined.var(name), list(cert.staircase), budget
-                )
-            except PresentationError:
-                return False
-            if tuple(tuple(row) for row in fresh) != recorded:
-                return False
     return True
 
 

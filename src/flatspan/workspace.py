@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Field, GF, QQ
+from .fields import Field, FieldError, GF, QQ
 from .poly import PolynomialRing, companion_name
 from .polyparse import ParseError, format_polynomial, parse_polynomial
 from .schemes import AffineScheme, affine_line, point, product, torus, torus_power
@@ -222,10 +222,10 @@ class _Parser:
             raise self.error("duplicate field declaration", line)
         spec = " ".join(m.group(1).split())
         self.field_text = spec
-        if spec == "QQ":
-            self.field = QQ
-        else:
-            self.field = GF(int(spec.split()[1]))
+        try:
+            self.field = QQ if spec == "QQ" else GF(int(spec.split()[1]))
+        except FieldError as err:
+            raise self.error(str(err), line) from err
 
     def parse_scheme(self, line: int, text: str) -> None:
         m = _SCHEME.match(text)
@@ -238,22 +238,22 @@ class _Parser:
         kind = parts[0]
         args = tuple(parts[1:])
         power = re.match(r"torus\^(\d+)$", kind)
-        if kind == "point" and not args:
-            built = point(field)
-        elif kind == "line" and len(args) == 1 and _IDENT.match(args[0]):
-            built = affine_line(field, args[0])
-        elif kind == "torus" and len(args) == 1 and _IDENT.match(args[0]):
-            built = torus(field, args[0])
-        elif power and not args:
-            built = torus_power(field, int(power.group(1)))
-        elif kind == "product" and len(args) == 2:
-            factors = [self.lookup_scheme(a, line) for a in args]
-            try:
+        try:
+            if kind == "point" and not args:
+                built = point(field)
+            elif kind == "line" and len(args) == 1 and _IDENT.match(args[0]):
+                built = affine_line(field, args[0])
+            elif kind == "torus" and len(args) == 1 and _IDENT.match(args[0]):
+                built = torus(field, args[0])
+            elif power and not args:
+                built = torus_power(field, int(power.group(1)))
+            elif kind == "product" and len(args) == 2:
+                factors = [self.lookup_scheme(a, line) for a in args]
                 built = product(factors[0], factors[1])
-            except ValueError as err:
-                raise self.error(str(err), line) from err
-        else:
-            raise self.error(f"unrecognized scheme form {rhs!r}", line)
+            else:
+                raise self.error(f"unrecognized scheme form {rhs!r}", line)
+        except ValueError as err:
+            raise self.error(str(err), line) from err
         self.scheme_decls.append(SchemeDecl(name, kind, args))
         self.schemes[name] = built
 

@@ -10,14 +10,28 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from flatspan.budget import Budget
-from flatspan.groebner import eliminate, groebner_basis, normal_form
-from flatspan.orders import MonomialOrder, exp_add, exp_coprime, exp_divides, exp_lcm, exp_sub
+from flatspan.groebner import eliminate, groebner_basis, normal_form, spolynomial_pairs_reduce
+from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
+from flatspan.orders import (
+    GrevLex,
+    MonomialOrder,
+    exp_add,
+    exp_coprime,
+    exp_divides,
+    exp_lcm,
+    exp_sub,
+    fiber_order,
+)
 from flatspan.poly import Polynomial, PolynomialRing, RingMismatch
 from flatspan.spans import (
+    CertifyOutcome,
     Correspondence,
     IncomparableSpans,
+    PieceCertificate,
     SpanError,
     SpanPiece,
+    _combined_relations,
+    _combined_ring,
     _piece_sort_key,
     make_piece,
     simplify_piece,
@@ -271,3 +285,114 @@ def payload_equals(left: Correspondence, right: Correspondence, budget: Budget |
         else:
             return False
     return True
+
+
+def _sort_leads(basis: list[Polynomial], order: MonomialOrder, split: int):
+    """Pure-fiber leads (their fiber exponents), base-only elements and
+    mixed elements of ``basis``."""
+    pure, base_only, mixed = [], [], []
+    for g in basis:
+        lm = g.leading_exponent(order)
+        fp, bp = lm[:split], lm[split:]
+        if any(fp) and not any(bp):
+            pure.append(fp)
+        elif any(bp) and not any(fp):
+            base_only.append(g)
+        elif any(fp):
+            mixed.append(g)
+    return pure, base_only, mixed
+
+
+def box_staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]] | None:
+    """Every fiber monomial no pure lead divides, in degree-reverse-lex
+    order, found by scanning the box the pure powers bound; ``None`` when a
+    direction has no pure power."""
+    bounds = []
+    for i in range(split):
+        powers = [a[i] for a in pure if a[i] and sum(a) == a[i]]
+        if not powers:
+            return None
+        bounds.append(min(powers))
+    box = [()]
+    for b in bounds:
+        box = [e + (k,) for e in box for k in range(b)]
+    out = [e for e in box if not any(exp_divides(a, e) for a in pure)]
+    return sorted(out, key=GrevLex(split).key)
+
+
+def enumerated_recheck(corr: Correspondence, outcome: CertifyOutcome, budget: Budget | None = None) -> bool:
+    """A recheck that inspects the certificate field by field: the S-pair
+    criterion, the relations, no mixed lead, the staircase and labels the
+    pure leads give, a matrix per fiber variable and each stored matrix
+    recomputed.  It runs no torsion test."""
+    if not outcome.certified or len(corr.pieces) != len(outcome.pieces):
+        return False
+    if outcome.rank != sum(len(cert.staircase) for cert in outcome.pieces):
+        return False
+    base_basis = tuple(groebner_basis(list(corr.source.relations), budget=budget))
+    for piece, cert in zip(corr.pieces, outcome.pieces):
+        combined = cert.ring
+        if cert.split != len(piece.ring.names):
+            return False
+        if combined.drop(combined.names[: cert.split]) != corr.source.ring:
+            return False
+        if cert.base_groebner != base_basis:
+            return False
+        order = fiber_order(combined.nvars, cert.split)
+        basis = [b for b in cert.groebner if not b.is_zero()]
+        if not spolynomial_pairs_reduce(basis, order, budget=budget):
+            return False
+        for rel in _combined_relations(piece, corr.source, combined):
+            if not normal_form(rel, basis, order, budget=budget).is_zero():
+                return False
+        pure, _, mixed = _sort_leads(basis, order, cert.split)
+        stair = [] if any(b.is_constant() for b in basis) else box_staircase(pure, cert.split)
+        fiber = combined.names[: cert.split]
+        if mixed or stair != list(cert.staircase) or cert.labels != staircase_labels(fiber, stair):
+            return False
+        if stair and not set(fiber) <= {name for name, _ in cert.matrices}:
+            return False
+        for name, recorded in cert.matrices:
+            try:
+                fresh = multiplication_matrix_from(
+                    combined, cert.split, basis, combined.var(name), list(cert.staircase), budget
+                )
+            except PresentationError:
+                return False
+            if tuple(tuple(row) for row in fresh) != recorded:
+                return False
+    return True
+
+
+def leads_certificate(corr: Correspondence) -> CertifyOutcome | None:
+    """The certificate a forger builds from each piece's true reduced basis
+    and the staircase its pure leads cut out, with no torsion or mixed-lead
+    test; ``None`` when some fiber direction has no pure power."""
+    base = corr.source
+    base_basis = tuple(groebner_basis(list(base.relations)))
+    pieces = []
+    for piece in corr.pieces:
+        combined = _combined_ring(piece, base.ring)
+        split = len(piece.ring.names)
+        order = fiber_order(combined.nvars, split)
+        basis = groebner_basis(_combined_relations(piece, base, combined), order)
+        if any(g.is_constant() for g in basis):
+            stair = []
+        else:
+            stair = box_staircase(_sort_leads(basis, order, split)[0], split)
+            if stair is None:
+                return None
+        fiber = combined.names[:split]
+        matrices = tuple(
+            (v, multiplication_matrix_from(combined, split, basis, combined.var(v), stair))
+            for v in sorted(fiber)
+            if stair
+        )
+        # the Fitting ideals of a free module around its rank: 0 and (1)
+        pieces.append(
+            PieceCertificate(
+                combined, split, tuple(basis), tuple(stair), staircase_labels(fiber, stair),
+                matrices, base_basis, (), (base.ring.one(),),
+            )
+        )
+    return CertifyOutcome("certified", sum(c.rank for c in pieces), tuple(pieces))

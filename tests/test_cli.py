@@ -80,6 +80,22 @@ def test_workspace_syntax_error_is_an_input_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("field QQ\nscheme G = torus^0\n", "line 2: torus^0 needs at least one factor"),
+        ("field Fp 1\n", "line 1: 1 is not prime"),
+    ],
+    ids=["torus-power-zero", "field-one"],
+)
+def test_bad_field_or_scheme_argument_is_an_input_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.fsw"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(bad))
+    assert code == 2
+    assert message in err and "Traceback" not in err + out
+
+
 def test_unresolved_operand_is_an_error_verdict(capsys):
     code, out, _ = run_cli(
         capsys, "certify", "--workspace", workspace("span-algebra"), "--corr", "ghost"
@@ -331,6 +347,49 @@ def test_recheck_catches_a_workspace_mismatch(capsys, tmp_path):
     code, text, _ = run_cli(capsys, "run", workspace("span-algebra"), "--recheck", str(out))
     assert code == 1
     assert "digest" in text
+
+
+TORSION_DOC = """workspace torsion
+field QQ
+scheme L = line x
+scheme P = point
+span pt : L -> P {
+  piece {
+    vars y
+    rels y
+    source x: y
+  }
+}
+check c = certify pt
+"""
+
+
+def test_recheck_rejects_a_flipped_torsion_verdict(capsys, tmp_path):
+    """The failing ``certify pt`` flipped to a rank-1 pass that carries the
+    certificate read off the true basis [x, y]: staircase {1}, matrix 0."""
+    from oracles import leads_certificate
+
+    from flatspan.reports import finite_flat_block, recheck_envelope
+    from flatspan.workspace import parse_workspace, print_workspace
+
+    doc = tmp_path / "torsion.fsw"
+    doc.write_text(TORSION_DOC, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", str(doc), "--format", "structured", "--out", str(out)]) == 1
+    capsys.readouterr()
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    (report,) = payload["reports"]
+    assert report["detail"].startswith("not locally free: piece 0: base element (x)")
+    parsed = parse_workspace(TORSION_DOC)
+    forged = leads_certificate(parsed.spans["pt"])
+    block = finite_flat_block(parsed.spans["pt"], forged)
+    assert block["outcome"]["pieces"][0]["matrices"] == {"y": [["0"]]}
+    report.update(verdict="pass", exit_code=0, data={"rank": 1}, certificates=[block])
+    payload["exit_code"] = 0
+    payload = json.loads(json.dumps(payload))
+    ok, messages = recheck_envelope(payload, workspace_text=print_workspace(parsed))
+    assert not ok
+    assert messages == ["c: stored finite-flat certificate fails re-validation"]
 
 
 def test_recheck_of_malformed_report_is_an_input_error(capsys, tmp_path):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import flatspan.groebner
 import flatspan.spans
@@ -529,6 +529,99 @@ def test_recheck_rejects_foreign_relations():
     two, three = torus_power_cover(2), torus_power_cover(3)
     out = certify_finite_flat(two)
     assert not recheck_certificate(three, out)
+
+
+def test_recheck_rejects_a_certificate_of_a_torsion_module():
+    """k[y]/(y) over A^1_x along x -> y is the origin, which x annihilates.
+    The true reduced basis [x, y] has the pure lead y, no mixed lead and
+    the staircase {1}; only the torsion test sees that x kills the middle."""
+    from oracles import enumerated_recheck, leads_certificate
+
+    line, pt = affine_line(QQ, "x"), point(QQ)
+    y = PolynomialRing(QQ, ("y",)).var("y")
+    span = Correspondence(line, pt, (make_piece(y.ring, [y], {"x": y}, {}, line, pt),))
+    assert certify_finite_flat(span).status == "not_locally_free"
+    forged = leads_certificate(span)
+    (cert,) = forged.pieces
+    assert sorted(str(g) for g in cert.groebner) == ["x", "y"]
+    assert (cert.staircase, cert.labels, forged.rank) == (((0,),), ("1",), 1)
+    assert [(v, [[str(e) for e in row] for row in m]) for v, m in cert.matrices] == [("y", [["0"]])]
+    assert enumerated_recheck(span, forged)
+    assert not recheck_certificate(span, forged)
+
+
+def _tampers(out):
+    """Single-field edits of a genuine certificate's first piece."""
+    from dataclasses import replace
+
+    cert = out.pieces[0]
+    base = cert.ring.drop(cert.ring.names[: cert.split])
+    edits = [
+        dict(staircase=cert.staircase + ((7,) * cert.split,)),
+        dict(staircase=cert.staircase[:-1]),
+        dict(labels=cert.labels[:-1] + ("7",)),
+        dict(matrices=cert.matrices[1:]),
+        dict(base_groebner=cert.base_groebner + (base.one() + base.one(),)),
+        dict(groebner=cert.groebner[1:]),
+        dict(groebner=(cert.groebner[0] + cert.ring.one(),) + cert.groebner[1:]),
+    ]
+    if cert.matrices:
+        name, rows = cert.matrices[0]
+        bumped = ((rows[0][0] + base.one(),) + rows[0][1:],) + rows[1:]
+        edits.append(dict(matrices=((name, bumped),) + cert.matrices[1:]))
+    forged = [replace(out, pieces=(replace(cert, **edit),) + out.pieces[1:]) for edit in edits]
+    return forged + [replace(out, rank=out.rank + 1)]
+
+
+def _assert_rejects_what_the_enumerated_recheck_rejects(span, out):
+    from oracles import enumerated_recheck
+
+    for forged in _tampers(out):
+        if not enumerated_recheck(span, forged):
+            assert not recheck_certificate(span, forged)
+
+
+def test_recheck_rejects_every_tamper_the_enumerated_recheck_rejects():
+    for span in (torus_power_cover(2), _root_cover()[0]):
+        out = certify_finite_flat(span)
+        assert recheck_certificate(span, out)
+        _assert_rejects_what_the_enumerated_recheck_rejects(span, out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_recheck_accepts_a_leads_certificate_exactly_when_certification_does(data):
+    """Single-piece spans over a line or a torus with one or two fiber
+    variables, each with a monic relation, and perhaps one more relation.
+    The certificate built from the true basis and its pure leads rechecks
+    exactly when certification certifies, and then it is certification's."""
+    from oracles import leads_certificate
+
+    field = data.draw(st.sampled_from([QQ, GF(5)]))
+    base = data.draw(st.sampled_from([affine_line(field, "x"), torus(field, "t")]))
+    fiber = data.draw(st.sampled_from([("y",), ("y", "z")]))
+    ring = PolynomialRing(field, base.ring.names + fiber, base.ring.inverted)
+    coord = base.ring.names[0]
+    relations = list(base.relations)
+    for v in fiber:
+        power = data.draw(st.integers(1, 2))
+        lower = _draw_poly(data, ring, (v, coord))
+        lower = Polynomial(ring, {e: c for e, c in lower.terms().items() if e[ring.index(v)] < power})
+        relations.append(ring.var(v) ** power + lower)
+    extra = data.draw(st.sampled_from(["none", "drawn", "annihilator"]))
+    if extra == "drawn":
+        relations.append(_draw_poly(data, ring, (fiber[-1], coord)))
+    elif extra == "annihilator":  # torsion, or a mixed lead y*x^k when no base element follows
+        relations.append(ring.var("y") * ring.var(coord) ** data.draw(st.integers(1, 2)))
+    legs = {n: ring.var(n) for n in base.ring.names}
+    span = Correspondence(base, point(field), (make_piece(ring, relations, legs, {}, base, point(field)),))
+    forged = leads_certificate(span)
+    assume(forged is not None)
+    out = certify_finite_flat(span)
+    assert recheck_certificate(span, forged) == out.certified
+    if out.certified:
+        assert forged == out
+        _assert_rejects_what_the_enumerated_recheck_rejects(span, out)
 
 
 def test_collapse_variables_removes_an_identified_variable():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,20 @@ def test_duplicate_name_is_rejected():
 def test_forward_references_are_rejected():
     text = "field QQ\nscheme X = product G H\nscheme G = torus t\nscheme H = torus u\n"
     with pytest.raises(WorkspaceError, match="line 2"):
+        parse_workspace(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("field QQ\nscheme G = torus^0\n", "line 2: torus^0 needs at least one factor"),
+        ("field Fp 1\nscheme G = torus t\n", "line 1: 1 is not prime"),
+        ("# header\nfield Fp 6\n", "line 2: 6 is not prime"),
+    ],
+    ids=["torus-power-zero", "field-one", "field-composite"],
+)
+def test_bad_field_or_scheme_arguments_report_their_line(text, message):
+    with pytest.raises(WorkspaceError, match=re.escape(message)):
         parse_workspace(text)
 
 
