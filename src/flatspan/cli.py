@@ -49,6 +49,7 @@ from .fields import FieldError, field_from_name
 from .poly import ExponentOverflow
 from .polyparse import ParseError, format_polynomial, parse_polynomial
 from .reports import (
+    COMMANDS,
     Report,
     ReportError,
     bound_block,
@@ -69,11 +70,11 @@ from .spans import (
     validate_correspondence,
 )
 from .workspace import (
-    COMMANDS,
     INT_KEYS,
     CheckRequest,
     WorkspaceDocument,
     WorkspaceError,
+    check_request,
     normalize,
     parse_workspace,
     print_workspace,
@@ -453,10 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared(runner)
 
-    for name, (count, required, optional) in COMMANDS.items():
+    for name, row in COMMANDS.items():
         p = sub.add_parser(name, help=f"run a single {name} request")
         p.add_argument("--workspace", help="workspace document declaring the operands")
-        if count:
+        if row.operands:
             p.add_argument(
                 "operands", nargs="*", metavar="SPAN", help="operand span names"
             )
@@ -467,12 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="SPAN",
                 help="operand span name (alternative to positionals)",
             )
-        for key in required + optional:
+        else:
+            p.add_argument("--field", default="QQ", help="QQ or Fp:<p> (default QQ)")
+        for key in row.required + row.optional:
             p.add_argument(
                 f"--{key}", type=int if key in INT_KEYS else str, default=None
             )
-        if name == "verify-cancellation":
-            p.add_argument("--field", default="QQ", help="QQ or Fp:<p> (default QQ)")
         shared(p)
     return parser
 
@@ -523,32 +524,22 @@ def _run_batch(args) -> int:
 
 def _run_single(args) -> int:
     name = args.command
-    count, required, optional = COMMANDS[name]
-    operands = tuple(getattr(args, "corr", None) or ()) + tuple(
-        getattr(args, "operands", None) or ()
-    )
-    if len(operands) != count:
-        raise WorkspaceError(
-            f"{name} takes {count} span operand(s), got {len(operands)}"
-        )
-    keyed = []
-    for key in required + optional:
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is None:
-            if key in required:
-                raise WorkspaceError(f"{name} requires --{key}")
-            continue
-        keyed.append((key, str(value)))
-    req = CheckRequest(name=name, command=name, operands=operands, args=tuple(keyed))
+    row = COMMANDS[name]
+    operands = (*args.corr, *args.operands) if row.operands else ()
+    keyed = [
+        (key, str(getattr(args, key)))
+        for key in row.required + row.optional
+        if getattr(args, key) is not None
+    ]
+    req = check_request(name, name, operands, keyed, missing="{command} requires --{key}")
     if args.workspace:
         doc, canonical = _load_document(args.workspace)
         digest = input_digest(canonical)
-    elif count:
+    elif row.operands:
         raise WorkspaceError(f"{name} needs --workspace to resolve span names")
     else:
-        field_text = getattr(args, "field", "QQ")
-        doc = WorkspaceDocument(field_text=field_text, field=field_from_name(field_text))
-        echo = name + "".join(f" {k}: {v}" for k, v in keyed) + f" field {field_text}"
+        doc = WorkspaceDocument(field_text=args.field, field=field_from_name(args.field))
+        echo = name + "".join(f" {k}: {v}" for k, v in req.args) + f" field {args.field}"
         digest = input_digest(echo)
     report = execute_check(doc, normalize(req, doc.spans), args.budget)
     _emit([report], digest, args)
@@ -563,10 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _run_batch(args)
         return _run_single(args)
-    except (WorkspaceError, ReportError, FieldError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (WorkspaceError, ReportError, FieldError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

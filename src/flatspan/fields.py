@@ -97,11 +97,36 @@ class RationalField(Field):
         return hash("QQ")
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic primality for ``p`` below :data:`PRIMALITY_LIMIT`."""
+    if p < 2 or any(p % q == 0 for q in _BASES):
+        return p in _BASES
+    if p < 43 * 43:  # no prime factor up to its square root
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # a witnesses compositeness when a^d != 1 and a^(2^r d) != -1 for all r < s
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << r, p) != p - 1 for r in range(s)):
+            return False
+    return True
+
+
 class PrimeField(Field):
     """GF(p) for a prime p; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= PRIMALITY_LIMIT:
+            raise FieldError(f"{p} is too large; a prime field needs p below {PRIMALITY_LIMIT}")
+        if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
@@ -159,14 +184,8 @@ def field_from_name(name: str) -> Field:
     name = name.strip()
     if name == "QQ":
         return QQ
-    for sep in (":", " "):
-        if name.startswith("Fp" + sep):
-            try:
-                return GF(int(name[3:]))
-            except FieldError:
-                raise
-            except ValueError:
-                break
+    if name[:3] in ("Fp:", "Fp ") and name[3:].strip().isdecimal():
+        return GF(int(name[3:]))
     raise FieldError(f"unknown field {name!r}; expected QQ or Fp:<p>")
 
 

@@ -39,23 +39,6 @@ class PresentationError(Exception):
     pass
 
 
-class NotFiniteOverBase(PresentationError):
-    def __init__(self, direction: str):
-        super().__init__(f"no pure power of {direction!r} in the leading-term ideal; not module-finite")
-        self.direction = direction
-
-
-class NotLocallyFreeOverBase(PresentationError):
-    def __init__(self, witness: list[Polynomial]):
-        text = ", ".join(str(w) for w in witness)
-        super().__init__(f"base annihilator detected; torsion witness ideal ({text})")
-        self.witness = witness
-
-
-class InconclusivePresentation(PresentationError):
-    pass
-
-
 @dataclass(frozen=True)
 class ModulePresentation:
     """Generators and a relation matrix over the base ring.
@@ -288,25 +271,13 @@ def staircase_labels(names: tuple[str, ...], staircase) -> tuple[str, ...]:
 
 
 def module_presentation(analysis: ModuleAnalysis) -> ModulePresentation:
-    """Presentation over the base, available for free/zero modules and for
-    cyclic torsion quotients (no fiber variables)."""
-    if analysis.status in ("free", "zero"):
-        return ModulePresentation(
-            base_ring=analysis.base_ring,
-            generators=staircase_labels(analysis.ring.names[: analysis.split], analysis.staircase),
-            relations=(),
-        )
-    if analysis.status == "torsion" and analysis.split == 0:
-        return ModulePresentation(
-            base_ring=analysis.base_ring,
-            generators=("1",),
-            relations=tuple((w,) for w in analysis.torsion_witness),
-        )
-    if analysis.status == "torsion":
-        raise NotLocallyFreeOverBase(list(analysis.torsion_witness))
-    if analysis.status == "not_finite":
-        raise NotFiniteOverBase(analysis.not_finite_direction or "?")
-    raise InconclusivePresentation(analysis.detail or "presentation is inconclusive")
+    """Presentation over the base of a free or zero module: its staircase
+    labels as generators, with no relations."""
+    return ModulePresentation(
+        base_ring=analysis.base_ring,
+        generators=staircase_labels(analysis.ring.names[: analysis.split], analysis.staircase),
+        relations=(),
+    )
 
 
 def _minors(rows: list[list[Polynomial]], k: int, ring: PolynomialRing, budget: Budget):

@@ -1,4 +1,4 @@
-"""Verification reports: serialization, digests, and re-checking.
+"""Verification reports: check commands, serialization, digests, and re-checking.
 
 A report envelope carries the tool version, a digest of the canonical
 input, and one report per request.  Pass reports embed their supporting
@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from . import __version__
 from .budget import DEFAULT_STEPS, Budget
@@ -220,6 +221,42 @@ def bound_block(report) -> dict:
 # reports
 
 
+class Command(NamedTuple):
+    """A check command's span operand count, its required and optional keys
+    in canonical order, and the certificate kinds a pass carries one of."""
+
+    operands: int
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    carries: tuple[str, ...] = ()
+
+
+# verify-compat carries nothing, since its pass has no certificate when the
+# family is uncertified
+COMMANDS = {
+    "compose": Command(2),
+    "add": Command(2),
+    "tensor": Command(2),
+    "certify": Command(1, carries=("finite-flat",)),
+    "degree": Command(1, carries=("finite-flat",)),
+    "bound": Command(1, ("f",), ("f2",), ("finite-flat",)),
+    "slice": Command(1, ("f", "n"), ("f2", "a", "b"), ("finite-flat", "valuation-bound")),
+    "cancel": Command(1, ("m", "n", "sign"), carries=("finite-flat",)),
+    "cancel-slice": Command(1, ("n", "sign"), carries=("finite-flat",)),
+    "filtration": Command(1, (), ("window",), ("valuation-bound",)),
+    "verify-compat": Command(3, ("m", "n", "sign")),
+    "verify-cancellation": Command(0, ("n",)),
+    "contract": Command(1, carries=("finite-flat",)),
+    "verify-contraction": Command(1, carries=("finite-flat",)),
+}
+
+
+def check_line(name: str, command: str, operands, args) -> str:
+    """The workspace line of one check; ``args`` are key/value pairs."""
+    keyed = (f"{key}: {value}" for key, value in args)
+    return " ".join(["check", name, "=", command, *operands, *keyed])
+
+
 @dataclass
 class Report:
     name: str
@@ -357,31 +394,14 @@ _CLAIMS = {
 }
 
 
-# command -> the certificate kinds of which its pass must carry at least one.
-# verify-compat is left out, since its pass carries nothing when the family
-# is uncertified; compose, add, tensor and verify-cancellation carry none.
-_CARRIES = {
-    "certify": ("finite-flat",),
-    "degree": ("finite-flat",),
-    "cancel": ("finite-flat",),
-    "cancel-slice": ("finite-flat",),
-    "bound": ("finite-flat",),
-    "contract": ("finite-flat",),
-    "verify-contraction": ("finite-flat",),
-    "slice": ("finite-flat", "valuation-bound"),
-    "filtration": ("valuation-bound",),
-}
-
-
 def _claims_hold(
-    command, data: dict, certificates: list, messages: list[str], where: str
+    command: str, data: dict, certificates: list, messages: list[str], where: str
 ) -> bool:
-    """A pass report must carry a certificate of a kind its command's row
-    of :data:`_CARRIES` names.  Its rank, degree or bound must equal that
-    of every certificate of the matching kind it carries, and it must
-    carry one."""
+    """A pass report must carry a certificate of a kind its command's
+    ``carries`` names.  Its rank, degree or bound must equal that of every
+    certificate of the matching kind it carries, and it must carry one."""
     ok = True
-    needed = _CARRIES.get(command, ()) if isinstance(command, str) else ()
+    needed = COMMANDS[command].carries
     if needed and not any(isinstance(b, dict) and b.get("kind") in needed for b in certificates):
         messages.append(f"{where}: a {command} pass carries no {' or '.join(needed)} certificate")
         ok = False
@@ -399,6 +419,22 @@ def _claims_hold(
     return ok
 
 
+def _unanswered(report: dict, lines: set[str] | None) -> str | None:
+    """Why ``report`` answers no check, or None.  Its command must be a row
+    of :data:`COMMANDS` and, given the workspace's canonical lines, its
+    check line must be one of them."""
+    request, command = report.get("request"), report.get("command")
+    try:
+        line = check_line(report.get("name"), command, request["operands"], request["args"].items())
+    except (TypeError, KeyError, AttributeError):
+        return f"request {request!r} is malformed"
+    if command not in COMMANDS:
+        return f"unknown command {command!r}"
+    if lines is not None and line not in lines:
+        return "answers no check of the workspace"
+    return None
+
+
 def recheck_envelope(
     payload: dict,
     workspace_text: str | None = None,
@@ -407,15 +443,17 @@ def recheck_envelope(
     """Re-validate a stored envelope.
 
     Checks the digest against the workspace (when one is supplied), the
-    exit-code/verdict correspondence, every embedded certificate (each
-    under one budget of ``budget_limit`` steps), that each pass carries the
-    certificate kind its command needs, and that each pass report's rank,
-    degree or bound is the one its certificates carry.  Returns overall
-    agreement plus human-readable findings; a budget that runs out raises
-    :class:`BudgetExhausted`.
+    exit-code/verdict correspondence, that each report answers a check
+    (a line of the workspace when one is supplied, else a known command),
+    every embedded certificate (each under one budget of ``budget_limit``
+    steps), that each pass carries the certificate kind its command needs,
+    and that each pass report's rank, degree or bound is the one its
+    certificates carry.  Returns overall agreement plus human-readable
+    findings; a budget that runs out raises :class:`BudgetExhausted`.
     """
     messages: list[str] = []
     ok = _structural(payload, messages)
+    lines = None if workspace_text is None else set(workspace_text.splitlines())
     if workspace_text is not None and "input_digest" in payload:
         expected = input_digest(workspace_text)
         if payload["input_digest"] != expected:
@@ -447,6 +485,11 @@ def recheck_envelope(
                 f"from verdict {verdict!r}"
             )
             ok = False
+        unanswered = _unanswered(report, lines)
+        if unanswered:
+            messages.append(f"{where}: {unanswered}")
+            ok = False
+            continue
         data = report.get("data", {})
         certificates = report.get("certificates", [])
         if not isinstance(data, dict) or not isinstance(certificates, list):
@@ -467,8 +510,9 @@ def recheck_envelope(
             except _MALFORMED as err:
                 messages.append(f"{where}: certificate could not be rebuilt: {err}")
                 ok = False
-        command = report.get("command")
-        if verdict == "pass" and not _claims_hold(command, data, certificates, messages, where):
+        if verdict == "pass" and not _claims_hold(
+            report["command"], data, certificates, messages, where
+        ):
             ok = False
     if "exit_code" in payload and codes and payload["exit_code"] != max(codes):
         messages.append("envelope exit code does not match its reports")

@@ -63,10 +63,11 @@ def torus_power(field: Field, n: int) -> AffineScheme:
     """(A1 minus 0)^n with coordinates t1..tN."""
     if n < 1:
         raise ValueError(f"torus^{n} needs at least one factor")
-    out = torus(field, "t1")
-    for i in range(2, n + 1):
-        out = product(out, torus(field, f"t{i}"))
-    return out
+    coords = [f"t{i}" for i in range(1, n + 1)]
+    names = tuple(name for v in coords for name in (v, companion_name(v)))
+    ring = PolynomialRing(field, names, frozenset(coords))
+    rels = tuple(ring.var(v) * ring.var(companion_name(v)) - ring.one() for v in coords)
+    return AffineScheme(ring, rels)
 
 
 def localize(scheme: AffineScheme, g: Polynomial) -> tuple[AffineScheme, str]:

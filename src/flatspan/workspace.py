@@ -37,9 +37,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Field, FieldError, GF, QQ
+from .fields import Field, GF, QQ
 from .poly import PolynomialRing, companion_name
 from .polyparse import ParseError, format_polynomial, parse_polynomial
+from .reports import COMMANDS, check_line
 from .schemes import AffineScheme, affine_line, point, product, torus, torus_power
 from .spans import Correspondence, SpanError, make_piece, validate_correspondence
 
@@ -50,24 +51,6 @@ class WorkspaceError(Exception):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
 
-
-# command -> (operand count, required keys, optional keys), in canonical order
-COMMANDS: dict[str, tuple[int, tuple[str, ...], tuple[str, ...]]] = {
-    "compose": (2, (), ()),
-    "add": (2, (), ()),
-    "tensor": (2, (), ()),
-    "certify": (1, (), ()),
-    "degree": (1, (), ()),
-    "bound": (1, ("f",), ("f2",)),
-    "slice": (1, ("f", "n"), ("f2", "a", "b")),
-    "cancel": (1, ("m", "n", "sign"), ()),
-    "cancel-slice": (1, ("n", "sign"), ()),
-    "filtration": (1, (), ("window",)),
-    "verify-compat": (3, ("m", "n", "sign"), ()),
-    "verify-cancellation": (0, ("n",), ()),
-    "contract": (1, (), ()),
-    "verify-contraction": (1, (), ()),
-}
 
 INT_KEYS = {"n", "m", "a", "b", "window"}
 POLY_KEYS = {"f", "f2"}
@@ -123,7 +106,7 @@ _SPAN = re.compile(
 )
 _CHECK = re.compile(r"check\s+([A-Za-z_][\w-]*)\s*=\s*(.+?)\s*$")
 _IDENT = re.compile(r"[A-Za-z_]\w*$")
-_KEYED = re.compile(r"(?:^|\s)([A-Za-z_][\w]*):\s")
+_KEYED = re.compile(r"(?:^|\s)([A-Za-z_]\w*):(?=\s)")
 
 
 def _strip_comment(line: str) -> str:
@@ -224,7 +207,7 @@ class _Parser:
         self.field_text = spec
         try:
             self.field = QQ if spec == "QQ" else GF(int(spec.split()[1]))
-        except FieldError as err:
+        except ValueError as err:  # a FieldError, or too many digits for int()
             raise self.error(str(err), line) from err
 
     def parse_scheme(self, line: int, text: str) -> None:
@@ -361,55 +344,50 @@ class _Parser:
         m = _CHECK.match(text)
         if not m:
             raise self.error("expected: check NAME = COMMAND ...", line)
-        name, rest = m.group(1), m.group(2)
+        name, rest = m.groups()
         self.claim(name, line)
-        words = rest.split()
-        if not words:
-            raise self.error("missing command", line)
-        command = words[0]
-        if command not in COMMANDS:
-            raise self.error(f"unknown command {command!r}", line)
-        count, required, optional = COMMANDS[command]
-        tail = rest[len(command):].strip()
-        first_key = _KEYED.search(" " + tail)
-        if first_key:
-            head = (" " + tail)[: first_key.start()].strip()
-            keyed = (" " + tail)[first_key.start():].strip()
-        else:
-            head, keyed = tail, ""
-        operands = tuple(head.split())
-        if len(operands) != count:
-            raise self.error(
-                f"{command} takes {count} span operand(s), got {len(operands)}", line
-            )
-        for op in operands:
+        command, *tail = rest.split(None, 1)
+        head, *keyed = _KEYED.split(" ".join(tail))
+        pairs = [(key, value.strip()) for key, value in zip(keyed[::2], keyed[1::2])]
+        check = check_request(name, command, tuple(head.split()), pairs, line)
+        for op in check.operands:
             self.lookup_span(op, line)
-        args = []
-        while keyed:
-            key, _, after = keyed.partition(":")
-            key = key.strip()
-            nxt = _KEYED.search(" " + after)
-            if nxt:
-                value = (" " + after)[: nxt.start()].strip()
-                keyed = (" " + after)[nxt.start():].strip()
-            else:
-                value, keyed = after.strip(), ""
-            if key not in required and key not in optional:
-                raise self.error(f"{command} does not take argument {key!r}", line)
-            if any(k == key for k, _ in args):
-                raise self.error(f"duplicate argument {key!r}", line)
-            if not value:
-                raise self.error(f"missing value for argument {key!r}", line)
-            args.append((key, value))
-        given = {k for k, _ in args}
-        for key in required:
-            if key not in given:
-                raise self.error(f"{command} needs argument {key!r}", line)
-        ordered = tuple(
-            (key, dict(args)[key]) for key in required + optional if key in given
-        )
-        check = CheckRequest(name, command, operands, ordered, line)
         self.checks.append(normalize(check, self.spans))
+
+
+def check_request(
+    name: str,
+    command: str,
+    operands: tuple[str, ...],
+    keyed: list[tuple[str, str]],
+    line: int = 0,
+    missing: str = "{command} needs argument {key!r}",
+) -> CheckRequest:
+    """Validate a request against its row of :data:`COMMANDS`: a known
+    command, its operand count, and keys that it takes, each given once
+    with a value.  The request keeps its keys in canonical order;
+    ``missing`` words the error for an absent required key."""
+    row = COMMANDS.get(command)
+    if row is None:
+        raise WorkspaceError(f"unknown command {command!r}", line)
+    if len(operands) != row.operands:
+        raise WorkspaceError(
+            f"{command} takes {row.operands} span operand(s), got {len(operands)}", line
+        )
+    given: dict[str, str] = {}
+    for key, value in keyed:
+        if key not in row.required + row.optional:
+            raise WorkspaceError(f"{command} does not take argument {key!r}", line)
+        if key in given:
+            raise WorkspaceError(f"duplicate argument {key!r}", line)
+        if not value:
+            raise WorkspaceError(f"missing value for argument {key!r}", line)
+        given[key] = value
+    for key in row.required:
+        if key not in given:
+            raise WorkspaceError(missing.format(command=command, key=key), line)
+    args = tuple((key, given[key]) for key in row.required + row.optional if key in given)
+    return CheckRequest(name, command, operands, args, line)
 
 
 def _poly(text: str, ring: PolynomialRing, line: int | None):
@@ -427,7 +405,7 @@ def normalize(check: CheckRequest, spans: dict[str, Correspondence]) -> CheckReq
     """
     line = check.line or None
     ring = None
-    if check.operands and check.command in ("bound", "slice"):
+    if check.operands:
         corr = spans.get(check.operands[0])
         if corr is not None and len(corr.pieces) == 1:
             ring = corr.pieces[0].ring
@@ -493,7 +471,5 @@ def print_workspace(doc: WorkspaceDocument) -> str:
             lines.append("  }")
         lines.append("}")
     for check in doc.checks:
-        parts = [check.command, *check.operands]
-        parts += [f"{key}: {value}" for key, value in check.args]
-        lines.append(f"check {check.name} = " + " ".join(parts))
+        lines.append(check_line(check.name, check.command, check.operands, check.args))
     return "\n".join(lines) + "\n"

@@ -85,8 +85,10 @@ def test_workspace_syntax_error_is_an_input_error(tmp_path, capsys):
     [
         ("field QQ\nscheme G = torus^0\n", "line 2: torus^0 needs at least one factor"),
         ("field Fp 1\n", "line 1: 1 is not prime"),
+        ("field Fp 3317044064679887385961981\n", "line 1: 3317044064679887385961981 is too large"),
+        ("field Fp " + "7" * 5000 + "\n", "line 1: "),
     ],
-    ids=["torus-power-zero", "field-one"],
+    ids=["torus-power-zero", "field-one", "field-huge", "field-past-int-parsing"],
 )
 def test_bad_field_or_scheme_argument_is_an_input_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.fsw"
@@ -248,6 +250,73 @@ def test_recheck_demands_the_certificate_a_pass_of_its_command_makes(
     assert code == 1 and "agree" not in text
     for finding in findings:
         assert finding in text
+
+
+def _flip_to_compose(payload):
+    """Both fails of failing-checks claim a pass of compose, a command
+    whose pass carries no certificate."""
+    _flip_to_pass(payload)
+    for report in payload["reports"]:
+        report["command"] = "compose"
+
+
+def _widen_window(payload):
+    [report] = [r for r in payload["reports"] if r["command"] == "filtration"]
+    assert report["request"]["args"] == {"window": "2"}
+    report["request"]["args"]["window"] = "3"
+
+
+@pytest.mark.parametrize(
+    "name, tamper, culprits",
+    [
+        ("failing-checks", _flip_to_compose, ["f1", "f2"]),
+        ("cancel-families", _widen_window, ["ix"]),
+    ],
+    ids=["fails-as-compose", "filtration-window"],
+)
+def test_recheck_binds_each_report_to_its_check(capsys, tmp_path, name, tamper, culprits):
+    from flatspan.reports import recheck_envelope
+
+    _, payload, out = structured(capsys, tmp_path, name)
+    tamper(payload)
+    findings = [f"{check}: answers no check of the workspace" for check in culprits]
+    text = Path(workspace(name)).read_text(encoding="utf-8")
+    assert recheck_envelope(payload, workspace_text=text) == (False, findings)
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, printed, _ = run_cli(capsys, "run", workspace(name), "--recheck", str(out))
+    assert (code, printed.splitlines()) == (1, findings)
+
+
+def test_a_single_command_envelope_answers_no_check_of_its_workspace(capsys, tmp_path):
+    """``certify --workspace`` reports a check named after its command, which
+    the workspace does not declare, so ``run --recheck`` rejects it."""
+    out = tmp_path / "single.json"
+    argv = ["certify", "--workspace", workspace("span-algebra"), "--corr", "idg"]
+    assert main([*argv, "--format", "structured", "--out", str(out)]) == 0
+    capsys.readouterr()
+    code, text, _ = run_cli(capsys, "run", workspace("span-algebra"), "--recheck", str(out))
+    assert (code, text.splitlines()) == (1, ["certify: answers no check of the workspace"])
+
+
+def test_recheck_without_a_workspace_needs_a_known_command_and_a_sound_request(
+    capsys, tmp_path
+):
+    from flatspan.reports import recheck_envelope
+
+    _, payload, _ = structured(capsys, tmp_path, "span-algebra")
+    first, second, third, fourth = payload["reports"][:4]
+    first["command"] = "frobnicate"
+    second["request"] = 5
+    third["request"]["args"] = ["n"]
+    fourth["request"]["operands"] = [7]
+    ok, messages = recheck_envelope(payload)
+    assert not ok
+    assert messages == [
+        "c1: unknown command 'frobnicate'",
+        "c2: request 5 is malformed",
+        "c3: request {'operands': ['idg', 'squ'], 'args': ['n']} is malformed",
+        "c4: request {'operands': [7], 'args': {}} is malformed",
+    ]
 
 
 COMPAT_DOC = """workspace compat
@@ -641,8 +710,6 @@ def test_an_exponent_over_the_cap_is_an_error_report(tmp_path, capsys):
 
 def test_every_command_has_a_handler():
     from flatspan.cli import HANDLERS
-    from flatspan.reports import _CARRIES
-    from flatspan.workspace import COMMANDS
+    from flatspan.reports import COMMANDS
 
     assert set(COMMANDS) == set(HANDLERS)
-    assert set(_CARRIES) <= set(COMMANDS)

@@ -22,7 +22,7 @@ def ring_qq(*names, inverted=()):
 def test_field_roundtrip_names():
     assert field_name(field_from_name("QQ")) == "QQ"
     assert field_name(field_from_name("Fp:5")) == "Fp:5"
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="6 is not prime"):
         field_from_name("Fp:6")
     with pytest.raises(FieldError):
         field_from_name("RR")

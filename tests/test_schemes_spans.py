@@ -116,6 +116,19 @@ def test_torus_power_and_strip():
     assert len(stripped.relations) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_torus_power_is_the_chained_product_of_tori(field, n):
+    chained = torus(field, "t1")
+    for i in range(2, n + 1):
+        chained = product(chained, torus(field, f"t{i}"))
+    built = torus_power(field, n)
+    assert built == chained
+    assert [r.items_sorted() for r in built.relations] == [
+        r.items_sorted() for r in chained.relations
+    ]
+
+
 def test_strip_refuses_entangled_coordinates():
     line2 = product(affine_line(QQ, "x"), affine_line(QQ, "y"))
     tied = AffineScheme(

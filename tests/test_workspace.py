@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -87,12 +88,31 @@ def test_forward_references_are_rejected():
         ("field QQ\nscheme G = torus^0\n", "line 2: torus^0 needs at least one factor"),
         ("field Fp 1\nscheme G = torus t\n", "line 1: 1 is not prime"),
         ("# header\nfield Fp 6\n", "line 2: 6 is not prime"),
+        # a strong pseudoprime to the bases 2, 3, 5 and 7
+        ("field Fp 3215031751\n", "line 1: 3215031751 is not prime"),
+        (
+            "field Fp 3317044064679887385961981\n",
+            "line 1: 3317044064679887385961981 is too large; a prime field needs p below "
+            "3317044064679887385961981",
+        ),
     ],
-    ids=["torus-power-zero", "field-one", "field-composite"],
+    ids=["torus-power-zero", "field-one", "field-composite", "field-pseudoprime", "field-huge"],
 )
 def test_bad_field_or_scheme_arguments_report_their_line(text, message):
     with pytest.raises(WorkspaceError, match=re.escape(message)):
         parse_workspace(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["field Fp 2305843009213693951\n", "field QQ\nscheme G = torus^200\n"],
+    ids=["mersenne-61", "torus-200"],
+)
+def test_large_fields_and_torus_powers_parse_quickly(text):
+    start = time.perf_counter()
+    doc = parse_workspace(text)
+    assert time.perf_counter() - start < 1.0
+    assert print_workspace(doc) == text
 
 
 def test_field_must_come_first():
@@ -171,3 +191,41 @@ def test_shipped_documents_are_in_canonical_form(name):
 
 def test_at_least_five_documents_are_shipped():
     assert len(list(WORKSPACE_DIR.glob("*.fsw"))) >= 5
+
+
+# one check line appended to SPAN_DOC (line 12): its canonical print, or the
+# error it raises
+CHECK_LINES = [
+    ("cancel idg n: 2 sign: + m: 007", "check c = cancel idg m: 7 n: 2 sign: +"),
+    ("slice idg f: t n: 3 f2: t_inv b: 2 a: 1", "check c = slice idg f: t n: 3 f2: t_inv a: 1 b: 2"),
+    ("bound idg f:  t+t", "check c = bound idg f: 2*t"),
+    ("bound idg f:t", "line 12: bound takes 1 span operand(s), got 2"),
+    ("filtration idg window:", "line 12: filtration takes 1 span operand(s), got 2"),
+    ("slice idg f: n: 3", "line 12: missing value for argument 'f'"),
+    ("bound idg f: t: 3", "line 12: missing value for argument 'f'"),
+    ("cancel idg m: 1 n: 1 n: 2 sign: +", "line 12: duplicate argument 'n'"),
+    ("cancel idg m: 1 sign: + q: 3", "line 12: cancel does not take argument 'q'"),
+    ("cancel idg m: 1 sign: +", "line 12: cancel needs argument 'n'"),
+    ("compose idg idg idg", "line 12: compose takes 2 span operand(s), got 3"),
+    ("compose idg", "line 12: compose takes 2 span operand(s), got 1"),
+    ("certify", "line 12: certify takes 1 span operand(s), got 0"),
+    ("verify-cancellation Z n: 3", "line 12: verify-cancellation takes 0 span operand(s), got 1"),
+    ("verify-cancellation n: 3", "check c = verify-cancellation n: 3"),
+    ("cancel idg m: 1\tn: 1 sign: +", "check c = cancel idg m: 1 n: 1 sign: +"),
+    ("cancel idg m:\t1 n: 1 sign: +", "check c = cancel idg m: 1 n: 1 sign: +"),
+    ("cancel\tidg m: 1 n: 1 sign: +", "check c = cancel idg m: 1 n: 1 sign: +"),
+    ("cancel-slice idg n: -0 sign: -", "check c = cancel-slice idg n: 0 sign: -"),
+    ("frobnicate idg", "line 12: unknown command 'frobnicate'"),
+    ("certify nope", "line 12: unresolved span reference 'nope'"),
+    ("", "line 12: expected: check NAME = COMMAND ..."),
+]
+
+
+@pytest.mark.parametrize("line, expected", CHECK_LINES)
+def test_check_lines_print_canonically_or_fail_with_their_message(line, expected):
+    text = SPAN_DOC.replace("check c1 = certify idg", f"check c = {line}")
+    try:
+        printed = print_workspace(parse_workspace(text)).splitlines()[-1]
+    except WorkspaceError as err:
+        printed = str(err)
+    assert printed == expected
