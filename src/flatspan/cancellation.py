@@ -22,7 +22,7 @@ from .groebner import (
     is_unit_ideal,
     saturate,
 )
-from .modules import multiplication_matrix_from
+from .modules import CertifyOutcome, multiplication_matrix_from
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -39,7 +39,6 @@ from .schemes import (
     torus,
 )
 from .spans import (
-    CertifyOutcome,
     Correspondence,
     SpanError,
     SpanPiece,
@@ -231,10 +230,16 @@ class SliceReport:
 
     verdict: str
     correspondence: Correspondence
-    rank: int | None
     certificate: CertifyOutcome
-    witness: tuple[Polynomial, ...] = ()
     bound: BoundReport | None = None
+
+    @property
+    def rank(self) -> int | None:
+        return self.certificate.rank
+
+    @property
+    def witness(self) -> tuple[Polynomial, ...]:
+        return self.certificate.witness
 
 
 def slice_locus(
@@ -260,13 +265,13 @@ def slice_locus(
     corr = Correspondence(sliced_source, alpha.target, (new_piece,))
     outcome = certify_finite_flat(corr, budget=budget)
     if outcome.certified:
-        return SliceReport("certified-flf", corr, outcome.rank, outcome)
+        return SliceReport("certified-flf", corr, outcome)
     if outcome.status == "not_locally_free":
-        return SliceReport("not-flat", corr, None, outcome, witness=outcome.witness)
+        return SliceReport("not-flat", corr, outcome)
     bound = flatness_bound(alpha, f, budget=budget)
     if bound.admits(n):
-        return SliceReport("flat-by-certificate", corr, None, outcome, bound=bound)
-    return SliceReport("inconclusive", corr, None, outcome, bound=bound)
+        return SliceReport("flat-by-certificate", corr, outcome, bound=bound)
+    return SliceReport("inconclusive", corr, outcome, bound=bound)
 
 
 def shifted_slice(

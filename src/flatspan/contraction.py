@@ -33,10 +33,10 @@ from .groebner import (
     modular_inverse,
     normal_form,
 )
+from .modules import CertifyOutcome
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
 from .schemes import AffineScheme, affine_line, localize, product, torus, torus_power
 from .spans import (
-    CertifyOutcome,
     Correspondence,
     SpanError,
     _combined_relations,

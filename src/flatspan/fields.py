@@ -120,12 +120,16 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _too_large(p) -> FieldError:
+    return FieldError(f"{p} is too large; a prime field needs p below {PRIMALITY_LIMIT}")
+
+
 class PrimeField(Field):
     """GF(p) for a prime p; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
         if p >= PRIMALITY_LIMIT:
-            raise FieldError(f"{p} is too large; a prime field needs p below {PRIMALITY_LIMIT}")
+            raise _too_large(p)
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
@@ -180,12 +184,19 @@ def GF(p: int) -> PrimeField:
 
 
 def field_from_name(name: str) -> Field:
-    """Parse a field tag: ``QQ`` or ``Fp:<p>`` (also accepts ``Fp <p>``)."""
+    """Parse a field tag: ``QQ`` or ``Fp:<p>`` (also accepts ``Fp <p>``).
+
+    Digits too many for any ``p`` below :data:`PRIMALITY_LIMIT` are refused
+    before ``int()``, which would reject more than 4300 of them."""
     name = name.strip()
     if name == "QQ":
         return QQ
-    if name[:3] in ("Fp:", "Fp ") and name[3:].strip().isdecimal():
-        return GF(int(name[3:]))
+    digits = name[3:].strip()
+    if name[:3] in ("Fp:", "Fp ") and digits.isdecimal():
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(PRIMALITY_LIMIT)):
+            raise _too_large(digits)
+        return GF(int(digits))
     raise FieldError(f"unknown field {name!r}; expected QQ or Fp:<p>")
 
 

@@ -1,23 +1,27 @@
-"""Presenting a quotient algebra as a module over a base ring.
+"""Classifying a quotient algebra as a module over a base ring, and the
+certificate record that classification returns.
 
 The combined ring carries the fiber variables first and the base variables
 after them; its ideal contains the fiber relations, the base relations and
 the identifications of base variables with their structure-map images.  A
 Groebner basis under the block (fiber > base) order then classifies the
-module:
+module, in the status words every report uses:
 
-* unit ideal                      -> the zero module (empty scheme);
+* unit ideal                      -> ``certified``: the zero module (empty
+                                     scheme), rank 0;
 * a base-only basis element that is nonzero modulo the base relations
-                                  -> annihilator torsion, hence not flat
-                                     over an integral base;
+                                  -> ``not_locally_free``: annihilator
+                                     torsion, hence not flat over an
+                                     integral base;
 * a fiber direction without a pure-power leading monomial
-                                  -> not module-finite (any integral
+                                  -> ``not_finite`` (any integral
                                      dependence would produce one);
-* no mixed leading monomials      -> free with the staircase monomials as
-                                     basis;
-* otherwise                       -> inconclusive (a leading coefficient
-                                     in the fiber variables involves base
-                                     variables, and we refuse to guess).
+* no mixed leading monomials      -> ``certified``: free with the staircase
+                                     monomials as basis;
+* otherwise                       -> ``inconclusive`` (a leading
+                                     coefficient in the fiber variables
+                                     involves base variables, and we
+                                     refuse to guess).
 
 The torsion test is only sound over an integral base; every base ring
 constructed by this package (points, affine lines, tori and their
@@ -30,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .budget import Budget
-from .groebner import groebner_basis, is_unit_ideal, normal_form
+from .groebner import groebner_basis, normal_form
 from .orders import GrevLex, exp_divides, fiber_order
 from .poly import Polynomial, PolynomialRing
 
@@ -53,33 +57,42 @@ class ModulePresentation:
 
 
 @dataclass(frozen=True)
-class ModuleAnalysis:
-    """Outcome of the staircase classification.
+class PieceCertificate:
+    """A free piece over the base: the reduced basis under
+    :func:`fiber_order`, its staircase and labels, every fiber variable's
+    multiplication matrix, the base basis, and the Fitting ideals below and
+    at the rank."""
 
-    ``status`` is one of ``free``, ``zero``, ``torsion``, ``not_finite``,
-    ``inconclusive``.  For ``free`` the staircase exponents (over the
-    fiber block), multiplication matrices and base data are filled in.
-    """
-
-    status: str
     ring: PolynomialRing
     split: int
     groebner: tuple[Polynomial, ...]
-    base_ring: PolynomialRing
+    staircase: tuple[tuple[int, ...], ...]
+    labels: tuple[str, ...]
+    matrices: tuple[tuple[str, tuple[tuple[Polynomial, ...], ...]], ...]
     base_groebner: tuple[Polynomial, ...]
-    staircase: tuple[tuple[int, ...], ...] = ()
-    mult: dict | None = None
-    torsion_witness: tuple[Polynomial, ...] = ()
-    not_finite_direction: str | None = None
-    detail: str = ""
+    fitting_below: tuple[Polynomial, ...] = ()
+    fitting_at: tuple[Polynomial, ...] = ()
 
     @property
     def rank(self) -> int:
-        if self.status == "free":
-            return len(self.staircase)
-        if self.status == "zero":
-            return 0
-        raise PresentationError(f"rank undefined for status {self.status!r}")
+        return len(self.staircase)
+
+
+@dataclass(frozen=True)
+class CertifyOutcome:
+    """Certification of one piece (:func:`classify_basis`) or of a whole
+    correspondence; a failure carries its detail and, when
+    ``not_locally_free``, the torsion witness."""
+
+    status: str  # certified | not_finite | not_locally_free | inconclusive
+    rank: int | None = None
+    pieces: tuple[PieceCertificate, ...] = ()
+    detail: str = ""
+    witness: tuple[Polynomial, ...] = ()
+
+    @property
+    def certified(self) -> bool:
+        return self.status == "certified"
 
 
 def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]] | int:
@@ -119,7 +132,7 @@ def analyze_module(
     base_ring: PolynomialRing,
     base_relations: list[Polynomial],
     budget: Budget | None = None,
-) -> ModuleAnalysis:
+) -> CertifyOutcome:
     """Classify ``ring/relations`` as a module over ``base_ring``.
 
     ``ring`` lists the fiber variables first (``split`` of them) followed
@@ -144,27 +157,38 @@ def classify_basis(
     base_ring: PolynomialRing,
     base_basis: Sequence[Polynomial],
     budget: Budget | None = None,
-) -> ModuleAnalysis:
+) -> CertifyOutcome:
     """Classify the quotient by ``basis`` as a module over ``base_ring``.
 
     ``basis`` is a Groebner basis of nonzero elements under
     :func:`fiber_order` and ``base_basis`` the reduced basis of the base
-    relations.  A constant element means ``zero``; otherwise the leads
-    decide as the module docstring lists, and a ``free`` analysis carries
-    the staircase and every fiber variable's matrix.  Certification and
-    recheck both classify through here.  Raises :class:`PresentationError`
-    when the basis is inconsistent with its own staircase.
+    relations.  A constant element means the zero module; otherwise the
+    leads decide as the module docstring lists.  A free or zero module is
+    ``certified`` with its one :class:`PieceCertificate`: the staircase and
+    every fiber variable's matrix.  Certification and recheck both classify
+    through here.  Raises :class:`PresentationError` when the basis is
+    inconsistent with its own staircase.
     """
     budget = budget or Budget()
-    common = dict(
-        ring=ring,
-        split=split,
-        groebner=tuple(basis),
-        base_ring=base_ring,
-        base_groebner=tuple(base_basis),
-    )
+    fiber_names = ring.names[:split]
+
+    def certified(stair, matrices) -> CertifyOutcome:
+        cert = PieceCertificate(
+            ring,
+            split,
+            tuple(basis),
+            tuple(stair),
+            staircase_labels(fiber_names, stair),
+            matrices,
+            tuple(base_basis),
+            # a free presentation has no relations: Fitt_{r-1} = 0 and Fitt_r = (1)
+            fitting_below=(),
+            fitting_at=(base_ring.one(),),
+        )
+        return CertifyOutcome("certified", cert.rank, (cert,))
+
     if any(g.is_constant() for g in basis):
-        return ModuleAnalysis(status="zero", **common)
+        return certified((), ())
 
     order = fiber_order(ring.nvars, split)
     pure, base_only, mixed = [], [], []
@@ -185,27 +209,29 @@ def classify_basis(
         if not normal_form(in_base, base_basis, budget=budget).is_zero():
             torsion.append(in_base)
     if torsion:
-        return ModuleAnalysis(status="torsion", torsion_witness=tuple(torsion), **common)
+        witness = ", ".join(str(w) for w in torsion)
+        return CertifyOutcome(
+            "not_locally_free",
+            detail=f"base element ({witness}) vanishes on the middle but not on the source",
+            witness=tuple(torsion),
+        )
 
-    fiber_names = ring.names[:split]
     stair = _staircase(pure, split)
     if isinstance(stair, int):
-        return ModuleAnalysis(
-            status="not_finite", not_finite_direction=fiber_names[stair], **common
+        return CertifyOutcome(
+            "not_finite", detail=f"no monomial bound in direction {fiber_names[stair]}"
         )
 
     if mixed:
-        return ModuleAnalysis(
-            status="inconclusive",
-            detail="a fiber leading coefficient involves base variables",
-            **common,
+        return CertifyOutcome(
+            "inconclusive", detail="a fiber leading coefficient involves base variables"
         )
 
-    mult = {
-        v: multiplication_matrix_from(ring, split, basis, ring.var(v), stair, budget)
+    matrices = sorted(
+        (v, multiplication_matrix_from(ring, split, basis, ring.var(v), stair, budget))
         for v in fiber_names
-    }
-    return ModuleAnalysis(status="free", staircase=tuple(stair), mult=mult, **common)
+    )
+    return certified(stair, tuple(matrices))
 
 
 def multiplication_matrix_from(
@@ -243,18 +269,11 @@ def multiplication_matrix_from(
     return tuple(rows)
 
 
-def multiplication_matrix(analysis: ModuleAnalysis, element: Polynomial, budget: Budget | None = None):
+def multiplication_matrix(cert: PieceCertificate, element: Polynomial, budget: Budget | None = None):
     """Matrix of multiplication by an element of the combined ring, over
-    the staircase basis of a free analysis."""
-    if analysis.status != "free":
-        raise PresentationError("multiplication matrices require a free presentation")
+    the staircase basis of a piece certificate."""
     return multiplication_matrix_from(
-        analysis.ring,
-        analysis.split,
-        list(analysis.groebner),
-        element,
-        list(analysis.staircase),
-        budget,
+        cert.ring, cert.split, list(cert.groebner), element, list(cert.staircase), budget
     )
 
 
@@ -268,16 +287,6 @@ def staircase_labels(names: tuple[str, ...], staircase) -> tuple[str, ...]:
         )
         out.append(mono or "1")
     return tuple(out)
-
-
-def module_presentation(analysis: ModuleAnalysis) -> ModulePresentation:
-    """Presentation over the base of a free or zero module: its staircase
-    labels as generators, with no relations."""
-    return ModulePresentation(
-        base_ring=analysis.base_ring,
-        generators=staircase_labels(analysis.ring.names[: analysis.split], analysis.staircase),
-        relations=(),
-    )
 
 
 def _minors(rows: list[list[Polynomial]], k: int, ring: PolynomialRing, budget: Budget):
@@ -326,12 +335,3 @@ def fitting_ideal(pres: ModulePresentation, r: int, budget: Budget | None = None
         return []
     gens = _minors(rows, k, ring, budget)
     return groebner_basis(gens, budget=budget)
-
-
-def locally_free_of_rank(pres: ModulePresentation, r: int, budget: Budget | None = None) -> bool:
-    """Fitting criterion: locally free of constant rank r iff
-    Fitt_{r-1} = 0 and Fitt_r = (1)."""
-    budget = budget or Budget()
-    below = fitting_ideal(pres, r - 1, budget)
-    at = fitting_ideal(pres, r, budget)
-    return below == [] and is_unit_ideal(at)

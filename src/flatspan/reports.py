@@ -18,17 +18,11 @@ from typing import NamedTuple
 from . import __version__
 from .budget import DEFAULT_STEPS, Budget
 from .fields import field_from_name, field_name
+from .modules import CertifyOutcome, PieceCertificate
 from .poly import Polynomial, PolynomialRing, laurent_valuation
 from .polyparse import ParseError, format_polynomial, parse_polynomial
 from .schemes import AffineScheme
-from .spans import (
-    CertifyOutcome,
-    Correspondence,
-    PieceCertificate,
-    SpanError,
-    make_piece,
-    recheck_certificate,
-)
+from .spans import Correspondence, SpanError, make_piece, recheck_certificate
 
 SCHEMA_VERSION = 1
 VERDICTS = ("pass", "fail", "inconclusive", "error")

@@ -23,12 +23,11 @@ from itertools import product as iproduct
 from .budget import Budget
 from .groebner import elimination_basis, groebner_basis, normal_form, spolynomial_pairs_reduce
 from .modules import (
-    ModuleAnalysis,
+    CertifyOutcome,
+    PieceCertificate,
     PresentationError,
     analyze_module,
     classify_basis,
-    fitting_ideal,
-    module_presentation,
 )
 from .orders import fiber_order
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
@@ -407,42 +406,13 @@ def equals(left: Correspondence, right: Correspondence, budget: Budget | None = 
 # certification
 
 
-@dataclass(frozen=True)
-class PieceCertificate:
-    ring: PolynomialRing
-    split: int
-    groebner: tuple[Polynomial, ...]
-    staircase: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    matrices: tuple[tuple[str, tuple[tuple[Polynomial, ...], ...]], ...]
-    base_groebner: tuple[Polynomial, ...]
-    fitting_below: tuple[Polynomial, ...] = ()
-    fitting_at: tuple[Polynomial, ...] = ()
-
-    @property
-    def rank(self) -> int:
-        return len(self.staircase)
-
-
-@dataclass(frozen=True)
-class CertifyOutcome:
-    status: str  # certified | not_finite | not_locally_free | inconclusive
-    rank: int | None = None
-    pieces: tuple[PieceCertificate, ...] = ()
-    detail: str = ""
-    witness: tuple[Polynomial, ...] = ()
-
-    @property
-    def certified(self) -> bool:
-        return self.status == "certified"
-
-
 def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> CertifyOutcome:
     """Certify the middle finite locally free over the source, piecewise.
 
     The certificate is a monomial staircase basis per piece plus the
     multiplication matrices of every fiber variable; rank is the total
-    staircase size.
+    staircase size.  The first piece that fails gives the outcome, with
+    ``piece {index}: `` in front of its detail.
     """
     certs = []
     base = corr.source
@@ -450,31 +420,12 @@ def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> C
         combined = _combined_ring(piece, base.ring)
         split = len(piece.ring.names)
         relations = _combined_relations(piece, base, combined)
-        analysis = analyze_module(
+        outcome = analyze_module(
             combined, split, relations, base.ring, list(base.relations), budget=budget
         )
-        if analysis.status in ("zero", "free"):
-            certs.append(_piece_certificate(analysis, budget))
-            continue
-        if analysis.status == "torsion":
-            witness = ", ".join(str(w) for w in analysis.torsion_witness)
-            return CertifyOutcome(
-                status="not_locally_free",
-                detail=(
-                    f"piece {index}: base element ({witness}) "
-                    "vanishes on the middle but not on the source"
-                ),
-                witness=tuple(analysis.torsion_witness),
-            )
-        if analysis.status == "not_finite":
-            return CertifyOutcome(
-                status="not_finite",
-                detail=(
-                    f"piece {index}: no monomial bound in direction "
-                    f"{analysis.not_finite_direction}"
-                ),
-            )
-        return CertifyOutcome(status="inconclusive", detail=f"piece {index}: {analysis.detail}")
+        if not outcome.certified:
+            return replace(outcome, detail=f"piece {index}: {outcome.detail}")
+        certs += outcome.pieces
     return CertifyOutcome(status="certified", rank=sum(c.rank for c in certs), pieces=tuple(certs))
 
 
@@ -487,25 +438,6 @@ def degree(corr: Correspondence, budget: Budget | None = None) -> int:
     return outcome.rank
 
 
-def _piece_certificate(analysis: ModuleAnalysis, budget: Budget | None) -> PieceCertificate:
-    """The certificate of a free or zero analysis: its bases, staircase and
-    labels, the matrices sorted by variable, and the Fitting ideals around
-    its rank."""
-    pres = module_presentation(analysis)
-    rank = analysis.rank
-    return PieceCertificate(
-        analysis.ring,
-        analysis.split,
-        analysis.groebner,
-        analysis.staircase,
-        pres.generators,
-        tuple(sorted((analysis.mult or {}).items())),
-        analysis.base_groebner,
-        tuple(fitting_ideal(pres, rank - 1, budget)),
-        tuple(fitting_ideal(pres, rank, budget)),
-    )
-
-
 def recheck_certificate(
     corr: Correspondence, outcome: CertifyOutcome, budget: Budget | None = None
 ) -> bool:
@@ -513,11 +445,11 @@ def recheck_certificate(
 
     The stored basis must pass the S-pair criterion and reduce the piece's
     defining relations to zero, and the stored base basis must be the
-    source's reduced basis (the one basis recomputed here).  Then the piece
-    certificate is re-derived from the stored basis the way certification
-    derives it (:func:`~flatspan.modules.classify_basis`, which must find
-    the module free or zero), and must equal the stored one.  The rank must
-    be the total staircase size.
+    source's reduced basis (the one basis recomputed here).  Then the stored
+    basis is classified the way certification classifies it
+    (:func:`~flatspan.modules.classify_basis`), which must certify the piece
+    with exactly the stored certificate.  The rank must be the total
+    staircase size.
     """
     if not outcome.certified or len(corr.pieces) != len(outcome.pieces):
         return False
@@ -541,10 +473,10 @@ def recheck_certificate(
             if not normal_form(rel, basis, order, budget=budget).is_zero():
                 return False
         try:
-            analysis = classify_basis(combined, cert.split, basis, base_ring, base_basis, budget)
+            derived = classify_basis(combined, cert.split, basis, base_ring, base_basis, budget)
         except PresentationError:
             return False
-        if analysis.status not in ("free", "zero") or _piece_certificate(analysis, budget) != cert:
+        if derived.pieces != (cert,):
             return False
     return True
 

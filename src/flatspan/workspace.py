@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .fields import Field, GF, QQ
+from .fields import Field, FieldError, field_from_name
 from .poly import PolynomialRing, companion_name
 from .polyparse import ParseError, format_polynomial, parse_polynomial
 from .reports import COMMANDS, check_line
@@ -206,8 +206,8 @@ class _Parser:
         spec = " ".join(m.group(1).split())
         self.field_text = spec
         try:
-            self.field = QQ if spec == "QQ" else GF(int(spec.split()[1]))
-        except ValueError as err:  # a FieldError, or too many digits for int()
+            self.field = field_from_name(spec)
+        except FieldError as err:
             raise self.error(str(err), line) from err
 
     def parse_scheme(self, line: int, text: str) -> None:

@@ -567,6 +567,13 @@ def test_standalone_level_verifier_over_both_fields(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("digits", ["7" * 30, "7" * 5000], ids=["30-digits", "5000-digits"])
+def test_a_field_tag_too_large_is_an_input_error(capsys, digits):
+    code, out, err = run_cli(capsys, "verify-cancellation", "--n", "2", "--field", "Fp:" + digits)
+    assert code == 2
+    assert err.startswith(f"error: {digits} is too large") and "Traceback" not in err + out
+
+
 def test_operands_work_positionally_and_by_flag(capsys):
     code_a, out_a, _ = run_cli(
         capsys, "compose", "--workspace", workspace("span-algebra"), "sq", "cube"

@@ -24,6 +24,10 @@ def test_field_roundtrip_names():
     assert field_name(field_from_name("Fp:5")) == "Fp:5"
     with pytest.raises(FieldError, match="6 is not prime"):
         field_from_name("Fp:6")
+    # leading zeros are no digits of p, and too many digits are refused before int()
+    assert field_name(field_from_name("Fp:" + "0" * 5000 + "7")) == "Fp:7"
+    with pytest.raises(FieldError, match="^7{5000} is too large"):
+        field_from_name("Fp:" + "7" * 5000)
     with pytest.raises(FieldError):
         field_from_name("RR")
 

@@ -7,8 +7,6 @@ from flatspan.modules import (
     ModulePresentation,
     analyze_module,
     fitting_ideal,
-    locally_free_of_rank,
-    module_presentation,
     multiplication_matrix,
     staircase_labels,
 )
@@ -21,15 +19,22 @@ def ring_of(names, field=QQ, inverted=()):
     return PolynomialRing(field, tuple(names), frozenset(inverted))
 
 
+def locally_free_of_rank(pres, r):
+    """Fitting criterion: locally free of constant rank r iff
+    Fitt_{r-1} = 0 and Fitt_r = (1)."""
+    return fitting_ideal(pres, r - 1) == [] and is_unit_ideal(fitting_ideal(pres, r))
+
+
 def test_square_root_cover_is_free_rank_two():
     ring = ring_of(["t", "x"])
     base = ring_of(["x"])
     rel = parse_polynomial("t^2 - x", ring)
     out = analyze_module(ring, 1, [rel], base, [])
-    assert out.status == "free"
-    assert out.staircase == ((0,), (1,))
-    assert staircase_labels(out.ring.names[: out.split], out.staircase) == ("1", "t")
-    mt = out.mult["t"]
+    assert out.status == "certified"
+    cert = out.pieces[0]
+    assert cert.staircase == ((0,), (1,))
+    assert staircase_labels(cert.ring.names[: cert.split], cert.staircase) == ("1", "t")
+    mt = dict(cert.matrices)["t"]
     x = base.var("x")
     assert mt == ((base.zero(), base.one()), (x, base.zero()))
 
@@ -42,11 +47,12 @@ def test_unit_circle_of_order_eight_is_rank_four_over_the_point():
         parse_polynomial("t^4 + 1", ring),
     ]
     out = analyze_module(ring, 2, rels, base, [])
-    assert out.status == "free"
+    assert out.status == "certified"
     assert out.rank == 4
-    labels = staircase_labels(out.ring.names[: out.split], out.staircase)
+    cert = out.pieces[0]
+    labels = staircase_labels(cert.ring.names[: cert.split], cert.staircase)
     assert labels == ("1", "t_inv", "t", "t_inv^2")
-    lead_monomials = sorted(str(g) for g in out.groebner)
+    lead_monomials = sorted(str(g) for g in cert.groebner)
     assert lead_monomials == ["t*t_inv - 1", "t^2 + t_inv^2", "t_inv^3 + t"]
 
 
@@ -54,8 +60,8 @@ def test_point_on_the_line_is_torsion():
     base = ring_of(["x"])
     rel = parse_polynomial("x - 1", base)
     out = analyze_module(base, 0, [rel], base, [])
-    assert out.status == "torsion"
-    assert out.torsion_witness == (rel,)
+    assert out.status == "not_locally_free"
+    assert out.witness == (rel,)
 
 
 def test_glued_point_over_the_line_is_torsion():
@@ -63,8 +69,8 @@ def test_glued_point_over_the_line_is_torsion():
     base = ring_of(["x"])
     rels = [parse_polynomial("t - 1", ring), parse_polynomial("x*t", ring)]
     out = analyze_module(ring, 1, rels, base, [])
-    assert out.status == "torsion"
-    assert [str(w) for w in out.torsion_witness] == ["x"]
+    assert out.status == "not_locally_free"
+    assert [str(w) for w in out.witness] == ["x"]
 
 
 def test_pencil_degenerating_at_minus_one_is_not_finite():
@@ -74,7 +80,7 @@ def test_pencil_degenerating_at_minus_one_is_not_finite():
     rel = parse_polynomial("s*t + t - s + 1", ring)
     out = analyze_module(ring, 1, [rel], base, [])
     assert out.status == "not_finite"
-    assert out.not_finite_direction == "t"
+    assert out.detail == "no monomial bound in direction t"
 
 
 def test_inverted_coordinate_without_unit_relation_is_not_finite():
@@ -98,7 +104,7 @@ def test_empty_scheme_is_the_zero_module():
     base = ring_of(["x"])
     rels = [parse_polynomial("t", ring), parse_polynomial("t - 1", ring)]
     out = analyze_module(ring, 1, rels, base, [])
-    assert out.status == "zero"
+    assert out.status == "certified"
     assert out.rank == 0
 
 
@@ -107,9 +113,9 @@ def test_monic_quadratic_with_parameter():
     base = ring_of(["s"])
     rel = parse_polynomial("t^2 + t*s + 1 - s", ring)
     out = analyze_module(ring, 1, [rel], base, [])
-    assert out.status == "free"
+    assert out.status == "certified"
     assert out.rank == 2
-    mt = out.mult["t"]
+    mt = dict(out.pieces[0].matrices)["t"]
     s = base.var("s")
     assert mt[0] == (base.zero(), base.one())
     assert mt[1] == (s - base.one(), -s)
@@ -121,7 +127,7 @@ def test_multiplication_matrix_of_general_element():
     rel = parse_polynomial("t^2 - x", ring)
     out = analyze_module(ring, 1, [rel], base, [])
     elt = parse_polynomial("t + 3", ring)
-    mat = multiplication_matrix(out, elt)
+    mat = multiplication_matrix(out.pieces[0], elt)
     three = base.const(3)
     x = base.var("x")
     assert mat == ((three, base.one()), (x, three))
@@ -133,7 +139,7 @@ def test_mod_p_analysis_matches_characteristic():
     base = ring_of(["x"], field=F5)
     rel = parse_polynomial("t^5 - x", ring)
     out = analyze_module(ring, 1, [rel], base, [])
-    assert out.status == "free"
+    assert out.status == "certified"
     assert out.rank == 5
 
 
@@ -161,7 +167,7 @@ def test_free_analysis_round_trips_through_fitting_criterion():
     base = ring_of(["s"])
     rel = parse_polynomial("t^3 + s*t + s^2 - 4", ring)
     out = analyze_module(ring, 1, [rel], base, [])
-    assert out.status == "free" and out.rank == 3
-    pres = module_presentation(out)
+    assert out.status == "certified" and out.rank == 3
+    pres = ModulePresentation(base, out.pieces[0].labels, ())
     assert locally_free_of_rank(pres, 3)
     assert not locally_free_of_rank(pres, 2)

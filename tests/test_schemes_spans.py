@@ -544,6 +544,55 @@ def test_recheck_rejects_foreign_relations():
     assert not recheck_certificate(three, out)
 
 
+def _failing_span(kind):
+    """A span over a line whose certification fails with ``kind``."""
+    line, pt = affine_line(QQ, "x"), point(QQ)
+    if kind == "not_locally_free":  # A^1 and the origin over A^1_x
+        y = PolynomialRing(QQ, ("y",)).var("y")
+        pieces = [make_piece(y.ring, rels, {"x": y}, {}, line, pt) for rels in ([], [y])]
+        return Correspondence(line, pt, tuple(pieces))
+    if kind == "not_finite":  # (1 + u)*t + (1 - u) has no fiber at u = -1
+        line = affine_line(QQ, "s")
+        ring = PolynomialRing(QQ, ("t", "u"))
+        rels, legs = ["u*t + t - u + 1"], {"s": ring.var("u")}
+    else:
+        ring = PolynomialRing(QQ, ("t", "y"))
+        rels, legs = ["t^3", "y*t^2"], {"x": ring.var("y")}
+    piece = make_piece(ring, [parse_polynomial(r, ring) for r in rels], legs, {}, line, pt)
+    return Correspondence(line, pt, (piece,))
+
+
+@pytest.mark.parametrize(
+    "kind, detail, witness",
+    [
+        (
+            "not_locally_free",
+            "piece 1: base element (x) vanishes on the middle but not on the source",
+            ["x"],
+        ),
+        ("not_finite", "piece 0: no monomial bound in direction t", []),
+        ("inconclusive", "piece 0: a fiber leading coefficient involves base variables", []),
+    ],
+    ids=["not-locally-free", "not-finite", "inconclusive"],
+)
+def test_certification_failures_name_their_piece_and_witness(kind, detail, witness):
+    out = certify_finite_flat(_failing_span(kind))
+    assert (out.status, out.detail, out.rank, out.pieces) == (kind, detail, None, ())
+    assert [str(w) for w in out.witness] == witness
+
+
+def test_recheck_rejects_tampered_fitting_ideals():
+    """A free piece's Fitting ideals below and at its rank are 0 and (1)."""
+    from dataclasses import replace
+
+    cover, out = _root_cover()
+    cert = out.pieces[0]
+    base = cert.ring.drop(cert.ring.names[: cert.split])
+    assert (cert.fitting_below, cert.fitting_at) == ((), (base.one(),))
+    for edit in (dict(fitting_at=()), dict(fitting_below=(base.one(),))):
+        assert not recheck_certificate(cover, replace(out, pieces=(replace(cert, **edit),)))
+
+
 def test_recheck_rejects_a_certificate_of_a_torsion_module():
     """k[y]/(y) over A^1_x along x -> y is the origin, which x annihilates.
     The true reduced basis [x, y] has the pure lead y, no mixed lead and

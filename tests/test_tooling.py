@@ -1,5 +1,5 @@
 """The benchmark's tracer names program functions and budget phases; keep
-them in step with the program."""
+them in step with the program.  The program's modules import in layers."""
 
 from __future__ import annotations
 
@@ -65,3 +65,44 @@ def test_traced_budget_accounts_for_every_step():
     assert outcome.certified
     assert budget.used > 0 and budget in tracer.budgets
     assert tracer.coverage_errors() == []
+
+
+LAYERS = (
+    "budget fields orders poly polyparse groebner modules schemes spans "
+    "cancellation contraction reports workspace cli"
+).split()
+
+
+def test_modules_import_only_lower_layers():
+    """Each module-level ``from .x import`` in ``src/flatspan`` names a
+    module below the importer in :data:`LAYERS`."""
+    source = ROOT / "src" / "flatspan"
+    assert {path.stem for path in source.glob("*.py")} == set(LAYERS) | {"__init__"}
+    upward = [
+        f"{name} imports {target}"
+        for name in LAYERS
+        for target in re.findall(
+            r"^from \.(\w+) import", (source / f"{name}.py").read_text(encoding="utf-8"), re.M
+        )
+        if LAYERS.index(target) >= LAYERS.index(name)
+    ]
+    assert not upward
+
+
+def test_library_layers_load_without_the_front_ends():
+    """Importing the computation and report layers must not load the
+    workspace parser or the command line, which the benchmark's filtration
+    and naturality workloads would otherwise pay for in their setup."""
+    import os
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, flatspan.cancellation, flatspan.reports; "
+        "print(sorted(m for m in ('flatspan.workspace', 'flatspan.cli') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.strip() == "[]"

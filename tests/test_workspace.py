@@ -95,8 +95,16 @@ def test_forward_references_are_rejected():
             "line 1: 3317044064679887385961981 is too large; a prime field needs p below "
             "3317044064679887385961981",
         ),
+        ("field Fp " + "7" * 5000 + "\n", "line 1: " + "7" * 5000 + " is too large"),
     ],
-    ids=["torus-power-zero", "field-one", "field-composite", "field-pseudoprime", "field-huge"],
+    ids=[
+        "torus-power-zero",
+        "field-one",
+        "field-composite",
+        "field-pseudoprime",
+        "field-huge",
+        "field-past-int-parsing",
+    ],
 )
 def test_bad_field_or_scheme_arguments_report_their_line(text, message):
     with pytest.raises(WorkspaceError, match=re.escape(message)):
