@@ -484,7 +484,7 @@ def filtration_index(
     budget = budget or Budget()
     _certified(alpha, budget, "filtration search")
     entries = []
-    certified = {}
+    failing = []
     for m in range(1, window + 1):
         for n in range(1, window + 1):
             for sign in ("+", "-"):
@@ -493,18 +493,15 @@ def filtration_index(
                 entries.append(
                     FiltrationEntry(m, n, sign, out.status, out.rank if out.certified else None)
                 )
-                certified[(m, n, sign)] = out.certified
+                if not out.certified:
+                    failing.append((m, n, sign))
 
-    def first_failing(i: int) -> tuple[int, int, str] | None:
-        for m in range(i, window + 1):
-            for n in range(i, window + 1):
-                for sign in ("+", "-"):
-                    if not certified[(m, n, sign)]:
-                        return (m, n, sign)
-        return None
-
-    index = next((i for i in range(1, window + 1) if first_failing(i) is None), None)
-    blocking = first_failing(index - 1 if index else window)
+    # a failing triple rules out every index up to min(m, n)
+    index = max((min(m, n) for m, n, _ in failing), default=0) + 1
+    if index > window:
+        index = None
+    floor = index - 1 if index else window
+    blocking = next((f for f in failing if min(f[0], f[1]) >= floor), None)
 
     extended, pvar = _extended_with_parameter(alpha)
     piece = extended.pieces[0]
@@ -664,16 +661,8 @@ def verify_compat(
     lhs2, pull_collapse = blended_through(beta, after=False)
     beta_line, sb = line_extension(beta, family.parameter)
     rhs2 = compose(beta_line, family.correspondence)
-    r2ring = rhs2.pieces[0].ring
-    # the parameter variable of the blended middle keeps its fresh name
-    # through the composition because the name sets are disjoint
-    rho_pvar = fresh_name(PARAMETER, apiece.ring.names)
-    if rho_pvar not in r2ring.names:
-        raise CancellationError(
-            "the blended parameter was renamed during composition; "
-            "rename the middles apart"
-        )
-    rhs_collapse = {sb: r2ring.var(rho_pvar)}
+    # no middle or foot uses PARAMETER, so composition leaves it unrenamed
+    rhs_collapse = {sb: rhs2.pieces[0].ring.var(PARAMETER)}
     pull_ok, why = _collapsed_equal(lhs2, pull_collapse, rhs2, rhs_collapse, budget)
     if not pull_ok:
         details.append(f"source side: {why}")

@@ -191,6 +191,8 @@ def _h_slice(doc, req, budget):
     n = int(req.arg("n"))
     f2_text = req.arg("f2")
     if f2_text is None:
+        if req.arg("a") is not None or req.arg("b") is not None:
+            raise WorkspaceError("slice takes a and b only with f2")
         rep = slice_locus(alpha, f, n, budget=budget)
     else:
         f2 = parse_polynomial(f2_text, ring)

@@ -43,7 +43,6 @@ from .spans import (
     _combined_ring,
     _fiber_rename,
     certify_finite_flat,
-    collapse_variables,
     equals,
     rebuild_piece,
 )
@@ -63,10 +62,8 @@ class ContractionDatum:
 
     ``w`` and the entries of ``f_images``/``cofactors`` live in a ring on
     the scheme's coordinates plus the parameter ``u_name``; ``cofactors``
-    holds w divided by the matching coordinate image, and
-    ``w_one_inverse`` inverts w at parameter one inside the coordinate
-    ring of the scheme.  Instances are built through
-    :func:`make_contraction_datum`, which checks every hypothesis
+    holds w divided by the matching coordinate image.  Instances are built
+    through :func:`make_contraction_datum`, which checks every hypothesis
     symbolically instead of trusting the caller.
     """
 
@@ -76,7 +73,6 @@ class ContractionDatum:
     w: Polynomial
     f_images: tuple[tuple[str, Polynomial], ...]
     cofactors: tuple[tuple[str, Polynomial], ...]
-    w_one_inverse: Polynomial
 
     @property
     def u_ring(self) -> PolynomialRing:
@@ -189,18 +185,6 @@ def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
                 "weight function"
             )
 
-    at_one_total = datum.w.substitute({uname: uring.const(1)}, uring)
-    inv = datum.w_one_inverse
-    if inv.ring != ring:
-        raise ContractionError(
-            "the inverse of the weight at parameter 1 must live in the "
-            "coordinate ring of the scheme"
-        )
-    if not reduces_to_zero(at_one_total * inv.map_ring(uring) - uring.one()):
-        raise ContractionError(
-            "stored inverse does not invert the weight function at parameter 1"
-        )
-
 
 def make_contraction_datum(
     scheme: AffineScheme,
@@ -209,7 +193,6 @@ def make_contraction_datum(
     w: Polynomial,
     f_images: dict[str, Polynomial],
     cofactors: dict[str, Polynomial],
-    w_one_inverse: Polynomial,
     budget: Budget | None = None,
 ) -> ContractionDatum:
     """Assemble and symbolically verify interpolation data.
@@ -234,7 +217,6 @@ def make_contraction_datum(
         w,
         tuple((v, f_images[v]) for v in primary),
         tuple((v, cofactors[v]) for v in primary),
-        w_one_inverse,
     )
     _check_datum(datum, budget)
     return datum
@@ -267,9 +249,6 @@ def standard_contraction_data(
             if other != v:
                 cof = cof * segments[other]
         cofactors[v] = cof
-    inv = scheme.ring.one()
-    for v in primary:
-        inv = inv * scheme.ring.var(companion_name(v))
     return make_contraction_datum(
         scheme,
         {v: field.one for v in primary},
@@ -277,7 +256,6 @@ def standard_contraction_data(
         w,
         segments,
         cofactors,
-        inv,
         budget=budget,
     )
 
@@ -296,7 +274,6 @@ class ContractedChart:
     certificate: CertifyOutcome
     u_names: tuple[str, ...]
     loc_names: tuple[str, ...]
-    winv_names: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -394,7 +371,6 @@ def _build_chart(
     pieces = []
     u_names = []
     loc_names = []
-    winv_names = []
     for piece in alpha.pieces:
         u2 = fresh_name(source_u, piece.ring.names)
         lg = fresh_name("lg", piece.ring.names + (u2,))
@@ -402,42 +378,28 @@ def _build_chart(
         on_source = {v: piece.src(v).map_ring(ring) for v in source.ring.names}
         on_source[source_u] = ring.var(u2)
         localizing = generator.substitute(on_source, ring) * ring.var(lg) - ring.one()
-        weight = datum.w.substitute(_weight_images(piece, datum, ring, ring.var(u2)), ring)
+        images = _weight_images(piece, datum, ring, ring.var(u2))
+        weight = datum.w.substitute(images, ring)
 
-        # the pulled weight is invertible here because the chart avoids its
-        # image; prefer rewriting its inverse in the existing variables and
-        # only fall back to a reciprocal variable when no rewrite is found
+        # the generator lies in (relations, weight), so the weight is a unit
+        # wherever the generator is; no inverse means the chart piece is empty
         reciprocal = modular_inverse(
             weight, [r.map_ring(ring) for r in piece.relations] + [localizing], budget=budget
         )
-        extra = [localizing]
-        wv = ""
         if reciprocal is None:
-            wv = fresh_name("winv", ring.names)
-            ring = ring.extend([wv])
-            reciprocal = ring.var(wv)
-            extra = [localizing.map_ring(ring), weight.map_ring(ring) * reciprocal - ring.one()]
+            reciprocal = ring.zero()
 
-        images = _weight_images(piece, datum, ring, ring.var(u2))
         tgt = {}
         for name in datum.primary:
             tgt[name] = datum.f_image(name).substitute(images, ring)
             tgt[companion_name(name)] = datum.cofactor(name).substitute(images, ring) * reciprocal
         src = {source_u: ring.var(u2), aux: ring.var(lg)}
-        pieces.append(rebuild_piece(piece, ring, {}, opened, datum.scheme, extra, src, tgt))
+        pieces.append(rebuild_piece(piece, ring, {}, opened, datum.scheme, [localizing], src, tgt))
         u_names.append(u2)
         loc_names.append(lg)
-        winv_names.append(wv)
     corr = Correspondence(opened, datum.scheme, tuple(pieces))
     certificate = certify_finite_flat(corr, budget=budget)
-    return ContractedChart(
-        generator,
-        corr,
-        certificate,
-        tuple(u_names),
-        tuple(loc_names),
-        tuple(winv_names),
-    )
+    return ContractedChart(generator, corr, certificate, tuple(u_names), tuple(loc_names))
 
 
 def contract(
@@ -548,17 +510,13 @@ def _slice_chart(
     value: int,
     alpha: Correspondence,
     datum: ContractionDatum,
-    budget: Budget,
 ) -> tuple[Correspondence, Correspondence]:
     """Restrict a chart to one endpoint of the parameter.
 
     The chart's localizing function is evaluated at the endpoint; when it
     stays a nonzero constant the slice lives over the original source,
-    otherwise over the source localized at the evaluated function.  The
-    auxiliary inverse of the pulled-back weight is collapsed away using
-    the datum's invariants (the weight is 1 at parameter 0; its inverse
-    at parameter 1 is stored).  Returns the slice and ``alpha`` base-changed
-    to the slice's source.
+    otherwise over the source localized at the evaluated function.
+    Returns the slice and ``alpha`` base-changed to the slice's source.
     """
     source = alpha.source
     corr = chart.correspondence
@@ -578,10 +536,7 @@ def _slice_chart(
 
     pieces = []
     originals = []
-    collapse_maps = []
-    for piece, original, u2, lg, wv in zip(
-        corr.pieces, alpha.pieces, chart.u_names, chart.loc_names, chart.winv_names
-    ):
+    for piece, original, u2, lg in zip(corr.pieces, alpha.pieces, chart.u_names, chart.loc_names):
         small = piece.ring.drop([u2, lg] if constant_gen else [u2])
         images = {u2: small.const(value)}
         if constant_gen:
@@ -599,21 +554,10 @@ def _slice_chart(
                     original, up, {}, sliced_source, alpha.target, [unit], src={aux2: up.var(lg2)}
                 )
             )
-
-        if not wv:
-            collapse_maps.append({})
-        elif value == 0:
-            collapse_maps.append({wv: small.one()})
-        else:
-            # at parameter 1 the pulled weight is the weight at 1 composed
-            # with the original target leg, whose stored inverse pulls back
-            # the same way
-            legs = {v: original.tgt(v).map_ring(small) for v in datum.scheme.ring.names}
-            collapse_maps.append({wv: datum.w_one_inverse.substitute(legs, small)})
     sliced = Correspondence(sliced_source, datum.scheme, tuple(pieces))
     if not constant_gen:
         alpha = Correspondence(sliced_source, alpha.target, tuple(originals))
-    return collapse_variables(sliced, collapse_maps, budget=budget), alpha
+    return sliced, alpha
 
 
 def _lands_on_base_point(
@@ -656,7 +600,7 @@ def verify_contraction_endpoints(
     roles = ([], [])  # (matches the input, lands on the base point) per chart, at 0 and 1
     for value, pairs in enumerate(roles):
         for chart in contracted.charts:
-            sliced, base_changed = _slice_chart(chart, value, alpha, datum, budget)
+            sliced, base_changed = _slice_chart(chart, value, alpha, datum)
             pairs.append(
                 (
                     _matches_input(sliced, base_changed, budget),

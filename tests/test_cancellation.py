@@ -417,6 +417,11 @@ def test_filtration_of_the_identity_settles_on_the_diagonal():
     assert report.bound_minus.n_bound == 1
 
 
+def test_filtration_index_one_has_no_blocking_triple():
+    report = filtration_index(torus_identity(QQ), window=1)
+    assert (report.index, report.blocking) == (1, None)
+
+
 def test_filtration_index_is_minimal_over_the_reported_entries():
     report = filtration_index(unit_collapse(QQ), window=3)
     ok = {(e.m, e.n, e.sign): e.status == "certified" for e in report.entries}

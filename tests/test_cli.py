@@ -522,6 +522,33 @@ def test_bound_certifies_its_span_once(capsys, monkeypatch, check):
     assert len(calls) == 1
 
 
+def test_filtration_settling_at_level_one_passes(capsys, tmp_path):
+    doc = tmp_path / "window-one.fsw"
+    text = Path(workspace("cancel-families")).read_text(encoding="utf-8")
+    doc.write_text(text.replace("window: 2", "window: 1"), encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(["run", str(doc), "--only", "ix", "--format", "structured", "--out", str(out)])
+    capsys.readouterr()
+    [report] = json.loads(out.read_text(encoding="utf-8"))["reports"]
+    assert code == 0 and report["verdict"] == "pass"
+    assert report["data"]["index"] == 1 and "blocking" not in report["data"]
+
+
+@pytest.mark.parametrize("path", ["workspace", "single-command"])
+def test_slice_takes_a_and_b_only_with_f2(capsys, tmp_path, path):
+    if path == "workspace":
+        doc = tmp_path / "slice-shift.fsw"
+        text = Path(workspace("valuation-bounds")).read_text(encoding="utf-8")
+        doc.write_text(text + "check s9 = slice Z f: x n: 2 a: 5\n", encoding="utf-8")
+        argv = ["run", str(doc), "--only", "s9"]
+    else:
+        argv = ["slice", "--workspace", workspace("valuation-bounds"), "--corr", "Z"]
+        argv += ["--f", "x", "--n", "2", "--a", "5"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert "[error]" in out and "slice takes a and b only with f2" in out
+
+
 def test_missing_torus_coordinate_states_the_requirement(capsys, tmp_path):
     doc = tmp_path / "no-torus.fsw"
     doc.write_text(

@@ -94,7 +94,6 @@ def test_standard_data_on_one_coordinate():
     assert str(datum.w) == "t*u - u + 1"
     assert str(datum.f_image("t")) == "t*u - u + 1"
     assert str(datum.cofactor("t")) == "1"
-    assert str(datum.w_one_inverse) == "t_inv"
 
 
 def test_standard_data_on_two_coordinates():
@@ -104,7 +103,6 @@ def test_standard_data_on_two_coordinates():
         str(datum.w)
         == "t1*t2*u^2 - t1*u^2 - t2*u^2 + t1*u + t2*u + u^2 - 2*u + 1"
     )
-    assert str(datum.w_one_inverse) == "t1_inv*t2_inv"
 
 
 def test_standard_data_builds_for_small_ranks():
@@ -140,7 +138,6 @@ def test_weight_must_be_one_at_parameter_zero():
             u * t,
             {"t": good.f_image("t")},
             {"t": uring.one()},
-            good.w_one_inverse,
         )
 
 
@@ -157,7 +154,6 @@ def test_flow_must_restore_coordinates_at_parameter_one():
             good.w,
             {"t": u * t * t + uring.one() - u},
             {"t": uring.one()},
-            good.w_one_inverse,
         )
 
 
@@ -172,7 +168,6 @@ def test_base_point_companions_must_be_inverse():
             good.w,
             dict(good.f_images),
             dict(good.cofactors),
-            good.w_one_inverse,
         )
 
 
@@ -188,7 +183,6 @@ def test_cofactors_must_multiply_back_to_the_weight():
             good.w,
             dict(good.f_images),
             {"t": uring.var("u")},
-            good.w_one_inverse,
         )
 
 
@@ -243,7 +237,7 @@ def test_quadratic_point_locus():
 
 def test_quadratic_chart_avoids_a_reciprocal_variable():
     result = contract(sqrt_two_span(), standard_contraction_data(1))
-    assert result.charts[0].winv_names == ("",)
+    assert result.charts[0].correspondence.pieces[0].ring.names == ("z", "u", "lg")
     assert result.charts[0].certificate.rank == 2
 
 
@@ -434,8 +428,8 @@ def test_cover_endpoint_uses_a_localized_comparison():
 
 def empty_middle():
     """Identity legs on G over a middle whose relations generate the unit
-    ideal; the pulled weight has no inverse to rewrite, so the chart needs
-    a reciprocal variable."""
+    ideal; the chart piece is the zero ring, so the pulled weight has no
+    inverse to rewrite and zero stands in for it."""
     target = punctured_line()
     ring = target.ring
     t, ti = ring.var("t"), ring.var("t_inv")
@@ -463,16 +457,16 @@ FROZEN = {
     "empty": (
         [
             (
-                ("t", "t_inv", "u", "lg", "winv"),
+                ("t", "t_inv", "u", "lg"),
                 ["t"],
-                ["t*t_inv - 1", "1", "lg - 1", "t*u*winv - u*winv + winv - 1"],
+                ["t*t_inv - 1", "1", "lg - 1"],
                 {"t": "t", "t_inv": "t_inv", "u": "u", "lg": "lg"},
-                {"t": "t*u - u + 1", "t_inv": "winv"},
+                {"t": "t*u - u + 1", "t_inv": "0"},
             )
         ],
         [
-            (("t", "t_inv"), ["t"], ["1"], {"t": "t", "t_inv": "t_inv"}, {"t": "1", "t_inv": "1"}),
-            (("t", "t_inv"), ["t"], ["1"], {"t": "t", "t_inv": "t_inv"}, {"t": "t", "t_inv": "t_inv"}),
+            (("t", "t_inv"), ["t"], ["t*t_inv - 1", "1"], {"t": "t", "t_inv": "t_inv"}, {"t": "1", "t_inv": "0"}),
+            (("t", "t_inv"), ["t"], ["t*t_inv - 1", "1"], {"t": "t", "t_inv": "t_inv"}, {"t": "t", "t_inv": "0"}),
         ],
         (True, True, True, True),
     ),
@@ -554,3 +548,48 @@ def test_chart_and_slice_presentations_are_frozen(monkeypatch, name):
     assert [presentation(s)[0] for s in seen] == slices
     zero, one = report.slices
     assert (zero.matches_input, zero.lands_on_base_point, one.matches_input, one.lands_on_base_point) == roles
+
+
+# ---------------------------------------------------------------------------
+# chart legs
+
+
+def empty_point(a):
+    """A piece over the point whose relations generate the unit ideal, with
+    target legs at the value a."""
+    target = punctured_line()
+    ring = PolynomialRing(QQ, ())
+    value = QQ.from_int(a)
+    images = {"t": ring.const(value), "t_inv": ring.const(QQ.inv(value))}
+    piece = make_piece(ring, [ring.one()], {}, images, point(QQ), target)
+    return Correspondence(point(QQ), target, (piece,))
+
+
+@pytest.mark.parametrize("name", POOL + ["empty", "point-2-plus-empty"])
+def test_chart_legs_respect_both_schemes(name):
+    if name == "empty":
+        alpha = empty_middle()
+    elif name == "point-2-plus-empty":
+        alpha = add(rational_point(2), empty_point(3))
+    else:
+        alpha = pool_member(name)
+    result = contract(alpha, standard_contraction_data(1))
+    assert result.charts
+    for chart in result.charts:
+        validate_correspondence(chart.correspondence)
+
+
+@pytest.mark.parametrize(
+    "alpha, rank, dichotomy, identity_at",
+    [
+        (empty_middle(), 0, False, None),
+        (add(rational_point(2), empty_point(3)), 1, True, 1),
+    ],
+    ids=["empty", "point-2-plus-empty"],
+)
+def test_empty_pieces_keep_their_verdicts(alpha, rank, dichotomy, identity_at):
+    datum = standard_contraction_data(1)
+    result = contract(alpha, datum)
+    assert result.ok and result.rank == rank
+    report = verify_contraction_endpoints(alpha, datum, result)
+    assert (report.dichotomy, report.identity_at) == (dichotomy, identity_at)

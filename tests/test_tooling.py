@@ -1,5 +1,6 @@
 """The benchmark's tracer names program functions and budget phases; keep
-them in step with the program.  The program's modules import in layers."""
+them in step with the program.  The program's modules import in layers, and
+the grammar document's command table is the program's."""
 
 from __future__ import annotations
 
@@ -106,3 +107,23 @@ def test_library_layers_load_without_the_front_ends():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_documented_command_table_is_the_program_table():
+    from flatspan.reports import COMMANDS
+
+    text = (ROOT / "docs" / "workspace-grammar.md").read_text(encoding="utf-8")
+    section = text.split("## Commands", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            command, operands, required, optional = cells
+            documented[command.strip("`")] = (
+                int(operands),
+                tuple(re.findall(r"`([^`]+)`", required)),
+                tuple(re.findall(r"`([^`]+)`", optional)),
+            )
+    assert documented == {
+        name: (row.operands, row.required, row.optional) for name, row in COMMANDS.items()
+    }
