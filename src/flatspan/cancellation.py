@@ -11,7 +11,7 @@ are :func:`filtration_index`, :func:`verify_compat` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .budget import Budget
 from .fields import QQ, field_name
@@ -434,8 +434,11 @@ class FiltrationReport:
     ``index`` is the least ``i`` such that every ``(m, n, sign)`` with
     ``i <= m, n <= window`` certifies, or None if no such ``i`` exists;
     ``blocking`` then holds a failing triple (on success, one that rules
-    out ``index - 1``).  The two bound reports certify flatness of every
-    family in the window uniformly, one per sign.
+    out ``index - 1``).  ``entries`` lists all ``2 * window**2`` triples,
+    ``m`` outermost, then ``n``, then the sign; an entry with ``m > n``
+    carries the status and rank certified for its mirror ``(n, m, sign)``
+    (see :func:`filtration_index`).  The two bound reports certify
+    flatness of every family in the window uniformly, one per sign.
     """
 
     index: int | None
@@ -472,29 +475,36 @@ def filtration_index(
 ) -> FiltrationReport:
     """Search for the least index whose upper box certifies entirely.
 
-    Every pair ``(m, n)`` in the window is certified for both signs; the
-    index is therefore minimal regardless of search order.  The attached
-    uniform bounds witness flatness of all the blended middles: the plus
-    families have the shape ``1 - t**k (f1 + f2 t**r)`` with ``f1 = -s``
-    and ``f2 = -(1 - s)``, and the minus families divide by the (unit)
-    target coordinate to reach the same shape.
+    Every triple ``(m, n, sign)`` of the window is decided, so the index
+    is minimal regardless of search order.  Only the families with
+    ``m <= n`` are certified: ``blend(n, m)`` is ``blend(m, n)`` with
+    ``s -> 1 - s``, so the ``(n, m, sign)`` family is the pullback of the
+    ``(m, n, sign)`` family along that automorphism of the parameter line.
+    It sends each monomial to plus or minus itself plus terms dividing it,
+    so it keeps every leading monomial of the fiber-order basis, the
+    staircase and the torsion test (the base relations do not involve
+    ``s``); each ``m > n`` entry copies status and rank from its mirror.
+    The attached uniform bounds witness flatness of all the blended
+    middles: the plus families have the shape ``1 - t**k (f1 + f2 t**r)``
+    with ``f1 = -s`` and ``f2 = -(1 - s)``, and the minus families divide
+    by the (unit) target coordinate to reach the same shape.
     """
     if window < 1:
         raise ValueError("window must be at least 1")
     budget = budget or Budget()
     _certified(alpha, budget, "filtration search")
-    entries = []
-    failing = []
+    decided: dict[tuple[int, int, str], FiltrationEntry] = {}
     for m in range(1, window + 1):
         for n in range(1, window + 1):
             for sign in ("+", "-"):
-                fam = cancel_family(alpha, m, n, sign, budget=budget)
-                out = fam.certificate
-                entries.append(
-                    FiltrationEntry(m, n, sign, out.status, out.rank if out.certified else None)
-                )
-                if not out.certified:
-                    failing.append((m, n, sign))
+                if m > n:
+                    decided[m, n, sign] = replace(decided[n, m, sign], m=m, n=n)
+                    continue
+                out = cancel_family(alpha, m, n, sign, budget=budget).certificate
+                rank = out.rank if out.certified else None
+                decided[m, n, sign] = FiltrationEntry(m, n, sign, out.status, rank)
+    entries = list(decided.values())
+    failing = [(e.m, e.n, e.sign) for e in entries if e.status != "certified"]
 
     # a failing triple rules out every index up to min(m, n)
     index = max((min(m, n) for m, n, _ in failing), default=0) + 1

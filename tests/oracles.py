@@ -10,6 +10,15 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from flatspan.budget import Budget
+from flatspan.cancellation import (
+    FiltrationEntry,
+    FiltrationReport,
+    _bound_from_values,
+    _certified,
+    _extended_with_parameter,
+    _torus_feet,
+    cancel_family,
+)
 from flatspan.groebner import eliminate, groebner_basis, normal_form, spolynomial_pairs_reduce
 from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
 from flatspan.orders import (
@@ -22,7 +31,7 @@ from flatspan.orders import (
     exp_sub,
     fiber_order,
 )
-from flatspan.poly import Polynomial, PolynomialRing, RingMismatch
+from flatspan.poly import Polynomial, PolynomialRing, RingMismatch, companion_name
 from flatspan.spans import (
     CertifyOutcome,
     Correspondence,
@@ -396,3 +405,46 @@ def leads_certificate(corr: Correspondence) -> CertifyOutcome | None:
             )
         )
     return CertifyOutcome("certified", sum(c.rank for c in pieces), tuple(pieces))
+
+
+def full_box_filtration(
+    alpha: Correspondence, *, window: int, budget: Budget | None = None
+) -> FiltrationReport:
+    """The filtration search with no mirror shortcut: every one of the
+    ``2 * window**2`` families is certified, in entry order, and the index
+    is the least ``i`` whose box ``i <= m, n <= window`` certifies, found
+    by scanning the boxes.  Spends its budget in the order the search
+    spends it: the input, the families, then the parameter-extended
+    input and its two bounds."""
+    budget = budget or Budget()
+    _certified(alpha, budget, "filtration search")
+    entries = []
+    for m in range(1, window + 1):
+        for n in range(1, window + 1):
+            for sign in ("+", "-"):
+                out = cancel_family(alpha, m, n, sign, budget=budget).certificate
+                rank = out.rank if out.certified else None
+                entries.append(FiltrationEntry(m, n, sign, out.status, rank))
+
+    def failing_in_box(i):
+        return [
+            (e.m, e.n, e.sign)
+            for e in entries
+            if e.status != "certified" and min(e.m, e.n) >= i
+        ]
+
+    index = next((i for i in range(1, window + 1) if not failing_in_box(i)), None)
+    box = failing_in_box(index - 1 if index else window)
+    blocking = box[0] if box else None
+
+    extended, pvar = _extended_with_parameter(alpha)
+    ring = extended.pieces[0].ring
+    s, one = ring.var(pvar), ring.one()
+    _, tgt_t = _torus_feet(alpha)
+    t2_inv = alpha.pieces[0].tgt(companion_name(tgt_t)).map_ring(ring)
+    outcome = _certified(extended, budget, "valuation bound")
+    bound_plus = _bound_from_values(extended, outcome, [("f1", -s), ("f2", -(one - s))], budget)
+    bound_minus = _bound_from_values(
+        extended, outcome, [("f1", -(s * t2_inv)), ("f2", -((one - s) * t2_inv))], budget
+    )
+    return FiltrationReport(index, window, tuple(entries), blocking, bound_plus, bound_minus)

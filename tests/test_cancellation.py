@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatspan.budget import Budget, BudgetExhausted
 from flatspan.cancellation import (
     BoundReport,
     CancellationError,
@@ -28,10 +31,12 @@ from flatspan.cancellation import (
 )
 from flatspan.fields import GF, QQ
 from flatspan.groebner import groebner_basis
+from flatspan.modules import CertifyOutcome
 from flatspan.poly import PolynomialRing
 from flatspan.polyparse import parse_polynomial
 from flatspan.schemes import affine_line, point, product, torus
-from flatspan.spans import Correspondence, degree, equals, make_piece
+from flatspan.spans import Correspondence, degree, equals, graph_span, make_piece
+from oracles import full_box_filtration
 
 
 def ring_of(names, field=QQ, inverted=()):
@@ -127,6 +132,16 @@ def test_blend_agrees_with_its_factored_form(m, n, sign):
     tail = one if sign == "+" else u
     factored = t**k * (s * t ** (n - k) + (one - s) * t ** (m - k)) + tail
     assert blend_value(m, n, sign, s, t, u) == factored
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_mirrored_blend_is_the_blend_at_one_minus_s(m, n, sign):
+    ring = ring_of(["s", "t", "u"])
+    s, t, u = ring.var("s"), ring.var("t"), ring.var("u")
+    flipped = blend_value(m, n, sign, s, t, u).substitute({"s": ring.one() - s}, ring)
+    assert blend_value(n, m, sign, s, t, u) == flipped
 
 
 def test_factored_blend_pulls_out_the_lower_exponent():
@@ -438,6 +453,126 @@ def test_filtration_index_is_minimal_over_the_reported_entries():
         (i for i in range(1, report.window + 1) if box(i)), None
     )
     assert report.index == smallest == 3
+
+
+def torus_power_graph(field, k):
+    """The graph of ``t -> t**k`` on the torus."""
+    G = torus(field, "t")
+    r = G.ring
+    return graph_span(G, G, {"t": r.var("t") ** k, "t_inv": r.var("t_inv") ** k})
+
+
+def empty_torus_span(field):
+    """A torus self-span with the zero ring as middle: rank 0, so every
+    family certifies, off the diagonal too."""
+    G = torus(field, "t")
+    ring = ring_of(["t", "t_inv"], field, inverted=["t"])
+    ident = {v: ring.var(v) for v in ring.names}
+    rels = [ring.var("t") * ring.var("t_inv") - ring.one(), ring.one()]
+    return Correspondence(G, G, (make_piece(ring, rels, ident, ident, G, G),))
+
+
+FILTRATION_SPANS = {
+    "empty": empty_torus_span,
+    "identity": torus_identity,
+    "unit": unit_collapse,
+    "square": lambda field: torus_power_graph(field, 2),
+    "cube": lambda field: torus_power_graph(field, 3),
+    "dtc": double_triple_cover,
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("name", sorted(FILTRATION_SPANS))
+def test_filtration_equals_the_full_box_search(name, field):
+    alpha = FILTRATION_SPANS[name](field)
+    for window in range(1, 5):
+        report = filtration_index(alpha, window=window)
+        oracle = full_box_filtration(alpha, window=window)
+        assert report.index == oracle.index
+        assert report.window == oracle.window == window
+        assert report.blocking == oracle.blocking
+        assert report.entries == oracle.entries
+        assert len(report.entries) == 2 * window**2
+        assert report.bound_plus == oracle.bound_plus
+        assert report.bound_minus == oracle.bound_minus
+
+
+def test_filtration_certifies_each_mirror_pair_once(monkeypatch):
+    import flatspan.cancellation as cancellation
+
+    original = cancellation.cancel_family
+    calls = []
+
+    def labelled(alpha, m, n, sign, *, budget=None):
+        # a real family with a fake outcome that names its own triple
+        calls.append((m, n, sign))
+        fam = original(alpha, m, n, sign, budget=budget)
+        rank = 100 * m + 10 * n + (sign == "+")
+        return replace(fam, certificate=CertifyOutcome("certified", rank))
+
+    monkeypatch.setattr(cancellation, "cancel_family", labelled)
+    report = filtration_index(torus_identity(QQ), window=3)
+    assert calls == [(m, n, s) for m in (1, 2, 3) for n in range(m, 4) for s in ("+", "-")]
+    for e in report.entries:
+        low, high = sorted((e.m, e.n))
+        assert (e.status, e.rank) == ("certified", 100 * low + 10 * high + (e.sign == "+"))
+
+
+def test_filtration_budget_runs_out_or_changes_nothing():
+    alpha = torus_identity(QQ)
+    unlimited, full_box = Budget(), Budget()
+    expected = filtration_index(alpha, window=3, budget=unlimited)
+    full_box_filtration(alpha, window=3, budget=full_box)
+    # the mirror families are copied, not certified
+    assert (unlimited.used, full_box.used) == (175, 285)
+    assert unlimited.used < full_box.used
+    outcomes = set()
+    for limit in [*range(1, unlimited.used, 25), unlimited.used - 1, unlimited.used]:
+        try:
+            report = filtration_index(alpha, window=3, budget=Budget(limit))
+        except BudgetExhausted:
+            outcomes.add("exhausted")
+            continue
+        assert report == expected, limit
+        outcomes.add("same")
+    assert outcomes == {"exhausted", "same"}
+
+
+@st.composite
+def torus_self_spans(draw):
+    """Single-piece torus self-spans: middle ``u`` with source
+    ``t = c*u**k`` and target ``t = d*u**a``, sometimes cut down by one
+    more monic relation in ``u``."""
+    field = draw(st.sampled_from([QQ, GF(5), GF(7)]))
+    k, a = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    c, d = field.from_int(draw(nonzero)), field.from_int(draw(nonzero))
+    G = torus(field, "t")
+    ring = ring_of(["u", "u_inv"], field, inverted=["u"])
+    u, ui = ring.var("u"), ring.var("u_inv")
+    relations = [u * ui - ring.one()]
+    if draw(st.booleans()):
+        tail = ring.const(field.from_int(draw(st.integers(-2, 2))))
+        relations.append(u ** draw(st.integers(1, 3)) + tail)
+    src = {"t": ring.const(c) * u**k, "t_inv": ring.const(field.inv(c)) * ui**k}
+    tgt = {"t": ring.const(d) * u**a, "t_inv": ring.const(field.inv(d)) * ui**a}
+    return Correspondence(G, G, (make_piece(ring, relations, src, tgt, G, G),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=torus_self_spans(),
+    m=st.integers(1, 3),
+    n=st.integers(1, 3),
+    sign=st.sampled_from(["+", "-"]),
+)
+def test_mirrored_families_certify_alike(alpha, m, n, sign):
+    out = cancel_family(alpha, m, n, sign).certificate
+    mirror = cancel_family(alpha, n, m, sign).certificate
+    assert (out.status, out.rank) == (mirror.status, mirror.rank)
+    if out.certified:
+        assert [c.staircase for c in out.pieces] == [c.staircase for c in mirror.pieces]
 
 
 def test_filtration_requires_certified_input():

@@ -66,6 +66,13 @@ def test_forced_budget_exhaustion_exits_three(capsys):
     assert "budget" in out
 
 
+def test_filtration_out_of_budget_is_inconclusive(capsys):
+    code, out, _ = run_cli(capsys, "run", workspace("cancel-families"), "--budget", "40")
+    assert code == 3
+    assert out.count("[pass]") == 4
+    assert "[inconclusive] ix filtration idg -- step budget of 40 exhausted" in out
+
+
 def test_missing_workspace_file_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "run", str(WORKSPACES / "no-such.fsw"))
     assert code == 2
