@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from .budget import Budget
 from .fields import QQ, field_name
 from .groebner import (
+    DivisorTable,
     groebner_basis,
     ideal_intersection,
     ideals_equal,
@@ -23,6 +24,7 @@ from .groebner import (
     saturate,
 )
 from .modules import CertifyOutcome, multiplication_matrix_from
+from .orders import fiber_order
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -160,12 +162,11 @@ def _bound_from_values(
     piece = _single_piece(alpha, "valuation bound")
     tvar = detect_torus_coordinate(alpha.source)
     cert = outcome.pieces[0]
+    table = DivisorTable(cert.ring, cert.groebner, fiber_order(cert.ring.nvars, cert.split))
     entries = []
     for label, value in labelled:
         lifted = lift_into_certificate(piece, cert, value)
-        matrix = multiplication_matrix_from(
-            cert.ring, cert.split, list(cert.groebner), lifted, list(cert.staircase), budget
-        )
+        matrix = multiplication_matrix_from(table, cert.split, lifted, list(cert.staircase), budget)
         for i, row in enumerate(matrix):
             for j, entry in enumerate(row):
                 v = laurent_valuation(entry, tvar)

@@ -26,6 +26,7 @@ from functools import reduce
 from .budget import Budget
 from .fields import QQ, Field
 from .groebner import (
+    DivisorTable,
     eliminate,
     groebner_basis,
     ideal_intersection,
@@ -142,12 +143,12 @@ def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
                 f"base point values for {name!r} and {comp!r} are not inverse"
             )
 
-    base_rels = groebner_basis(
-        [r.map_ring(uring) for r in scheme.relations], budget=budget
+    base_table = DivisorTable(
+        uring, groebner_basis([r.map_ring(uring) for r in scheme.relations], budget=budget)
     )
 
     def reduces_to_zero(p: Polynomial) -> bool:
-        return normal_form(p, base_rels, budget=budget).is_zero()
+        return base_table.reduce(p, budget).is_zero()
 
     at_zero = datum.w.substitute({uname: uring.const(0)}, uring)
     if not reduces_to_zero(at_zero - uring.one()):
@@ -342,11 +343,9 @@ def _image_on_source(
         lambda a, b: ideal_intersection(a, b, budget=budget), per_piece
     )
     ambient = [r.map_ring(target_ring) for r in source.relations]
-    ambient_basis = groebner_basis(ambient, budget=budget)
+    ambient_table = DivisorTable(target_ring, groebner_basis(ambient, budget=budget))
     full = groebner_basis(merged + ambient, budget=budget)
-    candidates = [
-        b for b in full if not normal_form(b, ambient_basis, budget=budget).is_zero()
-    ]
+    candidates = [b for b in full if not ambient_table.reduce(b, budget).is_zero()]
     # keep a minimal generating set modulo the source, preferring short
     # low-degree representatives so reports stay readable
     candidates.sort(key=lambda p: (len(p.terms()), p.total_degree(), str(p)))
@@ -564,10 +563,10 @@ def _lands_on_base_point(
     sliced: Correspondence, datum: ContractionDatum, budget: Budget
 ) -> bool:
     for piece in sliced.pieces:
-        basis = groebner_basis(list(piece.relations), budget=budget)
+        table = DivisorTable(piece.ring, groebner_basis(list(piece.relations), budget=budget))
         for name in datum.scheme.ring.names:
             gap = piece.tgt(name) - piece.ring.const(datum.base_value(name))
-            if not normal_form(gap, basis, budget=budget).is_zero():
+            if not table.reduce(gap, budget).is_zero():
                 return False
     return True
 

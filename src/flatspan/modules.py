@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .budget import Budget
-from .groebner import groebner_basis, normal_form
+from .groebner import DivisorTable, groebner_basis
 from .orders import GrevLex, exp_divides, fiber_order
 from .poly import Polynomial, PolynomialRing
 
@@ -145,31 +145,33 @@ def analyze_module(
     if ring.names[split:] != base_ring.names:
         raise ValueError("combined ring does not extend the base ring by fiber variables")
     budget = budget or Budget()
-    basis = groebner_basis(relations, fiber_order(ring.nvars, split), budget=budget)
+    order = fiber_order(ring.nvars, split)
+    basis = groebner_basis(relations, order, budget=budget)
     base_basis = groebner_basis(base_relations, budget=budget)
-    return classify_basis(ring, split, basis, base_ring, base_basis, budget)
+    return classify_basis(DivisorTable(ring, basis, order), split, base_ring, base_basis, budget)
 
 
 def classify_basis(
-    ring: PolynomialRing,
+    table: DivisorTable,
     split: int,
-    basis: Sequence[Polynomial],
     base_ring: PolynomialRing,
     base_basis: Sequence[Polynomial],
     budget: Budget | None = None,
 ) -> CertifyOutcome:
-    """Classify the quotient by ``basis`` as a module over ``base_ring``.
+    """Classify the quotient by ``table.basis`` as a module over
+    ``base_ring``.
 
-    ``basis`` is a Groebner basis of nonzero elements under
-    :func:`fiber_order` and ``base_basis`` the reduced basis of the base
-    relations.  A constant element means the zero module; otherwise the
-    leads decide as the module docstring lists.  A free or zero module is
-    ``certified`` with its one :class:`PieceCertificate`: the staircase and
-    every fiber variable's matrix.  Certification and recheck both classify
-    through here.  Raises :class:`PresentationError` when the basis is
-    inconsistent with its own staircase.
+    ``table`` holds a Groebner basis under :func:`fiber_order` and
+    ``base_basis`` is the reduced basis of the base relations.  A constant
+    element means the zero module; otherwise the leads decide as the module
+    docstring lists.  A free or zero module is ``certified`` with its one
+    :class:`PieceCertificate`: the staircase and every fiber variable's
+    matrix, all divided through ``table``.  Certification and recheck both
+    classify through here.  Raises :class:`PresentationError` when the
+    basis is inconsistent with its own staircase.
     """
     budget = budget or Budget()
+    ring, basis = table.ring, table.basis
     fiber_names = ring.names[:split]
 
     def certified(stair, matrices) -> CertifyOutcome:
@@ -190,10 +192,8 @@ def classify_basis(
     if any(g.is_constant() for g in basis):
         return certified((), ())
 
-    order = fiber_order(ring.nvars, split)
     pure, base_only, mixed = [], [], []
-    for g in basis:
-        lm = g.leading_exponent(order)
+    for g, lm in zip(basis, table.leads()):
         fp, bp = lm[:split], lm[split:]
         if not any(bp):
             pure.append(fp)
@@ -204,9 +204,10 @@ def classify_basis(
 
     # torsion: a base-only element not already implied by the base relations
     torsion = []
+    base_table = DivisorTable(base_ring, base_basis)
     for g in base_only:
         in_base = g.map_ring(base_ring)
-        if not normal_form(in_base, base_basis, budget=budget).is_zero():
+        if not base_table.reduce(in_base, budget).is_zero():
             torsion.append(in_base)
     if torsion:
         witness = ", ".join(str(w) for w in torsion)
@@ -228,16 +229,14 @@ def classify_basis(
         )
 
     matrices = sorted(
-        (v, multiplication_matrix_from(ring, split, basis, ring.var(v), stair, budget))
-        for v in fiber_names
+        (v, multiplication_matrix_from(table, split, ring.var(v), stair, budget)) for v in fiber_names
     )
     return certified(stair, tuple(matrices))
 
 
 def multiplication_matrix_from(
-    ring: PolynomialRing,
+    table: DivisorTable,
     split: int,
-    basis: list[Polynomial],
     element: Polynomial,
     staircase: list[tuple[int, ...]],
     budget: Budget | None = None,
@@ -245,17 +244,16 @@ def multiplication_matrix_from(
     """Matrix of multiplication by ``element`` on the staircase basis;
     entry [i][j] is the coefficient of basis j in element * basis i.
 
-    ``basis`` is a Groebner basis under :func:`fiber_order`; the entries
-    live in the ring of the last ``nvars - split`` variables.
+    ``table`` holds a Groebner basis under :func:`fiber_order`; row i is
+    the remainder of ``x^gamma_i * element``.  The entries live in the ring
+    of the last ``nvars - split`` variables.
     """
-    budget = budget or Budget()
-    order = fiber_order(ring.nvars, split)
+    ring = table.ring
     base_ring = ring.drop(ring.names[:split])
     index = {exp: j for j, exp in enumerate(staircase)}
+    pad = (0,) * (ring.nvars - split)
     rows = []
-    for gamma in staircase:
-        mono = Polynomial(ring, {tuple(gamma) + (0,) * (ring.nvars - split): ring.field.one})
-        nf = normal_form(element * mono, basis, order, budget=budget)
+    for nf in table.reduce_multiples(element, [tuple(gamma) + pad for gamma in staircase], budget):
         row = [dict() for _ in staircase]
         for exp, c in nf.terms().items():
             fp = exp[:split]
@@ -272,9 +270,8 @@ def multiplication_matrix_from(
 def multiplication_matrix(cert: PieceCertificate, element: Polynomial, budget: Budget | None = None):
     """Matrix of multiplication by an element of the combined ring, over
     the staircase basis of a piece certificate."""
-    return multiplication_matrix_from(
-        cert.ring, cert.split, list(cert.groebner), element, list(cert.staircase), budget
-    )
+    table = DivisorTable(cert.ring, cert.groebner, fiber_order(cert.ring.nvars, cert.split))
+    return multiplication_matrix_from(table, cert.split, element, list(cert.staircase), budget)
 
 
 def staircase_labels(names: tuple[str, ...], staircase) -> tuple[str, ...]:

@@ -1,8 +1,21 @@
 """Monomial orders on exponent vectors.
 
-An order exposes ``key(exponents) -> comparable`` such that the usual tuple
-comparison realizes the order, and ``heap_key`` reversing it, so that a
-``heapq`` of ``(heap_key(e), e)`` pops the largest monomial first.  All
+Each order is one integer weight vector: ``key(e) = Σ e[i] * weights[i]``
+is an int, ordered like the monomials and linear in the exponents, so
+``key(a + b) = key(a) + key(b)``.  The keys order every exponent vector
+whose entries are below ``2**EXPONENT_BITS``, far above the cap a
+polynomial may carry; the Groebner kernel needs that headroom, because it
+packs each monomial as its key above its exponents (see
+:mod:`flatspan.groebner`).
+
+A lexicographic comparison of exponent tuples becomes a number in base
+``B = 2**EXPONENT_BITS``: Lex weighs variable ``i`` of ``n`` by
+``B**(n - 1 - i)``.  GrevLex compares the degree first and then the
+reversed, negated exponents ``-e[n-1], ..., -e[1]`` (``e[0]`` follows from
+the degree and those), so it weighs variable 0 by ``B**(n-1)`` and
+variable ``i > 0`` by ``B**(n-1) - B**(i-1)``: the degree counts
+``B**(n-1)`` each, and ``-Σ e[i] * B**(i-1)`` lies in ``(-B**(n-1), 0]``.
+Block scales the head's GrevLex weights past the largest tail key.  All
 orders here are global (1 is minimal), which the division algorithm relies
 on.
 """
@@ -10,8 +23,21 @@ on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, neg, sub
+from functools import cached_property, lru_cache
+from operator import add, le, mul, sub
 from typing import Sequence
+
+# Keys order exactly the exponent vectors whose entries are below 2**EXPONENT_BITS.
+EXPONENT_BITS = 63
+_BASE = 1 << EXPONENT_BITS
+
+
+@lru_cache(maxsize=64)
+def _grevlex_weights(n: int) -> tuple[int, ...]:
+    if not n:
+        return ()
+    top = _BASE ** (n - 1)
+    return (top,) + tuple(top - _BASE ** (i - 1) for i in range(1, n))
 
 
 class MonomialOrder:
@@ -19,15 +45,12 @@ class MonomialOrder:
 
     nvars: int
 
-    def key(self, exp: tuple[int, ...]):
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def heap_key(self, exp: tuple[int, ...]):
-        """Injective key whose minimum is the order's maximum:
-        ``key(a) < key(b)`` exactly when ``heap_key(a) > heap_key(b)``.
-        ``heapq`` pops its minimum, so the division loop keys its heap of
-        pending monomials with this."""
-        raise NotImplementedError
+    def key(self, exp: Sequence[int]) -> int:
+        return sum(map(mul, exp, self.weights))
 
 
 @dataclass(frozen=True)
@@ -36,11 +59,9 @@ class Lex(MonomialOrder):
 
     nvars: int
 
-    def key(self, exp):
-        return exp
-
-    def heap_key(self, exp):
-        return tuple(map(neg, exp))
+    @cached_property
+    def weights(self):
+        return tuple(_BASE ** (self.nvars - 1 - i) for i in range(self.nvars))
 
 
 @dataclass(frozen=True)
@@ -49,11 +70,9 @@ class GrevLex(MonomialOrder):
 
     nvars: int
 
-    def key(self, exp):
-        return (sum(exp), tuple(map(neg, exp[::-1])))
-
-    def heap_key(self, exp):
-        return (-sum(exp), exp[::-1])
+    @cached_property
+    def weights(self):
+        return _grevlex_weights(self.nvars)
 
 
 @dataclass(frozen=True)
@@ -69,18 +88,11 @@ class Block(MonomialOrder):
     nvars: int
     split: int
 
-    def key(self, exp):
-        head, tail = exp[: self.split], exp[self.split :]
-        return (
-            sum(head),
-            tuple(map(neg, head[::-1])),
-            sum(tail),
-            tuple(map(neg, tail[::-1])),
-        )
-
-    def heap_key(self, exp):
-        head, tail = exp[: self.split], exp[self.split :]
-        return (-sum(head), head[::-1], -sum(tail), tail[::-1])
+    @cached_property
+    def weights(self):
+        tail = _grevlex_weights(self.nvars - self.split)
+        scale = (_BASE - 1) * sum(tail) + 1  # one more than the largest tail key
+        return tuple(w * scale for w in _grevlex_weights(self.split)) + tail
 
 
 def fiber_order(nvars: int, split: int) -> MonomialOrder:

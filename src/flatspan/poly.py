@@ -180,6 +180,8 @@ class Polynomial:
             raise RingMismatch(f"ring mismatch: {self.ring.names} vs {other.ring.names}")
 
     def __add__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         f = self.ring.field
         out = dict(self._terms)
@@ -196,9 +198,13 @@ class Polynomial:
         return Polynomial(self.ring, {e: f.neg(c) for e, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: Polynomial) -> Polynomial:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         f = self.ring.field
         out: dict[tuple[int, ...], object] = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 from .budget import Budget
-from .groebner import elimination_basis, groebner_basis, normal_form, spolynomial_pairs_reduce
+from .groebner import DivisorTable, elimination_basis, groebner_basis, spolynomial_pairs_reduce
 from .modules import (
     CertifyOutcome,
     PieceCertificate,
@@ -183,7 +183,7 @@ def add(left: Correspondence, right: Correspondence) -> Correspondence:
 def validate_correspondence(corr: Correspondence, budget: Budget | None = None) -> None:
     """Check that both structure maps kill the defining relations."""
     for index, piece in enumerate(corr.pieces):
-        basis = groebner_basis(list(piece.relations), budget=budget)
+        table = DivisorTable(piece.ring, groebner_basis(list(piece.relations), budget=budget))
         for scheme, images in (
             (corr.source, dict(piece.src_map)),
             (corr.target, dict(piece.tgt_map)),
@@ -192,7 +192,7 @@ def validate_correspondence(corr: Correspondence, budget: Budget | None = None) 
                 pulled = rel.substitute(
                     {v: images[v] for v in scheme.ring.names}, piece.ring
                 )
-                if normal_form(pulled, basis, budget=budget) != piece.ring.zero():
+                if not table.reduce(pulled, budget).is_zero():
                     raise SpanError(
                         f"piece {index}: structure map does not respect relation {rel!r}"
                     )
@@ -244,12 +244,13 @@ def _canonical(
     """``piece`` moved into ``ring`` through ``rename``, its relations replaced
     by their reduced Groebner basis (unique for the order) and its legs by
     normal forms."""
-    basis = groebner_basis([r.map_ring(ring, rename) for r in piece.relations], budget=budget)
+    relations = [r.map_ring(ring, rename) for r in piece.relations]
+    table = DivisorTable(ring, groebner_basis(relations, budget=budget))
     src, tgt = (
-        tuple((k, normal_form(p.map_ring(ring, rename), basis, budget=budget)) for k, p in legs)
+        tuple((k, table.reduce(p.map_ring(ring, rename), budget)) for k, p in legs)
         for legs in (piece.src_map, piece.tgt_map)
     )
-    return SpanPiece(ring, tuple(basis), src, tgt)
+    return SpanPiece(ring, table.basis, src, tgt)
 
 
 def simplify_piece(piece: SpanPiece, budget: Budget | None = None) -> SpanPiece:
@@ -469,11 +470,12 @@ def recheck_certificate(
         basis = [b for b in cert.groebner if not b.is_zero()]
         if not spolynomial_pairs_reduce(basis, order, budget=budget):
             return False
+        table = DivisorTable(combined, basis, order)
         for rel in _combined_relations(piece, corr.source, combined):
-            if not normal_form(rel, basis, order, budget=budget).is_zero():
+            if not table.reduce(rel, budget).is_zero():
                 return False
         try:
-            derived = classify_basis(combined, cert.split, basis, base_ring, base_basis, budget)
+            derived = classify_basis(table, cert.split, base_ring, base_basis, budget)
         except PresentationError:
             return False
         if derived.pieces != (cert,):
@@ -517,9 +519,9 @@ def collapse_variables(
         ring = piece.ring
         drop = list(mapping)
         work, order, basis = elimination_basis(ring, piece.relations, drop, budget)
+        table = DivisorTable(work, basis, order)
         for name, image in mapping.items():
-            gap = normal_form((ring.var(name) - image).map_ring(work), basis, order, budget=budget)
-            if not gap.is_zero():
+            if not table.reduce((ring.var(name) - image).map_ring(work), budget).is_zero():
                 raise SpanError(
                     f"cannot collapse {name!r}: the relations do not identify "
                     "it with the claimed image"

@@ -19,7 +19,14 @@ from flatspan.cancellation import (
     _torus_feet,
     cancel_family,
 )
-from flatspan.groebner import eliminate, groebner_basis, normal_form, spolynomial_pairs_reduce
+from flatspan.groebner import (
+    DivisorTable,
+    eliminate,
+    groebner_basis,
+    is_unit_ideal,
+    normal_form,
+    spolynomial_pairs_reduce,
+)
 from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
 from flatspan.orders import (
     GrevLex,
@@ -329,6 +336,32 @@ def box_staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ..
     return sorted(out, key=GrevLex(split).key)
 
 
+def fiber_dimension(corr: Correspondence, point: dict[str, object]) -> int | None:
+    """Dimension of the middle's fiber over the rational point ``point`` of
+    the source (a field element per source coordinate), or ``None`` when
+    some fiber is not finite.
+
+    Per piece: the staircase size of a degree-reverse-lex basis of the
+    piece relations plus ``src(x_i) - a_i``, summed over the pieces.  It
+    shares nothing with certification but the Groebner engine: no block
+    order, no base ring, no matrices.  A middle finite free of rank r over
+    the source has fiber dimension r at every point.
+    """
+    total = 0
+    for piece in corr.pieces:
+        ring = piece.ring
+        gens = list(piece.relations) + [piece.src(v) - ring.const(a) for v, a in point.items()]
+        basis = groebner_basis(gens)
+        if is_unit_ideal(basis):
+            continue
+        order = GrevLex(ring.nvars)
+        stair = box_staircase([g.leading_exponent(order) for g in basis], ring.nvars)
+        if stair is None:
+            return None
+        total += len(stair)
+    return total
+
+
 def enumerated_recheck(corr: Correspondence, outcome: CertifyOutcome, budget: Budget | None = None) -> bool:
     """A recheck that inspects the certificate field by field: the S-pair
     criterion, the relations, no mixed lead, the staircase and labels the
@@ -354,6 +387,7 @@ def enumerated_recheck(corr: Correspondence, outcome: CertifyOutcome, budget: Bu
         for rel in _combined_relations(piece, corr.source, combined):
             if not normal_form(rel, basis, order, budget=budget).is_zero():
                 return False
+        table = DivisorTable(combined, basis, order)
         pure, _, mixed = _sort_leads(basis, order, cert.split)
         stair = [] if any(b.is_constant() for b in basis) else box_staircase(pure, cert.split)
         fiber = combined.names[: cert.split]
@@ -364,7 +398,7 @@ def enumerated_recheck(corr: Correspondence, outcome: CertifyOutcome, budget: Bu
         for name, recorded in cert.matrices:
             try:
                 fresh = multiplication_matrix_from(
-                    combined, cert.split, basis, combined.var(name), list(cert.staircase), budget
+                    table, cert.split, combined.var(name), list(cert.staircase), budget
                 )
             except PresentationError:
                 return False
@@ -392,8 +426,9 @@ def leads_certificate(corr: Correspondence) -> CertifyOutcome | None:
             if stair is None:
                 return None
         fiber = combined.names[:split]
+        table = DivisorTable(combined, basis, order)
         matrices = tuple(
-            (v, multiplication_matrix_from(combined, split, basis, combined.var(v), stair))
+            (v, multiplication_matrix_from(table, split, combined.var(v), stair))
             for v in sorted(fiber)
             if stair
         )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 from pathlib import Path
@@ -754,3 +755,117 @@ def test_every_command_has_a_handler():
     from flatspan.reports import COMMANDS
 
     assert set(COMMANDS) == set(HANDLERS)
+
+
+def _handler_runs(text):
+    """Every check of a workspace run through its handler with a fresh
+    budget: ``(check name, budget, certificate blocks)`` per check."""
+    from flatspan.budget import Budget
+    from flatspan.cli import HANDLERS
+    from flatspan.workspace import parse_workspace
+
+    doc = parse_workspace(text)
+    for req in doc.checks:
+        budget = Budget()
+        certificates = HANDLERS[req.command](doc, req, budget)[3]
+        yield req.name, budget, certificates
+
+
+# Budget.used of every shipped check, recorded before the Groebner kernel
+# packed its monomials: a change that moves one moves where a budgeted run
+# of that check runs out, and with it an inconclusive report.
+SHIPPED_STEPS = {
+    ("cancel-families", "f1"): 6,
+    ("cancel-families", "f2"): 9,
+    ("cancel-families", "r1"): 10,
+    ("cancel-families", "r2"): 8,
+    ("cancel-families", "ix"): 81,
+    ("contraction-basics", "k1"): 82,
+    ("contraction-basics", "k2"): 94,
+    ("contraction-basics", "k3"): 17,
+    ("contraction-basics", "k4"): 48,
+    ("failing-checks", "f1"): 3,
+    ("failing-checks", "f2"): 3,
+    ("level3-verifier", "main"): 58,
+    ("mod5-cuts", "c1"): 9,
+    ("mod5-cuts", "r1"): 10,
+    ("mod5-cuts", "v1"): 52,
+    ("span-algebra", "c1"): 20,
+    ("span-algebra", "c2"): 5,
+    ("span-algebra", "c3"): 5,
+    ("span-algebra", "c4"): 9,
+    ("span-algebra", "c5"): 9,
+    ("span-algebra", "c6"): 8,
+    ("valuation-bounds", "b1"): 13,
+    ("valuation-bounds", "b2"): 10,
+    ("valuation-bounds", "b3"): 12,
+    ("valuation-bounds", "s1"): 24,
+    ("valuation-bounds", "s2"): 21,
+    ("valuation-bounds", "s3"): 28,
+}
+
+
+def test_shipped_checks_spend_their_pinned_steps():
+    used = {}
+    for path in sorted(WORKSPACES.glob("*.fsw")):
+        for name, budget, _ in _handler_runs(path.read_text(encoding="utf-8")):
+            used[path.stem, name] = budget.used
+    assert used == SHIPPED_STEPS
+
+
+def _source_points(source, count=3):
+    """``count`` rational points of ``source`` with nonzero coordinates.
+    Coordinates take values in ring order, except that one a relation
+    determines linearly (an inverse, a localizing variable) is solved for.
+    A point off the source or with a zero coordinate is skipped."""
+    ring, field = source.ring, source.ring.field
+    fractions = ((2, 1), (3, 1), (-1, 1), (1, 2), (-3, 2))
+    values = [v for v in (field.from_fraction(n, d) for n, d in fractions) if v]
+    zero = (0,) * ring.nvars
+    points = []
+    for shift in range(4 * count):
+        at, free = {}, itertools.islice(itertools.cycle(values), shift, None)
+        while len(at) < ring.nvars:
+            constants = {v: ring.const(a) for v, a in at.items()}
+            for rel in source.relations:
+                rest = rel.substitute(constants, ring) if constants else rel
+                if len(rest.variables()) == 1 and rest.total_degree() == 1:
+                    (v,) = rest.variables()
+                    terms = rest.terms()
+                    slope = terms[tuple(int(name == v) for name in ring.names)]
+                    at[v] = field.neg(field.div(terms.get(zero, field.zero), slope))
+                    break
+            else:
+                at[next(v for v in ring.names if v not in at)] = next(free)
+        constants = {v: ring.const(a) for v, a in at.items()}
+        on_source = all(rel.substitute(constants, ring).is_zero() for rel in source.relations)
+        if on_source and all(at.values()):
+            points.append(at)
+        if len(points) == count:
+            return points
+    raise AssertionError(f"fewer than {count} points found on {source}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param(p.read_text(encoding="utf-8"), id=p.stem) for p in sorted(WORKSPACES.glob("*.fsw"))]
+    + [pytest.param(TORSION_DOC, id="torsion")],
+)
+def test_certified_blocks_have_their_rank_as_fiber_dimension(text):
+    """A middle finite free of rank r over its source has an r-dimensional
+    fiber over every rational point, which ``fiber_dimension`` computes
+    apart from certification.  The torsion document certifies nothing; a
+    certification without its torsion test would pass it with rank 1,
+    while the fiber over every point ``x != 0`` is empty."""
+    from oracles import fiber_dimension
+
+    from flatspan.reports import correspondence_from_json, outcome_from_json
+
+    for name, _, certificates in _handler_runs(text):
+        for block in certificates:
+            if block["kind"] != "finite-flat":
+                continue
+            corr = correspondence_from_json(block["span"])
+            rank = outcome_from_json(block["outcome"]).rank
+            for at in _source_points(corr.source):
+                assert fiber_dimension(corr, at) == rank, (name, at)

@@ -77,6 +77,14 @@ def test_ring_mismatch_rejected():
         _ = a + b
 
 
+def test_arithmetic_with_a_non_polynomial_is_a_type_error():
+    R = ring_qq("x", "y")
+    x, y = R.var("x"), R.var("y")
+    for compute in (lambda: x * y - 1, lambda: 1 - x, lambda: x + 1, lambda: 2 * x, lambda: x * 0.5):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            compute()
+
+
 def test_exponent_overflow_is_hard_error():
     R = ring_qq("x")
     with pytest.raises(ExponentOverflow):

@@ -18,7 +18,7 @@ from flatspan.groebner import (
     spolynomial_pairs_reduce,
 )
 from flatspan.orders import Block, GrevLex, Lex
-from flatspan.poly import Polynomial, PolynomialRing
+from flatspan.poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing
 
 from oracles import is_groebner_oracle, naive_divide, rescanning_reduce, unnormalized_buchberger
 
@@ -228,9 +228,26 @@ def test_modular_inverse_through_a_quadratic_relation():
 
 
 def _drawn_poly(data, ring, max_terms, top=3):
-    exps = st.tuples(*[st.integers(0, top)] * ring.nvars)
+    if ring.nvars > 3:  # at most three variables per term, so completions stay small
+        exps = st.dictionaries(st.integers(0, ring.nvars - 1), st.integers(1, top), max_size=3).map(
+            lambda d: tuple(d.get(i, 0) for i in range(ring.nvars))
+        )
+    else:
+        exps = st.tuples(*[st.integers(0, top)] * ring.nvars)
     items = data.draw(st.lists(st.tuples(exps, st.integers(-4, 4)), max_size=max_terms))
     return Polynomial(ring, {e: ring.field.from_int(c) for e, c in items})
+
+
+# Ring shapes the differential tests draw from, half the examples each:
+# three variables under every kind of order, and six under the orders
+# certification builds, the fiber variables leading a block over the base
+# variables.
+SHAPES = st.sampled_from(
+    [
+        (("x", "y", "z"), [Lex(3), GrevLex(3), Block(3, 1), Block(3, 2)]),
+        (("t", "t_inv", "u", "s", "s_inv", "r"), [GrevLex(6)] + [Block(6, s) for s in range(2, 6)]),
+    ]
+)
 
 
 def _reduce_or_exhaust(reduce, budget):
@@ -240,17 +257,15 @@ def _reduce_or_exhaust(reduce, budget):
         return exc.phase
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.data(),
-    st.sampled_from([QQ, GF(5)]),
-    st.sampled_from([Lex(3), GrevLex(3), Block(3, 1), Block(3, 2)]),
-)
-def test_normal_form_matches_the_rescanning_division(data, field, order):
+@settings(max_examples=160, deadline=None)
+@given(st.data(), st.sampled_from([QQ, GF(5)]), SHAPES)
+def test_normal_form_matches_the_rescanning_division(data, field, shape):
     # The engine keeps the working terms in a heap; the oracle rescans them
     # with max.  Same leads, same reducers, same remainder term order, same
     # steps, and the same step at which a small budget runs out.
-    ring = PolynomialRing(field, ("x", "y", "z"))
+    names, orders = shape
+    order = data.draw(st.sampled_from(orders))
+    ring = PolynomialRing(field, names)
     p = _drawn_poly(data, ring, 8)
     if data.draw(st.booleans()):
         # low-degree divisors, so that several leads often divide one term
@@ -276,18 +291,15 @@ def test_normal_form_matches_the_rescanning_division(data, field, order):
     assert plain.used == scaled.used
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.data(),
-    st.sampled_from([QQ, GF(5)]),
-    st.sampled_from([Lex(3), GrevLex(3), Block(3, 1), Block(3, 2)]),
-    st.sampled_from(["normal", "fifo"]),
-)
-def test_buchberger_matches_the_unnormalized_kernel(data, field, order, strategy):
+@settings(max_examples=600, deadline=None)
+@given(st.data(), st.sampled_from([QQ, GF(5)]), SHAPES, st.sampled_from(["normal", "fifo"]))
+def test_buchberger_matches_the_unnormalized_kernel(data, field, shape, strategy):
     # The engine keeps its basis monic and carries each pair's lcm; the
     # oracle runs the pair loop on the basis as reduced and divides by any
     # lead.  Same basis and term order, same steps, same phase run out in.
-    ring = PolynomialRing(field, ("x", "y", "z"))
+    names, orders = shape
+    order = data.draw(st.sampled_from(orders))
+    ring = PolynomialRing(field, names)
     gens = [_drawn_poly(data, ring, 3, top=2) for _ in range(data.draw(st.integers(1, 3)))]
     if data.draw(st.booleans()):
         # a unit last: its pairs are coprime and pop first under "normal",
@@ -320,3 +332,49 @@ def test_pair_check_rejects_a_basis_spread_over_rings():
     for other in (modular, renamed):
         with pytest.raises(ValueError, match="basis element in a different ring"):
             spolynomial_pairs_reduce([first, other])
+
+
+# Exponents at the cap MAX_EXPONENT = 2**31 - 1.  The results are pinned as
+# the tuple-exponent kernel gave them; the packed kernel's 63-bit fields hold
+# every sum these reach (up to about 2**42 within the 2000 steps).
+M = MAX_EXPONENT
+Rxyz = PolynomialRing(QQ, ("x", "y", "z"))
+
+
+def _mono(*exp):
+    return Polynomial(Rxyz, {exp: QQ.one})
+
+
+def test_monomials_at_the_exponent_cap_are_their_own_basis():
+    assert groebner_basis([_mono(M, 1, 0), _mono(1, M, 0)], GrevLex(3)) == [_mono(1, M, 0), _mono(M, 1, 0)]
+
+
+def test_a_result_past_the_exponent_cap_raises():
+    gens = [_mono(M, 0, 0) + _mono(0, 1, 0), _mono(1, M, 0) + _mono(0, 0, 1)]
+    with pytest.raises(ExponentOverflow, match="^exponent 2147483648 exceeds 2147483647$"):
+        groebner_basis(gens, GrevLex(3))
+
+
+@pytest.mark.parametrize(
+    "gens, order",
+    [
+        pytest.param([_mono(M, 0, 0) + _mono(0, M, 0), _mono(1, M, 0) + _mono(0, 0, 1)], Lex(3), id="Lex"),
+        pytest.param([_mono(M, 0, 1) - Rxyz.one(), _mono(1, M, 0) - _mono(0, 0, 1)], Block(3, 1), id="Block"),
+    ],
+)
+def test_completions_at_the_exponent_cap_run_out_where_they_did(gens, order):
+    budget = Budget(2000)
+    with pytest.raises(BudgetExhausted) as exc:
+        groebner_basis(gens, order, budget)
+    assert exc.value.phase == "S-pair formation"
+    assert budget.used == 2001
+
+
+def test_an_exponent_past_the_field_width_raises_instead_of_wrapping():
+    # y = z^M, then x = y^K = z^(K*M), then x^K = z^(K*K*M): K*K*M passes
+    # 2**63 - 1, the widest exponent a packed field holds, during the last
+    # reduction, so the sum sets a guard bit.
+    k = 2**16 + 1
+    gens = [_mono(0, 1, 0) - _mono(0, 0, M), _mono(1, 0, 0) - _mono(0, k, 0), _mono(k, 0, 0)]
+    with pytest.raises(ExponentOverflow, match="exceeds 9223372036854775807$"):
+        groebner_basis(gens, Lex(3))

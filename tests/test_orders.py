@@ -1,23 +1,46 @@
 from hypothesis import given, settings, strategies as st
 
-from flatspan.orders import Block, GrevLex, Lex, exp_coprime, exp_lcm
+from flatspan.groebner import _packing
+from flatspan.orders import Block, GrevLex, Lex, exp_add, exp_coprime, exp_divides, exp_lcm
+from flatspan.poly import MAX_EXPONENT
 
 
 def _orders(n):
     return [Lex(n), GrevLex(n)] + [Block(n, s) for s in range(1, n)]
 
 
+def _grevlex_tuple(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def _reference(order, e):
+    """The order written as a tuple that Python compares lexicographically."""
+    if isinstance(order, Lex):
+        return tuple(e)
+    if isinstance(order, GrevLex):
+        return _grevlex_tuple(e)
+    return _grevlex_tuple(e[: order.split]) + _grevlex_tuple(e[order.split :])
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.data(), st.integers(1, 5))
-def test_heap_key_reverses_key_and_both_are_injective(data, n):
-    exps = st.tuples(*[st.integers(0, 4)] * n)
-    sample = data.draw(st.lists(exps, min_size=2, max_size=12))
+@given(st.data(), st.integers(1, 8))
+def test_linear_key_orders_like_tuples_and_packs_additively(data, n):
+    exps = st.tuples(*[st.sampled_from([0, 1, 2, 2**20, MAX_EXPONENT])] * n)
+    sample = data.draw(st.lists(exps, min_size=2, max_size=10))
     for order in _orders(n):
+        packing = _packing(order)
         for a in sample:
+            pa = packing.pack(a)
+            assert packing.unpack(pa) == a
             for b in sample:
-                assert (order.key(a) < order.key(b)) == (order.heap_key(a) > order.heap_key(b))
+                pb = packing.pack(b)
+                assert (order.key(a) < order.key(b)) == (_reference(order, a) < _reference(order, b))
                 assert (order.key(a) == order.key(b)) == (a == b)
-                assert (order.heap_key(a) == order.heap_key(b)) == (a == b)
+                assert (pa < pb) == (order.key(a) < order.key(b))
+                assert pa + pb == packing.pack(exp_add(a, b))
+                assert (not (pb - pa) & packing.guard) == exp_divides(a, b)
+                assert packing.lcm(pa, pb) == packing.pack(exp_lcm(a, b))
+                assert packing.coprime(pa, pb) == exp_coprime(a, b)
     for a in sample:
         for b in sample:
             assert exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))

@@ -496,7 +496,7 @@ def test_recheck_rejects_a_mixed_lead():
     """k[y, z]/(y^2, y*z) over A^1_x along x -> z: the lead x*y mixes fiber
     and base (y is x-torsion), so certification is inconclusive.  A forged
     rank-2 certificate on the staircase {1, y} recomputes its matrices."""
-    from flatspan.groebner import groebner_basis
+    from flatspan.groebner import DivisorTable, groebner_basis
     from flatspan.modules import multiplication_matrix_from
     from flatspan.orders import fiber_order
     from flatspan.spans import CertifyOutcome, PieceCertificate
@@ -510,9 +510,8 @@ def test_recheck_rejects_a_mixed_lead():
     gens = [parse_polynomial(t, combined) for t in ("y^2", "y*z", "x - z")]
     basis = groebner_basis(gens, fiber_order(3, 2))
     stair = [(0, 0), (1, 0)]
-    matrices = tuple(
-        (v, multiplication_matrix_from(combined, 2, basis, combined.var(v), stair)) for v in "yz"
-    )
+    table = DivisorTable(combined, basis, fiber_order(3, 2))
+    matrices = tuple((v, multiplication_matrix_from(table, 2, combined.var(v), stair)) for v in "yz")
     cert = PieceCertificate(combined, 2, tuple(basis), tuple(stair), ("1", "y"), matrices, ())
     assert not recheck_certificate(span, CertifyOutcome("certified", 2, (cert,)))
 
