@@ -353,7 +353,7 @@ class DivisorTable:
     Groebner basis for the order.
     """
 
-    __slots__ = ("ring", "order", "basis", "_packing", "_divisors")
+    __slots__ = ("ring", "basis", "_packing", "_divisors")
 
     def __init__(
         self, ring: PolynomialRing, basis: Iterable[Polynomial], order: MonomialOrder | None = None
@@ -363,8 +363,7 @@ class DivisorTable:
             if g.ring != ring:
                 raise ValueError("basis element in a different ring")
         self.ring = ring
-        self.order = _order_for(ring, order)
-        self._packing = packing = _packing(self.order)
+        self._packing = packing = _packing(_order_for(ring, order))
         self._divisors = []
         for g in self.basis:
             d = _packed(packing, g)
