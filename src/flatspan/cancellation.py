@@ -751,17 +751,17 @@ def verify_cancellation(
     budget = budget or Budget()
     checks = []
 
+    def check(name: str, ok: bool, why: str) -> None:
+        checks.append(SubCheck(name, ok, "" if ok else why))
+
     # (a) both signed cuts of the unit-factor correspondence coincide
     p_span = unit_collapse(field)
     plus = cancel_slice(p_span, n, "+")
     minus = cancel_slice(p_span, n, "-")
-    ok_a = equals(plus, minus, budget=budget)
-    checks.append(
-        SubCheck(
-            "unit-target-cuts-agree",
-            ok_a,
-            "" if ok_a else "the signed cuts of the unit-factor span differ",
-        )
+    check(
+        "unit-target-cuts-agree",
+        equals(plus, minus, budget=budget),
+        "the signed cuts of the unit-factor span differ",
     )
 
     # (b) the blended homotopy middle is finite free of rank n over the line
@@ -772,15 +772,10 @@ def verify_cancellation(
     hpiece = make_piece(hring, [homotopy_rel], {"s": s}, {}, line, point(field))
     homotopy = Correspondence(line, point(field), (hpiece,))
     hout = certify_finite_flat(homotopy, budget=budget)
-    ok_b = hout.certified and hout.rank == n
-    checks.append(
-        SubCheck(
-            "homotopy-middle-free",
-            ok_b,
-            ""
-            if ok_b
-            else f"certification says {hout.status} (rank {hout.rank}): {hout.detail}",
-        )
+    check(
+        "homotopy-middle-free",
+        hout.certified and hout.rank == n,
+        f"certification says {hout.status} (rank {hout.rank}): {hout.detail}",
     )
 
     # (c) the parameter-0 endpoint is the plus cut on the affine line
@@ -788,13 +783,10 @@ def verify_cancellation(
     tv = tring.var("t")
     at_zero = restrict_parameter(homotopy, "s", 0)
     plus_cut = _ideal_span(field, [tv**n + tring.one()], tring)
-    ok_c = equals(at_zero, plus_cut, budget=budget)
-    checks.append(
-        SubCheck(
-            "endpoint-zero-is-plus-cut",
-            ok_c,
-            "" if ok_c else "the parameter-0 endpoint is not the plus cut",
-        )
+    check(
+        "endpoint-zero-is-plus-cut",
+        equals(at_zero, plus_cut, budget=budget),
+        "the parameter-0 endpoint is not the plus cut",
     )
 
     # (d) the parameter-1 endpoint splits off the origin, with ranks (n-1)+1
@@ -811,27 +803,18 @@ def verify_cancellation(
     origin_rank = degree(_ideal_span(field, [tv], tring), budget=budget)
     away_rank = degree(_ideal_span(field, list(away), tring), budget=budget)
     torus_rank = degree(cancel_slice(torus_identity(field), n, "-"), budget=budget)
-    ok_d = (
+    check(
+        "endpoint-one-splits-origin",
         endpoint_ok
         and comaximal
         and recombined
         and origin_rank == 1
         and away_rank == (n - 1 if n >= 2 else 0)
         and torus_rank == away_rank
-        and away_rank + origin_rank == n
-    )
-    checks.append(
-        SubCheck(
-            "endpoint-one-splits-origin",
-            ok_d,
-            ""
-            if ok_d
-            else (
-                f"split data: endpoint={endpoint_ok} comaximal={comaximal} "
-                f"recombined={recombined} ranks={away_rank}+{origin_rank} "
-                f"torus side={torus_rank}"
-            ),
-        )
+        and away_rank + origin_rank == n,
+        f"split data: endpoint={endpoint_ok} comaximal={comaximal} "
+        f"recombined={recombined} ranks={away_rank}+{origin_rank} "
+        f"torus side={torus_rank}",
     )
 
     # (e) the plus cut misses the origin, so the torus sees all of it
@@ -842,15 +825,10 @@ def verify_cancellation(
     )
     full_rank = degree(plus_cut, budget=budget)
     torus_plus = degree(cancel_slice(torus_identity(field), n, "+"), budget=budget)
-    ok_e = unchanged and full_rank == n and torus_plus == n
-    checks.append(
-        SubCheck(
-            "plus-cut-misses-origin",
-            ok_e,
-            ""
-            if ok_e
-            else f"saturation unchanged={unchanged}, ranks {full_rank} vs {torus_plus}",
-        )
+    check(
+        "plus-cut-misses-origin",
+        unchanged and full_rank == n and torus_plus == n,
+        f"saturation unchanged={unchanged}, ranks {full_rank} vs {torus_plus}",
     )
 
     return CancellationReport(n, field_name(field), tuple(checks))

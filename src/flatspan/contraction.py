@@ -32,7 +32,6 @@ from .groebner import (
     ideal_intersection,
     is_unit_ideal,
     modular_inverse,
-    normal_form,
 )
 from .modules import CertifyOutcome
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
@@ -61,6 +60,8 @@ class ContractionError(Exception):
 class ContractionDatum:
     """Base scheme, base point, weight function and coordinate flow.
 
+    ``base_point`` maps every coordinate of the scheme to its value;
+    ``f_images`` and ``cofactors`` map the primary (inverted) coordinates.
     ``w`` and the entries of ``f_images``/``cofactors`` live in a ring on
     the scheme's coordinates plus the parameter ``u_name``; ``cofactors``
     holds w divided by the matching coordinate image.  Instances are built
@@ -69,11 +70,11 @@ class ContractionDatum:
     """
 
     scheme: AffineScheme
-    base_point: tuple[tuple[str, object], ...]
+    base_point: dict[str, object]
     u_name: str
     w: Polynomial
-    f_images: tuple[tuple[str, Polynomial], ...]
-    cofactors: tuple[tuple[str, Polynomial], ...]
+    f_images: dict[str, Polynomial]
+    cofactors: dict[str, Polynomial]
 
     @property
     def u_ring(self) -> PolynomialRing:
@@ -81,25 +82,8 @@ class ContractionDatum:
 
     @property
     def primary(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.f_images)
-
-    def base_value(self, name: str):
-        for key, value in self.base_point:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-    def f_image(self, name: str) -> Polynomial:
-        for key, value in self.f_images:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-    def cofactor(self, name: str) -> Polynomial:
-        for key, value in self.cofactors:
-            if key == name:
-                return value
-        raise KeyError(name)
+        ring = self.scheme.ring
+        return tuple(v for v in ring.names if v in ring.inverted)
 
 
 def base_point_ideal(datum: ContractionDatum) -> tuple[Polynomial, ...]:
@@ -107,7 +91,7 @@ def base_point_ideal(datum: ContractionDatum) -> tuple[Polynomial, ...]:
     ring of the scheme (one per primary coordinate)."""
     ring = datum.scheme.ring
     return tuple(
-        ring.var(name) - ring.const(datum.base_value(name)) for name in datum.primary
+        ring.var(name) - ring.const(datum.base_point[name]) for name in datum.primary
     )
 
 
@@ -116,7 +100,7 @@ def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
     ring = scheme.ring
     uring = datum.u_ring
     uname = datum.u_name
-    primary = [v for v in ring.names if v in ring.inverted]
+    primary = datum.primary
     for v in ring.names:
         if v not in ring.inverted and v not in {companion_name(p) for p in primary}:
             raise ContractionError(
@@ -129,11 +113,11 @@ def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
             "the weight function must live on the scheme coordinates plus "
             f"the parameter {uname!r}"
         )
-    if tuple(datum.primary) != tuple(primary):
+    if not set(primary) <= set(datum.f_images) & set(datum.cofactors):
         raise ContractionError(
-            "coordinate images must cover the primary coordinates in order"
+            "coordinate images and cofactors must cover the primary coordinates"
         )
-    point = dict(datum.base_point)
+    point = datum.base_point
     if set(point) != set(ring.names):
         raise ContractionError("base point must assign a value to every coordinate")
     for name in primary:
@@ -161,7 +145,7 @@ def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
         raise ContractionError("weight function is not a unit along the base point")
 
     for name in primary:
-        img = datum.f_image(name)
+        img = datum.f_images[name]
         if img.ring != uring:
             raise ContractionError("coordinate images must live in the weight ring")
         at_one = img.substitute({uname: uring.const(1)}, uring)
@@ -180,7 +164,7 @@ def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
             raise ContractionError(
                 f"coordinate flow moves the base point in {name!r}"
             )
-        if not reduces_to_zero(img * datum.cofactor(name) - datum.w):
+        if not reduces_to_zero(img * datum.cofactors[name] - datum.w):
             raise ContractionError(
                 f"stored cofactor for {name!r} does not multiply back to the "
                 "weight function"
@@ -210,15 +194,7 @@ def make_contraction_datum(
             comp = companion_name(name)
             if comp not in point:
                 point[comp] = field.inv(point[name])
-    primary = [v for v in scheme.ring.names if v in scheme.ring.inverted]
-    datum = ContractionDatum(
-        scheme,
-        tuple((v, point[v]) for v in scheme.ring.names),
-        u_name,
-        w,
-        tuple((v, f_images[v]) for v in primary),
-        tuple((v, cofactors[v]) for v in primary),
-    )
+    datum = ContractionDatum(scheme, point, u_name, w, dict(f_images), dict(cofactors))
     _check_datum(datum, budget)
     return datum
 
@@ -322,19 +298,20 @@ def _image_on_source(
     source_u: str,
     target_ring: PolynomialRing,
     budget: Budget,
-) -> tuple[list[Polynomial], list[tuple[Polynomial, ...]]]:
+) -> tuple[list[Polynomial], list[Polynomial]]:
     """Eliminate the middle variables from the pulled-back weight locus,
-    one piece at a time, and intersect the per-piece images."""
+    one piece at a time, and intersect the per-piece images.  Also returns
+    the pulled-back weight of each piece."""
     source = alpha.source
     per_piece: list[list[Polynomial]] = []
-    pulled_record: list[tuple[Polynomial, ...]] = []
+    pulled_record: list[Polynomial] = []
     for piece in alpha.pieces:
         combined = _combined_ring(piece, target_ring)
         rename = _fiber_rename(piece, combined)
         relations = _combined_relations(piece, source, combined)
         images = _weight_images(piece, datum, combined, combined.var(source_u), rename)
         weight = datum.w.substitute(images, combined)
-        pulled_record.append((weight,))
+        pulled_record.append(weight)
         image = eliminate(relations + [weight], list(rename.values()), budget=budget)
         per_piece.append([p.map_ring(target_ring) for p in image])
     if not per_piece:
@@ -343,17 +320,20 @@ def _image_on_source(
         lambda a, b: ideal_intersection(a, b, budget=budget), per_piece
     )
     ambient = [r.map_ring(target_ring) for r in source.relations]
-    ambient_table = DivisorTable(target_ring, groebner_basis(ambient, budget=budget))
+    table = DivisorTable(target_ring, groebner_basis(ambient, budget=budget))
     full = groebner_basis(merged + ambient, budget=budget)
-    candidates = [b for b in full if not ambient_table.reduce(b, budget).is_zero()]
+    candidates = [b for b in full if not table.reduce(b, budget).is_zero()]
     # keep a minimal generating set modulo the source, preferring short
-    # low-degree representatives so reports stay readable
+    # low-degree representatives so reports stay readable; the table holds
+    # the reduced basis of kept + ambient, completed again only when a kept
+    # candidate changes it and another candidate is left to test
     candidates.sort(key=lambda p: (len(p.terms()), p.total_degree(), str(p)))
     kept: list[Polynomial] = []
-    for candidate in candidates:
-        basis = groebner_basis(kept + ambient, budget=budget)
-        if not normal_form(candidate, basis, budget=budget).is_zero():
+    for i, candidate in enumerate(candidates, 1):
+        if not table.reduce(candidate, budget).is_zero():
             kept.append(candidate)
+            if i < len(candidates):
+                table = DivisorTable(target_ring, groebner_basis(kept + ambient, budget=budget))
     return kept, pulled_record
 
 
@@ -390,8 +370,8 @@ def _build_chart(
 
         tgt = {}
         for name in datum.primary:
-            tgt[name] = datum.f_image(name).substitute(images, ring)
-            tgt[companion_name(name)] = datum.cofactor(name).substitute(images, ring) * reciprocal
+            tgt[name] = datum.f_images[name].substitute(images, ring)
+            tgt[companion_name(name)] = datum.cofactors[name].substitute(images, ring) * reciprocal
         src = {source_u: ring.var(u2), aux: ring.var(lg)}
         pieces.append(rebuild_piece(piece, ring, {}, opened, datum.scheme, [localizing], src, tgt))
         u_names.append(u2)
@@ -451,7 +431,7 @@ def contract(
 
     chain = (
         ("weight-locus", (datum.w,)),
-        ("middle-pullback", tuple(p for gens in pulled for p in gens)),
+        ("middle-pullback", tuple(pulled)),
         ("source-image", tuple(image)),
         ("complement-cover", tuple(image)),
         (
@@ -490,11 +470,12 @@ class EndpointSlice:
 class EndpointReport:
     """Dichotomy of the two parameter endpoints of a contraction.
 
-    Exactly one endpoint should reproduce the input correspondence and
-    the other should factor through the base point; ``identity_at``
-    records which parameter value carried the input (the construction
-    fixes no preferred labelling, so it is reported rather than
-    normalized).
+    One endpoint should reproduce the input correspondence and the other
+    should factor through the base point; ``identity_at`` records which
+    parameter value carried the input (the construction fixes no preferred
+    labelling, so it is reported rather than normalized).  Both endpoints
+    may match the input, as they do when the input already lands on the
+    base point.
     """
 
     slices: tuple[EndpointSlice, ...]
@@ -565,7 +546,7 @@ def _lands_on_base_point(
     for piece in sliced.pieces:
         table = DivisorTable(piece.ring, groebner_basis(list(piece.relations), budget=budget))
         for name in datum.scheme.ring.names:
-            gap = piece.tgt(name) - piece.ring.const(datum.base_value(name))
+            gap = piece.tgt(name) - piece.ring.const(datum.base_point[name])
             if not table.reduce(gap, budget).is_zero():
                 return False
     return True
@@ -590,10 +571,13 @@ def verify_contraction_endpoints(
     """Check the endpoint dichotomy of ``contracted``, the contraction of
     ``alpha`` along ``datum``.
 
-    Each chart is restricted to parameter values 0 and 1; exactly one of
-    the two slices must equal the input correspondence and the other must
-    send every target coordinate to the base point.  Which endpoint plays
-    which role is reported, not assumed.  All charts must agree.
+    Each chart is restricted to parameter values 0 and 1; one slice must
+    equal the input correspondence and the other must send every target
+    coordinate to the base point.  The identity endpoint is 1 when slice 1
+    matches the input and slice 0 either lands on the base point or does
+    not match; otherwise it is 0 when slice 0 matches, and there is none
+    when neither does.  Which endpoint plays which role is reported, not
+    assumed.  All charts must agree.
     """
     budget = budget or Budget()
     roles = ([], [])  # (matches the input, lands on the base point) per chart, at 0 and 1
@@ -609,10 +593,10 @@ def verify_contraction_endpoints(
     consistent = all(len(set(pairs)) <= 1 for pairs in roles)
     (eq0, land0), (eq1, land1) = (pairs[0] if pairs else (False, False) for pairs in roles)
     slices = (EndpointSlice(0, eq0, land0), EndpointSlice(1, eq1, land1))
-    if eq1 and not eq0:
+    if eq1 and (land0 or not eq0):
         identity_at = 1
         dichotomy = land0
-    elif eq0 and not eq1:
+    elif eq0:
         identity_at = 0
         dichotomy = land1
     else:

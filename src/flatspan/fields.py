@@ -15,38 +15,13 @@ class FieldError(ValueError):
 
 
 class Field:
-    """Common interface for exact coefficient fields."""
+    """Common type of the exact coefficient fields, :class:`RationalField`
+    and :class:`PrimeField`; each supplies ``add``, ``sub``, ``mul``,
+    ``neg``, ``inv``, ``from_int``, ``from_fraction`` and ``to_str``."""
 
     characteristic: int
     zero: object
     one: object
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def from_fraction(self, num: int, den: int):
-        raise NotImplementedError
-
-    def to_str(self, a) -> str:
-        raise NotImplementedError
 
 
 class RationalField(Field):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, le, mul, sub
+from operator import le, mul
 from typing import Sequence
 
 # Keys order exactly the exponent vectors whose entries are below 2**EXPONENT_BITS.
@@ -104,21 +104,3 @@ def fiber_order(nvars: int, split: int) -> MonomialOrder:
 def exp_divides(a: Sequence[int], b: Sequence[int]) -> bool:
     """Whether monomial a divides monomial b."""
     return all(map(le, a, b))
-
-
-def exp_lcm(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(max, a, b))
-
-
-def exp_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(sub, a, b))
-
-
-def exp_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(add, a, b))
-
-
-def exp_coprime(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Whether monomials a and b share no variable (exponents are
-    non-negative, so no position has a nonzero minimum)."""
-    return not any(map(min, a, b))

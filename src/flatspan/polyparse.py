@@ -53,16 +53,9 @@ def _tokenize(text: str) -> list[_Tok]:
                 break
             line, col = _position(text, pos)
             raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-        start = m.start("num") if m.group("num") else (
-            m.start("ident") if m.group("ident") else m.start("op")
-        )
-        line, col = _position(text, start)
-        if m.group("num"):
-            toks.append(_Tok("num", m.group("num"), line, col))
-        elif m.group("ident"):
-            toks.append(_Tok("ident", m.group("ident"), line, col))
-        else:
-            toks.append(_Tok("op", m.group("op"), line, col))
+        kind = m.lastgroup
+        line, col = _position(text, m.start(kind))
+        toks.append(_Tok(kind, m.group(kind), line, col))
         pos = m.end()
     end_line, end_col = _position(text, len(text))
     toks.append(_Tok("eof", "", end_line, end_col))

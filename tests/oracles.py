@@ -8,6 +8,7 @@ reduction loop.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import add, sub
 
 from flatspan.budget import Budget
 from flatspan.cancellation import (
@@ -28,16 +29,7 @@ from flatspan.groebner import (
     spolynomial_pairs_reduce,
 )
 from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
-from flatspan.orders import (
-    GrevLex,
-    MonomialOrder,
-    exp_add,
-    exp_coprime,
-    exp_divides,
-    exp_lcm,
-    exp_sub,
-    fiber_order,
-)
+from flatspan.orders import GrevLex, MonomialOrder, exp_divides, fiber_order
 from flatspan.poly import Polynomial, PolynomialRing, RingMismatch, companion_name
 from flatspan.spans import (
     CertifyOutcome,
@@ -52,6 +44,24 @@ from flatspan.spans import (
     make_piece,
     simplify_piece,
 )
+
+
+def exp_lcm(a, b) -> tuple[int, ...]:
+    return tuple(map(max, a, b))
+
+
+def exp_sub(a, b) -> tuple[int, ...]:
+    return tuple(map(sub, a, b))
+
+
+def exp_add(a, b) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
+
+
+def exp_coprime(a, b) -> bool:
+    """Whether monomials a and b share no variable (exponents are
+    non-negative, so no position has a nonzero minimum)."""
+    return not any(map(min, a, b))
 
 
 def naive_divide(p: Polynomial, divisors: list[Polynomial], order: MonomialOrder) -> Polynomial:
@@ -71,7 +81,7 @@ def naive_divide(p: Polynomial, divisors: list[Polynomial], order: MonomialOrder
                 if exp_divides(lm, exp):
                     lc = d.terms()[lm]
                     shift = exp_sub(exp, lm)
-                    factor = Polynomial(ring, {shift: f.div(c, lc)})
+                    factor = Polynomial(ring, {shift: f.mul(c, f.inv(lc))})
                     work = work - factor * d
                     changed = True
                     break
@@ -130,7 +140,7 @@ def rescanning_reduce(p: Polynomial, divisors: list[Polynomial], order: Monomial
         for lm, d in reducers:
             if exp_divides(lm, lead):
                 budget.spend(1, "polynomial reduction")
-                ratio = f.div(c, d[lm])
+                ratio = f.mul(c, f.inv(d[lm]))
                 shift = exp_sub(lead, lm)
                 for e, dc in d.items():
                     m = exp_add(e, shift)

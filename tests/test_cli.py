@@ -833,7 +833,7 @@ def _source_points(source, count=3):
                     (v,) = rest.variables()
                     terms = rest.terms()
                     slope = terms[tuple(int(name == v) for name in ring.names)]
-                    at[v] = field.neg(field.div(terms.get(zero, field.zero), slope))
+                    at[v] = field.neg(field.mul(terms.get(zero, field.zero), field.inv(slope)))
                     break
             else:
                 at[next(v for v in ring.names if v not in at)] = next(free)

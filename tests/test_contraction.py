@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import flatspan
+from flatspan.cli import main
 from flatspan.contraction import (
     ContractionError,
     base_point_ideal,
@@ -92,8 +93,8 @@ def test_standard_data_on_one_coordinate():
     datum = standard_contraction_data(1)
     assert datum.primary == ("t",)
     assert str(datum.w) == "t*u - u + 1"
-    assert str(datum.f_image("t")) == "t*u - u + 1"
-    assert str(datum.cofactor("t")) == "1"
+    assert str(datum.f_images["t"]) == "t*u - u + 1"
+    assert str(datum.cofactors["t"]) == "1"
 
 
 def test_standard_data_on_two_coordinates():
@@ -136,7 +137,7 @@ def test_weight_must_be_one_at_parameter_zero():
             {"t": QQ.from_int(1)},
             "u",
             u * t,
-            {"t": good.f_image("t")},
+            {"t": good.f_images["t"]},
             {"t": uring.one()},
         )
 
@@ -183,6 +184,28 @@ def test_cofactors_must_multiply_back_to_the_weight():
             good.w,
             dict(good.f_images),
             {"t": uring.var("u")},
+        )
+
+
+@pytest.mark.parametrize(
+    "base_point, images, cofactors, message",
+    [
+        ({}, None, None, "base point must assign a value to every coordinate"),
+        (None, {}, None, "cover the primary coordinates"),
+        (None, None, {}, "cover the primary coordinates"),
+    ],
+    ids=["base-point", "images", "cofactors"],
+)
+def test_datum_coverage_is_checked(base_point, images, cofactors, message):
+    good = standard_contraction_data(1)
+    with pytest.raises(ContractionError, match=message):
+        make_contraction_datum(
+            good.scheme,
+            {"t": QQ.one} if base_point is None else base_point,
+            "u",
+            good.w,
+            good.f_images if images is None else images,
+            good.cofactors if cofactors is None else cofactors,
         )
 
 
@@ -381,6 +404,47 @@ def test_endpoint_dichotomy_on_the_pool(name):
     assert zero.value == 0 and one.value == 1
     assert zero.lands_on_base_point and not zero.matches_input
     assert one.matches_input and not one.lands_on_base_point
+
+
+def test_a_span_on_the_base_point_has_its_identity_at_one():
+    # both endpoints reproduce the input, and endpoint 0 also lands on the
+    # base point, so the dichotomy holds with the identity at 1
+    alpha = rational_point(1)
+    datum = standard_contraction_data(1)
+    result = contract(alpha, datum)
+    assert result.ok and result.rank == 1
+    report = verify_contraction_endpoints(alpha, datum, result)
+    assert (report.dichotomy, report.identity_at) == (True, 1), report.detail
+    zero, one = report.slices
+    assert zero.matches_input and zero.lands_on_base_point
+    assert one.matches_input and one.lands_on_base_point
+
+
+ON_BASE_POINT = """\
+workspace on-base-point
+field QQ
+scheme G = torus t
+scheme P = point
+span one : P -> G {
+  piece {
+    target t: 1, t_inv: 1
+  }
+}
+check k = contract one
+check v = verify-contraction one
+"""
+
+
+def test_a_span_on_the_base_point_passes_verify_contraction(tmp_path, capsys):
+    doc = tmp_path / "on-base-point.fsw"
+    doc.write_text(ON_BASE_POINT, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["run", str(doc), "--format", "structured", "--out", str(out)]) == 0
+    reports = {r["name"]: r for r in json.loads(out.read_text(encoding="utf-8"))["reports"]}
+    assert [reports[k]["verdict"] for k in ("k", "v")] == ["pass", "pass"]
+    assert reports["v"]["data"]["identity-at"] == 1
+    assert main(["run", str(doc), "--recheck", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_endpoint_report_names_the_base_point_ideal():
@@ -582,7 +646,7 @@ def test_chart_legs_respect_both_schemes(name):
 @pytest.mark.parametrize(
     "alpha, rank, dichotomy, identity_at",
     [
-        (empty_middle(), 0, False, None),
+        (empty_middle(), 0, True, 1),
         (add(rational_point(2), empty_point(3)), 1, True, 1),
     ],
     ids=["empty", "point-2-plus-empty"],

@@ -4,8 +4,10 @@ the grammar document's command table is the program's."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,3 +129,47 @@ def test_documented_command_table_is_the_program_table():
     assert documented == {
         name: (row.operands, row.required, row.optional) for name, row in COMMANDS.items()
     }
+
+
+# Names kept without a caller in the program or the benchmark, and why.
+UNCALLED = {
+    # the kernel tests compare every order against a tuple reference,
+    # Lex included; no command picks a lexicographic order
+    ("orders", "Lex"),
+    # the console entry point, named in pyproject.toml
+    ("cli", "main"),
+}
+
+
+def _identifiers(tree) -> Counter:
+    """Every name, attribute, imported name and string constant in ``tree``
+    (the tracer names its targets as strings)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def test_every_library_name_has_a_caller():
+    """Each module-level function and class of ``src/flatspan`` is named
+    again outside its own definition, in the program or the benchmark."""
+    paths = sorted((ROOT / "src" / "flatspan").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    used = sum((_identifiers(tree) for tree in trees.values()), Counter())
+    uncalled = [
+        f"{path.stem}.{node.name}"
+        for path, tree in trees.items()
+        if path.parent.name == "flatspan"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and (path.stem, node.name) not in UNCALLED
+        and used[node.name] <= _identifiers(node)[node.name]
+    ]
+    assert not uncalled
