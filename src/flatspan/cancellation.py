@@ -7,11 +7,20 @@ the resulting middles.  :func:`blended_family` builds a family and
 :func:`cancel_family` also certifies it; the other headline entry points
 are :func:`filtration_index`, :func:`verify_compat` and
 :func:`verify_cancellation`.
+
+Every blended family of one span shares its feet, its extended middle
+rings, the moved relations and legs, and the cut polynomials; only the
+blend relation differs.  Those parts depend on the span alone and charge
+no budget, so they are built once and kept for one span at a time (the
+last one asked for), and a search over the ``(m, n, sign)`` box builds
+each family from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 from .budget import Budget
 from .fields import QQ, field_name
@@ -33,6 +42,7 @@ from .poly import (
     laurent_valuation,
 )
 from .schemes import (
+    AffineScheme,
     affine_line,
     detect_torus_coordinate,
     point,
@@ -88,19 +98,10 @@ def cut_value(n: int, sign: str, main: Polynomial, aux: Polynomial | None = None
     raise ValueError(f"sign must be '+' or '-', not {sign!r}")
 
 
-def blend_value(
-    m: int,
-    n: int,
-    sign: str,
-    blend: Polynomial,
-    main: Polynomial,
-    aux: Polynomial | None = None,
-) -> Polynomial:
-    """``blend * cut(n) + (1 - blend) * cut(m)``, interpolating two cuts."""
-    one = blend.ring.one()
-    return blend * cut_value(n, sign, main, aux) + (one - blend) * cut_value(
-        m, sign, main, aux
-    )
+def blend_value(blend: Polynomial, cut_n: Polynomial, cut_m: Polynomial) -> Polynomial:
+    """``blend * cut_n + (1 - blend) * cut_m``, interpolating two cuts
+    (see :func:`cut_value`)."""
+    return blend * cut_n + (blend.ring.one() - blend) * cut_m
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +326,50 @@ def _torus_feet(alpha: Correspondence) -> tuple[str, str]:
     )
 
 
+class _PieceParts(NamedTuple):
+    """One middle piece moved into its ring extended by the parameter: the
+    moved relations and legs (the parameter leg set), the parameter ``s``,
+    the torus images ``main`` and ``aux``, and the cut polynomials made so
+    far, keyed by ``(k, sign)``."""
+
+    moved: SpanPiece
+    s: Polynomial
+    main: Polynomial
+    aux: Polynomial
+    cuts: dict[tuple[int, str], Polynomial]
+
+    def cut(self, k: int, sign: str) -> Polynomial:
+        if (k, sign) not in self.cuts:
+            self.cuts[k, sign] = cut_value(k, sign, self.main, self.aux)
+        return self.cuts[k, sign]
+
+
+@lru_cache(maxsize=1)
+def _family_parts(
+    alpha: Correspondence,
+) -> tuple[AffineScheme, AffineScheme, str, tuple[_PieceParts, ...]]:
+    """What every blended family of ``alpha`` shares: the source with its
+    torus factor traded for the parameter line, the target without its
+    torus factor, the parameter's name, and the parts of each piece.  A
+    function of ``alpha`` alone that charges no budget, kept for the last
+    span asked for."""
+    src_t, tgt_t = _torus_feet(alpha)
+    field = alpha.source.ring.field
+    stripped = strip_coordinates(alpha.source, [src_t])
+    s_name = fresh_name(PARAMETER, stripped.ring.names)
+    source = product(stripped, affine_line(field, s_name))
+    target = strip_coordinates(alpha.target, [tgt_t])
+    pieces = []
+    for piece in alpha.pieces:
+        pvar = fresh_name(PARAMETER, piece.ring.names)
+        ring = piece.ring.extend([pvar])
+        s = ring.var(pvar)
+        moved = rebuild_piece(piece, ring, {}, source, target, src={s_name: s})
+        main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
+        pieces.append(_PieceParts(moved, s, main, aux, {}))
+    return source, target, s_name, tuple(pieces)
+
+
 def blended_family(
     alpha: Correspondence, m: int, n: int, sign: str
 ) -> tuple[Correspondence, str]:
@@ -336,23 +381,21 @@ def blended_family(
     torus factor.  Specializing the parameter to 1 recovers the n-th cut,
     0 the m-th (see :func:`restrict_parameter`).  Returns the family and
     the name of its parameter coordinate; nothing is certified.
+
+    Everything but the blend relation depends on ``alpha`` alone, charges
+    no budget and is built once per span (:func:`_family_parts`, which
+    keeps one span at a time), so the families of one span differ only in
+    the relation appended here.
     """
-    src_t, tgt_t = _torus_feet(alpha)
-    field = alpha.source.ring.field
-    stripped = strip_coordinates(alpha.source, [src_t])
-    s_name = fresh_name(PARAMETER, stripped.ring.names)
-    source = product(stripped, affine_line(field, s_name))
-    target = strip_coordinates(alpha.target, [tgt_t])
-    pieces = []
-    for piece in alpha.pieces:
-        pvar = fresh_name(PARAMETER, piece.ring.names)
-        ring = piece.ring.extend([pvar])
-        main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
-        blend = blend_value(m, n, sign, ring.var(pvar), main, aux)
-        pieces.append(
-            rebuild_piece(piece, ring, {}, source, target, [blend], src={s_name: ring.var(pvar)})
+    source, target, s_name, parts = _family_parts(alpha)
+    pieces = tuple(
+        replace(
+            p.moved,
+            relations=p.moved.relations + (blend_value(p.s, p.cut(n, sign), p.cut(m, sign)),),
         )
-    return Correspondence(source, target, tuple(pieces)), s_name
+        for p in parts
+    )
+    return Correspondence(source, target, pieces), s_name
 
 
 def cancel_family(

@@ -193,6 +193,8 @@ def make_contraction_datum(
         if name in scheme.ring.inverted:
             comp = companion_name(name)
             if comp not in point:
+                if point[name] == field.zero:
+                    raise ContractionError(f"base point puts the inverted coordinate {name!r} at 0")
                 point[comp] = field.inv(point[name])
     datum = ContractionDatum(scheme, point, u_name, w, dict(f_images), dict(cofactors))
     _check_datum(datum, budget)

@@ -12,6 +12,7 @@ from operator import add, sub
 
 from flatspan.budget import Budget
 from flatspan.cancellation import (
+    PARAMETER,
     FiltrationEntry,
     FiltrationReport,
     _bound_from_values,
@@ -19,6 +20,7 @@ from flatspan.cancellation import (
     _extended_with_parameter,
     _torus_feet,
     cancel_family,
+    cut_value,
 )
 from flatspan.groebner import (
     DivisorTable,
@@ -30,7 +32,8 @@ from flatspan.groebner import (
 )
 from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
 from flatspan.orders import GrevLex, MonomialOrder, exp_divides, fiber_order
-from flatspan.poly import Polynomial, PolynomialRing, RingMismatch, companion_name
+from flatspan.poly import Polynomial, PolynomialRing, RingMismatch, companion_name, fresh_name
+from flatspan.schemes import affine_line, product, strip_coordinates
 from flatspan.spans import (
     CertifyOutcome,
     Correspondence,
@@ -42,6 +45,7 @@ from flatspan.spans import (
     _combined_ring,
     _piece_sort_key,
     make_piece,
+    rebuild_piece,
     simplify_piece,
 )
 
@@ -493,3 +497,26 @@ def full_box_filtration(
         extended, outcome, [("f1", -(s * t2_inv)), ("f2", -((one - s) * t2_inv))], budget
     )
     return FiltrationReport(index, window, tuple(entries), blocking, bound_plus, bound_minus)
+
+
+def blended_family_from_scratch(
+    alpha: Correspondence, m: int, n: int, sign: str
+) -> tuple[Correspondence, str]:
+    """``blended_family`` built for this one family alone: both feet are
+    stripped, each piece is moved into its extended ring and both cuts are
+    raised afresh, with no state kept between calls."""
+    src_t, tgt_t = _torus_feet(alpha)
+    field = alpha.source.ring.field
+    stripped = strip_coordinates(alpha.source, [src_t])
+    s_name = fresh_name(PARAMETER, stripped.ring.names)
+    source = product(stripped, affine_line(field, s_name))
+    target = strip_coordinates(alpha.target, [tgt_t])
+    pieces = []
+    for piece in alpha.pieces:
+        pvar = fresh_name(PARAMETER, piece.ring.names)
+        ring = piece.ring.extend([pvar])
+        s = ring.var(pvar)
+        main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
+        blend = s * cut_value(n, sign, main, aux) + (ring.one() - s) * cut_value(m, sign, main, aux)
+        pieces.append(rebuild_piece(piece, ring, {}, source, target, [blend], src={s_name: s}))
+    return Correspondence(source, target, tuple(pieces)), s_name

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -34,9 +35,17 @@ from flatspan.groebner import groebner_basis
 from flatspan.modules import CertifyOutcome
 from flatspan.poly import PolynomialRing
 from flatspan.polyparse import parse_polynomial
+from flatspan.reports import finite_flat_block
 from flatspan.schemes import affine_line, point, product, torus
-from flatspan.spans import Correspondence, degree, equals, graph_span, make_piece
-from oracles import full_box_filtration
+from flatspan.spans import (
+    Correspondence,
+    certify_finite_flat,
+    degree,
+    equals,
+    graph_span,
+    make_piece,
+)
+from oracles import blended_family_from_scratch, full_box_filtration
 
 
 def ring_of(names, field=QQ, inverted=()):
@@ -98,6 +107,11 @@ def test_cut_polynomial_rejects_bad_input():
         cut_value(2, "-", ring.var("t"))
 
 
+def blend_of(m, n, sign, blend, main, aux=None):
+    """The blend of the m-th and n-th cuts of ``main`` (and ``aux``)."""
+    return blend_value(blend, cut_value(n, sign, main, aux), cut_value(m, sign, main, aux))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=5),
@@ -107,7 +121,7 @@ def test_cut_polynomial_rejects_bad_input():
 )
 def test_blend_interpolates_between_the_two_cuts(m, n, sign, value):
     ring = ring_of(["s", "t", "u"])
-    blend = blend_value(m, n, sign, ring.var("s"), ring.var("t"), ring.var("u"))
+    blend = blend_of(m, n, sign, ring.var("s"), ring.var("t"), ring.var("u"))
     small = ring_of(["t", "u"])
     c = QQ.from_int(value)
     at_c = blend.substitute({"s": small.const(c)}, small)
@@ -131,7 +145,7 @@ def test_blend_agrees_with_its_factored_form(m, n, sign):
     k = min(m, n)
     tail = one if sign == "+" else u
     factored = t**k * (s * t ** (n - k) + (one - s) * t ** (m - k)) + tail
-    assert blend_value(m, n, sign, s, t, u) == factored
+    assert blend_of(m, n, sign, s, t, u) == factored
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -140,8 +154,8 @@ def test_blend_agrees_with_its_factored_form(m, n, sign):
 def test_mirrored_blend_is_the_blend_at_one_minus_s(m, n, sign):
     ring = ring_of(["s", "t", "u"])
     s, t, u = ring.var("s"), ring.var("t"), ring.var("u")
-    flipped = blend_value(m, n, sign, s, t, u).substitute({"s": ring.one() - s}, ring)
-    assert blend_value(n, m, sign, s, t, u) == flipped
+    flipped = blend_of(m, n, sign, s, t, u).substitute({"s": ring.one() - s}, ring)
+    assert blend_of(n, m, sign, s, t, u) == flipped
 
 
 def test_factored_blend_pulls_out_the_lower_exponent():
@@ -149,8 +163,8 @@ def test_factored_blend_pulls_out_the_lower_exponent():
     s, t = ring.var("s"), ring.var("t")
     one = ring.one()
     # lower exponent 2, gap 1 and gap 2
-    assert blend_value(3, 2, "+", s, t) == t**2 * (s + (one - s) * t) + one
-    assert blend_value(4, 2, "+", s, t) == t**2 * (s + (one - s) * t**2) + one
+    assert blend_of(3, 2, "+", s, t) == t**2 * (s + (one - s) * t) + one
+    assert blend_of(4, 2, "+", s, t) == t**2 * (s + (one - s) * t**2) + one
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +420,88 @@ def test_rewritten_presentations_are_frozen(alpha_name, routine):
     assert presentation(REWRITES[routine](alpha)) == [
         FROZEN_PRESENTATIONS[(alpha_name, routine)]
     ]
+
+
+def blend_span(kind, field, k, c):
+    """A torus self-span: the graph of ``t -> c*t^k``, the degree-k cover
+    with source ``t = c*u^k`` and target ``t = u``, or the span through the
+    point ``t = c``.  Each call builds a new, equal span."""
+    G = torus(field, "t")
+    cv = field.from_int(c)
+    if kind == "graph":
+        r = G.ring
+        images = {
+            "t": r.const(cv) * r.var("t") ** k,
+            "t_inv": r.const(field.inv(cv)) * r.var("t_inv") ** k,
+        }
+        return graph_span(G, G, images)
+    if kind == "cover":
+        ring = ring_of(["u", "u_inv"], field, inverted=["u"])
+        u, ui = ring.var("u"), ring.var("u_inv")
+        src = {"t": ring.const(cv) * u**k, "t_inv": ring.const(field.inv(cv)) * ui**k}
+        tgt = {"t": u, "t_inv": ui}
+    else:
+        ring = ring_of(["t", "t_inv"], field, inverted=["t"])
+        src = {"t": ring.var("t"), "t_inv": ring.var("t_inv")}
+        tgt = {"t": ring.const(cv), "t_inv": ring.const(field.inv(cv))}
+    unit = ring.var(ring.names[0]) * ring.var(ring.names[1]) - ring.one()
+    return Correspondence(G, G, (make_piece(ring, [unit], src, tgt, G, G),))
+
+
+span_specs = st.tuples(
+    st.sampled_from(["graph", "cover", "unit"]),
+    st.sampled_from([QQ, GF(5), GF(7)]),
+    st.integers(1, 3),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    specs=st.tuples(span_specs, span_specs),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["first", "second", "first rebuilt"]),
+            st.integers(1, 5),
+            st.integers(1, 5),
+            st.sampled_from(["+", "-"]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_families_from_shared_parts_equal_families_from_scratch(specs, calls):
+    """Cold, warm, evicted and equal-but-rebuilt spans all give the family
+    built from scratch, and the same certificate bytes."""
+    import flatspan.cancellation as cancellation
+
+    spans = {"first": blend_span(*specs[0]), "second": blend_span(*specs[1])}
+    cancellation._family_parts.cache_clear()
+    for which, m, n, sign in calls:
+        alpha = blend_span(*specs[0]) if which == "first rebuilt" else spans[which]
+        expected = blended_family_from_scratch(alpha, m, n, sign)
+        assert blended_family(alpha, m, n, sign) == expected
+        fam = cancel_family(alpha, m, n, sign)
+        block = finite_flat_block(fam.correspondence, fam.certificate)
+        oracle = finite_flat_block(expected[0], certify_finite_flat(expected[0]))
+        assert json.dumps(block, sort_keys=True) == json.dumps(oracle, sort_keys=True)
+
+
+def test_filtration_builds_the_family_parts_once(monkeypatch):
+    import flatspan.cancellation as cancellation
+
+    original = cancellation.strip_coordinates
+    calls = []
+
+    def counted(scheme, names):
+        calls.append(tuple(names))
+        return original(scheme, names)
+
+    cancellation._family_parts.cache_clear()
+    monkeypatch.setattr(cancellation, "strip_coordinates", counted)
+    filtration_index(torus_identity(QQ), window=3)
+    # the source and the target, once for all 12 certified families
+    assert calls == [("t",), ("t",)]
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,12 @@ def test_datum_coverage_is_checked(base_point, images, cofactors, message):
         )
 
 
+def test_a_zero_base_point_on_an_inverted_coordinate_is_rejected():
+    d = standard_contraction_data(1)
+    with pytest.raises(ContractionError, match="'t' at 0"):
+        make_contraction_datum(d.scheme, {"t": QQ.zero}, "u", d.w, d.f_images, d.cofactors)
+
+
 # ---------------------------------------------------------------------------
 # the avoided locus
 

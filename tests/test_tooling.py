@@ -1,6 +1,7 @@
 """The benchmark's tracer names program functions and budget phases; keep
-them in step with the program.  The program's modules import in layers, and
-the grammar document's command table is the program's."""
+them in step with the program.  The program's modules import in layers, the
+grammar document's command table is the program's, and every memo is
+bounded."""
 
 from __future__ import annotations
 
@@ -173,3 +174,38 @@ def test_every_library_name_has_a_caller():
         and used[node.name] <= _identifiers(node)[node.name]
     ]
     assert not uncalled
+
+
+def _identifier(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_every_memo_is_bounded():
+    """Each ``lru_cache`` of ``src/flatspan`` is called with an explicit
+    finite ``maxsize`` and ``functools.cache`` is not used, so no memo can
+    grow with the number of inputs a process sees."""
+    memos, unbounded = [], []
+    for path in sorted((ROOT / "src" / "flatspan").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bounded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _identifier(node.func) == "lru_cache":
+                size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                if len(size) == 1 and isinstance(size[0], ast.Constant):
+                    if isinstance(size[0].value, int) and size[0].value > 0:
+                        bounded.add(node.func)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [f"{path.stem}: imports cache" for a in node.names if a.name == "cache"]
+            elif _identifier(node) == "lru_cache":
+                (memos if node in bounded else unbounded).append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "cache":
+                if _identifier(node.value) == "functools":
+                    unbounded.append(f"{path.stem}:{node.lineno} functools.cache")
+    assert not unbounded
+    assert len(memos) >= 2  # groebner._packing and cancellation._family_parts
+
