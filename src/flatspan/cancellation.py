@@ -225,9 +225,13 @@ class SliceReport:
     with the torus factor forgotten.
 
     ``verdict`` is one of ``certified-flf`` (finite free, certificate
-    attached), ``flat-by-certificate`` (not finite, but the valuation
-    bound applies), ``not-flat`` (torsion witness attached) and
-    ``inconclusive``.
+    attached), ``flat-by-certificate`` (not certified finite free, but
+    the valuation bound admits the exponent), ``not-flat`` (torsion
+    witness attached) and ``inconclusive``.  ``flat-by-certificate``
+    claims the bound only; it is not a certificate that the slice is
+    finite locally free.  ``valuation-bounds.fsw``'s ``s1`` is such a
+    pass, yet its slice ``x*t = 1`` has an empty fiber over ``x = 0``
+    and one point over every other ``x``.
     """
 
     verdict: str

@@ -70,12 +70,10 @@ from .spans import (
     validate_correspondence,
 )
 from .workspace import (
-    INT_KEYS,
     CheckRequest,
     WorkspaceDocument,
     WorkspaceError,
     check_request,
-    normalize,
     parse_workspace,
     print_workspace,
 )
@@ -94,11 +92,7 @@ USER_ERRORS = (
 
 
 def _span(doc: WorkspaceDocument, req: CheckRequest, index: int):
-    name = req.operands[index]
-    corr = doc.spans.get(name)
-    if corr is None:
-        raise WorkspaceError(f"{name!r} does not name a span", req.line or None)
-    return corr
+    return doc.spans[req.operands[index]]
 
 
 def _middle_ring(corr, task: str):
@@ -473,9 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--field", default="QQ", help="QQ or Fp:<p> (default QQ)")
         for key in row.required + row.optional:
-            p.add_argument(
-                f"--{key}", type=int if key in INT_KEYS else str, default=None
-            )
+            p.add_argument(f"--{key}")
         shared(p)
     return parser
 
@@ -527,24 +519,25 @@ def _run_batch(args) -> int:
 def _run_single(args) -> int:
     name = args.command
     row = COMMANDS[name]
-    operands = (*args.corr, *args.operands) if row.operands else ()
-    keyed = [
-        (key, str(getattr(args, key)))
-        for key in row.required + row.optional
-        if getattr(args, key) is not None
-    ]
-    req = check_request(name, name, operands, keyed, missing="{command} requires --{key}")
     if args.workspace:
         doc, canonical = _load_document(args.workspace)
-        digest = input_digest(canonical)
     elif row.operands:
         raise WorkspaceError(f"{name} needs --workspace to resolve span names")
     else:
         doc = WorkspaceDocument(field_text=args.field, field=field_from_name(args.field))
-        echo = name + "".join(f" {k}: {v}" for k, v in req.args) + f" field {args.field}"
-        digest = input_digest(echo)
-    report = execute_check(doc, normalize(req, doc.spans), args.budget)
-    _emit([report], digest, args)
+    operands = (*args.corr, *args.operands) if row.operands else ()
+    keyed = [
+        (key, getattr(args, key))
+        for key in row.required + row.optional
+        if getattr(args, key) is not None
+    ]
+    req = check_request(
+        name, name, operands, keyed, doc.spans, missing="{command} requires --{key}"
+    )
+    if not args.workspace:
+        canonical = name + "".join(f" {k}: {v}" for k, v in req.args) + f" field {args.field}"
+    report = execute_check(doc, req, args.budget)
+    _emit([report], input_digest(canonical), args)
     return report.exit_code
 
 

@@ -240,8 +240,6 @@ def _buchberger_dicts(
     table: list[tuple[int, Terms]] = []  # (lead, monic lead-first element)
     lms: list[int] = []
     for g in gens:
-        if not g:
-            continue
         r = _reduce_full(field, g, table, packing, budget)
         if r:
             lms.append(next(iter(r)))

@@ -245,11 +245,6 @@ class _Parser:
             raise self.error(f"unresolved scheme reference {name!r}", line)
         return self.schemes[name]
 
-    def lookup_span(self, name: str, line: int) -> Correspondence:
-        if name not in self.spans:
-            raise self.error(f"unresolved span reference {name!r}", line)
-        return self.spans[name]
-
     def parse_span(self, line: int, text: str) -> None:
         m = _SPAN.match(text)
         if not m:
@@ -349,10 +344,9 @@ class _Parser:
         command, *tail = rest.split(None, 1)
         head, *keyed = _KEYED.split(" ".join(tail))
         pairs = [(key, value.strip()) for key, value in zip(keyed[::2], keyed[1::2])]
-        check = check_request(name, command, tuple(head.split()), pairs, line)
-        for op in check.operands:
-            self.lookup_span(op, line)
-        self.checks.append(normalize(check, self.spans))
+        self.checks.append(
+            check_request(name, command, tuple(head.split()), pairs, self.spans, line)
+        )
 
 
 def check_request(
@@ -360,13 +354,17 @@ def check_request(
     command: str,
     operands: tuple[str, ...],
     keyed: list[tuple[str, str]],
+    spans: dict[str, Correspondence],
     line: int = 0,
     missing: str = "{command} needs argument {key!r}",
 ) -> CheckRequest:
-    """Validate a request against its row of :data:`COMMANDS`: a known
-    command, its operand count, and keys that it takes, each given once
-    with a value.  The request keeps its keys in canonical order;
-    ``missing`` words the error for an absent required key."""
+    """The canonical request, checked against its row of :data:`COMMANDS`:
+    a known command, its operand count, keys that it takes, each given
+    once with a value, and operands that name spans in ``spans``.  Keys
+    come out in canonical order and values canonical: integers minimized,
+    signs checked, polynomials reformatted when the first operand is a
+    single-piece span.  ``missing`` words the error for an absent
+    required key."""
     row = COMMANDS.get(command)
     if row is None:
         raise WorkspaceError(f"unknown command {command!r}", line)
@@ -386,8 +384,29 @@ def check_request(
     for key in row.required:
         if key not in given:
             raise WorkspaceError(missing.format(command=command, key=key), line)
-    args = tuple((key, given[key]) for key in row.required + row.optional if key in given)
-    return CheckRequest(name, command, operands, args, line)
+    for op in operands:
+        if op not in spans:
+            raise WorkspaceError(f"unresolved span reference {op!r}", line)
+    pieces = spans[operands[0]].pieces if operands else ()
+    ring = pieces[0].ring if len(pieces) == 1 else None
+    args = []
+    for key in row.required + row.optional:
+        value = given.get(key)
+        if value is None:
+            continue
+        if key in INT_KEYS:
+            if not re.fullmatch(r"-?\d+", value):
+                raise WorkspaceError(f"argument {key!r} must be an integer", line)
+            try:
+                value = str(int(value))
+            except ValueError:  # past the interpreter's integer-parsing limit
+                raise WorkspaceError(f"argument {key!r} is too large", line) from None
+        elif key in SIGN_KEYS and value not in ("+", "-"):
+            raise WorkspaceError(f"argument {key!r} must be + or -", line)
+        elif key in POLY_KEYS and ring is not None:
+            value = format_polynomial(_poly(value, ring, line))
+        args.append((key, value))
+    return CheckRequest(name, command, operands, tuple(args), line)
 
 
 def _poly(text: str, ring: PolynomialRing, line: int | None):
@@ -395,35 +414,6 @@ def _poly(text: str, ring: PolynomialRing, line: int | None):
         return parse_polynomial(text, ring)
     except ParseError as err:
         raise WorkspaceError(f"bad polynomial {text!r}: {err.message}", line) from err
-
-
-def normalize(check: CheckRequest, spans: dict[str, Correspondence]) -> CheckRequest:
-    """Canonicalize argument values (integers, signs, polynomials).
-
-    Polynomials are reformatted only when the first operand names a
-    single-piece span in ``spans``.
-    """
-    line = check.line or None
-    ring = None
-    if check.operands:
-        corr = spans.get(check.operands[0])
-        if corr is not None and len(corr.pieces) == 1:
-            ring = corr.pieces[0].ring
-    args = []
-    for key, value in check.args:
-        if key in INT_KEYS:
-            if not re.fullmatch(r"-?\d+", value):
-                raise WorkspaceError(f"argument {key!r} must be an integer", line)
-            args.append((key, str(int(value))))
-        elif key in SIGN_KEYS:
-            if value not in ("+", "-"):
-                raise WorkspaceError(f"argument {key!r} must be + or -", line)
-            args.append((key, value))
-        elif key in POLY_KEYS and ring is not None:
-            args.append((key, format_polynomial(_poly(value, ring, line))))
-        else:
-            args.append((key, value))
-    return CheckRequest(check.name, check.command, check.operands, tuple(args), check.line)
 
 
 def parse_workspace(text: str) -> WorkspaceDocument:

@@ -106,13 +106,41 @@ def test_bad_field_or_scheme_argument_is_an_input_error(tmp_path, capsys, text, 
     assert message in err and "Traceback" not in err + out
 
 
-def test_unresolved_operand_is_an_error_verdict(capsys):
-    code, out, _ = run_cli(
-        capsys, "certify", "--workspace", workspace("span-algebra"), "--corr", "ghost"
+def test_unresolved_operand_is_an_error_verdict(capsys, tmp_path):
+    """A single command resolves its operands as its check line does: an
+    unknown span name is an input error, before any report is written."""
+    out_file = tmp_path / "report.txt"
+    code, out, err = run_cli(
+        capsys, "certify", "--workspace", workspace("span-algebra"), "--corr", "ghost",
+        "--out", str(out_file),
     )
     assert code == 2
-    assert "[error]" in out
-    assert "ghost" in out
+    assert err == "error: unresolved span reference 'ghost'\n"
+    assert out == "" and not out_file.exists()
+
+
+@pytest.mark.parametrize("value", ["+2", "x"])
+def test_integer_flags_follow_the_workspace_rule(capsys, value):
+    code, out, err = run_cli(
+        capsys, "cancel-slice", "--workspace", workspace("cancel-families"), "--corr", "idg",
+        "--sign", "-", "--n", value,
+    )
+    assert code == 2
+    assert out == "" and err == "error: argument 'n' must be an integer\n"
+
+
+@pytest.mark.parametrize("path", ["workspace", "single-command"])
+def test_an_integer_past_the_parsing_limit_is_an_input_error(capsys, tmp_path, path):
+    digits = "7" * 5000
+    if path == "workspace":
+        doc = tmp_path / "huge.fsw"
+        doc.write_text(f"field QQ\ncheck v = verify-cancellation n: {digits}\n", encoding="utf-8")
+        argv = ["run", str(doc)]
+    else:
+        argv = ["verify-cancellation", "--n", digits]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith("argument 'n' is too large\n")
 
 
 @pytest.mark.parametrize("name", ALL_GREEN + ["failing-checks"])
@@ -694,6 +722,21 @@ def test_single_command_echo_is_normalized_as_in_a_batch(capsys, tmp_path):
     assert single["input_digest"] == batch["input_digest"]
     assert single["reports"][0]["request"] == {"operands": ["Z"], "args": {"f": "x*t_inv^2"}}
     assert single["reports"][0]["request"] in echoes
+    for name in ALL_GREEN + ["failing-checks"]:
+        _, batch, _ = structured(capsys, tmp_path, name, "--budget", "1")
+        for report in batch["reports"]:
+            request = report["request"]
+            flags = [f"--{key}={value}" for key, value in request["args"].items()]
+            main(
+                [
+                    report["command"], "--workspace", workspace(name), *request["operands"],
+                    *flags, "--budget", "1", "--format", "structured", "--out", str(out),
+                ]
+            )
+            capsys.readouterr()
+            single = json.loads(out.read_text(encoding="utf-8"))
+            assert single["input_digest"] == batch["input_digest"], (name, report["name"])
+            assert single["reports"][0]["request"] == request, (name, report["name"])
 
 
 def test_window_is_only_a_filtration_flag(capsys):

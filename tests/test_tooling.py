@@ -209,3 +209,23 @@ def test_every_memo_is_bounded():
     assert not unbounded
     assert len(memos) >= 2  # groebner._packing and cancellation._family_parts
 
+
+
+def test_one_function_builds_a_check_request():
+    """``workspace.check_request`` is the only code of ``src/flatspan`` that
+    calls ``CheckRequest``, so a check line and a single command come out
+    as the same canonical request."""
+    builders = []
+    for path in sorted((ROOT / "src" / "flatspan").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _identifier(node.func) == "CheckRequest"
+        ]
+        owner = {}  # innermost enclosing function: ast.walk visits outer ones first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, f"{path.stem}.{func.name}") for node in ast.walk(func))
+        builders += [owner.get(call, f"{path.stem}:{call.lineno}") for call in calls]
+    assert builders == ["workspace.check_request"]
