@@ -13,7 +13,8 @@ rings, the moved relations and legs, and the cut polynomials; only the
 blend relation differs.  Those parts depend on the span alone and charge
 no budget, so they are built once and kept for one span at a time (the
 last one asked for), and a search over the ``(m, n, sign)`` box builds
-each family from them.
+each family from them: the span, torus feet forgotten as in :func:`cancel_slice`,
+crossed with the parameter line (:func:`~flatspan.spans.cross`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .schemes import (
     affine_line,
     detect_torus_coordinate,
     point,
-    product,
     strip_coordinates,
     torus,
 )
@@ -55,11 +55,11 @@ from .spans import (
     SpanError,
     SpanPiece,
     _canonical,
-    _fresh_pair,
     _pieces_equal,
     certify_finite_flat,
     collapse_variables,
     compose,
+    cross,
     degree,
     equals,
     identity_span,
@@ -330,6 +330,23 @@ def _torus_feet(alpha: Correspondence) -> tuple[str, str]:
     )
 
 
+def _forget_torus_feet(alpha: Correspondence) -> tuple[Correspondence, str, str]:
+    """``alpha`` with the torus factors stripped from its feet (each piece
+    keeps its ring and relations), and the two torus coordinates."""
+    src_t, tgt_t = _torus_feet(alpha)
+    source = strip_coordinates(alpha.source, [src_t])
+    target = strip_coordinates(alpha.target, [tgt_t])
+    pieces = tuple(
+        replace(
+            piece,
+            src_map=tuple(leg for leg in piece.src_map if leg[0] in source.ring.names),
+            tgt_map=tuple(leg for leg in piece.tgt_map if leg[0] in target.ring.names),
+        )
+        for piece in alpha.pieces
+    )
+    return Correspondence(source, target, pieces), src_t, tgt_t
+
+
 class _PieceParts(NamedTuple):
     """One middle piece moved into its ring extended by the parameter: the
     moved relations and legs (the parameter leg set), the parameter ``s``,
@@ -357,21 +374,15 @@ def _family_parts(
     torus factor, the parameter's name, and the parts of each piece.  A
     function of ``alpha`` alone that charges no budget, kept for the last
     span asked for."""
-    src_t, tgt_t = _torus_feet(alpha)
-    field = alpha.source.ring.field
-    stripped = strip_coordinates(alpha.source, [src_t])
-    s_name = fresh_name(PARAMETER, stripped.ring.names)
-    source = product(stripped, affine_line(field, s_name))
-    target = strip_coordinates(alpha.target, [tgt_t])
+    bare, src_t, tgt_t = _forget_torus_feet(alpha)
+    s_name = fresh_name(PARAMETER, bare.source.ring.names)
+    family, pvars = cross(bare, affine_line(bare.source.field, s_name), PARAMETER)
     pieces = []
-    for piece in alpha.pieces:
-        pvar = fresh_name(PARAMETER, piece.ring.names)
-        ring = piece.ring.extend([pvar])
-        s = ring.var(pvar)
-        moved = rebuild_piece(piece, ring, {}, source, target, src={s_name: s})
+    for piece, moved, pvar in zip(alpha.pieces, family.pieces, pvars):
+        ring = moved.ring
         main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
-        pieces.append(_PieceParts(moved, s, main, aux, {}))
-    return source, target, s_name, tuple(pieces)
+        pieces.append(_PieceParts(moved, ring.var(pvar), main, aux, {}))
+    return family.source, family.target, s_name, tuple(pieces)
 
 
 def blended_family(
@@ -414,21 +425,12 @@ def cancel_family(
 def cancel_slice(alpha: Correspondence, n: int, sign: str) -> Correspondence:
     """Cut the middle along the n-th torus cut locus, dropping both torus
     feet."""
-    src_t, tgt_t = _torus_feet(alpha)
-    source = strip_coordinates(alpha.source, [src_t])
-    target = strip_coordinates(alpha.target, [tgt_t])
+    bare, src_t, tgt_t = _forget_torus_feet(alpha)
+    cuts = (cut_value(n, sign, piece.src(src_t), piece.tgt(tgt_t)) for piece in alpha.pieces)
     pieces = tuple(
-        rebuild_piece(
-            piece,
-            piece.ring,
-            {},
-            source,
-            target,
-            [cut_value(n, sign, piece.src(src_t), piece.tgt(tgt_t))],
-        )
-        for piece in alpha.pieces
+        replace(kept, relations=kept.relations + (cut,)) for kept, cut in zip(bare.pieces, cuts)
     )
-    return Correspondence(source, target, pieces)
+    return replace(bare, pieces=pieces)
 
 
 def restrict_parameter(corr: Correspondence, name: str, value) -> Correspondence:
@@ -501,20 +503,6 @@ class FiltrationReport:
         return self.index is not None
 
 
-def _extended_with_parameter(alpha: Correspondence) -> tuple[Correspondence, str]:
-    """Adjoin a free parameter line to the source, leaving the middle
-    otherwise untouched.  Returns the new span and the middle variable
-    holding the parameter (single-piece only)."""
-    piece = _single_piece(alpha, "parameter extension")
-    field = alpha.source.ring.field
-    s_name = fresh_name(PARAMETER, alpha.source.ring.names)
-    source = product(alpha.source, affine_line(field, s_name))
-    pvar = fresh_name(PARAMETER, piece.ring.names)
-    ring = piece.ring.extend([pvar])
-    new_piece = rebuild_piece(piece, ring, {}, source, alpha.target, src={s_name: ring.var(pvar)})
-    return Correspondence(source, alpha.target, (new_piece,)), pvar
-
-
 def filtration_index(
     alpha: Correspondence,
     *,
@@ -561,7 +549,9 @@ def filtration_index(
     floor = index - 1 if index else window
     blocking = next((f for f in failing if min(f[0], f[1]) >= floor), None)
 
-    extended, pvar = _extended_with_parameter(alpha)
+    _single_piece(alpha, "parameter extension")
+    s_name = fresh_name(PARAMETER, alpha.source.ring.names)
+    extended, (pvar,) = cross(alpha, affine_line(alpha.source.field, s_name), PARAMETER)
     piece = extended.pieces[0]
     s = piece.ring.var(pvar)
     one = piece.ring.one()
@@ -591,41 +581,6 @@ class CompatReport:
     @property
     def ok(self) -> bool:
         return self.push_ok and self.pull_ok
-
-
-def torus_extension(corr: Correspondence, gm_name: str) -> tuple[Correspondence, str]:
-    """Cross a single-piece correspondence with a common torus factor on
-    both feet.
-
-    The middle gains a fresh unit pair carried identically by both
-    structure maps; the stem of the pair is returned (its partner is the
-    stem's companion name).
-    """
-    piece = _single_piece(corr, "torus extension")
-    field = corr.source.ring.field
-    source = product(corr.source, torus(field, gm_name))
-    target = product(corr.target, torus(field, gm_name))
-    stem = _fresh_pair("w", list(piece.ring.names))
-    partner = companion_name(stem)
-    ring = piece.ring.extend([stem, partner], inverted=[stem])
-    unit = ring.var(stem) * ring.var(partner) - ring.one()
-    both = {gm_name: ring.var(stem), companion_name(gm_name): ring.var(partner)}
-    new_piece = rebuild_piece(piece, ring, {}, source, target, [unit], src=both, tgt=both)
-    return Correspondence(source, target, (new_piece,)), stem
-
-
-def line_extension(corr: Correspondence, coord: str) -> tuple[Correspondence, str]:
-    """Cross a single-piece correspondence with a common affine line on both
-    feet; returns the middle variable carrying the line."""
-    piece = _single_piece(corr, "line extension")
-    field = corr.source.ring.field
-    source = product(corr.source, affine_line(field, coord))
-    target = product(corr.target, affine_line(field, coord))
-    pvar = fresh_name("sb", piece.ring.names)
-    ring = piece.ring.extend([pvar])
-    line = {coord: ring.var(pvar)}
-    new_piece = rebuild_piece(piece, ring, {}, source, target, src=line, tgt=line)
-    return Correspondence(source, target, (new_piece,)), pvar
 
 
 def _collapsed_equal(
@@ -694,7 +649,7 @@ def verify_compat(
         the shared foot (``outer`` after ``alpha`` when ``after``, before it
         otherwise); the glue pair collapses onto ``alpha``'s leg there."""
         foot, leg = (tgt_t, apiece.tgt) if after else (src_t, apiece.src)
-        crossed, w = torus_extension(outer, foot)
+        crossed, (w,) = cross(outer, torus(outer.source.field, foot), "w", on_target=True)
         if not set(crossed.pieces[0].ring.names).isdisjoint(apiece.ring.names):
             spans = "first and third" if after else "second and first"
             raise CancellationError(
@@ -717,7 +672,8 @@ def verify_compat(
         details.append(f"target side: {why}")
 
     lhs2, pull_collapse = blended_through(beta, after=False)
-    beta_line, sb = line_extension(beta, family.parameter)
+    line = affine_line(beta.source.field, family.parameter)
+    beta_line, (sb,) = cross(beta, line, "sb", on_target=True)
     rhs2 = compose(beta_line, family.correspondence)
     # no middle or foot uses PARAMETER, so composition leaves it unrenamed
     rhs_collapse = {sb: rhs2.pieces[0].ring.var(PARAMETER)}

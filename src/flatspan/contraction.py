@@ -15,12 +15,13 @@ computed by variable elimination, which is sound here because a certified
 middle is finite over the source, so images of closed sets are closed.
 The complement is presented as a cover by standard open charts, one per
 generator of the image ideal, and every chart carries its own
-finite-local-freeness certificate.
+finite-local-freeness certificate: the input crossed with the parameter
+line, restricted to the open set of a generator (``spans.restrict_to_open``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 from .budget import Budget
@@ -35,7 +36,7 @@ from .groebner import (
 )
 from .modules import CertifyOutcome
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
-from .schemes import AffineScheme, affine_line, localize, product, torus, torus_power
+from .schemes import AffineScheme, affine_line, torus, torus_power
 from .spans import (
     Correspondence,
     SpanError,
@@ -43,8 +44,10 @@ from .spans import (
     _combined_ring,
     _fiber_rename,
     certify_finite_flat,
+    cross,
     equals,
     rebuild_piece,
+    restrict_to_open,
 )
 
 
@@ -340,33 +343,24 @@ def _image_on_source(
 
 
 def _build_chart(
-    alpha: Correspondence,
+    lined: Correspondence,
+    u_names: tuple[str, ...],
     datum: ContractionDatum,
     generator: Polynomial,
-    source_u: str,
     budget: Budget,
 ) -> ContractedChart:
-    source = alpha.source
-    line = affine_line(source.ring.field, source_u)
-    opened, aux = localize(product(source, line), generator)
+    """The input crossed with the parameter line (``lined``, each piece's
+    copy named in ``u_names``) on ``D(generator)``, target legs flowed."""
+    opened, loc_names = restrict_to_open(lined, generator)
     pieces = []
-    u_names = []
-    loc_names = []
-    for piece in alpha.pieces:
-        u2 = fresh_name(source_u, piece.ring.names)
-        lg = fresh_name("lg", piece.ring.names + (u2,))
-        ring = piece.ring.extend([u2, lg])
-        on_source = {v: piece.src(v).map_ring(ring) for v in source.ring.names}
-        on_source[source_u] = ring.var(u2)
-        localizing = generator.substitute(on_source, ring) * ring.var(lg) - ring.one()
+    for piece, u2 in zip(opened.pieces, u_names):
+        ring = piece.ring
         images = _weight_images(piece, datum, ring, ring.var(u2))
         weight = datum.w.substitute(images, ring)
 
         # the generator lies in (relations, weight), so the weight is a unit
         # wherever the generator is; no inverse means the chart piece is empty
-        reciprocal = modular_inverse(
-            weight, [r.map_ring(ring) for r in piece.relations] + [localizing], budget=budget
-        )
+        reciprocal = modular_inverse(weight, list(piece.relations), budget=budget)
         if reciprocal is None:
             reciprocal = ring.zero()
 
@@ -374,13 +368,10 @@ def _build_chart(
         for name in datum.primary:
             tgt[name] = datum.f_images[name].substitute(images, ring)
             tgt[companion_name(name)] = datum.cofactors[name].substitute(images, ring) * reciprocal
-        src = {source_u: ring.var(u2), aux: ring.var(lg)}
-        pieces.append(rebuild_piece(piece, ring, {}, opened, datum.scheme, [localizing], src, tgt))
-        u_names.append(u2)
-        loc_names.append(lg)
-    corr = Correspondence(opened, datum.scheme, tuple(pieces))
+        pieces.append(replace(piece, tgt_map=tuple((v, tgt[v]) for v in datum.scheme.ring.names)))
+    corr = replace(opened, pieces=tuple(pieces))
     certificate = certify_finite_flat(corr, budget=budget)
-    return ContractedChart(generator, corr, certificate, tuple(u_names), tuple(loc_names))
+    return ContractedChart(generator, corr, certificate, u_names, loc_names)
 
 
 def contract(
@@ -409,7 +400,8 @@ def contract(
         )
     source = alpha.source
     source_u = fresh_name(datum.u_name, source.ring.names)
-    on_line = source.ring.extend([source_u])
+    lined, u_names = cross(alpha, affine_line(source.field, source_u), source_u)
+    on_line = lined.source.ring
     image, pulled = _image_on_source(alpha, datum, source_u, on_line, budget)
 
     u = on_line.var(source_u)
@@ -421,9 +413,7 @@ def contract(
         groebner_basis(image + ambient + [u - on_line.one()], budget=budget)
     )
 
-    charts = tuple(
-        _build_chart(alpha, datum, g, source_u, budget) for g in image
-    )
+    charts = tuple(_build_chart(lined, u_names, datum, g, budget) for g in image)
     rank: int | None = before.rank
     for chart in charts:
         if not chart.certificate.certified or chart.certificate.rank != before.rank:
@@ -501,8 +491,6 @@ def _slice_chart(
     Returns the slice and ``alpha`` base-changed to the slice's source.
     """
     source = alpha.source
-    corr = chart.correspondence
-    field = source.ring.field
     uname = [v for v in chart.generator.ring.names if v not in source.ring.names][0]
     shrunk = chart.generator.substitute({uname: source.ring.const(value)}, source.ring)
     constant_gen = shrunk.is_constant()
@@ -511,35 +499,19 @@ def _slice_chart(
             raise ContractionError(
                 "chart function vanishes identically at an endpoint"
             )
-        sliced_source = source
-        aux_image_value = field.inv(shrunk.constant_value())
+        aux_image_value = source.field.inv(shrunk.constant_value())
     else:
-        sliced_source, aux2 = localize(source, shrunk)
-
+        alpha, _ = restrict_to_open(alpha, shrunk)
+        aux = alpha.source.ring.names[-1]  # the reciprocal localize appends
     pieces = []
-    originals = []
-    for piece, original, u2, lg in zip(corr.pieces, alpha.pieces, chart.u_names, chart.loc_names):
+    for piece, u2, lg in zip(chart.correspondence.pieces, chart.u_names, chart.loc_names):
         small = piece.ring.drop([u2, lg] if constant_gen else [u2])
         images = {u2: small.const(value)}
         if constant_gen:
             images[lg] = small.const(aux_image_value)
-        src = {} if constant_gen else {aux2: small.var(lg)}
-        pieces.append(rebuild_piece(piece, small, images, sliced_source, datum.scheme, src=src))
-        if not constant_gen:
-            # the input piece, base-changed to the localized source
-            lg2 = fresh_name(aux2, original.ring.names)
-            up = original.ring.extend([lg2])
-            legs = {v: original.src(v).map_ring(up) for v in source.ring.names}
-            unit = shrunk.substitute(legs, up) * up.var(lg2) - up.one()
-            originals.append(
-                rebuild_piece(
-                    original, up, {}, sliced_source, alpha.target, [unit], src={aux2: up.var(lg2)}
-                )
-            )
-    sliced = Correspondence(sliced_source, datum.scheme, tuple(pieces))
-    if not constant_gen:
-        alpha = Correspondence(sliced_source, alpha.target, tuple(originals))
-    return sliced, alpha
+        src = {} if constant_gen else {aux: small.var(lg)}
+        pieces.append(rebuild_piece(piece, small, images, alpha.source, datum.scheme, src=src))
+    return Correspondence(alpha.source, datum.scheme, tuple(pieces)), alpha
 
 
 def _lands_on_base_point(

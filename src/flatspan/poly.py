@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .fields import Field, FieldError
+from .fields import Field
 from .orders import GrevLex
 
 MAX_EXPONENT = 2**31 - 1

@@ -6,7 +6,9 @@
     atom   := integer ('/' integer)? | identifier | '(' expr ')'
 
 Identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and must name ring variables.
-Whitespace is insignificant.  ``format_polynomial`` emits the canonical
+Parentheses nest at most :data:`MAX_NESTING` deep, so the recursive
+descent stays far from the interpreter's recursion limit.  Whitespace is
+insignificant.  ``format_polynomial`` emits the canonical
 form (terms in descending graded-reverse-lex order) and parsing it back
 reproduces the polynomial bit for bit.
 """
@@ -17,8 +19,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Field, FieldError, PrimeField, RationalField
+from .fields import Field, FieldError, RationalField
 from .poly import MAX_EXPONENT, Polynomial, PolynomialRing
+
+# deepest parenthesis nesting accepted; each level takes four parser frames
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -73,6 +78,7 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -151,8 +157,12 @@ class _Parser:
                 )
             return self.ring.var(t.text)
         if t.kind == "op" and t.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", t.line, t.col)
+            self.depth += 1
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.line, t.col)
 

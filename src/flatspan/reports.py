@@ -521,6 +521,8 @@ def load_envelope(text: str) -> dict:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
         raise ReportError(f"report is not valid JSON: {err}") from err
+    except RecursionError:
+        raise ReportError("report nests too deeply to read") from None
     if not isinstance(payload, dict):
         raise ReportError("report envelope must be a JSON object")
     return payload

@@ -4,7 +4,8 @@ A correspondence from X to Y is a formal disjoint union of *pieces*; each
 piece is a middle algebra presented over the ground field, together with
 structure maps to X and Y given by polynomial images of the coordinate
 variables.  Addition concatenates pieces, composition takes fiber products
-pairwise, and tensoring pairs them.
+pairwise, and tensoring pairs them.  :func:`cross` and
+:func:`restrict_to_open` are the one way to adjoin a coordinate to every piece.
 
 Certification asks whether the middle is finite locally free over the
 source, and answers with an explicit monomial basis and multiplication
@@ -31,7 +32,7 @@ from .modules import (
 )
 from .orders import fiber_order
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
-from .schemes import AffineScheme
+from .schemes import AffineScheme, localize
 from .schemes import product as scheme_product
 
 
@@ -341,6 +342,53 @@ def external_tensor(left: Correspondence, right: Correspondence) -> Corresponden
         tgt.update({k: b.tgt(k).map_ring(ring, rename) for k in right.target.ring.names})
         pieces.append(make_piece(ring, relations, src, tgt, source, target))
     return Correspondence(source, target, tuple(pieces))
+
+
+def cross(
+    corr: Correspondence, factor: AffineScheme, stem: str, on_target: bool = False
+) -> tuple[Correspondence, tuple[str, ...]]:
+    """Cross the source of ``corr`` (and its target when ``on_target``) with
+    ``factor``, a line or a torus in one coordinate.  Each piece adjoins a
+    fresh copy of the coordinate named from ``stem`` (a torus copy with its
+    companion and unit relation, after the moved relations), which the new
+    legs carry; unlike :func:`external_tensor`, the copy is not named after
+    the factor.  Returns the span and each piece's copy."""
+    source = scheme_product(corr.source, factor)
+    target = scheme_product(corr.target, factor) if on_target else corr.target
+    pieces, names = [], []
+    for piece in corr.pieces:
+        taken = piece.ring.names
+        name = _fresh_pair(stem, taken) if factor.ring.inverted else fresh_name(stem, taken)
+        # a line has one coordinate, a torus its coordinate and companion
+        rename = dict(zip(factor.ring.names, (name, companion_name(name))))
+        ring = piece.ring.extend(rename.values(), [rename[v] for v in factor.ring.inverted])
+        legs = {v: ring.var(copy) for v, copy in rename.items()}
+        unit = [r.map_ring(ring, rename) for r in factor.relations]
+        tgt = legs if on_target else None
+        pieces.append(rebuild_piece(piece, ring, {}, source, target, unit, src=legs, tgt=tgt))
+        names.append(name)
+    return Correspondence(source, target, tuple(pieces)), tuple(names)
+
+
+def restrict_to_open(
+    corr: Correspondence, g: Polynomial
+) -> tuple[Correspondence, tuple[str, ...]]:
+    """Restrict ``corr`` to ``D(g)`` of its source (:func:`~flatspan.schemes.localize`).
+    Each piece adjoins the reciprocal of ``g`` pulled back along its source
+    leg, named after the localized source's new coordinate, with its unit
+    relation after the moved relations and carried by the new source leg.
+    Returns the span and each piece's reciprocal."""
+    source, aux = localize(corr.source, g)
+    pieces, names = [], []
+    for piece in corr.pieces:
+        name = fresh_name(aux, piece.ring.names)
+        ring = piece.ring.extend([name])
+        legs = {v: piece.src(v).map_ring(ring) for v in corr.source.ring.names}
+        unit = g.substitute(legs, ring) * ring.var(name) - ring.one()
+        new_leg = {aux: ring.var(name)}
+        pieces.append(rebuild_piece(piece, ring, {}, source, corr.target, [unit], src=new_leg))
+        names.append(name)
+    return Correspondence(source, corr.target, tuple(pieces)), tuple(names)
 
 
 # ---------------------------------------------------------------------------

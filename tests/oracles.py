@@ -17,23 +17,25 @@ from flatspan.cancellation import (
     FiltrationReport,
     _bound_from_values,
     _certified,
-    _extended_with_parameter,
+    _single_piece,
     _torus_feet,
     cancel_family,
     cut_value,
 )
+from flatspan.contraction import ContractedChart, ContractionError, _weight_images
 from flatspan.groebner import (
     DivisorTable,
     eliminate,
     groebner_basis,
     is_unit_ideal,
+    modular_inverse,
     normal_form,
     spolynomial_pairs_reduce,
 )
 from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
 from flatspan.orders import GrevLex, MonomialOrder, exp_divides, fiber_order
 from flatspan.poly import Polynomial, PolynomialRing, RingMismatch, companion_name, fresh_name
-from flatspan.schemes import affine_line, product, strip_coordinates
+from flatspan.schemes import affine_line, localize, product, strip_coordinates
 from flatspan.spans import (
     CertifyOutcome,
     Correspondence,
@@ -44,6 +46,8 @@ from flatspan.spans import (
     _combined_relations,
     _combined_ring,
     _piece_sort_key,
+    certify_finite_flat,
+    cross,
     make_piece,
     rebuild_piece,
     simplify_piece,
@@ -486,7 +490,9 @@ def full_box_filtration(
     box = failing_in_box(index - 1 if index else window)
     blocking = box[0] if box else None
 
-    extended, pvar = _extended_with_parameter(alpha)
+    _single_piece(alpha, "parameter extension")
+    s_name = fresh_name(PARAMETER, alpha.source.ring.names)
+    extended, (pvar,) = cross(alpha, affine_line(alpha.source.field, s_name), PARAMETER)
     ring = extended.pieces[0].ring
     s, one = ring.var(pvar), ring.one()
     _, tgt_t = _torus_feet(alpha)
@@ -520,3 +526,81 @@ def blended_family_from_scratch(
         blend = s * cut_value(n, sign, main, aux) + (ring.one() - s) * cut_value(m, sign, main, aux)
         pieces.append(rebuild_piece(piece, ring, {}, source, target, [blend], src={s_name: s}))
     return Correspondence(source, target, tuple(pieces)), s_name
+
+
+def chart_from_scratch(alpha, datum, generator, source_u, budget=None) -> ContractedChart:
+    """A contraction chart built piece by piece in one step: each piece is
+    extended by the parameter and the reciprocal at once (the reciprocal
+    named ``lg`` made fresh), its localizing relation and weight pulled
+    back by hand, and its legs set in a single rebuild."""
+    budget = budget or Budget()
+    source = alpha.source
+    line = affine_line(source.ring.field, source_u)
+    opened, aux = localize(product(source, line), generator)
+    pieces, u_names, loc_names = [], [], []
+    for piece in alpha.pieces:
+        u2 = fresh_name(source_u, piece.ring.names)
+        lg = fresh_name("lg", piece.ring.names + (u2,))
+        ring = piece.ring.extend([u2, lg])
+        on_source = {v: piece.src(v).map_ring(ring) for v in source.ring.names}
+        on_source[source_u] = ring.var(u2)
+        localizing = generator.substitute(on_source, ring) * ring.var(lg) - ring.one()
+        images = _weight_images(piece, datum, ring, ring.var(u2))
+        weight = datum.w.substitute(images, ring)
+        reciprocal = modular_inverse(
+            weight, [r.map_ring(ring) for r in piece.relations] + [localizing], budget=budget
+        )
+        if reciprocal is None:
+            reciprocal = ring.zero()
+        tgt = {}
+        for name in datum.primary:
+            tgt[name] = datum.f_images[name].substitute(images, ring)
+            tgt[companion_name(name)] = datum.cofactors[name].substitute(images, ring) * reciprocal
+        src = {source_u: ring.var(u2), aux: ring.var(lg)}
+        pieces.append(rebuild_piece(piece, ring, {}, opened, datum.scheme, [localizing], src, tgt))
+        u_names.append(u2)
+        loc_names.append(lg)
+    corr = Correspondence(opened, datum.scheme, tuple(pieces))
+    certificate = certify_finite_flat(corr, budget=budget)
+    return ContractedChart(generator, corr, certificate, tuple(u_names), tuple(loc_names))
+
+
+def slice_from_scratch(chart, value, alpha, datum) -> tuple[Correspondence, Correspondence]:
+    """A chart restricted to one parameter endpoint, and ``alpha``
+    base-changed to the slice's source, with the input's localization
+    written out by hand."""
+    source = alpha.source
+    corr = chart.correspondence
+    field = source.ring.field
+    uname = [v for v in chart.generator.ring.names if v not in source.ring.names][0]
+    shrunk = chart.generator.substitute({uname: source.ring.const(value)}, source.ring)
+    constant_gen = shrunk.is_constant()
+    if constant_gen:
+        if shrunk.is_zero():
+            raise ContractionError("chart function vanishes identically at an endpoint")
+        sliced_source = source
+        aux_image_value = field.inv(shrunk.constant_value())
+    else:
+        sliced_source, aux2 = localize(source, shrunk)
+    pieces, originals = [], []
+    for piece, original, u2, lg in zip(corr.pieces, alpha.pieces, chart.u_names, chart.loc_names):
+        small = piece.ring.drop([u2, lg] if constant_gen else [u2])
+        images = {u2: small.const(value)}
+        if constant_gen:
+            images[lg] = small.const(aux_image_value)
+        src = {} if constant_gen else {aux2: small.var(lg)}
+        pieces.append(rebuild_piece(piece, small, images, sliced_source, datum.scheme, src=src))
+        if not constant_gen:
+            lg2 = fresh_name(aux2, original.ring.names)
+            up = original.ring.extend([lg2])
+            legs = {v: original.src(v).map_ring(up) for v in source.ring.names}
+            unit = shrunk.substitute(legs, up) * up.var(lg2) - up.one()
+            originals.append(
+                rebuild_piece(
+                    original, up, {}, sliced_source, alpha.target, [unit], src={aux2: up.var(lg2)}
+                )
+            )
+    sliced = Correspondence(sliced_source, datum.scheme, tuple(pieces))
+    if not constant_gen:
+        alpha = Correspondence(sliced_source, alpha.target, tuple(originals))
+    return sliced, alpha

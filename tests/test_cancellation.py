@@ -20,11 +20,9 @@ from flatspan.cancellation import (
     filtration_index,
     flatness_bound,
     flatness_bound_ext,
-    line_extension,
     restrict_parameter,
     shifted_slice,
     slice_locus,
-    torus_extension,
     torus_identity,
     unit_collapse,
     verify_cancellation,
@@ -40,10 +38,12 @@ from flatspan.schemes import affine_line, point, product, torus
 from flatspan.spans import (
     Correspondence,
     certify_finite_flat,
+    cross,
     degree,
     equals,
     graph_span,
     make_piece,
+    restrict_to_open,
 )
 from oracles import blended_family_from_scratch, full_box_filtration
 
@@ -380,8 +380,10 @@ REWRITES = {
     "restrict_parameter": lambda a: restrict_parameter(
         cancel_family(a, 2, 3, "+").correspondence, "s", 1
     ),
-    "torus_extension": lambda a: torus_extension(a, "g")[0],
-    "line_extension": lambda a: line_extension(a, "x")[0],
+    "torus_extension": lambda a: cross(a, torus(QQ, "g"), "w", on_target=True)[0],
+    "line_extension": lambda a: cross(a, affine_line(QQ, "x"), "sb", on_target=True)[0],
+    "cross": lambda a: cross(a, affine_line(QQ, "s"), "s")[0],
+    "restrict_to_open": lambda a: restrict_to_open(a, parse_polynomial("t + 1", a.source.ring))[0],
     "slice_locus": lambda a: slice_locus(a, a.pieces[0].ring.const(2), 2).correspondence,
 }
 
@@ -398,6 +400,11 @@ FROZEN_PRESENTATIONS = {
         "t, t_inv, sb | t | t*t_inv - 1 | t: t; t_inv: t_inv; x: sb | t: t; t_inv: t_inv; x: sb"
     ),
     ("identity", "slice_locus"): "t, t_inv | t | t*t_inv - 1; -2*t^2 + 1 |  | t: t; t_inv: t_inv",
+    ("identity", "cross"): "t, t_inv, s | t | t*t_inv - 1 | t: t; t_inv: t_inv; s: s | t: t; t_inv: t_inv",
+    ("identity", "restrict_to_open"): (
+        "t, t_inv, lg | t | t*t_inv - 1; t*lg + lg - 1"
+        " | t: t; t_inv: t_inv; lg: lg | t: t; t_inv: t_inv"
+    ),
     ("cover", "blended_family"): "u, u_inv, s | u | u*u_inv - 1; u^6*s - u^4*s + u^4 + u^3 | s: s | ",
     ("cover", "cancel_family"): "u, u_inv, s | u | u*u_inv - 1; u^6*s - u^4*s + u^4 + u^3 | s: s | ",
     ("cover", "cancel_slice"): "u, u_inv | u | u*u_inv - 1; u^6 + u^3 |  | ",
@@ -411,6 +418,13 @@ FROZEN_PRESENTATIONS = {
         " | t: u^2; t_inv: u_inv^2; x: sb | t: u^3; t_inv: u_inv^3; x: sb"
     ),
     ("cover", "slice_locus"): "u, u_inv | u | u*u_inv - 1; -2*u^4 + 1 |  | t: u^3; t_inv: u_inv^3",
+    ("cover", "cross"): (
+        "u, u_inv, s | u | u*u_inv - 1 | t: u^2; t_inv: u_inv^2; s: s | t: u^3; t_inv: u_inv^3"
+    ),
+    ("cover", "restrict_to_open"): (
+        "u, u_inv, lg | u | u*u_inv - 1; u^2*lg + lg - 1"
+        " | t: u^2; t_inv: u_inv^2; lg: lg | t: u^3; t_inv: u_inv^3"
+    ),
 }
 
 

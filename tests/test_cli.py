@@ -497,6 +497,44 @@ def test_recheck_rejects_a_flipped_torsion_verdict(capsys, tmp_path):
     assert messages == ["c: stored finite-flat certificate fails re-validation"]
 
 
+DEEP = "(" * 400 + "1" + ")" * 400
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("rels t*t_inv - 1", "rels t*t_inv - " + DEEP, 10),
+        ("check b2 = bound Z f: 3", "check b2 = bound Z f: " + DEEP, 15),
+    ],
+    ids=["rels", "check-f"],
+)
+def test_a_deeply_nested_polynomial_is_an_input_error(capsys, tmp_path, old, new, line):
+    doc = tmp_path / "deep.fsw"
+    text = Path(workspace("valuation-bounds")).read_text(encoding="utf-8")
+    doc.write_text(text.replace(old, new), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(doc))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: bad polynomial '")
+    assert err.endswith("': parentheses nest deeper than 100\n")
+
+
+def test_recheck_of_a_deeply_nested_report_is_an_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", workspace("valuation-bounds"), "--recheck", str(deep))
+    assert (code, out, err) == (2, "", "error: report nests too deeply to read\n")
+
+
+def test_recheck_reports_a_deeply_nested_certificate_polynomial(capsys, tmp_path):
+    _, payload, out = structured(capsys, tmp_path, "valuation-bounds")
+    payload["reports"][0]["certificates"][0]["outcome"]["pieces"][0]["basis"][0] = DEEP
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("valuation-bounds"), "--recheck", str(out))
+    assert (code, err) == (1, "")
+    assert "b1: certificate could not be rebuilt: stored polynomial" in text
+    assert "parentheses nest deeper than 100" in text and "agree" not in text
+
+
 def test_recheck_of_malformed_report_is_an_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")

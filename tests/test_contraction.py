@@ -15,6 +15,7 @@ import flatspan
 from flatspan.cli import main
 from flatspan.contraction import (
     ContractionError,
+    _slice_chart,
     base_point_ideal,
     contract,
     make_contraction_datum,
@@ -24,7 +25,8 @@ from flatspan.contraction import (
 from flatspan.fields import QQ
 from flatspan.groebner import ideals_equal
 from flatspan.poly import PolynomialRing
-from flatspan.schemes import point, torus, torus_power
+from flatspan.reports import correspondence_to_json, outcome_to_json
+from flatspan.schemes import affine_line, point, torus, torus_power
 from flatspan.spans import (
     Correspondence,
     add,
@@ -32,6 +34,7 @@ from flatspan.spans import (
     make_piece,
     validate_correspondence,
 )
+from oracles import chart_from_scratch, slice_from_scratch
 
 
 def punctured_line():
@@ -663,3 +666,78 @@ def test_empty_pieces_keep_their_verdicts(alpha, rank, dichotomy, identity_at):
     assert result.ok and result.rank == rank
     report = verify_contraction_endpoints(alpha, datum, result)
     assert (report.dichotomy, report.identity_at) == (dichotomy, identity_at)
+
+
+# ---------------------------------------------------------------------------
+# charts and slices against a one-step construction
+
+
+def line_named_lg():
+    """The identity of the line in ``lg`` with its target at ``t = 2``, so
+    the source crossed with the parameter line has a coordinate ``lg``."""
+    ring = PolynomialRing(QQ, ("y",))
+    images = {"t": ring.const(QQ.from_int(2)), "t_inv": ring.const(QQ.from_fraction(1, 2))}
+    source = affine_line(QQ, "lg")
+    piece = make_piece(ring, [], {"lg": ring.var("y")}, images, source, punctured_line())
+    return Correspondence(source, punctured_line(), (piece,))
+
+
+COMPARED = {
+    **{name: (pool_member, 1) for name in POOL},
+    "empty": (lambda _: empty_middle(), 1),
+    "sum-of-points": (lambda _: add(rational_point(2), rational_point(3)), 1),
+    "point-2-plus-empty": (lambda _: add(rational_point(2), empty_point(3)), 1),
+    "plane-point": (lambda _: plane_point(2, 3), 2),
+    "square-identity": (lambda _: identity_span(torus_power(QQ, 2)), 2),
+}
+
+
+def test_charts_and_slices_match_the_one_step_construction():
+    """Every chart, endpoint slice and base-changed input equals, as JSON,
+    the one built piece by piece in a single step, over one- and
+    two-coordinate targets and multi-piece spans, at constant and at
+    localized endpoint functions."""
+    paths = set()
+    for name, (make, n) in COMPARED.items():
+        alpha, datum = make(name), standard_contraction_data(n)
+        result = contract(alpha, datum)
+        assert result.charts, name
+        for chart in result.charts:
+            ref = chart_from_scratch(alpha, datum, chart.generator, result.u_name)
+            assert correspondence_to_json(chart.correspondence) == correspondence_to_json(
+                ref.correspondence
+            ), name
+            assert outcome_to_json(chart.certificate) == outcome_to_json(ref.certificate), name
+            assert (chart.u_names, chart.loc_names) == (ref.u_names, ref.loc_names), name
+            for value in (0, 1):
+                got = _slice_chart(chart, value, alpha, datum)
+                want = slice_from_scratch(chart, value, alpha, datum)
+                assert [correspondence_to_json(c) for c in got] == [
+                    correspondence_to_json(c) for c in want
+                ], (name, value)
+                paths.add(got[1] is alpha)
+    assert paths == {True, False}  # constant and localized endpoint functions
+
+
+def test_a_chart_reciprocal_is_named_after_the_localized_coordinate():
+    """When the source crossed with the parameter line already has an
+    ``lg``, the chart's reciprocal takes the localized source's fresh name
+    ``lg2``, as an endpoint slice's does; verdict and rank are those of the
+    chart that names it ``lg``."""
+    alpha, datum = line_named_lg(), standard_contraction_data(1)
+    result = contract(alpha, datum)
+    assert result.ok and result.rank == 1
+    (chart,) = result.charts
+    ref = chart_from_scratch(alpha, datum, chart.generator, result.u_name)
+    new, old = chart.correspondence.pieces[0], ref.correspondence.pieces[0]
+    assert chart.correspondence.source.ring.names == ("lg", "u", "lg2")
+    assert (new.ring.names, old.ring.names) == (("y", "u", "lg2"), ("y", "u", "lg"))
+    assert (chart.loc_names, ref.loc_names) == (("lg2",), ("lg",))
+    rename = {"lg": "lg2"}
+    assert [r.map_ring(new.ring, rename) for r in old.relations] == list(new.relations)
+    for mine, theirs in ((new.src_map, old.src_map), (new.tgt_map, old.tgt_map)):
+        assert mine == tuple((k, p.map_ring(new.ring, rename)) for k, p in theirs)
+    assert chart.certificate.status == ref.certificate.status == "certified"
+    assert chart.certificate.rank == ref.certificate.rank == 1
+    report = verify_contraction_endpoints(alpha, datum, result)
+    assert (report.dichotomy, report.identity_at) == (True, 1), report.detail

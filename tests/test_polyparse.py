@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from flatspan.fields import GF, QQ
 from flatspan.poly import Polynomial, PolynomialRing
-from flatspan.polyparse import ParseError, format_polynomial, parse_polynomial
+from flatspan.polyparse import MAX_NESTING, ParseError, format_polynomial, parse_polynomial
 
 
 R2 = PolynomialRing(QQ, ("x", "y"))
@@ -42,6 +42,15 @@ def test_parse_errors_have_positions():
         parse_polynomial("x x", R2)
     with pytest.raises(ParseError):
         parse_polynomial("x ^ y", R2)
+
+
+def test_nesting_is_bounded_at_a_stated_depth():
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_polynomial(deepest, R2) == R2.var("x")
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("x + (" + deepest + ")", R2)
+    assert info.value.message == f"parentheses nest deeper than {MAX_NESTING}"
+    assert (info.value.line, info.value.col) == (1, 5 + MAX_NESTING)
 
 
 def test_format_canonical_examples():

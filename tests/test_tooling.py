@@ -1,5 +1,6 @@
 """The benchmark's tracer names program functions and budget phases; keep
-them in step with the program.  The program's modules import in layers, the
+them in step with the program.  The program's modules import in layers, use
+every name they import and share private names only where listed, the
 grammar document's command table is the program's, and every memo is
 bounded."""
 
@@ -229,3 +230,52 @@ def test_one_function_builds_a_check_request():
                 owner.update((node, f"{path.stem}.{func.name}") for node in ast.walk(func))
         builders += [owner.get(call, f"{path.stem}:{call.lineno}") for call in calls]
     assert builders == ["workspace.check_request"]
+
+
+def _library_trees():
+    for path in sorted((ROOT / "src" / "flatspan").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_import_is_used():
+    """Each name a ``src/flatspan`` module imports is named again in that
+    module."""
+    unused = []
+    for module, tree in _library_trees():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{module}: {name}")
+    assert not unused
+
+
+# private names one module of ``src/flatspan`` imports from another; each
+# new one needs its own entry
+PRIVATE_IMPORTS = {
+    # the naturality check canonicalizes one side once and matches the other
+    ("cancellation", "spans", "_canonical"),
+    ("cancellation", "spans", "_pieces_equal"),
+    # the source image is eliminated in the ring certification builds
+    ("contraction", "spans", "_combined_relations"),
+    ("contraction", "spans", "_combined_ring"),
+    ("contraction", "spans", "_fiber_rename"),
+    # a bound over a certificate the command has already checked
+    ("cli", "cancellation", "_bound_from_values"),
+}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    found = {
+        (module, node.module, alias.name)
+        for module, tree in _library_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    }
+    assert found == PRIVATE_IMPORTS
