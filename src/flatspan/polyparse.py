@@ -7,23 +7,45 @@
 
 Identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and must name ring variables.
 Parentheses nest at most :data:`MAX_NESTING` deep, so the recursive
-descent stays far from the interpreter's recursion limit.  Whitespace is
-insignificant.  ``format_polynomial`` emits the canonical
+descent stays far from the interpreter's recursion limit, and an integer
+literal has at most :data:`MAX_DIGITS` digits past its leading zeros.
+Whitespace is insignificant.  ``format_polynomial`` emits the canonical
 form (terms in descending graded-reverse-lex order) and parsing it back
 reproduces the polynomial bit for bit.
+
+Parsing is one pass over the tokens.  A term made of numbers and
+identifiers accumulates one coefficient and one exponent vector, and a
+sum adds each term into one dict, cancelling and re-inserting terms as
+``Polynomial.__add__`` does.  ``Polynomial`` arithmetic runs only for the
+power of a number or of a parenthesized factor, and for the rest of a
+term once a parenthesized factor has joined it.  So the result equals,
+term order included, what building every atom as a polynomial and
+summing them would give, in time linear in the number of summands.
+Tokens carry their offset; line and column are computed only for an
+error.
+
+``parse_polynomial`` is memoized on ``(text, ring)`` in a bounded LRU
+cache: stored reports and workspace documents repeat the same few texts
+(``t*t_inv - 1``, ``0``, ``1``).  Callers share the cached values, which
+is safe because polynomials are immutable.  Errors are not cached, so a
+bad text raises on every call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .fields import Field, FieldError, RationalField
-from .poly import MAX_EXPONENT, Polynomial, PolynomialRing
+from .poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing
 
 # deepest parenthesis nesting accepted; each level takes four parser frames
 MAX_NESTING = 100
+# longest integer literal accepted, past leading zeros: the interpreter's
+# default limit for converting a digit string to an int
+MAX_DIGITS = 4300
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
 class ParseError(ValueError):
@@ -39,31 +61,20 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass
-class _Tok:
-    kind: str  # num | ident | op | eof
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, kind one of num, ident, op, eof."""
     toks = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            line, col = _position(text, pos)
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            break
         kind = m.lastgroup
-        line, col = _position(text, m.start(kind))
-        toks.append(_Tok(kind, m.group(kind), line, col))
+        toks.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    end_line, end_col = _position(text, len(text))
-    toks.append(_Tok("eof", "", end_line, end_col))
+    stripped = text[pos:].lstrip()
+    if stripped:
+        raise ParseError(f"unexpected character {stripped[0]!r}", *_position(text, pos))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -74,107 +85,167 @@ def _position(text: str, pos: int) -> tuple[int, int]:
 
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], ring: PolynomialRing):
-        self.toks = toks
+    """Recursive descent over the tokens of one text.  A factor is a
+    :class:`Polynomial` when parenthesized, otherwise ``(coefficient, slot,
+    exponent)``: a field element (slot -1) or a power of the variable in
+    ``slot``."""
+
+    def __init__(self, text: str, ring: PolynomialRing):
+        self.text = text
+        self.toks = _tokenize(text)
         self.i = 0
         self.ring = ring
+        self.field = ring.field
+        self.slots = {name: i for i, name in enumerate(ring.names)}
         self.depth = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def error(self, message: str, pos: int) -> ParseError:
+        return ParseError(message, *_position(self.text, pos))
 
-    def next(self) -> _Tok:
+    def next(self) -> tuple[str, str, int]:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect_op(self, op: str) -> _Tok:
-        t = self.next()
-        if t.kind != "op" or t.text != op:
-            raise ParseError(f"expected {op!r}, found {t.text or 'end of input'!r}", t.line, t.col)
-        return t
+    def integer(self, text: str, pos: int) -> int:
+        digits = text.lstrip("0") or "0"
+        if len(digits) > MAX_DIGITS:
+            raise self.error(f"integer literal longer than {MAX_DIGITS} digits", pos)
+        return int(digits)
 
-    def parse_expr(self) -> Polynomial:
-        total = self.parse_term()
+    def parse_expr(self) -> dict[tuple[int, ...], object]:
+        """The sum's terms: exponent tuple to nonzero coefficient."""
+        f = self.field
+        total: dict[tuple[int, ...], object] = {}
+        negative = False
         while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in "+-":
-                self.next()
-                rhs = self.parse_term()
-                total = total + rhs if t.text == "+" else total - rhs
-            else:
+            for exp, c in self.parse_term(negative):
+                old = total.get(exp)
+                if old is None:
+                    total[exp] = c
+                    continue
+                s = f.add(old, c)
+                if s:
+                    total[exp] = s
+                else:
+                    del total[exp]
+            op = self.toks[self.i][1]
+            if op != "+" and op != "-":
                 return total
+            self.i += 1
+            negative = op == "-"
 
-    def parse_term(self) -> Polynomial:
-        sign = 1
-        while self.peek().kind == "op" and self.peek().text == "-":
-            self.next()
-            sign = -sign
-        prod = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
-            self.next()
-            while self.peek().kind == "op" and self.peek().text == "-":
-                self.next()
-                sign = -sign
-            prod = prod * self.parse_factor()
-        return prod if sign == 1 else -prod
+    def parse_term(self, negative: bool):
+        """The term's (exponent, coefficient) pairs, negated when
+        ``negative`` and the term's own signs give -1."""
+        f = self.field
+        coef = f.one
+        exp = [0] * len(self.slots)
+        prod = None  # the product so far, once a parenthesized factor joined it
+        while True:
+            while self.toks[self.i][1] == "-":
+                self.i += 1
+                negative = not negative
+            factor = self.parse_factor()
+            if prod is not None:
+                prod = prod * self.polynomial(factor)
+            elif isinstance(factor, Polynomial):
+                prod = Polynomial(self.ring, {tuple(exp): coef}) * factor
+            else:
+                c, slot, k = factor
+                if slot < 0:
+                    coef = f.mul(coef, c)
+                else:
+                    e = exp[slot] + k
+                    # a zero product absorbs every later factor unchecked
+                    if e > MAX_EXPONENT and coef:
+                        raise ExponentOverflow(f"exponent {e} exceeds {MAX_EXPONENT}")
+                    exp[slot] = e
+            if self.toks[self.i][1] != "*":
+                break
+            self.i += 1
+        if prod is not None:
+            terms = prod.terms().items()
+        elif coef:
+            terms = [(tuple(exp), coef)]
+        else:
+            return []
+        if negative:
+            return [(e, f.neg(c)) for e, c in terms]
+        return terms
 
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
-            self.next()
-            n = self.next()
-            if n.kind != "num":
-                raise ParseError("expected integer exponent after '^'", n.line, n.col)
-            k = int(n.text)
-            if k > MAX_EXPONENT:
-                raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}", n.line, n.col)
-            return base**k
-        return base
+    def polynomial(self, factor) -> Polynomial:
+        if isinstance(factor, Polynomial):
+            return factor
+        c, slot, k = factor
+        exp = [0] * len(self.slots)
+        if slot >= 0:
+            exp[slot] = k
+        return Polynomial(self.ring, {tuple(exp): c})
 
-    def parse_atom(self) -> Polynomial:
-        t = self.next()
-        if t.kind == "num":
-            num = int(t.text)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "/":
-                self.next()
-                d = self.next()
-                if d.kind != "num":
-                    raise ParseError("expected integer denominator", d.line, d.col)
-                try:
-                    return self.ring.const(self.ring.field.from_fraction(num, int(d.text)))
-                except FieldError as e:
-                    raise ParseError(str(e), t.line, t.col) from None
-            return self.ring.const(num)
-        if t.kind == "ident":
-            if t.text not in self.ring.names:
-                raise ParseError(
-                    f"unknown variable {t.text!r}; ring variables are {', '.join(self.ring.names) or '(none)'}",
-                    t.line,
-                    t.col,
-                )
-            return self.ring.var(t.text)
-        if t.kind == "op" and t.text == "(":
+    def parse_factor(self):
+        atom = self.parse_atom()
+        if self.toks[self.i][1] != "^":
+            return atom
+        self.i += 1
+        kind, text, pos = self.next()
+        if kind != "num":
+            raise self.error("expected integer exponent after '^'", pos)
+        digits = text.lstrip("0") or "0"
+        if len(digits) > _EXPONENT_DIGITS:  # past the cap, so never converted
+            raise self.error(f"exponent {digits} exceeds {MAX_EXPONENT}", pos)
+        k = int(digits)
+        if k > MAX_EXPONENT:
+            raise self.error(f"exponent {k} exceeds {MAX_EXPONENT}", pos)
+        if isinstance(atom, Polynomial):
+            return atom**k
+        c, slot, _ = atom
+        if slot < 0:
+            return (self.ring.const(c) ** k).constant_value(), slot, 0
+        return c, slot, k
+
+    def parse_atom(self):
+        kind, text, pos = self.next()
+        if kind == "num":
+            num = self.integer(text, pos)
+            if self.toks[self.i][1] != "/":
+                return self.field.from_int(num), -1, 0
+            self.i += 1
+            kind, den, dpos = self.next()
+            if kind != "num":
+                raise self.error("expected integer denominator", dpos)
+            den = self.integer(den, dpos)
+            try:
+                return self.field.from_fraction(num, den), -1, 0
+            except FieldError as e:
+                raise self.error(str(e), pos) from None
+        if kind == "ident":
+            slot = self.slots.get(text)
+            if slot is None:
+                names = ", ".join(self.ring.names) or "(none)"
+                raise self.error(f"unknown variable {text!r}; ring variables are {names}", pos)
+            return self.field.one, slot, 1
+        if text == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", t.line, t.col)
+                raise self.error(f"parentheses nest deeper than {MAX_NESTING}", pos)
             self.depth += 1
             inner = self.parse_expr()
-            self.expect_op(")")
+            _, close, cpos = self.next()
+            if close != ")":
+                raise self.error(f"expected ')', found {close or 'end of input'!r}", cpos)
             self.depth -= 1
-            return inner
-        raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.line, t.col)
+            return Polynomial(self.ring, inner)
+        raise self.error(f"unexpected {text or 'end of input'!r}", pos)
 
 
+@lru_cache(maxsize=256)
 def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
-    toks = _tokenize(text)
-    parser = _Parser(toks, ring)
-    p = parser.parse_expr()
-    t = parser.peek()
-    if t.kind != "eof":
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return p
+    parser = _Parser(text, ring)
+    terms = parser.parse_expr()
+    kind, rest, pos = parser.toks[parser.i]
+    if kind != "eof":
+        raise parser.error(f"trailing input {rest!r}", pos)
+    return Polynomial(ring, terms)
 
 
 def _is_negative(field: Field, c) -> bool:

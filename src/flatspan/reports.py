@@ -523,6 +523,8 @@ def load_envelope(text: str) -> dict:
         raise ReportError(f"report is not valid JSON: {err}") from err
     except RecursionError:
         raise ReportError("report nests too deeply to read") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ReportError("report holds an integer too long to read") from None
     if not isinstance(payload, dict):
         raise ReportError("report envelope must be a JSON object")
     return payload

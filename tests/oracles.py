@@ -7,6 +7,8 @@ reduction loop.
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add, sub
 
@@ -23,6 +25,7 @@ from flatspan.cancellation import (
     cut_value,
 )
 from flatspan.contraction import ContractedChart, ContractionError, _weight_images
+from flatspan.fields import FieldError
 from flatspan.groebner import (
     DivisorTable,
     eliminate,
@@ -34,7 +37,8 @@ from flatspan.groebner import (
 )
 from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
 from flatspan.orders import GrevLex, MonomialOrder, exp_divides, fiber_order
-from flatspan.poly import Polynomial, PolynomialRing, RingMismatch, companion_name, fresh_name
+from flatspan.poly import MAX_EXPONENT, Polynomial, PolynomialRing, RingMismatch, companion_name, fresh_name
+from flatspan.polyparse import MAX_NESTING, ParseError
 from flatspan.schemes import affine_line, localize, product, strip_coordinates
 from flatspan.spans import (
     CertifyOutcome,
@@ -604,3 +608,151 @@ def slice_from_scratch(chart, value, alpha, datum) -> tuple[Correspondence, Corr
     if not constant_gen:
         alpha = Correspondence(sliced_source, alpha.target, tuple(originals))
     return sliced, alpha
+
+# ---------------------------------------------------------------------------
+# the token-list parser that built every atom as a Polynomial and copied the
+# running sum at each summand; the one-pass parser must agree with it on
+# value, term order and every error
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^/()]))"
+)
+
+
+@dataclass
+class _Tok:
+    kind: str  # num | ident | op | eof
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    toks = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            line, col = _position(text, pos)
+            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
+        kind = m.lastgroup
+        line, col = _position(text, m.start(kind))
+        toks.append(_Tok(kind, m.group(kind), line, col))
+        pos = m.end()
+    end_line, end_col = _position(text, len(text))
+    toks.append(_Tok("eof", "", end_line, end_col))
+    return toks
+
+
+def _position(text: str, pos: int) -> tuple[int, int]:
+    """One-based line and column of offset ``pos``."""
+    line = text.count("\n", 0, pos)
+    return line + 1, pos - text.rfind("\n", 0, pos)
+
+
+class _Parser:
+    def __init__(self, toks: list[_Tok], ring: PolynomialRing):
+        self.toks = toks
+        self.i = 0
+        self.ring = ring
+        self.depth = 0
+
+    def peek(self) -> _Tok:
+        return self.toks[self.i]
+
+    def next(self) -> _Tok:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def expect_op(self, op: str) -> _Tok:
+        t = self.next()
+        if t.kind != "op" or t.text != op:
+            raise ParseError(f"expected {op!r}, found {t.text or 'end of input'!r}", t.line, t.col)
+        return t
+
+    def parse_expr(self) -> Polynomial:
+        total = self.parse_term()
+        while True:
+            t = self.peek()
+            if t.kind == "op" and t.text in "+-":
+                self.next()
+                rhs = self.parse_term()
+                total = total + rhs if t.text == "+" else total - rhs
+            else:
+                return total
+
+    def parse_term(self) -> Polynomial:
+        sign = 1
+        while self.peek().kind == "op" and self.peek().text == "-":
+            self.next()
+            sign = -sign
+        prod = self.parse_factor()
+        while self.peek().kind == "op" and self.peek().text == "*":
+            self.next()
+            while self.peek().kind == "op" and self.peek().text == "-":
+                self.next()
+                sign = -sign
+            prod = prod * self.parse_factor()
+        return prod if sign == 1 else -prod
+
+    def parse_factor(self) -> Polynomial:
+        base = self.parse_atom()
+        t = self.peek()
+        if t.kind == "op" and t.text == "^":
+            self.next()
+            n = self.next()
+            if n.kind != "num":
+                raise ParseError("expected integer exponent after '^'", n.line, n.col)
+            k = int(n.text)
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}", n.line, n.col)
+            return base**k
+        return base
+
+    def parse_atom(self) -> Polynomial:
+        t = self.next()
+        if t.kind == "num":
+            num = int(t.text)
+            nxt = self.peek()
+            if nxt.kind == "op" and nxt.text == "/":
+                self.next()
+                d = self.next()
+                if d.kind != "num":
+                    raise ParseError("expected integer denominator", d.line, d.col)
+                try:
+                    return self.ring.const(self.ring.field.from_fraction(num, int(d.text)))
+                except FieldError as e:
+                    raise ParseError(str(e), t.line, t.col) from None
+            return self.ring.const(num)
+        if t.kind == "ident":
+            if t.text not in self.ring.names:
+                raise ParseError(
+                    f"unknown variable {t.text!r}; ring variables are {', '.join(self.ring.names) or '(none)'}",
+                    t.line,
+                    t.col,
+                )
+            return self.ring.var(t.text)
+        if t.kind == "op" and t.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", t.line, t.col)
+            self.depth += 1
+            inner = self.parse_expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return inner
+        raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.line, t.col)
+
+
+def reference_parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
+    toks = _tokenize(text)
+    parser = _Parser(toks, ring)
+    p = parser.parse_expr()
+    t = parser.peek()
+    if t.kind != "eof":
+        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
+    return p

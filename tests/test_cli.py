@@ -535,6 +535,53 @@ def test_recheck_reports_a_deeply_nested_certificate_polynomial(capsys, tmp_path
     assert "parentheses nest deeper than 100" in text and "agree" not in text
 
 
+LONG = "7" * 5000  # past the interpreter's 4300-digit limit for int()
+
+
+@pytest.mark.parametrize(
+    "new, message",
+    [
+        ("rels x - " + LONG, "integer literal longer than 4300 digits"),
+        ("rels x^" + LONG, f"exponent {LONG} exceeds 2147483647"),
+    ],
+    ids=["literal", "exponent"],
+)
+def test_an_overlong_integer_in_a_document_is_an_input_error(capsys, tmp_path, new, message):
+    doc = tmp_path / "long.fsw"
+    text = Path(workspace("valuation-bounds")).read_text(encoding="utf-8")
+    doc.write_text(text.replace("rels t*t_inv - 1", new), encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 10: bad polynomial {new[5:]!r}: {message}\n"
+
+
+def test_an_overlong_integer_in_a_flag_is_an_input_error(capsys):
+    f = "x*t_inv + " + LONG
+    code, out, err = run_cli(
+        capsys, "bound", "--workspace", workspace("valuation-bounds"), "--corr", "Z", "--f", f
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: bad polynomial {f!r}: integer literal longer than 4300 digits\n"
+
+
+def test_recheck_of_a_report_with_an_overlong_integer_is_an_input_error(capsys, tmp_path):
+    _, payload, out = structured(capsys, tmp_path, "span-algebra")
+    text = json.dumps(payload).replace('"exit_code": 0', '"exit_code": ' + LONG, 1)
+    out.write_text(text, encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("span-algebra"), "--recheck", str(out))
+    assert (code, text, err) == (2, "", "error: report holds an integer too long to read\n")
+
+
+def test_recheck_names_an_overlong_integer_in_a_certificate_polynomial(capsys, tmp_path):
+    _, payload, out = structured(capsys, tmp_path, "valuation-bounds")
+    payload["reports"][0]["certificates"][0]["outcome"]["pieces"][0]["basis"][0] = LONG
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("valuation-bounds"), "--recheck", str(out))
+    assert (code, err) == (1, "")
+    assert "b1: certificate could not be rebuilt: stored polynomial" in text
+    assert "integer literal longer than 4300 digits" in text and "agree" not in text
+
+
 def test_recheck_of_malformed_report_is_an_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")

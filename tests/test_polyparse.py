@@ -1,9 +1,18 @@
+import time
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flatspan.fields import GF, QQ
-from flatspan.poly import Polynomial, PolynomialRing
-from flatspan.polyparse import MAX_NESTING, ParseError, format_polynomial, parse_polynomial
+from flatspan.poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing
+from flatspan.polyparse import (
+    MAX_DIGITS,
+    MAX_NESTING,
+    ParseError,
+    format_polynomial,
+    parse_polynomial,
+)
+from oracles import reference_parse_polynomial
 
 
 R2 = PolynomialRing(QQ, ("x", "y"))
@@ -53,6 +62,32 @@ def test_nesting_is_bounded_at_a_stated_depth():
     assert (info.value.line, info.value.col) == (1, 5 + MAX_NESTING)
 
 
+def test_integer_literals_are_bounded_at_a_stated_length():
+    long = "7" * (MAX_DIGITS + 1)
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("x +\n " + long, R2)
+    assert info.value.message == f"integer literal longer than {MAX_DIGITS} digits"
+    assert (info.value.line, info.value.col) == (2, 2)
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("1/" + long, R2)
+    assert (info.value.message, info.value.col) == (f"integer literal longer than {MAX_DIGITS} digits", 3)
+    # leading zeros do not count
+    assert parse_polynomial("0" * MAX_DIGITS + "12*x", R2) == R2.var("x").scale(12)
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("y*x^" + long, R2)
+    assert (info.value.message, info.value.col) == (f"exponent {long} exceeds {MAX_EXPONENT}", 5)
+    assert parse_polynomial("x^" + "0" * MAX_DIGITS + "3", R2) == R2.var("x") ** 3
+
+
+def test_long_sums_parse_in_linear_time():
+    ring = PolynomialRing(QQ, ("x", "y"))
+    text = " + ".join(f"{i + 1}*x^{i}*y" for i in range(8000))
+    start = time.perf_counter()
+    p = parse_polynomial(text, ring)
+    assert time.perf_counter() - start < 1.0
+    assert len(p.terms()) == 8000
+
+
 def test_format_canonical_examples():
     x, y = R2.var("x"), R2.var("y")
     assert format_polynomial(R2.zero()) == "0"
@@ -83,3 +118,81 @@ def test_print_parse_roundtrip(items, which):
     assert parse_polynomial(text, ring) == p
     # printing is a fixpoint on canonical forms
     assert format_polynomial(parse_polynomial(text, ring)) == text
+
+
+_BIG_EXPONENTS = [str(MAX_EXPONENT - 1), str(MAX_EXPONENT), str(MAX_EXPONENT + 1), "007"]
+_OVERFLOW = ["x^" + str(MAX_EXPONENT), "x", "0", "(y)"]
+_JUNK = ["$", ".", "\u00e9", "\n  ", "\t", "(", ")", "^", "/", "*", "+", "2", "x1"]
+
+
+def _factor(draw, depth):
+    kind = draw(st.integers(0, 15 if depth < 2 else 13))
+    if kind < 5:
+        text = str(draw(st.integers(0, 12)))
+        if kind == 0:
+            text += f"/{draw(st.integers(0, 6))}"
+    elif kind < 11:
+        text = draw(st.sampled_from(["x", "y"] * 8 + ["z", "w", "q"]))
+        if kind == 10:
+            return text + "^" + draw(st.sampled_from(_BIG_EXPONENTS))
+    elif kind == 11:
+        # only 0 and 1 may take huge powers: any other constant would grow too long
+        return draw(st.sampled_from(["0", "1"])) + "^" + draw(st.sampled_from(["0"] + _BIG_EXPONENTS))
+    elif kind == 12:
+        # a zero factor before, between or after the factors of an overflow
+        return "*".join(draw(st.permutations(_OVERFLOW)))
+    elif kind == 13:
+        return draw(st.sampled_from(["0^0", "10", "5/2", "3/5"]))
+    else:
+        text = f"({_expr(draw, depth + 1)})"
+    return text + draw(st.sampled_from(["", "", "", "^0", "^1", "^2", "^3"]))
+
+
+def _expr(draw, depth=0):
+    text = ""
+    for i in range(draw(st.integers(1, 4))):
+        if i:
+            text += draw(st.sampled_from([" + ", " - ", "-", "+"]))
+        signs = [draw(st.sampled_from(["", "", "-", "--", "- -"])) for _ in range(draw(st.integers(1, 3)))]
+        text += "*".join(sign + _factor(draw, depth) for sign in signs)
+    return text
+
+
+@st.composite
+def _texts(draw):
+    """Texts in the grammar and around it: ``-`` chains, ``a/b`` literals,
+    coefficients that vanish over GF(5), exponents at and past the cap,
+    ``0^0``, zero factors around an overflow, cancelling summands, nested
+    and powered parentheses, and with some junk inserted."""
+    text = _expr(draw)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_JUNK)) + text[at:]
+    return text
+
+
+def _outcome(parse, text, ring):
+    try:
+        p = parse(text, ring)
+    except ParseError as err:
+        return ParseError, err.message, err.line, err.col
+    except ExponentOverflow as err:
+        return ExponentOverflow, str(err)
+    return p.ring, [(e, type(c), c) for e, c in p.terms().items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts())
+@example("0*x^2147483647*x")
+@example("x^2147483647*5*x - x*-y")
+@example("x + y - x + x - 2/3")
+def test_parser_matches_the_reference(text):
+    """Value, term order, coefficient type and every error equal the
+    reference parser's, on a first call and on a repeat (memoized) call.
+    Over QQ the ring is (x, y, z), over GF(5) it is (y, x, w): the same
+    text lands on other exponent positions, so a memo keyed on the text
+    alone would answer the second ring with the first ring's value."""
+    for ring in (PolynomialRing(QQ, ("x", "y", "z")), PolynomialRing(GF(5), ("y", "x", "w"))):
+        expected = _outcome(reference_parse_polynomial, text, ring)
+        assert _outcome(parse_polynomial, text, ring) == expected
+        assert _outcome(parse_polynomial, text, ring) == expected

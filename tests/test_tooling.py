@@ -208,7 +208,7 @@ def test_every_memo_is_bounded():
                 if _identifier(node.value) == "functools":
                     unbounded.append(f"{path.stem}:{node.lineno} functools.cache")
     assert not unbounded
-    assert len(memos) >= 2  # groebner._packing and cancellation._family_parts
+    assert len(memos) >= 3  # groebner._packing, cancellation._family_parts, polyparse.parse_polynomial
 
 
 
