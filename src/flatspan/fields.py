@@ -1,8 +1,13 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Coefficients are plain Python values (``fractions.Fraction`` for QQ, small
-ints for GF(p)); the field object supplies the arithmetic.  This keeps the
-polynomial layer free of per-coefficient wrapper objects.
+Coefficients are plain Python values; the field object supplies the
+arithmetic.  A QQ element is an ``int`` when it is integral and a
+``fractions.Fraction`` only when its denominator is not 1; a GF(p) element
+is an int in ``[0, p)``.  This keeps the polynomial layer free of
+per-coefficient wrapper objects, and the integers that make up most QQ
+coefficients pay for machine-int operations only.  Both forms of a value
+compare and hash equal (``Fraction(3) == 3``), so the choice never shows
+in a polynomial's equality, hash or text.
 """
 
 from __future__ import annotations
@@ -25,20 +30,26 @@ class Field:
 
 
 class RationalField(Field):
-    """The field of rational numbers with arbitrary-precision arithmetic."""
+    """The field of rational numbers with arbitrary-precision arithmetic.
+
+    Every operation returns its result in canonical form: an ``int`` when
+    integral, otherwise a ``Fraction``."""
 
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if r.__class__ is int or r.denominator != 1 else r.numerator
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if r.__class__ is int or r.denominator != 1 else r.numerator
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if r.__class__ is int or r.denominator != 1 else r.numerator
 
     def neg(self, a):
         return -a
@@ -46,21 +57,20 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise FieldError("division by zero in QQ")
-        return 1 / Fraction(a)
+        r = 1 / Fraction(a)
+        return r if r.denominator != 1 else r.numerator
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def from_fraction(self, num: int, den: int):
         if den == 0:
             raise FieldError("zero denominator")
-        return Fraction(num, den)
+        r = Fraction(num, den)
+        return r if r.denominator != 1 else r.numerator
 
     def to_str(self, a) -> str:
-        a = Fraction(a)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        return str(a)
 
     def __repr__(self) -> str:
         return "QQ"

@@ -8,7 +8,9 @@
 Identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and must name ring variables.
 Parentheses nest at most :data:`MAX_NESTING` deep, so the recursive
 descent stays far from the interpreter's recursion limit, and an integer
-literal has at most :data:`MAX_DIGITS` digits past its leading zeros.
+literal has at most :data:`MAX_DIGITS` digits past its leading zeros.  An
+exponent past ``MAX_EXPONENT``, written or reached by a product or power,
+is a :class:`ParseError` at the last token of the factor that reached it.
 Whitespace is insignificant.  ``format_polynomial`` emits the canonical
 form (terms in descending graded-reverse-lex order) and parsing it back
 reproduces the polynomial bit for bit.
@@ -34,10 +36,9 @@ bad text raises on every call.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 
-from .fields import Field, FieldError, RationalField
+from .fields import FieldError
 from .poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing
 
 # deepest parenthesis nesting accepted; each level takes four parser frames
@@ -159,7 +160,8 @@ class _Parser:
                     e = exp[slot] + k
                     # a zero product absorbs every later factor unchecked
                     if e > MAX_EXPONENT and coef:
-                        raise ExponentOverflow(f"exponent {e} exceeds {MAX_EXPONENT}")
+                        pos = self.toks[self.i - 1][2]
+                        raise self.error(f"exponent {e} exceeds {MAX_EXPONENT}", pos)
                     exp[slot] = e
             if self.toks[self.i][1] != "*":
                 break
@@ -241,23 +243,14 @@ class _Parser:
 @lru_cache(maxsize=256)
 def parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     parser = _Parser(text, ring)
-    terms = parser.parse_expr()
+    try:
+        terms = parser.parse_expr()
+    except ExponentOverflow as err:  # a product or power of parenthesized factors
+        raise parser.error(str(err), parser.toks[parser.i - 1][2]) from None
     kind, rest, pos = parser.toks[parser.i]
     if kind != "eof":
         raise parser.error(f"trailing input {rest!r}", pos)
     return Polynomial(ring, terms)
-
-
-def _is_negative(field: Field, c) -> bool:
-    if isinstance(field, RationalField):
-        return Fraction(c) < 0
-    return False
-
-
-def _magnitude(field: Field, c) -> str:
-    if isinstance(field, RationalField):
-        return field.to_str(abs(Fraction(c)))
-    return field.to_str(c)
 
 
 def format_polynomial(p: Polynomial) -> str:
@@ -271,12 +264,12 @@ def format_polynomial(p: Polynomial) -> str:
         mono = "*".join(
             f"{name}^{k}" if k > 1 else name for name, k in zip(names, exp) if k
         )
-        mag = _magnitude(field, c)
+        mag = field.to_str(abs(c))
         if mono:
             body = mono if mag == "1" else f"{mag}*{mono}"
         else:
             body = mag
-        parts.append(("-" if _is_negative(field, c) else "+", body))
+        parts.append(("-" if c < 0 else "+", body))
     sign, body = parts[0]
     out = ("-" if sign == "-" else "") + body
     for sign, body in parts[1:]:

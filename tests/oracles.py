@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heappop, heappush
 from operator import add, sub
 
@@ -25,7 +26,7 @@ from flatspan.cancellation import (
     cut_value,
 )
 from flatspan.contraction import ContractedChart, ContractionError, _weight_images
-from flatspan.fields import FieldError
+from flatspan.fields import FieldError, RationalField
 from flatspan.groebner import (
     DivisorTable,
     eliminate,
@@ -37,7 +38,7 @@ from flatspan.groebner import (
 )
 from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
 from flatspan.orders import GrevLex, MonomialOrder, exp_divides, fiber_order
-from flatspan.poly import MAX_EXPONENT, Polynomial, PolynomialRing, RingMismatch, companion_name, fresh_name
+from flatspan.poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing, RingMismatch, companion_name, fresh_name
 from flatspan.polyparse import MAX_NESTING, ParseError
 from flatspan.schemes import affine_line, localize, product, strip_coordinates
 from flatspan.spans import (
@@ -56,6 +57,50 @@ from flatspan.spans import (
     rebuild_piece,
     simplify_piece,
 )
+
+
+class FractionQQ(RationalField):
+    """QQ with every element a ``Fraction``, integral or not: the
+    reference for :class:`RationalField`'s int-when-integral form, which
+    must give the same values, terms, text and budget steps.  It equals
+    ``QQ``, so its rings compare equal to QQ's."""
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if a == 0:
+            raise FieldError("division by zero in QQ")
+        return 1 / Fraction(a)
+
+    def from_int(self, n: int):
+        return Fraction(n)
+
+    def from_fraction(self, num: int, den: int):
+        if den == 0:
+            raise FieldError("zero denominator")
+        return Fraction(num, den)
+
+    def to_str(self, a) -> str:
+        a = Fraction(a)
+        if a.denominator == 1:
+            return str(a.numerator)
+        return f"{a.numerator}/{a.denominator}"
+
+
+def is_canonical_qq(c) -> bool:
+    """Whether ``c`` is a QQ element in canonical form: an ``int`` exactly
+    when it is integral, a ``Fraction`` otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def exp_lcm(a, b) -> tuple[int, ...]:
@@ -751,7 +796,11 @@ class _Parser:
 def reference_parse_polynomial(text: str, ring: PolynomialRing) -> Polynomial:
     toks = _tokenize(text)
     parser = _Parser(toks, ring)
-    p = parser.parse_expr()
+    try:
+        p = parser.parse_expr()
+    except ExponentOverflow as err:
+        last = toks[parser.i - 1]
+        raise ParseError(str(err), last.line, last.col) from None
     t = parser.peek()
     if t.kind != "eof":
         raise ParseError(f"trailing input {t.text!r}", t.line, t.col)

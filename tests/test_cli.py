@@ -536,6 +536,7 @@ def test_recheck_reports_a_deeply_nested_certificate_polynomial(capsys, tmp_path
 
 
 LONG = "7" * 5000  # past the interpreter's 4300-digit limit for int()
+OVERFLOW = "x^2147483647*x"  # every exponent in range, their product past the cap
 
 
 @pytest.mark.parametrize(
@@ -543,8 +544,9 @@ LONG = "7" * 5000  # past the interpreter's 4300-digit limit for int()
     [
         ("rels x - " + LONG, "integer literal longer than 4300 digits"),
         ("rels x^" + LONG, f"exponent {LONG} exceeds 2147483647"),
+        (f"rels t*t_inv - 1 + {OVERFLOW}", "exponent 2147483648 exceeds 2147483647"),
     ],
-    ids=["literal", "exponent"],
+    ids=["literal", "exponent", "overflow"],
 )
 def test_an_overlong_integer_in_a_document_is_an_input_error(capsys, tmp_path, new, message):
     doc = tmp_path / "long.fsw"
@@ -564,6 +566,14 @@ def test_an_overlong_integer_in_a_flag_is_an_input_error(capsys):
     assert err == f"error: bad polynomial {f!r}: integer literal longer than 4300 digits\n"
 
 
+def test_an_exponent_overflow_in_a_flag_is_an_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--workspace", workspace("valuation-bounds"), "--corr", "Z", "--f", OVERFLOW
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: bad polynomial {OVERFLOW!r}: exponent 2147483648 exceeds 2147483647\n"
+
+
 def test_recheck_of_a_report_with_an_overlong_integer_is_an_input_error(capsys, tmp_path):
     _, payload, out = structured(capsys, tmp_path, "span-algebra")
     text = json.dumps(payload).replace('"exit_code": 0', '"exit_code": ' + LONG, 1)
@@ -580,6 +590,17 @@ def test_recheck_names_an_overlong_integer_in_a_certificate_polynomial(capsys, t
     assert (code, err) == (1, "")
     assert "b1: certificate could not be rebuilt: stored polynomial" in text
     assert "integer literal longer than 4300 digits" in text and "agree" not in text
+
+
+def test_recheck_names_an_exponent_overflow_in_a_certificate_polynomial(capsys, tmp_path):
+    _, payload, out = structured(capsys, tmp_path, "valuation-bounds")
+    payload["reports"][0]["certificates"][0]["outcome"]["pieces"][0]["basis"][0] = OVERFLOW
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("valuation-bounds"), "--recheck", str(out))
+    assert (code, err) == (1, "")
+    assert "b1: certificate could not be rebuilt: stored polynomial" in text
+    assert "exponent 2147483648 exceeds 2147483647 (line 1, col 14)" in text
+    assert "agree" not in text
 
 
 def test_recheck_of_malformed_report_is_an_input_error(capsys, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flatspan.fields import GF, QQ
-from flatspan.poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing
+from flatspan.poly import MAX_EXPONENT, Polynomial, PolynomialRing
 from flatspan.polyparse import (
     MAX_DIGITS,
     MAX_NESTING,
@@ -77,6 +77,23 @@ def test_integer_literals_are_bounded_at_a_stated_length():
         parse_polynomial("y*x^" + long, R2)
     assert (info.value.message, info.value.col) == (f"exponent {long} exceeds {MAX_EXPONENT}", 5)
     assert parse_polynomial("x^" + "0" * MAX_DIGITS + "3", R2) == R2.var("x") ** 3
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("y*x^2147483647*x", 16),  # the literal product: at the factor that overflows
+        ("x*(x^2147483647 + y)", 20),  # a parenthesized product: at its closing parenthesis
+        ("(x*y)^2147483647*\n  (x + 1)", 9),  # the same across lines: line 2
+        ("(x^2)^2147483647", 7),  # a power: at its exponent
+    ],
+)
+def test_an_exponent_overflow_is_a_positioned_parse_error(text, col):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, R2)
+    assert info.value.message.startswith("exponent ")
+    assert info.value.message.endswith(f" exceeds {MAX_EXPONENT}")
+    assert (info.value.line, info.value.col) == (text.count("\n") + 1, col)
 
 
 def test_long_sums_parse_in_linear_time():
@@ -176,8 +193,6 @@ def _outcome(parse, text, ring):
         p = parse(text, ring)
     except ParseError as err:
         return ParseError, err.message, err.line, err.col
-    except ExponentOverflow as err:
-        return ExponentOverflow, str(err)
     return p.ring, [(e, type(c), c) for e, c in p.terms().items()]
 
 

@@ -1,8 +1,8 @@
 """The benchmark's tracer names program functions and budget phases; keep
 them in step with the program.  The program's modules import in layers, use
 every name they import and share private names only where listed, the
-grammar document's command table is the program's, and every memo is
-bounded."""
+grammar document's command table is the program's, every memo is bounded
+and only ``fields`` imports ``fractions``."""
 
 from __future__ import annotations
 
@@ -252,6 +252,20 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{module}: {name}")
     assert not unused
+
+
+def test_only_the_fields_module_imports_fractions():
+    """``fields`` is the one home of ``Fraction``: every other module
+    handles QQ elements through the field object, so none depends on how
+    they are stored."""
+    importers = [
+        module
+        for module, tree in _library_trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    ]
+    assert importers == ["fields"]
 
 
 # private names one module of ``src/flatspan`` imports from another; each
