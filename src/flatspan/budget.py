@@ -1,15 +1,22 @@
-"""Step budgets for potentially explosive computations.
+"""Step budgets, and the two exception types that are not bugs.
 
 Every leading-term cancellation in the division algorithm and every S-pair
 formed costs one step, charged under its phase; minor expansions in
 determinant work are charged here too.  Exhausting a budget raises
-:class:`BudgetExhausted`, which names the phase, and callers surface that
-as an inconclusive outcome rather than an answer.
+:class:`BudgetExhausted`, which names the phase: an inconclusive verdict,
+exit code 3.  Bad input of any kind raises an :class:`InputError`: an error
+verdict, or exit code 2.  Any other exception is a bug and a traceback,
+whatever status the process exits with.
 """
 
 from __future__ import annotations
 
 DEFAULT_STEPS = 10**6
+
+
+class InputError(ValueError):
+    """A document, request, flag, polynomial text or stored report that
+    cannot be handled as given, or an exponent past the cap."""
 
 
 class BudgetExhausted(RuntimeError):

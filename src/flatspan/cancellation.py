@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
-from .budget import Budget
+from .budget import Budget, InputError
 from .fields import QQ, field_name
 from .groebner import (
     DivisorTable,
@@ -52,7 +52,6 @@ from .schemes import (
 )
 from .spans import (
     Correspondence,
-    SpanError,
     SpanPiece,
     _canonical,
     _pieces_equal,
@@ -69,7 +68,7 @@ from .spans import (
 )
 
 
-class CancellationError(Exception):
+class CancellationError(InputError):
     """A family/bound operation received an input it cannot handle."""
 
 
@@ -88,7 +87,7 @@ def cut_value(n: int, sign: str, main: Polynomial, aux: Polynomial | None = None
     source and target torus coordinates; the minus cut needs both.
     """
     if n < 1:
-        raise ValueError("cut exponent must be at least 1")
+        raise InputError("cut exponent must be at least 1")
     if sign == "+":
         return main**n + main.ring.one()
     if sign == "-":
@@ -292,7 +291,7 @@ def shifted_slice(
 ) -> SliceReport:
     """Slice along ``1 - t**n * (f1 * t**a + f2 * t**b)``."""
     if a < 0 or b < 0:
-        raise ValueError("shift exponents must be nonnegative")
+        raise InputError("shift exponents must be nonnegative")
     piece = _single_piece(alpha, "slicing")
     t_img = piece.src(detect_torus_coordinate(alpha.source))
     return slice_locus(alpha, f1 * t_img**a + f2 * t_img**b, n, budget=budget)
@@ -442,8 +441,6 @@ def restrict_parameter(corr: Correspondence, name: str, value) -> Correspondence
     source = corr.source
     if name not in source.ring.names:
         raise CancellationError(f"{name!r} is not a source coordinate")
-    field = source.ring.field
-    c = field.from_int(value) if isinstance(value, int) else value
     new_source = strip_coordinates(source, [name])
     pieces = []
     for piece in corr.pieces:
@@ -459,7 +456,7 @@ def restrict_parameter(corr: Correspondence, name: str, value) -> Correspondence
             )
         small = piece.ring.drop([pvar])
         pieces.append(
-            rebuild_piece(piece, small, {pvar: small.const(c)}, new_source, corr.target)
+            rebuild_piece(piece, small, {pvar: small.const(value)}, new_source, corr.target)
         )
     return Correspondence(new_source, corr.target, tuple(pieces))
 
@@ -526,7 +523,7 @@ def filtration_index(
     by the (unit) target coordinate to reach the same shape.
     """
     if window < 1:
-        raise ValueError("window must be at least 1")
+        raise InputError("window must be at least 1")
     budget = budget or Budget()
     _certified(alpha, budget, "filtration search")
     decided: dict[tuple[int, int, str], FiltrationEntry] = {}
@@ -596,11 +593,8 @@ def _collapsed_equal(
         return False, "the two sides have different feet"
     _single_piece(left, "naturality comparison")
     _single_piece(right, "naturality comparison")
-    try:
-        lp = collapse_variables(left, [left_collapse], budget=budget).pieces[0]
-        rp = collapse_variables(right, [right_collapse], budget=budget).pieces[0]
-    except SpanError as err:
-        raise CancellationError(str(err)) from err
+    lp = collapse_variables(left, [left_collapse], budget=budget).pieces[0]
+    rp = collapse_variables(right, [right_collapse], budget=budget).pieces[0]
     if _pieces_equal(_canonical(lp, lp.ring, {}, budget), rp, budget):
         return True, ""
     return False, "canonical presentations differ"

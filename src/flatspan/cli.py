@@ -16,7 +16,11 @@ level verifier needs no workspace at all:
 
 Exit codes depend on the verdict only: 0 pass, 1 fail, 2 input error,
 3 inconclusive (budget exhausted or no certificate either way).  A batch
-run exits with the numerically largest code among its reports.
+run exits with the numerically largest code among its reports.  A check
+that raises :class:`~flatspan.budget.BudgetExhausted` is inconclusive and
+one that raises :class:`~flatspan.budget.InputError` is an error; outside a
+check, an ``InputError`` or ``OSError`` exits 2.  Any other exception is a
+bug and a traceback, whatever status the process exits with.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ import sys
 import time
 from pathlib import Path
 
-from .budget import DEFAULT_STEPS, Budget, BudgetExhausted
+from .budget import DEFAULT_STEPS, Budget, BudgetExhausted, InputError
 from .cancellation import (
-    CancellationError,
     _bound_from_values,
     cancel_family,
     cancel_slice,
@@ -40,18 +43,15 @@ from .cancellation import (
     verify_compat,
 )
 from .contraction import (
-    ContractionError,
     contract,
     standard_contraction_data,
     verify_contraction_endpoints,
 )
-from .fields import FieldError, field_from_name
-from .poly import ExponentOverflow
-from .polyparse import ParseError, format_polynomial, parse_polynomial
+from .fields import field_from_name
+from .polyparse import format_polynomial, parse_polynomial
 from .reports import (
     COMMANDS,
     Report,
-    ReportError,
     bound_block,
     correspondence_to_json,
     envelope_json,
@@ -62,7 +62,6 @@ from .reports import (
     render_text,
 )
 from .spans import (
-    SpanError,
     add,
     certify_finite_flat,
     compose,
@@ -77,19 +76,6 @@ from .workspace import (
     parse_workspace,
     print_workspace,
 )
-
-# exceptions that indicate a bad request rather than a failed check
-USER_ERRORS = (
-    WorkspaceError,
-    SpanError,
-    CancellationError,
-    ContractionError,
-    ParseError,
-    FieldError,
-    ValueError,
-    ExponentOverflow,
-)
-
 
 def _span(doc: WorkspaceDocument, req: CheckRequest, index: int):
     return doc.spans[req.operands[index]]
@@ -385,14 +371,14 @@ def execute_check(
     req: CheckRequest,
     budget_limit: int = DEFAULT_STEPS,
 ) -> Report:
-    """Run one request against a workspace; exceptions become verdicts."""
+    """Run one request; a spent budget or an :class:`InputError` is a verdict."""
     start = time.perf_counter()
     budget = Budget(budget_limit)
     try:
         verdict, detail, data, certificates = HANDLERS[req.command](doc, req, budget)
     except BudgetExhausted as err:
         verdict, detail, data, certificates = "inconclusive", str(err), {}, []
-    except USER_ERRORS as err:
+    except InputError as err:
         verdict, detail, data, certificates = "error", str(err), {}, []
     elapsed = int((time.perf_counter() - start) * 1000)
     return Report(
@@ -549,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _run_batch(args)
         return _run_single(args)
-    except (WorkspaceError, ReportError, FieldError, OSError) as err:
+    except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

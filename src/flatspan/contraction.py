@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import reduce
 
-from .budget import Budget
+from .budget import Budget, InputError
 from .fields import QQ, Field
 from .groebner import (
     DivisorTable,
@@ -51,7 +51,7 @@ from .spans import (
 )
 
 
-class ContractionError(Exception):
+class ContractionError(InputError):
     pass
 
 

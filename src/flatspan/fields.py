@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .budget import InputError
 
-class FieldError(ValueError):
+
+class FieldError(InputError):
     pass
 
 

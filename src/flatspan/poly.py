@@ -18,6 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 from typing import Iterable, Mapping
 
+from .budget import InputError
 from .fields import Field
 from .orders import GrevLex
 
@@ -26,7 +27,7 @@ MAX_EXPONENT = 2**31 - 1
 INVERSE_SUFFIX = "_inv"
 
 
-class ExponentOverflow(OverflowError):
+class ExponentOverflow(InputError):
     pass
 
 
@@ -60,10 +61,9 @@ class PolynomialRing:
         return len(self.names)
 
     def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise RingMismatch(f"{name!r} is not a variable of {self.names}") from None
+        if name not in self.names:
+            raise RingMismatch(f"{name!r} is not a variable of {self.names}")
+        return self.names.index(name)
 
     def zero(self) -> Polynomial:
         return Polynomial(self, {})
@@ -72,7 +72,8 @@ class PolynomialRing:
         return self.const(1)
 
     def const(self, c) -> Polynomial:
-        cv = self.field.from_int(c) if isinstance(c, int) else c
+        """``c``, an int or a field element, in the field's canonical form."""
+        cv = self.field.add(self.field.zero, c)
         if not cv:
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * self.nvars: cv})
@@ -223,7 +224,7 @@ class Polynomial:
 
     def __pow__(self, k: int) -> Polynomial:
         if k < 0:
-            raise ValueError("negative power; use the companion of an inverted name")
+            raise InputError("negative power; use the companion of an inverted name")
         result = self.ring.one()
         base = self
         while k:

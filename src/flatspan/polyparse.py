@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
+from .budget import InputError
 from .fields import FieldError
 from .poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing
 
@@ -49,7 +50,7 @@ MAX_DIGITS = 4300
 _EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, line: int = 1, col: int = 1):
         super().__init__(f"{message} (line {line}, col {col})")
         self.message = message

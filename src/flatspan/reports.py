@@ -6,6 +6,10 @@ data — presentations, Groebner bases, staircases, multiplication
 matrices — so that ``recheck`` can confirm them later without running
 the original pipeline again: stored bases are validated by S-pair
 reduction rather than recomputed from scratch.
+
+Recheck reads each stored request, result and certificate block once
+through :func:`_read`, which makes a malformed one a :class:`ReportError`
+and so a finding; an exception out of a check is a bug.
 """
 
 from __future__ import annotations
@@ -16,13 +20,13 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 from . import __version__
-from .budget import DEFAULT_STEPS, Budget
+from .budget import DEFAULT_STEPS, Budget, InputError
 from .fields import field_from_name, field_name
 from .modules import CertifyOutcome, PieceCertificate
 from .poly import Polynomial, PolynomialRing, laurent_valuation
 from .polyparse import ParseError, format_polynomial, parse_polynomial
 from .schemes import AffineScheme
-from .spans import Correspondence, SpanError, make_piece, recheck_certificate
+from .spans import Correspondence, make_piece, recheck_certificate
 
 SCHEMA_VERSION = 1
 VERDICTS = ("pass", "fail", "inconclusive", "error")
@@ -33,12 +37,8 @@ def input_digest(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class ReportError(Exception):
-    pass
-
-
-# what a malformed stored envelope raises while it is rebuilt
-_MALFORMED = (ReportError, KeyError, ValueError, TypeError, AttributeError, SpanError)
+class ReportError(InputError):
+    """A stored envelope, or a part of one, that cannot be read."""
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +106,12 @@ def correspondence_from_json(data: dict) -> Correspondence:
     pieces = []
     for raw in data["pieces"]:
         ring = ring_from_json(raw["ring"])
+        if ring.field != source.field:
+            raise ReportError("stored span has rings over different fields")
         relations = [_poly(t, ring) for t in raw["relations"]]
         src = {k: _poly(v, ring) for k, v in raw["source"].items()}
         tgt = {k: _poly(v, ring) for k, v in raw["target"].items()}
-        try:
-            pieces.append(make_piece(ring, relations, src, tgt, source, target))
-        except (SpanError, KeyError) as err:
-            raise ReportError(f"stored piece is malformed: {err}") from err
+        pieces.append(make_piece(ring, relations, src, tgt, source, target))
     return Correspondence(source, target, tuple(pieces))
 
 
@@ -320,113 +319,143 @@ def render_text(report: Report) -> str:
 # re-checking stored envelopes
 
 
-def _structural(payload: dict, messages: list[str]) -> bool:
-    ok = True
-    for key in ("tool", "version", "schema_version", "input_digest", "exit_code", "reports"):
-        if key not in payload:
-            messages.append(f"envelope is missing {key!r}")
-            ok = False
-    if payload.get("tool") not in (None, "flatspan"):
-        messages.append(f"envelope was written by {payload.get('tool')!r}")
-        ok = False
-    if payload.get("schema_version") not in (None, SCHEMA_VERSION):
-        messages.append(
-            f"schema version {payload.get('schema_version')!r} is not {SCHEMA_VERSION}"
-        )
-        ok = False
-    return ok
+def _read(reader, data):
+    """``reader(data)``, where anything that malformed stored ``data`` makes
+    the reader raise becomes a :class:`ReportError` with its message."""
+    try:
+        return reader(data)
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise ReportError(str(err)) from err
 
 
-def _recheck_block(block: dict, limit: int, messages: list[str], where: str) -> bool:
-    if not isinstance(block, dict):
-        messages.append(f"{where}: certificate block {block!r} is not an object")
-        return False
-    budget = Budget(limit)
-    kind = block.get("kind")
-    if kind == "finite-flat":
-        corr = correspondence_from_json(block["span"])
-        outcome = outcome_from_json(block["outcome"])
-        if not recheck_certificate(corr, outcome, budget=budget):
-            messages.append(f"{where}: stored finite-flat certificate fails re-validation")
-            return False
-        return True
-    if kind == "valuation-bound":
-        tvar = block["torus_var"]
-        if not block["entries"]:
-            if block["bound"] != 0:
-                messages.append(f"{where}: empty valuation table cannot force a bound")
-                return False
-            return True
+def request_from_json(report: dict) -> tuple[str, str]:
+    """A stored report's command and the check line its request makes."""
+    request, command = report["request"], report["command"]
+    line = check_line(report["name"], command, request["operands"], request["args"].items())
+    return command, line
+
+
+class BoundBlock(NamedTuple):
+    """A valuation-bound block read back: its torus variable, its bound and
+    each entry's label, row and column, value and claimed valuation."""
+
+    torus_var: str
+    bound: object
+    entries: tuple[tuple[tuple, Polynomial, object], ...]
+
+
+def bound_from_json(block: dict) -> BoundBlock:
+    """Entries must be nonzero polynomials of the block's ring and the torus
+    variable an inverted variable of it, or no valuation is defined."""
+    tvar, entries = block["torus_var"], []
+    if block["entries"]:
         ring = ring_from_json(block["ring"])
-        worst = 0
+        if tvar not in ring.inverted:
+            raise ReportError(f"torus variable {tvar!r} is not an inverted variable of the ring")
         for entry in block["entries"]:
+            at = (entry["label"], entry["row"], entry["col"])
             value = _poly(entry["value"], ring)
-            val = laurent_valuation(value, tvar)
-            if val != entry["valuation"]:
-                messages.append(
-                    f"{where}: entry {entry['label']}[{entry['row']},{entry['col']}] "
-                    f"claims valuation {entry['valuation']}, recomputed {val}"
-                )
-                return False
-            worst = min(worst, val)
-        if block["bound"] != max(0, -worst):
-            messages.append(
-                f"{where}: stored bound {block['bound']} disagrees with entries"
-            )
-            return False
-        return True
-    messages.append(f"{where}: unknown certificate kind {kind!r}")
-    return False
+            if value.is_zero():
+                raise ReportError("entry {}[{},{}] is zero".format(*at))
+            entries.append((at, value, entry["valuation"]))
+    return BoundBlock(tvar, block["bound"], tuple(entries))
+
+
+def block_from_json(block: dict):
+    """A finite-flat block as its span and outcome, or a valuation bound."""
+    if block["kind"] == "finite-flat":
+        return correspondence_from_json(block["span"]), outcome_from_json(block["outcome"])
+    return bound_from_json(block)
+
+
+def _block_finding(kind: str, block, limit: int) -> str | None:
+    """Why a block read back does not recheck within ``limit`` steps, or None."""
+    if kind == "finite-flat":
+        if recheck_certificate(*block, budget=Budget(limit)):
+            return None
+        return "stored finite-flat certificate fails re-validation"
+    if not block.entries:
+        return None if block.bound == 0 else "empty valuation table cannot force a bound"
+    worst = 0
+    for at, value, claimed in block.entries:
+        val = laurent_valuation(value, block.torus_var)
+        if val != claimed:
+            return "entry {}[{},{}] claims valuation {}, recomputed {}".format(*at, claimed, val)
+        worst = min(worst, val)
+    if block.bound != max(0, -worst):
+        return f"stored bound {block.bound} disagrees with entries"
+    return None
 
 
 # report data keys that restate a certificate: the block kind, and how to
 # read the same value off such a block
 _CLAIMS = {
-    "rank": ("finite-flat", lambda block: block["outcome"]["rank"]),
-    "degree": ("finite-flat", lambda block: block["outcome"]["rank"]),
-    "bound": ("valuation-bound", lambda block: block["bound"]),
+    "rank": ("finite-flat", lambda block: block[1].rank),
+    "degree": ("finite-flat", lambda block: block[1].rank),
+    "bound": ("valuation-bound", lambda block: block.bound),
 }
 
 
-def _claims_hold(
-    command: str, data: dict, certificates: list, messages: list[str], where: str
-) -> bool:
+def _claim_findings(command: str, data: dict, blocks: list) -> list[str]:
     """A pass report must carry a certificate of a kind its command's
     ``carries`` names.  Its rank, degree or bound must equal that of every
-    certificate of the matching kind it carries, and it must carry one."""
-    ok = True
+    certificate of the matching kind it carries, and it must carry one.
+    ``blocks`` pairs each block's kind with the block read back."""
+    findings = []
     needed = COMMANDS[command].carries
-    if needed and not any(isinstance(b, dict) and b.get("kind") in needed for b in certificates):
-        messages.append(f"{where}: a {command} pass carries no {' or '.join(needed)} certificate")
-        ok = False
+    if needed and not any(kind in needed for kind, _ in blocks):
+        findings.append(f"a {command} pass carries no {' or '.join(needed)} certificate")
     for key, (kind, carried) in _CLAIMS.items():
         if key not in data:
             continue
-        blocks = [b for b in certificates if isinstance(b, dict) and b.get("kind") == kind]
-        try:
-            values = [carried(block) for block in blocks]
-        except _MALFORMED:
-            continue  # the block's own recheck reports it
+        values = [carried(block) for k, block in blocks if k == kind]
         if not values or any(v != data[key] for v in values):
-            messages.append(f"{where}: claims {key} {data[key]!r}; {kind} certificates: {values}")
-            ok = False
-    return ok
+            findings.append(f"claims {key} {data[key]!r}; {kind} certificates: {values}")
+    return findings
 
 
-def _unanswered(report: dict, lines: set[str] | None) -> str | None:
-    """Why ``report`` answers no check, or None.  Its command must be a row
-    of :data:`COMMANDS` and, given the workspace's canonical lines, its
-    check line must be one of them."""
-    request, command = report.get("request"), report.get("command")
+def _report_findings(report: dict, lines: set[str] | None, limit: int) -> list[str]:
+    """Why a stored report with a known verdict disagrees, or nothing.  It
+    must answer a check, its result and certificate blocks must read back,
+    each block must recheck under ``limit`` steps, and a pass's claims
+    must hold of its blocks (compared only when all of them read back)."""
     try:
-        line = check_line(report.get("name"), command, request["operands"], request["args"].items())
-    except (TypeError, KeyError, AttributeError):
-        return f"request {request!r} is malformed"
+        command, line = _read(request_from_json, report)
+    except ReportError:
+        return [f"request {report.get('request')!r} is malformed"]
     if command not in COMMANDS:
-        return f"unknown command {command!r}"
+        return [f"unknown command {command!r}"]
     if lines is not None and line not in lines:
-        return "answers no check of the workspace"
-    return None
+        return ["answers no check of the workspace"]
+    data, certificates = report.get("data", {}), report.get("certificates", [])
+    if not isinstance(data, dict) or not isinstance(certificates, list):
+        return ["'data' is not an object or 'certificates' is not a list"]
+    findings, blocks = [], []
+    if isinstance(data.get("result"), dict):
+        try:
+            _read(correspondence_from_json, data["result"])
+        except ReportError as err:
+            findings.append(f"stored result is not a valid presentation: {err}")
+    for block in certificates:
+        if not isinstance(block, dict):
+            findings.append(f"certificate block {block!r} is not an object")
+            continue
+        kind = block.get("kind")
+        if kind not in ("finite-flat", "valuation-bound"):
+            findings.append(f"unknown certificate kind {kind!r}")
+            continue
+        try:
+            read = _read(block_from_json, block)
+        except ReportError as err:
+            findings.append(f"certificate could not be rebuilt: {err}")
+            continue
+        finding = _block_finding(kind, read, limit)
+        if finding:
+            findings.append(finding)
+        blocks.append((kind, read))
+    if report["verdict"] == "pass" and len(blocks) == len(certificates):
+        findings += _claim_findings(command, data, blocks)
+    return findings
 
 
 def recheck_envelope(
@@ -445,8 +474,14 @@ def recheck_envelope(
     certificates carry.  Returns overall agreement plus human-readable
     findings; a budget that runs out raises :class:`BudgetExhausted`.
     """
-    messages: list[str] = []
-    ok = _structural(payload, messages)
+    keys = ("tool", "version", "schema_version", "input_digest", "exit_code", "reports")
+    messages = [f"envelope is missing {key!r}" for key in keys if key not in payload]
+    if payload.get("tool") not in (None, "flatspan"):
+        messages.append(f"envelope was written by {payload.get('tool')!r}")
+    if payload.get("schema_version") not in (None, SCHEMA_VERSION):
+        messages.append(
+            f"schema version {payload.get('schema_version')!r} is not {SCHEMA_VERSION}"
+        )
     lines = None if workspace_text is None else set(workspace_text.splitlines())
     if workspace_text is not None and "input_digest" in payload:
         expected = input_digest(workspace_text)
@@ -455,22 +490,19 @@ def recheck_envelope(
                 "input digest does not match the workspace "
                 f"({payload['input_digest']} vs {expected})"
             )
-            ok = False
     reports = payload.get("reports", [])
     if not isinstance(reports, list):
         messages.append("envelope 'reports' is not a list")
-        ok, reports = False, []
+        reports = []
     codes = []
     for index, report in enumerate(reports):
         if not isinstance(report, dict):
             messages.append(f"report {index} is not an object")
-            ok = False
             continue
         where = report.get("name") or f"report {index}"
         verdict = report.get("verdict")
         if verdict not in VERDICTS:
             messages.append(f"{where}: unknown verdict {verdict!r}")
-            ok = False
             continue
         codes.append(EXIT_CODES[verdict])
         if report.get("exit_code") != EXIT_CODES[verdict]:
@@ -478,42 +510,13 @@ def recheck_envelope(
                 f"{where}: exit code {report.get('exit_code')} does not follow "
                 f"from verdict {verdict!r}"
             )
-            ok = False
-        unanswered = _unanswered(report, lines)
-        if unanswered:
-            messages.append(f"{where}: {unanswered}")
-            ok = False
-            continue
-        data = report.get("data", {})
-        certificates = report.get("certificates", [])
-        if not isinstance(data, dict) or not isinstance(certificates, list):
-            messages.append(f"{where}: 'data' is not an object or 'certificates' is not a list")
-            ok = False
-            continue
-        result = data.get("result")
-        if isinstance(result, dict):
-            try:
-                correspondence_from_json(result)
-            except _MALFORMED as err:
-                messages.append(f"{where}: stored result is not a valid presentation: {err}")
-                ok = False
-        for block in certificates:
-            try:
-                if not _recheck_block(block, budget_limit, messages, where):
-                    ok = False
-            except _MALFORMED as err:
-                messages.append(f"{where}: certificate could not be rebuilt: {err}")
-                ok = False
-        if verdict == "pass" and not _claims_hold(
-            report["command"], data, certificates, messages, where
-        ):
-            ok = False
+        findings = _report_findings(report, lines, budget_limit)
+        messages += [f"{where}: {finding}" for finding in findings]
     if "exit_code" in payload and codes and payload["exit_code"] != max(codes):
         messages.append("envelope exit code does not match its reports")
-        ok = False
-    if ok:
-        messages.append(f"recheck: {len(reports)} report(s) agree")
-    return ok, messages
+    if messages:
+        return False, messages
+    return True, [f"recheck: {len(reports)} report(s) agree"]
 
 
 def load_envelope(text: str) -> dict:

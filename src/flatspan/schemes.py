@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .budget import InputError
 from .fields import Field
 from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
 
@@ -51,7 +52,7 @@ def product(left: AffineScheme, right: AffineScheme) -> AffineScheme:
         raise ValueError("cannot form a product over different fields")
     clash = set(left.ring.names) & set(right.ring.names)
     if clash:
-        raise ValueError(f"product factors share variable names {sorted(clash)}")
+        raise InputError(f"product factors share variable names {sorted(clash)}")
     ring = left.ring.extend(right.ring.names, right.ring.inverted)
     rels = tuple(r.map_ring(ring) for r in left.relations) + tuple(
         r.map_ring(ring) for r in right.relations
@@ -62,7 +63,7 @@ def product(left: AffineScheme, right: AffineScheme) -> AffineScheme:
 def torus_power(field: Field, n: int) -> AffineScheme:
     """(A1 minus 0)^n with coordinates t1..tN."""
     if n < 1:
-        raise ValueError(f"torus^{n} needs at least one factor")
+        raise InputError(f"torus^{n} needs at least one factor")
     coords = [f"t{i}" for i in range(1, n + 1)]
     names = tuple(name for v in coords for name in (v, companion_name(v)))
     ring = PolynomialRing(field, names, frozenset(coords))
@@ -118,7 +119,7 @@ def detect_torus_coordinate(scheme: AffineScheme) -> str:
     """The unique inverted coordinate of a scheme, when unambiguous."""
     marked = sorted(scheme.ring.inverted)
     if len(marked) != 1:
-        raise ValueError(
+        raise InputError(
             f"scheme has {len(marked)} inverted coordinates {marked}; expected exactly one"
         )
     return marked[0]

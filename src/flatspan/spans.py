@@ -21,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
-from .budget import Budget
+from .budget import Budget, InputError
 from .groebner import DivisorTable, elimination_basis, groebner_basis, spolynomial_pairs_reduce
 from .modules import (
     CertifyOutcome,
@@ -36,7 +36,7 @@ from .schemes import AffineScheme, localize
 from .schemes import product as scheme_product
 
 
-class SpanError(Exception):
+class SpanError(InputError):
     pass
 
 

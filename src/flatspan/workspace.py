@@ -37,15 +37,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
+from .budget import InputError
 from .fields import Field, FieldError, field_from_name
 from .poly import PolynomialRing, companion_name
-from .polyparse import ParseError, format_polynomial, parse_polynomial
+from .polyparse import MAX_DIGITS, ParseError, format_polynomial, parse_polynomial
 from .reports import COMMANDS, check_line
 from .schemes import AffineScheme, affine_line, point, product, torus, torus_power
 from .spans import Correspondence, SpanError, make_piece, validate_correspondence
 
 
-class WorkspaceError(Exception):
+class WorkspaceError(InputError):
     def __init__(self, message: str, line: int | None = None):
         self.message = message
         self.line = line
@@ -221,6 +222,10 @@ class _Parser:
         kind = parts[0]
         args = tuple(parts[1:])
         power = re.match(r"torus\^(\d+)$", kind)
+        if power and len(power.group(1)) > MAX_DIGITS:  # int() would refuse it
+            raise self.error(f"torus power longer than {MAX_DIGITS} digits", line)
+        if kind == "product" and len(args) == 2:
+            factors = [self.lookup_scheme(a, line) for a in args]
         try:
             if kind == "point" and not args:
                 built = point(field)
@@ -231,12 +236,13 @@ class _Parser:
             elif power and not args:
                 built = torus_power(field, int(power.group(1)))
             elif kind == "product" and len(args) == 2:
-                factors = [self.lookup_scheme(a, line) for a in args]
                 built = product(factors[0], factors[1])
             else:
-                raise self.error(f"unrecognized scheme form {rhs!r}", line)
-        except ValueError as err:
+                built = None
+        except InputError as err:
             raise self.error(str(err), line) from err
+        if built is None:
+            raise self.error(f"unrecognized scheme form {rhs!r}", line)
         self.scheme_decls.append(SchemeDecl(name, kind, args))
         self.schemes[name] = built
 
@@ -323,10 +329,7 @@ class _Parser:
         inverted = frozenset(
             v for v in names if companion_name(v) in names and not v.endswith("_inv")
         )
-        try:
-            ring = PolynomialRing(field, names, inverted)
-        except ValueError as err:
-            raise self.error(str(err), opened) from err
+        ring = PolynomialRing(field, names, inverted)
         relations = [_poly(text, ring, line) for line, text in rels_text]
         src = {key: _poly(text, ring, line) for line, key, text in src_text}
         tgt = {key: _poly(text, ring, line) for line, key, text in tgt_text}

@@ -1018,3 +1018,149 @@ def test_certified_blocks_have_their_rank_as_fiber_dimension(text):
             rank = outcome_from_json(block["outcome"]).rank
             for at in _source_points(corr.source):
                 assert fiber_dimension(corr, at) == rank, (name, at)
+
+
+# ---------------------------------------------------------------------------
+# exit codes follow exception types
+
+
+ERRORS_DOC = """workspace errors
+field QQ
+scheme L = line x
+scheme G = torus t
+scheme X = product L G
+scheme P = point
+span Z : X -> P {
+  piece {
+    vars x, t, t_inv
+    rels t*t_inv - 1
+    source x: x, t: t, t_inv: t_inv
+  }
+}
+span idg : G -> G {
+  piece {
+    vars t, t_inv
+    rels t*t_inv - 1
+    source t: t, t_inv: t_inv
+    target t: t, t_inv: t_inv
+  }
+}
+span zl : L -> P {
+  piece {
+    vars x, y
+    rels y^2 - x
+    source x: x
+  }
+}
+"""
+
+NO_TORUS = "scheme has 0 inverted coordinates []; expected exactly one"
+SHARED_NAMES = "product factors share variable names ['t', 't_inv']"
+
+
+@pytest.mark.parametrize(
+    "request_text, message",
+    [
+        ("slice Z f: x n: 2 f2: 1 a: -1", "shift exponents must be nonnegative"),
+        ("cancel-slice idg n: 0 sign: +", "cut exponent must be at least 1"),
+        ("cancel idg m: 0 n: 1 sign: +", "cut exponent must be at least 1"),
+        ("verify-cancellation n: 0", "cut exponent must be at least 1"),
+        ("slice Z f: x n: -3", "negative power; use the companion of an inverted name"),
+        ("filtration idg window: -2", "window must be at least 1"),
+        ("tensor idg idg", SHARED_NAMES),
+        ("verify-compat idg zl idg m: 1 n: 1 sign: +", SHARED_NAMES),
+        ("bound zl f: y", NO_TORUS),
+        ("cancel zl m: 1 n: 1 sign: +", NO_TORUS),
+        ("slice zl f: y n: 2", NO_TORUS),
+        ("filtration zl", NO_TORUS),
+        ("cancel-slice zl n: 2 sign: +", NO_TORUS),
+        ("compose Z idg", "composition needs left.target == right.source"),
+        ("contract zl", "contraction expects the span to target a punctured-line power"),
+    ],
+)
+def test_a_bad_request_is_an_error_report_and_the_batch_goes_on(
+    capsys, tmp_path, request_text, message
+):
+    """Each request raises an input error inside its handler: its report
+    says ``[error]`` with the error's message, the next check still runs,
+    and the batch exits 2."""
+    doc = tmp_path / "errors.fsw"
+    doc.write_text(ERRORS_DOC + f"check e = {request_text}\ncheck ok = certify idg\n", "utf-8")
+    code, out, err = run_cli(capsys, "run", str(doc))
+    head = " ".join(re.split(r" \w+: ", request_text)[0].split())
+    lines = [re.sub(r"\(\d+ ms\)$", "(ms)", line) for line in out.splitlines()]
+    assert (code, err) == (2, "")
+    assert lines[0] == f"[error] e {head} -- {message} (ms)"
+    assert lines[1].startswith("[pass] ok certify idg -- finite free of rank 1")
+
+
+def _raise_a_bug(*args, **kwargs):
+    raise ValueError("a library bug")
+
+
+def test_a_library_bug_in_a_check_propagates(monkeypatch):
+    """A builtin error out of a handler is a bug: it is raised, never an
+    error verdict with exit 2."""
+    import flatspan.cli
+
+    monkeypatch.setattr(flatspan.cli, "certify_finite_flat", _raise_a_bug)
+    with pytest.raises(ValueError, match="a library bug"):
+        main(["certify", "--workspace", workspace("span-algebra"), "--corr", "idg"])
+
+
+def test_a_library_bug_in_a_recheck_propagates(capsys, tmp_path, monkeypatch):
+    """A builtin error out of a certificate's recheck is a bug, never a
+    finding with exit 1."""
+    import flatspan.reports
+
+    _, _, out = structured(capsys, tmp_path, "span-algebra")
+    monkeypatch.setattr(flatspan.reports, "recheck_certificate", _raise_a_bug)
+    with pytest.raises(ValueError, match="a library bug"):
+        main(["run", workspace("span-algebra"), "--recheck", str(out)])
+
+
+def _zero_entry(block):
+    block["entries"][0].update(value="0", valuation=None)
+
+
+def _foreign_torus_variable(block):
+    block["torus_var"] = "u"
+
+
+def _piece_over_another_field(block):
+    block["span"]["pieces"][0]["ring"]["field"] = "Fp:5"
+
+
+@pytest.mark.parametrize(
+    "kind, tamper, message",
+    [
+        ("valuation-bound", _zero_entry, "entry f[0,0] is zero"),
+        (
+            "valuation-bound",
+            _foreign_torus_variable,
+            "torus variable 'u' is not an inverted variable of the ring",
+        ),
+        ("finite-flat", _piece_over_another_field, "stored span has rings over different fields"),
+    ],
+    ids=["zero-entry", "foreign-torus-variable", "piece-over-another-field"],
+)
+def test_recheck_names_a_block_it_cannot_read(capsys, tmp_path, kind, tamper, message):
+    """Each tamper leaves a block that no check could have written; recheck
+    names what is wrong with it and exits 1."""
+    _, payload, out = structured(capsys, tmp_path, "valuation-bounds")
+    [report] = [r for r in payload["reports"] if r["name"] == "b1"]
+    [block] = [b for b in report["certificates"] if b["kind"] == kind]
+    tamper(block)
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("valuation-bounds"), "--recheck", str(out))
+    assert (code, err) == (1, "")
+    assert text.splitlines() == [f"b1: certificate could not be rebuilt: {message}"]
+
+
+def test_a_torus_power_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
+    """The power is refused before ``int()``, which would raise a builtin
+    error on more than 4300 digits."""
+    doc = tmp_path / "power.fsw"
+    doc.write_text("field QQ\nscheme G = torus^" + LONG + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(doc))
+    assert (code, out, err) == (2, "", "error: line 2: torus power longer than 4300 digits\n")

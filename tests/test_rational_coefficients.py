@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from flatspan import reports
 from flatspan.budget import Budget, BudgetExhausted
 from flatspan.cli import main
-from flatspan.fields import QQ, FieldError
+from flatspan.fields import GF, QQ, FieldError
 from flatspan.groebner import groebner_basis
 from flatspan.orders import Block, GrevLex, Lex
 from flatspan.poly import Polynomial, PolynomialRing
@@ -61,6 +61,24 @@ def test_field_ops_give_ints_exactly_when_integral(x, y):
         assert QQ.to_str(got) == FQ.to_str(want)
     assert is_canonical_qq(QQ.zero) and is_canonical_qq(QQ.one)
 
+
+
+@pytest.mark.parametrize(
+    "field, value, want",
+    [
+        (QQ, Fraction(4, 2), 2),
+        (QQ, Fraction(1, 2), Fraction(1, 2)),
+        (QQ, 3, 3),
+        (GF(5), 7, 2),
+        (GF(5), -1, 4),
+    ],
+)
+def test_a_constant_polynomial_is_canonical(field, value, want):
+    """``const`` takes an int or a field element and stores the field's
+    canonical form: over QQ an integral ``Fraction`` becomes an int, over
+    GF(p) an int is reduced mod p."""
+    (coefficient,) = PolynomialRing(field, ("x",)).const(value).terms().values()
+    assert coefficient == want and type(coefficient) is type(want)
 
 def _drawn_gens(data, nvars):
     exps = st.tuples(*[st.integers(0, 2)] * nvars)

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flatspan.budget import BudgetExhausted
 from flatspan.cancellation import flatness_bound, torus_identity
 from flatspan.fields import GF, QQ
 from flatspan.polyparse import parse_polynomial
@@ -226,3 +230,61 @@ def test_input_digest_is_prefixed_sha256():
     digest = input_digest("abc")
     assert digest.startswith("sha256:")
     assert len(digest) == len("sha256:") + 64
+
+
+@lru_cache(maxsize=1)
+def _shipped_envelopes() -> tuple[tuple[str, str], ...]:
+    """The canonical text and the JSON envelope of each shipped workspace."""
+    from flatspan.cli import execute_check
+    from flatspan.workspace import parse_workspace, print_workspace
+
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "workspaces").glob("*.fsw")):
+        doc = parse_workspace(path.read_text(encoding="utf-8"))
+        canonical = print_workspace(doc)
+        reports = [execute_check(doc, req) for req in doc.checks]
+        found.append((canonical, json.dumps(envelope_json(reports, input_digest(canonical)))))
+    return tuple(found)
+
+
+def _paths(node, path=()):
+    """The path of every value inside ``node`` but a report's timing."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if key != "timing_ms":
+            yield path + (key,)
+            yield from _paths(value, path + (key,))
+
+
+def _tampered(value):
+    """One edit of a stored value: an integer moved by -1, +1 or +2, a text
+    with a term, a factor, an exponent or a letter appended, a list
+    emptied, or any value replaced by null, a string, an int, [] or {}."""
+    replaced = st.sampled_from([None, "x", 7, [], {}])
+    if isinstance(value, int):
+        return st.one_of(st.sampled_from([value - 1, value + 1, value + 2]), replaced)
+    if isinstance(value, str):
+        return st.one_of(st.sampled_from([value + s for s in (" + 1", "*2", "^2", "x")]), replaced)
+    if isinstance(value, list):
+        return st.one_of(st.just([]), replaced)
+    return replaced
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_recheck_of_a_tampered_envelope_agrees_finds_or_runs_out(data):
+    """Recheck of a shipped envelope with one value edited returns agreement
+    or findings, or runs out of budget; any other exception is a bug."""
+    canonical, text = data.draw(st.sampled_from(_shipped_envelopes()))
+    payload = json.loads(text)
+    *path, key = data.draw(st.sampled_from(list(_paths(payload))))
+    parent = payload
+    for step in path:
+        parent = parent[step]
+    parent[key] = data.draw(_tampered(parent[key]))
+    workspace_text = data.draw(st.sampled_from([canonical, None]))
+    try:
+        ok, messages = recheck_envelope(payload, workspace_text=workspace_text, budget_limit=10**5)
+    except BudgetExhausted:
+        return
+    assert messages and ok == (len(messages) == 1 and messages[0].endswith(" report(s) agree"))

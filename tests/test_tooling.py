@@ -1,8 +1,9 @@
 """The benchmark's tracer names program functions and budget phases; keep
 them in step with the program.  The program's modules import in layers, use
 every name they import and share private names only where listed, the
-grammar document's command table is the program's, every memo is bounded
-and only ``fields`` imports ``fractions``."""
+grammar document's command table is the program's, every memo is bounded,
+only ``fields`` imports ``fractions`` and builtin errors are caught only
+where outside input is read."""
 
 from __future__ import annotations
 
@@ -293,3 +294,44 @@ def test_private_names_cross_modules_only_where_listed():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     }
     assert found == PRIVATE_IMPORTS
+
+
+# the functions of ``src/flatspan`` where outside input is read and a builtin
+# error it makes a reader raise becomes an input error
+INPUT_BOUNDARIES = {
+    # a source or target entry for a coordinate the span's foot lacks
+    "workspace._Parser.parse_piece",
+    # int() of an integer argument past the interpreter's digit limit
+    "workspace.check_request",
+    # json.loads of a report file
+    "reports.load_envelope",
+    # every reader of a stored request, result or certificate block
+    "reports._read",
+}
+CATCH_ALLS = {"Exception", "BaseException", "ValueError", "TypeError", "KeyError", "AttributeError"}
+
+
+def _except_handlers(node, owner):
+    """Each ``except`` clause under ``node`` with the dotted name of the
+    innermost class or function around it."""
+    for child in ast.iter_child_nodes(node):
+        name = owner
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{owner}.{child.name}"
+        if isinstance(child, ast.ExceptHandler):
+            yield owner, child
+        yield from _except_handlers(child, name)
+
+
+def test_builtin_errors_are_caught_only_where_input_is_read():
+    """A bare ``except``, or one naming a builtin error that a library bug
+    raises, sits only in a function of :data:`INPUT_BOUNDARIES`, so a bug
+    anywhere else propagates as a traceback instead of reading as bad input
+    or as a tampered report."""
+    catchers = []
+    for module, tree in _library_trees():
+        for owner, handler in _except_handlers(tree, module):
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            if handler.type is None or CATCH_ALLS & {_identifier(t) for t in types}:
+                catchers.append(owner)
+    assert set(catchers) == INPUT_BOUNDARIES
