@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .budget import Budget, InputError
 from .fields import QQ, field_name
@@ -39,7 +39,6 @@ from .poly import (
     Polynomial,
     PolynomialRing,
     companion_name,
-    fresh_name,
     laurent_valuation,
 )
 from .schemes import (
@@ -135,6 +134,11 @@ class BoundReport:
         """Whether the valuation criterion certifies the n-th slice."""
         return all(n + e.valuation >= 1 for e in self.entries)
 
+    @staticmethod
+    def least(valuations: Iterable[int]) -> int:
+        """The ``n_bound`` of entries with these valuations."""
+        return max(0, -min(valuations, default=0))
+
 
 def _single_piece(alpha: Correspondence, task: str) -> SpanPiece:
     if len(alpha.pieces) != 1:
@@ -172,9 +176,7 @@ def _bound_from_values(
                 v = laurent_valuation(entry, tvar)
                 if v is not None:
                     entries.append(BoundEntry(label, i, j, v, entry))
-    vals = [e.valuation for e in entries]
-    n_bound = max(0, -min(vals)) if vals else 0
-    return BoundReport(n_bound, tvar, tuple(entries))
+    return BoundReport(BoundReport.least(e.valuation for e in entries), tvar, tuple(entries))
 
 
 def flatness_bound(
@@ -374,7 +376,7 @@ def _family_parts(
     function of ``alpha`` alone that charges no budget, kept for the last
     span asked for."""
     bare, src_t, tgt_t = _forget_torus_feet(alpha)
-    s_name = fresh_name(PARAMETER, bare.source.ring.names)
+    _, (s_name,) = bare.source.ring.adjoin([PARAMETER])
     family, pvars = cross(bare, affine_line(bare.source.field, s_name), PARAMETER)
     pieces = []
     for piece, moved, pvar in zip(alpha.pieces, family.pieces, pvars):
@@ -547,7 +549,7 @@ def filtration_index(
     blocking = next((f for f in failing if min(f[0], f[1]) >= floor), None)
 
     _single_piece(alpha, "parameter extension")
-    s_name = fresh_name(PARAMETER, alpha.source.ring.names)
+    _, (s_name,) = alpha.source.ring.adjoin([PARAMETER])
     extended, (pvar,) = cross(alpha, affine_line(alpha.source.field, s_name), PARAMETER)
     piece = extended.pieces[0]
     s = piece.ring.var(pvar)

@@ -52,6 +52,7 @@ from .polyparse import format_polynomial, parse_polynomial
 from .reports import (
     COMMANDS,
     Report,
+    ReportError,
     bound_block,
     correspondence_to_json,
     envelope_json,
@@ -469,9 +470,15 @@ def _emit(reports: list[Report], digest: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _read_text(path: str, error: type[InputError]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path} is not UTF-8 text: {err}") from err
+
+
 def _load_document(path: str) -> tuple[WorkspaceDocument, str]:
-    text = Path(path).read_text(encoding="utf-8")
-    doc = parse_workspace(text)
+    doc = parse_workspace(_read_text(path, WorkspaceError))
     return doc, print_workspace(doc)
 
 
@@ -479,7 +486,7 @@ def _run_batch(args) -> int:
     doc, canonical = _load_document(args.workspace)
     digest = input_digest(canonical)
     if args.recheck:
-        payload = load_envelope(Path(args.recheck).read_text(encoding="utf-8"))
+        payload = load_envelope(_read_text(args.recheck, ReportError))
         try:
             ok, messages = recheck_envelope(
                 payload, workspace_text=canonical, budget_limit=args.budget

@@ -35,7 +35,7 @@ from .groebner import (
     modular_inverse,
 )
 from .modules import CertifyOutcome
-from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
+from .poly import Polynomial, PolynomialRing, companion_name
 from .schemes import AffineScheme, affine_line, torus, torus_power
 from .spans import (
     Correspondence,
@@ -218,8 +218,8 @@ def standard_contraction_data(
         raise ContractionError("need at least one coordinate")
     scheme = torus(field, "t") if n == 1 else torus_power(field, n)
     primary = [v for v in scheme.ring.names if v in scheme.ring.inverted]
-    uring = scheme.ring.extend(["u"])
-    u = uring.var("u")
+    uring, (u_name,) = scheme.ring.adjoin(["u"])
+    u = uring.var(u_name)
     segments = {v: u * uring.var(v) + uring.one() - u for v in primary}
     w = uring.one()
     for v in primary:
@@ -234,7 +234,7 @@ def standard_contraction_data(
     return make_contraction_datum(
         scheme,
         {v: field.one for v in primary},
-        "u",
+        u_name,
         w,
         segments,
         cofactors,
@@ -399,7 +399,7 @@ def contract(
             f"status {before.status!r}"
         )
     source = alpha.source
-    source_u = fresh_name(datum.u_name, source.ring.names)
+    _, (source_u,) = source.ring.adjoin([datum.u_name])
     lined, u_names = cross(alpha, affine_line(source.field, source_u), source_u)
     on_line = lined.source.ring
     image, pulled = _image_on_source(alpha, datum, source_u, on_line, budget)

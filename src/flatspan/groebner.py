@@ -66,7 +66,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .budget import Budget
 from .orders import EXPONENT_BITS, GrevLex, MonomialOrder, fiber_order
-from .poly import ExponentOverflow, Polynomial, PolynomialRing, fresh_name
+from .poly import ExponentOverflow, Polynomial, PolynomialRing
 
 Terms = dict  # packed monomial -> nonzero coefficient
 
@@ -504,8 +504,7 @@ def saturate(
     ring = gens[0].ring
     if g.ring != ring:
         raise ValueError("saturating element lives in a different ring")
-    aux = fresh_name("sat", ring.names)
-    ext = ring.extend([aux])
+    ext, (aux,) = ring.adjoin(["sat"])
     lifted = [p.map_ring(ext) for p in gens]
     lifted.append(ext.var(aux) * g.map_ring(ext) - ext.one())
     return [p.map_ring(ring) for p in eliminate(lifted, [aux], budget=budget)]
@@ -525,8 +524,7 @@ def modular_inverse(
     variables, which is returned (in the original ring).
     """
     ring = value.ring
-    aux = fresh_name("rec", ring.names)
-    ext = ring.extend([aux])
+    ext, (aux,) = ring.adjoin(["rec"])
     lifted = [p.map_ring(ext) for p in relations if not p.is_zero()]
     lifted.append(value.map_ring(ext) * ext.var(aux) - ext.one())
     work, order, basis = elimination_basis(ext, lifted, [aux], budget)
@@ -551,8 +549,7 @@ def ideal_intersection(
     if not left or not right:
         return []
     ring = left[0].ring
-    tag = fresh_name("mix", ring.names)
-    ext = ring.extend([tag])
+    ext, (tag,) = ring.adjoin(["mix"])
     t = ext.var(tag)
     one = ext.one()
     gens = [t * g.map_ring(ext) for g in left]

@@ -83,13 +83,31 @@ class PolynomialRing:
         exp = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {exp: self.field.one})
 
-    def extend(self, names: Iterable[str], inverted: Iterable[str] = ()) -> PolynomialRing:
-        """Ring with extra variables appended (names must be fresh)."""
-        extra = tuple(names)
-        for v in extra:
-            if v in self.names:
-                raise ValueError(f"variable {v!r} already present")
-        return PolynomialRing(self.field, self.names + extra, self.inverted | frozenset(inverted))
+    def adjoin(
+        self, names: Iterable[str], inverted: Iterable[str] = ()
+    ) -> tuple[PolynomialRing, tuple[str, ...]]:
+        """The one way to add variables: ``names`` appended in order, ``inverted``
+        (each listed with its companion) marked, and the names given.  A taken
+        name gets the first free number (``x2``, ``x3``, ...); an inverted name
+        and its companion share one."""
+        names, inverted = tuple(names), frozenset(inverted)
+        companions = {companion_name(v) for v in inverted}
+        taken, fresh = set(self.names), {}
+        for name in names:
+            if name in companions:
+                continue  # numbered with its stem
+            pair = name in inverted
+            stem, k = name, 1
+            while stem in taken or (pair and companion_name(stem) in taken):
+                k += 1
+                stem = f"{name}{k}"
+            fresh[name] = stem
+            if pair:
+                fresh[companion_name(name)] = companion_name(stem)
+            taken.update(fresh.values())
+        added = tuple(fresh[v] for v in names)
+        inverted = self.inverted | {fresh[v] for v in inverted}
+        return PolynomialRing(self.field, self.names + added, inverted), added
 
     def leading(self, names: Iterable[str]) -> PolynomialRing:
         """The same ring with ``names`` moved to the front, in the given
@@ -107,16 +125,6 @@ class PolynomialRing:
         kept = tuple(v for v in self.names if v not in gone)
         inverted = (v for v in self.inverted if v not in gone and companion_name(v) not in gone)
         return PolynomialRing(self.field, kept, frozenset(inverted))
-
-
-def fresh_name(base: str, taken: Iterable[str]) -> str:
-    taken = set(taken)
-    if base not in taken:
-        return base
-    i = 2
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
 
 
 class Polynomial:

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .budget import DEFAULT_STEPS, Budget, InputError
+from .cancellation import BoundEntry, BoundReport
 from .fields import field_from_name, field_name
 from .modules import CertifyOutcome, PieceCertificate
 from .poly import Polynomial, PolynomialRing, laurent_valuation
@@ -188,9 +189,8 @@ def finite_flat_block(corr: Correspondence, outcome: CertifyOutcome) -> dict:
     }
 
 
-def bound_block(report) -> dict:
-    """Serialize a valuation-bound report (duck-typed: ``torus_var``,
-    ``n_bound``, ``entries``); entries carry their own ring."""
+def bound_block(report: BoundReport) -> dict:
+    """Serialize a valuation-bound report; entries carry their own ring."""
     ring = report.entries[0].value.ring if report.entries else None
     return {
         "kind": "valuation-bound",
@@ -335,30 +335,22 @@ def request_from_json(report: dict) -> tuple[str, str]:
     return command, line
 
 
-class BoundBlock(NamedTuple):
-    """A valuation-bound block read back: its torus variable, its bound and
-    each entry's label, row and column, value and claimed valuation."""
-
-    torus_var: str
-    bound: object
-    entries: tuple[tuple[tuple, Polynomial, object], ...]
-
-
-def bound_from_json(block: dict) -> BoundBlock:
-    """Entries must be nonzero polynomials of the block's ring and the torus
-    variable an inverted variable of it, or no valuation is defined."""
+def bound_from_json(block: dict) -> BoundReport:
+    """A valuation-bound block read back, with the bound and valuations it
+    claims.  Entries must be nonzero polynomials of the block's ring and the
+    torus variable an inverted variable of it, or no valuation is defined."""
     tvar, entries = block["torus_var"], []
     if block["entries"]:
         ring = ring_from_json(block["ring"])
         if tvar not in ring.inverted:
             raise ReportError(f"torus variable {tvar!r} is not an inverted variable of the ring")
         for entry in block["entries"]:
-            at = (entry["label"], entry["row"], entry["col"])
+            label, row, col = entry["label"], entry["row"], entry["col"]
             value = _poly(entry["value"], ring)
             if value.is_zero():
-                raise ReportError("entry {}[{},{}] is zero".format(*at))
-            entries.append((at, value, entry["valuation"]))
-    return BoundBlock(tvar, block["bound"], tuple(entries))
+                raise ReportError(f"entry {label}[{row},{col}] is zero")
+            entries.append(BoundEntry(label, row, col, entry["valuation"], value))
+    return BoundReport(block["bound"], tvar, tuple(entries))
 
 
 def block_from_json(block: dict):
@@ -375,15 +367,14 @@ def _block_finding(kind: str, block, limit: int) -> str | None:
             return None
         return "stored finite-flat certificate fails re-validation"
     if not block.entries:
-        return None if block.bound == 0 else "empty valuation table cannot force a bound"
-    worst = 0
-    for at, value, claimed in block.entries:
-        val = laurent_valuation(value, block.torus_var)
-        if val != claimed:
-            return "entry {}[{},{}] claims valuation {}, recomputed {}".format(*at, claimed, val)
-        worst = min(worst, val)
-    if block.bound != max(0, -worst):
-        return f"stored bound {block.bound} disagrees with entries"
+        return None if block.n_bound == 0 else "empty valuation table cannot force a bound"
+    for e in block.entries:
+        val = laurent_valuation(e.value, block.torus_var)
+        if val != e.valuation:
+            at = f"{e.label}[{e.row},{e.col}]"
+            return f"entry {at} claims valuation {e.valuation}, recomputed {val}"
+    if block.n_bound != BoundReport.least(e.valuation for e in block.entries):
+        return f"stored bound {block.n_bound} disagrees with entries"
     return None
 
 
@@ -392,7 +383,7 @@ def _block_finding(kind: str, block, limit: int) -> str | None:
 _CLAIMS = {
     "rank": ("finite-flat", lambda block: block[1].rank),
     "degree": ("finite-flat", lambda block: block[1].rank),
-    "bound": ("valuation-bound", lambda block: block.bound),
+    "bound": ("valuation-bound", lambda block: block.n_bound),
 }
 
 

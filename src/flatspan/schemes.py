@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .budget import InputError
 from .fields import Field
-from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
+from .poly import Polynomial, PolynomialRing, companion_name
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def product(left: AffineScheme, right: AffineScheme) -> AffineScheme:
     clash = set(left.ring.names) & set(right.ring.names)
     if clash:
         raise InputError(f"product factors share variable names {sorted(clash)}")
-    ring = left.ring.extend(right.ring.names, right.ring.inverted)
+    ring, _ = left.ring.adjoin(right.ring.names, right.ring.inverted)
     rels = tuple(r.map_ring(ring) for r in left.relations) + tuple(
         r.map_ring(ring) for r in right.relations
     )
@@ -76,8 +76,7 @@ def localize(scheme: AffineScheme, g: Polynomial) -> tuple[AffineScheme, str]:
     ``lg``); returns the new scheme and the name of the inverse variable."""
     if g.ring != scheme.ring:
         raise ValueError("localizing element lives in a different ring")
-    name = fresh_name("lg", scheme.ring.names)
-    ring = scheme.ring.extend([name])
+    ring, (name,) = scheme.ring.adjoin(["lg"])
     rel = g.map_ring(ring) * ring.var(name) - ring.one()
     rels = tuple(r.map_ring(ring) for r in scheme.relations) + (rel,)
     return AffineScheme(ring, rels), name

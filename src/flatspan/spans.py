@@ -31,7 +31,7 @@ from .modules import (
     classify_basis,
 )
 from .orders import fiber_order
-from .poly import Polynomial, PolynomialRing, companion_name, fresh_name
+from .poly import Polynomial, PolynomialRing, companion_name
 from .schemes import AffineScheme, localize
 from .schemes import product as scheme_product
 
@@ -91,16 +91,6 @@ class Correspondence:
 
 def _map_tuple(images: dict[str, Polynomial], order: tuple[str, ...]):
     return tuple((name, images[name]) for name in order)
-
-
-def _fresh_pair(base: str, taken: list[str]) -> str:
-    """A stem such that both it and its companion are unused."""
-    stem = base
-    k = 1
-    while stem in taken or companion_name(stem) in taken:
-        k += 1
-        stem = f"{base}{k}"
-    return stem
 
 
 def make_piece(
@@ -271,37 +261,13 @@ def simplify(corr: Correspondence, budget: Budget | None = None) -> Corresponden
 # composition and tensor
 
 
-def _merge_rings(
-    left: PolynomialRing, right: PolynomialRing
-) -> tuple[PolynomialRing, dict[str, str]]:
-    """Disjointly adjoin ``right``'s variables, renaming clashes.
-
-    Returns the merged ring and the rename applied to right-hand names.
-    Companion pairs are renamed together so localization survives.
-    """
-    rename: dict[str, str] = {}
-    taken = list(left.names)
-    for name in right.names:
-        if name.endswith("_inv") and name.removesuffix("_inv") in right.inverted:
-            continue  # renamed with its stem
-        if name in right.inverted:
-            stem = _fresh_pair(name, taken)
-            rename[name], rename[companion_name(name)] = stem, companion_name(stem)
-            taken += [stem, companion_name(stem)]
-        else:
-            rename[name] = fresh_name(name, taken)
-            taken.append(rename[name])
-    merged_names = left.names + tuple(rename[n] for n in right.names)
-    merged_inverted = left.inverted | frozenset(rename[v] for v in right.inverted)
-    return PolynomialRing(left.field, merged_names, merged_inverted), rename
-
-
 def _glue(
     a: SpanPiece, b: SpanPiece
 ) -> tuple[PolynomialRing, dict[str, str], list[Polynomial]]:
     """The merged ring of two pieces, the rename importing ``b`` into it,
     and the relations of ``a`` followed by the imported relations of ``b``."""
-    ring, rename = _merge_rings(a.ring, b.ring)
+    ring, fresh = a.ring.adjoin(b.ring.names, b.ring.inverted)
+    rename = dict(zip(b.ring.names, fresh))
     relations = [r.map_ring(ring) for r in a.relations]
     return ring, rename, relations + [r.map_ring(ring, rename) for r in b.relations]
 
@@ -355,18 +321,17 @@ def cross(
     the factor.  Returns the span and each piece's copy."""
     source = scheme_product(corr.source, factor)
     target = scheme_product(corr.target, factor) if on_target else corr.target
+    # a line has one coordinate, a torus its coordinate and companion
+    copies = (stem, companion_name(stem))[: factor.ring.nvars]
     pieces, names = [], []
     for piece in corr.pieces:
-        taken = piece.ring.names
-        name = _fresh_pair(stem, taken) if factor.ring.inverted else fresh_name(stem, taken)
-        # a line has one coordinate, a torus its coordinate and companion
-        rename = dict(zip(factor.ring.names, (name, companion_name(name))))
-        ring = piece.ring.extend(rename.values(), [rename[v] for v in factor.ring.inverted])
+        ring, fresh = piece.ring.adjoin(copies, copies[: len(factor.ring.inverted)])
+        rename = dict(zip(factor.ring.names, fresh))
         legs = {v: ring.var(copy) for v, copy in rename.items()}
         unit = [r.map_ring(ring, rename) for r in factor.relations]
         tgt = legs if on_target else None
         pieces.append(rebuild_piece(piece, ring, {}, source, target, unit, src=legs, tgt=tgt))
-        names.append(name)
+        names.append(fresh[0])
     return Correspondence(source, target, tuple(pieces)), tuple(names)
 
 
@@ -381,8 +346,7 @@ def restrict_to_open(
     source, aux = localize(corr.source, g)
     pieces, names = [], []
     for piece in corr.pieces:
-        name = fresh_name(aux, piece.ring.names)
-        ring = piece.ring.extend([name])
+        ring, (name,) = piece.ring.adjoin([aux])
         legs = {v: piece.src(v).map_ring(ring) for v in corr.source.ring.names}
         unit = g.substitute(legs, ring) * ring.var(name) - ring.one()
         new_leg = {aux: ring.var(name)}
@@ -602,10 +566,10 @@ def _fiber_rename(piece: SpanPiece, combined: PolynomialRing) -> dict[str, str]:
 
 
 def _combined_ring(piece: SpanPiece, base_ring: PolynomialRing) -> PolynomialRing:
-    """The ring :func:`_merge_rings` builds from ``base_ring`` and the
-    piece's, with the piece's (renamed) variables moved to the front."""
-    merged, rename = _merge_rings(base_ring, piece.ring)
-    return merged.leading(rename[v] for v in piece.ring.names)
+    """``base_ring`` with the piece's variables adjoined and moved to the
+    front, in order."""
+    merged, fresh = base_ring.adjoin(piece.ring.names, piece.ring.inverted)
+    return merged.leading(fresh)
 
 
 def _combined_relations(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import add, sub
+from typing import Iterable
 
 from flatspan.budget import Budget
 from flatspan.cancellation import (
@@ -38,7 +39,7 @@ from flatspan.groebner import (
 )
 from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
 from flatspan.orders import GrevLex, MonomialOrder, exp_divides, fiber_order
-from flatspan.poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing, RingMismatch, companion_name, fresh_name
+from flatspan.poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing, RingMismatch, companion_name
 from flatspan.polyparse import MAX_NESTING, ParseError
 from flatspan.schemes import affine_line, localize, product, strip_coordinates
 from flatspan.spans import (
@@ -509,6 +510,57 @@ def leads_certificate(corr: Correspondence) -> CertifyOutcome | None:
     return CertifyOutcome("certified", sum(c.rank for c in pieces), tuple(pieces))
 
 
+# ---------------------------------------------------------------------------
+# the naming of adjoined variables before ``PolynomialRing.adjoin``: a free
+# name, a stem free together with its companion, and the disjoint merge of
+# two rings built from them; ``adjoin`` must name every variable the same
+
+
+def fresh_name(base: str, taken: Iterable[str]) -> str:
+    taken = set(taken)
+    if base not in taken:
+        return base
+    i = 2
+    while f"{base}{i}" in taken:
+        i += 1
+    return f"{base}{i}"
+
+
+def _fresh_pair(base: str, taken: list[str]) -> str:
+    """A stem such that both it and its companion are unused."""
+    stem = base
+    k = 1
+    while stem in taken or companion_name(stem) in taken:
+        k += 1
+        stem = f"{base}{k}"
+    return stem
+
+
+def _merge_rings(
+    left: PolynomialRing, right: PolynomialRing
+) -> tuple[PolynomialRing, dict[str, str]]:
+    """Disjointly adjoin ``right``'s variables, renaming clashes.
+
+    Returns the merged ring and the rename applied to right-hand names.
+    Companion pairs are renamed together so localization survives.
+    """
+    rename: dict[str, str] = {}
+    taken = list(left.names)
+    for name in right.names:
+        if name.endswith("_inv") and name.removesuffix("_inv") in right.inverted:
+            continue  # renamed with its stem
+        if name in right.inverted:
+            stem = _fresh_pair(name, taken)
+            rename[name], rename[companion_name(name)] = stem, companion_name(stem)
+            taken += [stem, companion_name(stem)]
+        else:
+            rename[name] = fresh_name(name, taken)
+            taken.append(rename[name])
+    merged_names = left.names + tuple(rename[n] for n in right.names)
+    merged_inverted = left.inverted | frozenset(rename[v] for v in right.inverted)
+    return PolynomialRing(left.field, merged_names, merged_inverted), rename
+
+
 def full_box_filtration(
     alpha: Correspondence, *, window: int, budget: Budget | None = None
 ) -> FiltrationReport:
@@ -569,7 +621,7 @@ def blended_family_from_scratch(
     pieces = []
     for piece in alpha.pieces:
         pvar = fresh_name(PARAMETER, piece.ring.names)
-        ring = piece.ring.extend([pvar])
+        ring = PolynomialRing(field, piece.ring.names + (pvar,), piece.ring.inverted)
         s = ring.var(pvar)
         main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
         blend = s * cut_value(n, sign, main, aux) + (ring.one() - s) * cut_value(m, sign, main, aux)
@@ -590,7 +642,7 @@ def chart_from_scratch(alpha, datum, generator, source_u, budget=None) -> Contra
     for piece in alpha.pieces:
         u2 = fresh_name(source_u, piece.ring.names)
         lg = fresh_name("lg", piece.ring.names + (u2,))
-        ring = piece.ring.extend([u2, lg])
+        ring = PolynomialRing(piece.ring.field, piece.ring.names + (u2, lg), piece.ring.inverted)
         on_source = {v: piece.src(v).map_ring(ring) for v in source.ring.names}
         on_source[source_u] = ring.var(u2)
         localizing = generator.substitute(on_source, ring) * ring.var(lg) - ring.one()
@@ -641,7 +693,7 @@ def slice_from_scratch(chart, value, alpha, datum) -> tuple[Correspondence, Corr
         pieces.append(rebuild_piece(piece, small, images, sliced_source, datum.scheme, src=src))
         if not constant_gen:
             lg2 = fresh_name(aux2, original.ring.names)
-            up = original.ring.extend([lg2])
+            up = PolynomialRing(field, original.ring.names + (lg2,), original.ring.inverted)
             legs = {v: original.src(v).map_ring(up) for v in source.ring.names}
             unit = shrunk.substitute(legs, up) * up.var(lg2) - up.one()
             originals.append(

@@ -89,6 +89,23 @@ def test_workspace_syntax_error_is_an_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "BIN"],
+        ["run", workspace("span-algebra"), "--recheck", "BIN"],
+        ["certify", "--workspace", "BIN", "--corr", "x"],
+    ],
+    ids=["workspace", "recheck", "single-command"],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, argv):
+    binary = tmp_path / "bin.fsw"
+    binary.write_bytes(b"\xff\xfe bad")
+    code, out, err = run_cli(capsys, *(str(binary) if a == "BIN" else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {binary} is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("field QQ\nscheme G = torus^0\n", "line 2: torus^0 needs at least one factor"),

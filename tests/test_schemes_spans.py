@@ -9,7 +9,7 @@ import flatspan.groebner
 import flatspan.spans
 from flatspan.budget import Budget
 from flatspan.fields import GF, QQ
-from flatspan.poly import Polynomial, PolynomialRing
+from flatspan.poly import Polynomial, PolynomialRing, companion_name
 from flatspan.polyparse import parse_polynomial
 from flatspan.schemes import (
     AffineScheme,
@@ -301,15 +301,46 @@ def test_external_tensor_multiplies_degrees():
     assert degree(both) == 6
 
 
-def test_merge_rings_renames_a_companion_listed_before_its_stem():
-    from flatspan.spans import _merge_rings
-
+def test_adjoin_renames_a_companion_listed_before_its_stem():
     left = PolynomialRing(QQ, ("t", "t_inv", "x", "w", "w2"), frozenset(["t"]))
     right = PolynomialRing(QQ, ("t_inv", "x", "t"), frozenset(["t"]))
-    merged, rename = _merge_rings(left, right)
-    assert rename == {"t_inv": "t2_inv", "x": "x2", "t": "t2"}
+    merged, fresh = left.adjoin(right.names, right.inverted)
+    assert dict(zip(right.names, fresh)) == {"t_inv": "t2_inv", "x": "x2", "t": "t2"}
     assert merged.names == left.names + ("t2_inv", "x2", "t2")
     assert merged.inverted == frozenset(["t", "t2"])
+
+
+# names that clash, names already numbered, and a plain name that looks like
+# a numbered companion
+_POOL = ("x", "x2", "x22", "t", "t2", "t2_inv", "t3", "s")
+
+
+def _draw_ring(data) -> PolynomialRing:
+    """A ring over names from :data:`_POOL`; each stem is plain or inverted
+    with its companion, and a companion may come before its stem."""
+    names, inverted = [], set()
+    for name in data.draw(st.lists(st.sampled_from(_POOL), unique=True, max_size=5)):
+        pair = not name.endswith("_inv") and data.draw(st.booleans())
+        group = [name, companion_name(name)] if pair else [name]
+        if all(v not in names for v in group):
+            names += group
+            if pair:
+                inverted.add(name)
+    return PolynomialRing(QQ, tuple(data.draw(st.permutations(names))), frozenset(inverted))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_adjoin_names_every_variable_as_the_reference_merge_does(data):
+    """``adjoin`` gives each variable the name, and the ring the inverted
+    set, of the merge that named adjoined variables before it."""
+    from oracles import _merge_rings
+
+    left, right = _draw_ring(data), _draw_ring(data)
+    merged, rename = _merge_rings(left, right)
+    ring, fresh = left.adjoin(right.names, right.inverted)
+    assert fresh == tuple(rename[v] for v in right.names)
+    assert ring == merged
 
 
 # ---------------------------------------------------------------------------

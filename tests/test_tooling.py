@@ -2,8 +2,8 @@
 them in step with the program.  The program's modules import in layers, use
 every name they import and share private names only where listed, the
 grammar document's command table is the program's, every memo is bounded,
-only ``fields`` imports ``fractions`` and builtin errors are caught only
-where outside input is read."""
+only ``fields`` imports ``fractions``, rings are built only where listed
+and builtin errors are caught only where outside input is read."""
 
 from __future__ import annotations
 
@@ -213,24 +213,58 @@ def test_every_memo_is_bounded():
 
 
 
+def _owned(node, owner):
+    """Each node under ``node`` with the dotted name of the innermost class
+    or function around it."""
+    for child in ast.iter_child_nodes(node):
+        yield owner, child
+        name = owner
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{owner}.{child.name}"
+        yield from _owned(child, name)
+
+
+def _callers(callee: str) -> list[str]:
+    """The dotted name of the innermost class or function around each call
+    of ``callee`` in ``src/flatspan``."""
+    return [
+        owner
+        for module, tree in _library_trees()
+        for owner, node in _owned(tree, module)
+        if isinstance(node, ast.Call) and _identifier(node.func) == callee
+    ]
+
+
 def test_one_function_builds_a_check_request():
     """``workspace.check_request`` is the only code of ``src/flatspan`` that
     calls ``CheckRequest``, so a check line and a single command come out
     as the same canonical request."""
-    builders = []
-    for path in sorted((ROOT / "src" / "flatspan").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        calls = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _identifier(node.func) == "CheckRequest"
-        ]
-        owner = {}  # innermost enclosing function: ast.walk visits outer ones first
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((node, f"{path.stem}.{func.name}") for node in ast.walk(func))
-        builders += [owner.get(call, f"{path.stem}:{call.lineno}") for call in calls]
-    assert builders == ["workspace.check_request"]
+    assert _callers("CheckRequest") == ["workspace.check_request"]
+
+
+# the functions of ``src/flatspan`` that call ``PolynomialRing``: the ring
+# methods, the schemes and spans built from literal names, and the readers
+# of input; every other ring comes from these, with variables added only by
+# ``PolynomialRing.adjoin``
+RING_BUILDERS = {
+    "poly.PolynomialRing.adjoin",
+    "poly.PolynomialRing.leading",
+    "poly.PolynomialRing.drop",
+    "schemes.point",
+    "schemes.affine_line",
+    "schemes.torus",
+    "schemes.torus_power",
+    "cancellation.unit_collapse",
+    "cancellation.verify_cancellation",
+    "reports.ring_from_json",
+    "workspace._Parser.parse_piece",
+}
+
+
+def test_rings_are_built_only_from_literal_names_or_input():
+    """A variable is named, and a ring built, only where :data:`RING_BUILDERS`
+    says, so ``adjoin`` alone picks the name of an adjoined variable."""
+    assert set(_callers("PolynomialRing")) == RING_BUILDERS
 
 
 def _library_trees():
@@ -311,18 +345,6 @@ INPUT_BOUNDARIES = {
 CATCH_ALLS = {"Exception", "BaseException", "ValueError", "TypeError", "KeyError", "AttributeError"}
 
 
-def _except_handlers(node, owner):
-    """Each ``except`` clause under ``node`` with the dotted name of the
-    innermost class or function around it."""
-    for child in ast.iter_child_nodes(node):
-        name = owner
-        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            name = f"{owner}.{child.name}"
-        if isinstance(child, ast.ExceptHandler):
-            yield owner, child
-        yield from _except_handlers(child, name)
-
-
 def test_builtin_errors_are_caught_only_where_input_is_read():
     """A bare ``except``, or one naming a builtin error that a library bug
     raises, sits only in a function of :data:`INPUT_BOUNDARIES`, so a bug
@@ -330,7 +352,9 @@ def test_builtin_errors_are_caught_only_where_input_is_read():
     or as a tampered report."""
     catchers = []
     for module, tree in _library_trees():
-        for owner, handler in _except_handlers(tree, module):
+        for owner, handler in _owned(tree, module):
+            if not isinstance(handler, ast.ExceptHandler):
+                continue
             types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
             if handler.type is None or CATCH_ALLS & {_identifier(t) for t in types}:
                 catchers.append(owner)
