@@ -11,9 +11,9 @@ are :func:`filtration_index`, :func:`verify_compat` and
 Every blended family of one span shares its feet, its extended middle
 rings, the moved relations and legs, and the cut polynomials; only the
 blend relation differs.  Those parts depend on the span alone and charge
-no budget, so they are built once and kept for one span at a time (the
-last one asked for), and a search over the ``(m, n, sign)`` box builds
-each family from them: the span, torus feet forgotten as in :func:`cancel_slice`,
+no budget, so they are built once and kept for the last four spans asked
+for, and a search over the ``(m, n, sign)`` box builds each family from
+them: the span, torus feet forgotten as in :func:`cancel_slice`,
 crossed with the parameter line (:func:`~flatspan.spans.cross`).
 """
 
@@ -366,7 +366,7 @@ class _PieceParts(NamedTuple):
         return self.cuts[k, sign]
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=4)
 def _family_parts(
     alpha: Correspondence,
 ) -> tuple[AffineScheme, AffineScheme, str, tuple[_PieceParts, ...]]:
@@ -374,7 +374,9 @@ def _family_parts(
     torus factor traded for the parameter line, the target without its
     torus factor, the parameter's name, and the parts of each piece.  A
     function of ``alpha`` alone that charges no budget, kept for the last
-    span asked for."""
+    four spans asked for: :func:`verify_compat` asks for two composites
+    around ``alpha``'s own family, so a caller that then certifies that
+    family again still finds ``alpha``'s parts."""
     bare, src_t, tgt_t = _forget_torus_feet(alpha)
     _, (s_name,) = bare.source.ring.adjoin([PARAMETER])
     family, pvars = cross(bare, affine_line(bare.source.field, s_name), PARAMETER)
@@ -400,7 +402,7 @@ def blended_family(
 
     Everything but the blend relation depends on ``alpha`` alone, charges
     no budget and is built once per span (:func:`_family_parts`, which
-    keeps one span at a time), so the families of one span differ only in
+    keeps the last four spans), so the families of one span differ only in
     the relation appended here.
     """
     source, target, s_name, parts = _family_parts(alpha)
@@ -590,14 +592,25 @@ def _collapsed_equal(
     budget: Budget,
 ) -> tuple[bool, str]:
     """Collapse the given middle variables of both single-piece sides (the
-    quotients are unchanged) and compare the canonical presentations."""
+    quotients are unchanged) and compare the canonical presentations.
+
+    A collapsed piece's relations already are the reduced basis of its ring
+    (:func:`~flatspan.spans.collapse_variables`), so only its legs are
+    reduced; when both sides were collapsed into one ring they are compared
+    as they stand, and otherwise the right side is completed in the left
+    one's ring."""
     if left.source != right.source or left.target != right.target:
         return False, "the two sides have different feet"
     _single_piece(left, "naturality comparison")
     _single_piece(right, "naturality comparison")
     lp = collapse_variables(left, [left_collapse], budget=budget).pieces[0]
     rp = collapse_variables(right, [right_collapse], budget=budget).pieces[0]
-    if _pieces_equal(_canonical(lp, lp.ring, {}, budget), rp, budget):
+    canonical = _canonical(lp, lp.ring, {}, budget, complete=not left_collapse)
+    if right_collapse and rp.ring == lp.ring:
+        equal = canonical == _canonical(rp, rp.ring, {}, budget, complete=False)
+    else:
+        equal = _pieces_equal(canonical, rp, budget)
+    if equal:
         return True, ""
     return False, "canonical presentations differ"
 

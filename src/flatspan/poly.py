@@ -15,8 +15,9 @@ exceeding the cap is a hard error rather than silent wraparound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .budget import InputError
 from .fields import Field
@@ -37,6 +38,48 @@ class RingMismatch(ValueError):
 
 def companion_name(name: str) -> str:
     return name + INVERSE_SUFFIX
+
+
+def _mover(pick: tuple[int, ...], n: int) -> Callable[[tuple[int, ...]], tuple[int, ...]] | None:
+    """The exponent map that reads source position ``pick[j]`` into slot
+    ``j`` (position ``n``, past the source, reads 0), or None when it is the
+    identity."""
+    if pick == tuple(range(n)):
+        return None
+    get = itemgetter(*pick) if len(pick) > 1 else lambda e: tuple(e[k] for k in pick)
+    if n in pick:
+        return lambda e: get(e + (0,))
+    return get
+
+
+class _SlotPlan(NamedTuple):
+    """How :meth:`Polynomial.map_ring` moves exponents from one list of
+    (renamed) names to another, before any term is read.  Each target slot
+    ``j`` reads source position ``pick[j]``, the first name landing on it
+    (the source length, reading 0, where none does); ``move`` is
+    :func:`_mover` of that.  ``checks`` lists, in source order, each position
+    the terms must be read for: ``(i, None)`` for a name with no target
+    slot, which must be unused, and ``(i, j)`` for a later name on slot
+    ``j``, which takes the slot when used and refuses to merge with a used
+    holder."""
+
+    pick: tuple[int, ...]
+    checks: tuple[tuple[int, int | None], ...]
+    move: Callable[[tuple[int, ...]], tuple[int, ...]] | None
+
+
+@lru_cache(maxsize=256)
+def _slot_plan(names: tuple[str, ...], target: tuple[str, ...]) -> _SlotPlan:
+    slot = {v: j for j, v in enumerate(target)}
+    n = len(names)
+    pick, checks = [n] * len(target), []
+    for i, v in enumerate(names):
+        j = slot.get(v)
+        if j is not None and pick[j] == n:
+            pick[j] = i
+        else:
+            checks.append((i, j))
+    return _SlotPlan(tuple(pick), tuple(checks), _mover(tuple(pick), n))
 
 
 @dataclass(frozen=True)
@@ -267,34 +310,31 @@ class Polynomial:
         must exist in the target, and no two used variables may land on one
         target name (either breach raises :class:`RingMismatch`); unused
         variables may be dropped.  The fields must agree (no characteristic mixing).
+        How the positions move depends on the names alone
+        (:func:`_slot_plan`); the terms are read only for the names the plan
+        flags.
         """
         if target.field != self.ring.field:
             raise RingMismatch("cannot move polynomials between different fields")
         names = self.ring.names
-        rename = rename or {}
-        slot = {v: j for j, v in enumerate(target.names)}
+        renamed = tuple([rename.get(v, v) for v in names]) if rename else names
+        plan = _slot_plan(renamed, target.names)
         terms = self._terms
-        n = len(names)
-        pick = [n] * target.nvars  # source position read by each target slot; n reads 0
-        for i, v in enumerate(names):
-            j = slot.get(rename.get(v, v))
+        move, pick = plan.move, plan.pick
+        for i, j in plan.checks:
+            if not any(exp[i] for exp in terms):
+                continue
             if j is None:
-                if any(exp[i] for exp in terms):
-                    raise RingMismatch(f"variable {v!r} is used but absent from target ring")
-            elif pick[j] == n:
-                pick[j] = i
-            elif any(exp[i] for exp in terms):
-                if any(exp[pick[j]] for exp in terms):
-                    raise RingMismatch(
-                        f"variables {names[pick[j]]!r} and {v!r} both map to {target.names[j]!r}"
-                    )
-                pick[j] = i
-        if pick == list(range(n)):
+                raise RingMismatch(f"variable {names[i]!r} is used but absent from target ring")
+            if any(exp[pick[j]] for exp in terms):
+                raise RingMismatch(
+                    f"variables {names[pick[j]]!r} and {names[i]!r} both map to {target.names[j]!r}"
+                )
+            pick = pick[:j] + (i,) + pick[j + 1 :]
+            move = _mover(pick, len(names))
+        if move is None:
             return Polynomial._relabeled(target, terms)
-        get = itemgetter(*pick) if len(pick) > 1 else lambda e: tuple(e[k] for k in pick)
-        if n in pick:
-            return Polynomial._relabeled(target, {get(exp + (0,)): c for exp, c in terms.items()})
-        return Polynomial._relabeled(target, {get(exp): c for exp, c in terms.items()})
+        return Polynomial._relabeled(target, {move(exp): c for exp, c in terms.items()})
 
     @classmethod
     def _relabeled(cls, ring: PolynomialRing, terms: dict) -> Polynomial:

@@ -230,13 +230,19 @@ def _eliminate_linear(piece: SpanPiece) -> SpanPiece:
 
 
 def _canonical(
-    piece: SpanPiece, ring: PolynomialRing, rename: Mapping[str, str], budget: Budget | None
+    piece: SpanPiece,
+    ring: PolynomialRing,
+    rename: Mapping[str, str],
+    budget: Budget | None,
+    complete: bool = True,
 ) -> SpanPiece:
     """``piece`` moved into ``ring`` through ``rename``, its relations replaced
     by their reduced Groebner basis (unique for the order) and its legs by
-    normal forms."""
+    normal forms.  With ``complete`` false the moved relations are taken as
+    that basis, which they must already be, as a collapsed piece's are in
+    its own ring (:func:`collapse_variables`)."""
     relations = [r.map_ring(ring, rename) for r in piece.relations]
-    table = DivisorTable(ring, groebner_basis(relations, budget=budget))
+    table = DivisorTable(ring, groebner_basis(relations, budget=budget) if complete else relations)
     src, tgt = (
         tuple((k, table.reduce(p.map_ring(ring, rename), budget)) for k, p in legs)
         for legs in (piece.src_map, piece.tgt_map)
@@ -510,10 +516,15 @@ def collapse_variables(
     ``v - image`` is checked against that basis by normal form before
     anything is removed, so the quotient is untouched, and the basis
     elements free of doomed variables become the new relations: the
-    generators :func:`~flatspan.groebner.eliminate` returns.  Raises
-    :class:`SpanError`, before any Groebner work, when a doomed name is not
-    a variable of its piece or an image uses a doomed variable, and when a
-    claim fails.
+    generators :func:`~flatspan.groebner.eliminate` returns.  The basis is
+    reduced in a block order whose tail block is degree-reverse-lex, so
+    those elements, in the order kept, are the reduced degree-reverse-lex
+    basis of the collapsed piece's ring (Elimination Theorem): what
+    :func:`~flatspan.groebner.groebner_basis` returns for them.
+    ``cancellation._collapsed_equal`` relies on this and does not complete
+    a collapsed piece again.  Raises :class:`SpanError`, before any Groebner
+    work, when a doomed name is not a variable of its piece or an image uses
+    a doomed variable, and when a claim fails.
     """
     if len(images) != len(corr.pieces):
         raise SpanError("need one collapse mapping per piece")

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Iterable
 
 from flatspan.budget import Budget
@@ -49,10 +49,13 @@ from flatspan.spans import (
     PieceCertificate,
     SpanError,
     SpanPiece,
+    _canonical,
     _combined_relations,
     _combined_ring,
     _piece_sort_key,
+    _pieces_equal,
     certify_finite_flat,
+    collapse_variables,
     cross,
     make_piece,
     rebuild_piece,
@@ -168,6 +171,16 @@ def is_groebner_oracle(basis: list[Polynomial], order: MonomialOrder) -> bool:
             if not naive_divide(s, nonzero, order).is_zero():
                 return False
     return True
+
+
+def completes_to_itself(piece: SpanPiece) -> bool:
+    """Whether the piece's relations are what ``groebner_basis`` returns for
+    them in degree-reverse-lex on the piece's ring: the same elements, in
+    the same order, each with its terms in the same order."""
+    again = groebner_basis(list(piece.relations), GrevLex(piece.ring.nvars))
+    return [list(g.terms().items()) for g in again] == [
+        list(r.terms().items()) for r in piece.relations
+    ]
 
 
 def generates_same_ideal(
@@ -312,6 +325,39 @@ def accumulating_map_ring(p: Polynomial, target: PolynomialRing, rename: dict[st
     return Polynomial(target, out)
 
 
+def slot_loop_map_ring(p: Polynomial, target: PolynomialRing, rename: dict[str, str] | None = None) -> Polynomial:
+    """:meth:`Polynomial.map_ring` with its slot map rebuilt from the names
+    and the terms on every call: the reference for the planned move, its
+    term order and its :class:`RingMismatch` messages."""
+    if target.field != p.ring.field:
+        raise RingMismatch("cannot move polynomials between different fields")
+    names = p.ring.names
+    rename = rename or {}
+    slot = {v: j for j, v in enumerate(target.names)}
+    terms = p._terms
+    n = len(names)
+    pick = [n] * target.nvars  # source position read by each target slot; n reads 0
+    for i, v in enumerate(names):
+        j = slot.get(rename.get(v, v))
+        if j is None:
+            if any(exp[i] for exp in terms):
+                raise RingMismatch(f"variable {v!r} is used but absent from target ring")
+        elif pick[j] == n:
+            pick[j] = i
+        elif any(exp[i] for exp in terms):
+            if any(exp[pick[j]] for exp in terms):
+                raise RingMismatch(
+                    f"variables {names[pick[j]]!r} and {v!r} both map to {target.names[j]!r}"
+                )
+            pick[j] = i
+    if pick == list(range(n)):
+        return Polynomial._relabeled(target, terms)
+    get = itemgetter(*pick) if len(pick) > 1 else lambda e: tuple(e[k] for k in pick)
+    if n in pick:
+        return Polynomial._relabeled(target, {get(exp + (0,)): c for exp, c in terms.items()})
+    return Polynomial._relabeled(target, {get(exp): c for exp, c in terms.items()})
+
+
 def two_basis_collapse(corr: Correspondence, images: list[dict[str, Polynomial]], budget: Budget) -> Correspondence:
     """:func:`flatspan.spans.collapse_variables` built from two completions
     per piece: the claims are checked against a degree-reverse-lex basis,
@@ -334,6 +380,27 @@ def two_basis_collapse(corr: Correspondence, images: list[dict[str, Polynomial]]
         tgt = {v: piece.tgt(v).substitute(moved, small) for v in corr.target.ring.names}
         pieces.append(make_piece(small, relations, src, tgt, corr.source, corr.target))
     return Correspondence(corr.source, corr.target, tuple(pieces))
+
+
+def twice_completed_equal(
+    left: Correspondence,
+    left_collapse: dict[str, Polynomial],
+    right: Correspondence,
+    right_collapse: dict[str, Polynomial],
+    budget: Budget,
+) -> tuple[bool, str]:
+    """``cancellation._collapsed_equal`` completing both collapsed sides
+    again before comparing them: the reference for its verdicts, details
+    and :class:`IncomparableSpans` cases."""
+    if left.source != right.source or left.target != right.target:
+        return False, "the two sides have different feet"
+    _single_piece(left, "naturality comparison")
+    _single_piece(right, "naturality comparison")
+    lp = collapse_variables(left, [left_collapse], budget=budget).pieces[0]
+    rp = collapse_variables(right, [right_collapse], budget=budget).pieces[0]
+    if _pieces_equal(_canonical(lp, lp.ring, {}, budget), rp, budget):
+        return True, ""
+    return False, "canonical presentations differ"
 
 
 def _payload(piece: SpanPiece, names: tuple[str, ...], rename: dict[str, str], budget):

@@ -31,13 +31,16 @@ from flatspan.cancellation import (
 from flatspan.fields import GF, QQ
 from flatspan.groebner import groebner_basis
 from flatspan.modules import CertifyOutcome
-from flatspan.poly import PolynomialRing
+from flatspan.poly import PolynomialRing, companion_name
 from flatspan.polyparse import parse_polynomial
 from flatspan.reports import finite_flat_block
 from flatspan.schemes import affine_line, point, product, torus
 from flatspan.spans import (
     Correspondence,
+    SpanError,
+    SpanPiece,
     certify_finite_flat,
+    collapse_variables,
     cross,
     degree,
     equals,
@@ -761,6 +764,215 @@ def test_compat_names_the_colliding_spans(beta_name, gamma_name, spans):
     assert str(err.value) == (
         f"middle variable names collide between the {spans} spans; rename them apart"
     )
+
+
+def random_point(name, coeffs, field):
+    """The point-to-point span with middle ``k[v]/(v^d + c_{d-1} v^{d-1} + ... + c_0)``."""
+    ring = ring_of([name], field)
+    v = ring.var(name)
+    rel = v ** len(coeffs)
+    for i, c in enumerate(coeffs):
+        rel = rel + ring.const(field.from_int(c)) * v**i
+    piece = make_piece(ring, [rel], {}, {}, point(field), point(field))
+    return Correspondence(point(field), point(field), (piece,))
+
+
+@st.composite
+def naturality_draws(draw):
+    """``(alpha, beta, gamma, m, n, sign)`` as gate criterion 5 draws them,
+    over QQ, GF(5) or GF(7)."""
+    field = draw(st.sampled_from([QQ, GF(5), GF(7)]))
+    alpha = draw(st.sampled_from([double_triple_cover, unit_collapse, torus_identity]))(field)
+    coeffs = st.integers(2, 3).flatmap(lambda d: st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    beta, gamma = random_point("b", draw(coeffs), field), random_point("c", draw(coeffs), field)
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return alpha, beta, gamma, m, n, draw(st.sampled_from(["+", "-"]))
+
+
+def recorded(module, name, args_of, draw):
+    """Run :func:`verify_compat` on ``draw`` while recording ``args_of`` of
+    the arguments and result of each call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(args_of(args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, name, recording)
+        report = verify_compat(*draw)
+    return report, calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(naturality_draws())
+def test_naturality_collapses_leave_their_rings_reduced_bases(draw):
+    """Each piece ``verify_compat`` collapses (both sides of the source
+    comparison and the left side of the target one) has relations that are
+    the reduced degree-reverse-lex basis of its ring."""
+    import flatspan.cancellation as cancellation
+    from oracles import completes_to_itself
+
+    def collapsed(args, out):
+        return [p for p, mapping in zip(out.pieces, args[1]) if mapping]
+
+    report, calls = recorded(cancellation, "collapse_variables", collapsed, draw)
+    assert report.ok, report.detail
+    pieces = [p for found in calls for p in found]
+    assert len(pieces) == 3
+    assert all(completes_to_itself(p) for p in pieces)
+
+
+def _moved_piece(corr, mapping, ring, rename):
+    """``corr``'s one piece and a collapse mapping moved into ``ring``
+    through ``rename``."""
+    piece = corr.pieces[0]
+    moved = SpanPiece(
+        ring,
+        tuple(r.map_ring(ring, rename) for r in piece.relations),
+        tuple((k, p.map_ring(ring, rename)) for k, p in piece.src_map),
+        tuple((k, p.map_ring(ring, rename)) for k, p in piece.tgt_map),
+    )
+    images = {rename.get(v, v): p.map_ring(ring, rename) for v, p in mapping.items()}
+    return replace(corr, pieces=(moved,)), images
+
+
+def tampered(corr, mapping, how, draw):
+    """``corr`` (one piece) and its collapse mapping after tampering ``how``."""
+    piece = corr.pieces[0]
+    ring = piece.ring
+    if how == "extra relation":
+        v = draw(st.sampled_from(ring.names))
+        extra = ring.var(v) ** draw(st.integers(1, 2)) - ring.const(draw(st.integers(-2, 2)))
+        return replace(corr, pieces=(replace(piece, relations=piece.relations + (extra,)),)), mapping
+    if how == "edited leg":
+        legs = draw(st.sampled_from([k for k in ("src_map", "tgt_map") if getattr(piece, k)]))
+        items = list(getattr(piece, legs))
+        i = draw(st.integers(0, len(items) - 1))
+        bump = ring.var(draw(st.sampled_from(ring.names))) if draw(st.booleans()) else ring.one()
+        items[i] = (items[i][0], items[i][1] + bump)
+        return replace(corr, pieces=(replace(piece, **{legs: tuple(items)}),)), mapping
+    if how == "extra variable":
+        wider, _ = ring.adjoin(["z"])
+        return _moved_piece(corr, mapping, wider, {})
+    if how == "renamed ring":
+        companions = {companion_name(v) for v in ring.inverted}
+        v = draw(st.sampled_from([v for v in ring.names if v not in companions]))
+        rename = {v: v + "9"}
+        if v in ring.inverted:
+            rename[companion_name(v)] = companion_name(v + "9")
+        inverted = frozenset(rename.get(x, x) for x in ring.inverted)
+        names = tuple(rename.get(x, x) for x in ring.names)
+        return _moved_piece(corr, mapping, PolynomialRing(ring.field, names, inverted), rename)
+    # reordered ring
+    names = tuple(draw(st.permutations(ring.names)))
+    return _moved_piece(corr, mapping, PolynomialRing(ring.field, names, ring.inverted), {})
+
+
+def _compared(equal, *args):
+    try:
+        return equal(*args, Budget())
+    except SpanError as err:
+        return type(err).__name__, str(err)
+
+
+TAMPERS = ["none", "extra relation", "edited leg", "extra variable", "renamed ring", "reordered ring"]
+
+
+def unreduced(corr, mapping):
+    """``corr`` collapsed through ``mapping``, its relations traded for a
+    generating set of the same ideal that is no reduced basis."""
+    piece = collapse_variables(corr, [mapping]).pieces[0]
+    two = piece.ring.const(2)
+    relations = tuple(two * r for r in piece.relations) + (sum(piece.relations, piece.ring.zero()),)
+    return replace(corr, pieces=(replace(piece, relations=relations),))
+
+
+@settings(max_examples=30, deadline=None)
+@given(naturality_draws(), st.lists(st.sampled_from(TAMPERS), min_size=1, max_size=3), st.data())
+def test_collapsed_comparison_matches_completing_both_sides(draw, tampers, data):
+    """On both sides of gate-style draws, as built and with the right side
+    tampered, ``_collapsed_equal`` gives the verdict and detail of completing
+    both collapsed sides again, and raises ``IncomparableSpans`` in the same
+    cases.  So it does where one side has nothing to collapse and is
+    presented by relations that are no reduced basis."""
+    import flatspan.cancellation as cancellation
+    from oracles import twice_completed_equal
+
+    _, calls = recorded(cancellation, "_collapsed_equal", lambda args, out: args[:4], draw)
+    assert len(calls) == 2
+    for left, left_collapse, right, right_collapse in calls:
+        plain = unreduced(left, left_collapse)
+        cases = [(plain, {}, right, right_collapse), (left, left_collapse, plain, {})]
+        for how in tampers:
+            if how != "none":
+                right, right_collapse = tampered(right, right_collapse, how, data.draw)
+            cases.append((left, left_collapse, right, right_collapse))
+        for args in cases:
+            want = _compared(twice_completed_equal, *args)
+            assert _compared(cancellation._collapsed_equal, *args) == want
+
+
+def _counting_completions(patch):
+    """Count ``groebner_basis`` calls made through any module of the library."""
+    import sys
+
+    import flatspan.groebner
+
+    original = flatspan.groebner.groebner_basis
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flatspan") and getattr(module, "groebner_basis", None) is original:
+            patch.setattr(module, "groebner_basis", counting)
+    return calls
+
+
+def test_compat_completes_three_times_fewer_than_completing_both_sides(monkeypatch):
+    """One fixed draw: the target side no longer completes its collapsed
+    left piece, and the source side neither of its two collapsed pieces."""
+    import flatspan.cancellation as cancellation
+    from oracles import twice_completed_equal
+
+    draw = (double_triple_cover(), point_span("b^2 - 2", ["b"]), point_span("c^2", ["c"]), 2, 2, "+")
+    calls = _counting_completions(monkeypatch)
+    assert verify_compat(*draw).ok
+    now = len(calls)
+    calls.clear()
+    monkeypatch.setattr(cancellation, "_collapsed_equal", twice_completed_equal)
+    assert verify_compat(*draw).ok
+    assert (now, len(calls)) == (6, 9)
+
+
+def test_compat_then_its_family_builds_alpha_parts_once(monkeypatch):
+    """``verify_compat`` blends two composites around ``alpha``'s own family,
+    and the kept parts still hold ``alpha``'s when its family is certified
+    again, as a passing check's certificate is."""
+    import flatspan.cancellation as cancellation
+
+    alpha = double_triple_cover()
+    original = cancellation.strip_coordinates
+    stripped = []
+
+    def counted(scheme, names):
+        stripped.append(scheme)
+        return original(scheme, names)
+
+    cancellation._family_parts.cache_clear()
+    monkeypatch.setattr(cancellation, "strip_coordinates", counted)
+    verify_compat(alpha, point_span("b^2 - 2", ["b"]), point_span("c^2", ["c"]), 2, 3, "-")
+    cancel_family(alpha, 2, 3, "-")
+    # the two composites' parts and alpha's, built once each, strip two
+    # feet apiece; building alpha's twice would make 8
+    assert len(stripped) == 6
+    info = cancellation._family_parts.cache_info()
+    assert (info.hits, info.misses) == (1, 3)
 
 
 # ---------------------------------------------------------------------------

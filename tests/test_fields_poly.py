@@ -219,6 +219,70 @@ def test_map_ring_relabels_as_the_accumulating_loop(data):
     assert list(got.terms().items()) == list(want.terms().items())
 
 
+def _moved(move, p, target, rename):
+    try:
+        q = move(p, target, rename)
+    except RingMismatch as err:
+        return "RingMismatch", str(err)
+    return q.ring, list(q.terms().items())
+
+
+@pytest.mark.parametrize("case", ["identity", "padding", "renames", "dropped", "absent", "merged"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_map_ring_moves_as_the_slot_loop(case, data):
+    """The same ring, terms and term order, or the same RingMismatch message,
+    as rebuilding the slot map from the names and the terms on every call;
+    with the slot plans dropped first and then kept."""
+    import flatspan.poly
+    from oracles import slot_loop_map_ring
+
+    field = data.draw(st.sampled_from([QQ, GF(5)]))
+    low = 2 if case in ("dropped", "merged") else 1
+    names = tuple(data.draw(st.permutations("xyzw")))[: data.draw(st.integers(low, 4))]
+    R = PolynomialRing(field, names)
+    # the variables p uses: all but at least one when some must be dropped
+    high = len(names) - 1 if case == "dropped" else len(names)
+    pair = 2 if case == "merged" else 1
+    used = data.draw(st.lists(st.sampled_from(names), min_size=pair, max_size=high, unique=True))
+    power = st.integers(0, 3)
+    shape = st.tuples(*(power if v in used else st.just(0) for v in names))
+    p = _from_items(R, data.draw(st.lists(st.tuples(shape, coeffs), max_size=5)))
+    # one term of degree 4 in every used variable, so p uses exactly those
+    p = p + Polynomial(R, {tuple(4 if v in used else 0 for v in names): field.one})
+    extra = data.draw(st.lists(st.sampled_from("abc"), unique=True, max_size=2))
+    rename = None
+    landed = list(names)
+    if case == "identity":
+        rename = data.draw(st.sampled_from([None, {}, {v: v for v in names}]))
+        extra = []
+    elif case == "padding":
+        extra = extra or ["a"]
+    elif case == "renames":
+        # not always one to one: unused names may share a slot with any name
+        images = data.draw(st.lists(st.sampled_from("abxyzw"), min_size=len(names), max_size=len(names)))
+        rename = dict(zip(names, images))
+        landed = images
+    elif case == "dropped":
+        unused = [v for v in names if v not in used]
+        gone = data.draw(st.lists(st.sampled_from(unused), min_size=1, unique=True))
+        landed = [v for v in names if v not in gone]
+    elif case == "absent":
+        gone = data.draw(st.sampled_from(used))
+        landed = [v for v in names if v != gone]
+    else:  # two used names on one slot
+        a, b = data.draw(st.lists(st.sampled_from(used), min_size=2, max_size=2, unique=True))
+        rename = {a: b}
+        landed = [v for v in names if v != a]
+    target = PolynomialRing(field, tuple(data.draw(st.permutations(sorted(set(landed) | set(extra))))))
+    want = _moved(slot_loop_map_ring, p, target, rename)
+    if case in ("absent", "merged"):
+        assert want[0] == "RingMismatch"
+    flatspan.poly._slot_plan.cache_clear()
+    assert _moved(Polynomial.map_ring, p, target, rename) == want
+    assert _moved(Polynomial.map_ring, p, target, rename) == want
+
+
 def test_map_ring_refuses_to_merge_used_variables():
     R, S = ring_qq("x", "y"), ring_qq("z")
     with pytest.raises(RingMismatch, match="both map to 'z'"):

@@ -697,12 +697,12 @@ def test_recheck_accepts_a_leads_certificate_exactly_when_certification_does(dat
     relations = list(base.relations)
     for v in fiber:
         power = data.draw(st.integers(1, 2))
-        lower = _draw_poly(data, ring, (v, coord))
+        lower = _draw_poly(data.draw, ring, (v, coord))
         lower = Polynomial(ring, {e: c for e, c in lower.terms().items() if e[ring.index(v)] < power})
         relations.append(ring.var(v) ** power + lower)
     extra = data.draw(st.sampled_from(["none", "drawn", "annihilator"]))
     if extra == "drawn":
-        relations.append(_draw_poly(data, ring, (fiber[-1], coord)))
+        relations.append(_draw_poly(data.draw, ring, (fiber[-1], coord)))
     elif extra == "annihilator":  # torsion, or a mixed lead y*x^k when no base element follows
         relations.append(ring.var("y") * ring.var(coord) ** data.draw(st.integers(1, 2)))
     legs = {n: ring.var(n) for n in base.ring.names}
@@ -811,46 +811,56 @@ def test_collapse_variables_completes_each_piece_once(monkeypatch):
 _small = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3))
 
 
-def _draw_poly(data, ring, names):
+def _draw_poly(draw, ring, names):
     """A sum of at most three terms in the two variables ``names``."""
     total = ring.zero()
     a, b = (ring.index(n) for n in names)
-    for i, j, c in data.draw(st.lists(_small, max_size=3)):
+    for i, j, c in draw(st.lists(_small, max_size=3)):
         exp = [0] * ring.nvars
         exp[a], exp[b] = i, j
         total = total + Polynomial(ring, {tuple(exp): ring.field.one}).scale(c)
     return total
 
 
+@st.composite
+def collapse_claims(draw):
+    """A one-piece span over the torus whose relations identify ``u`` with
+    some ``g(t, t_inv)`` and ``v`` with some ``f(t, u)``, perhaps cut down
+    by one more relation in ``t``, and a mapping that collapses ``u``, ``v``
+    or both, each claim perhaps false."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    G, line = torus(field, "t"), affine_line(field, "x")
+    ring = PolynomialRing(field, ("t", "t_inv", "u", "v"), frozenset(["t"]))
+    t, ti, u, v = (ring.var(n) for n in ring.names)
+    g = _draw_poly(draw, ring, ("t", "t_inv"))
+    f = _draw_poly(draw, ring, ("t", "u"))
+    relations = [t * ti - ring.one(), u - g, v - f]
+    if draw(st.booleans()):
+        relations.append(_draw_poly(draw, ring, ("t", "t_inv")))
+    piece = make_piece(ring, relations, {"t": t, "t_inv": ti}, {"x": u + v}, G, line)
+    corr = Correspondence(G, line, (piece,))
+    doomed = draw(st.sampled_from([("u",), ("v",), ("u", "v")]))
+    # no image may use a doomed variable: when u goes too, v's image is f(t, g)
+    truths = {"u": g, "v": f.substitute({"u": g}, ring) if "u" in doomed else f}
+    mapping = {}
+    for name in doomed:
+        image = truths[name]
+        if draw(st.booleans()):
+            image = image + _draw_poly(draw, ring, ("t", "t_inv"))  # perhaps a false claim
+        mapping[name] = image
+    return corr, mapping
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_one_basis_collapse_matches_the_two_basis_collapse(data):
+@given(collapse_claims())
+def test_one_basis_collapse_matches_the_two_basis_collapse(claims):
     """Same rings, relations (term order included) and maps as checking the
     claims in degree-reverse-lex and then eliminating, and a SpanError on
     exactly the same claims."""
     from flatspan.spans import collapse_variables
     from oracles import two_basis_collapse
 
-    field = data.draw(st.sampled_from([QQ, GF(5)]))
-    G, line = torus(field, "t"), affine_line(field, "x")
-    ring = PolynomialRing(field, ("t", "t_inv", "u", "v"), frozenset(["t"]))
-    t, ti, u, v = (ring.var(n) for n in ring.names)
-    g = _draw_poly(data, ring, ("t", "t_inv"))
-    f = _draw_poly(data, ring, ("t", "u"))
-    relations = [t * ti - ring.one(), u - g, v - f]
-    if data.draw(st.booleans()):
-        relations.append(_draw_poly(data, ring, ("t", "t_inv")))
-    piece = make_piece(ring, relations, {"t": t, "t_inv": ti}, {"x": u + v}, G, line)
-    corr = Correspondence(G, line, (piece,))
-    doomed = data.draw(st.sampled_from([("u",), ("v",), ("u", "v")]))
-    # no image may use a doomed variable: when u goes too, v's image is f(t, g)
-    truths = {"u": g, "v": f.substitute({"u": g}, ring) if "u" in doomed else f}
-    mapping = {}
-    for name in doomed:
-        image = truths[name]
-        if data.draw(st.booleans()):
-            image = image + _draw_poly(data, ring, ("t", "t_inv"))  # perhaps a false claim
-        mapping[name] = image
+    corr, mapping = claims
     try:
         want = two_basis_collapse(corr, [mapping], Budget())
     except SpanError:
@@ -862,6 +872,22 @@ def test_one_basis_collapse_matches_the_two_basis_collapse(data):
     assert [list(r.terms().items()) for r in got.pieces[0].relations] == [
         list(r.terms().items()) for r in want.pieces[0].relations
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(collapse_claims())
+def test_collapsed_relations_are_the_reduced_basis_of_their_ring(claims):
+    """``_collapsed_equal`` takes a collapsed piece's relations as its
+    canonical basis; this is why it may."""
+    from flatspan.spans import collapse_variables
+    from oracles import completes_to_itself
+
+    corr, mapping = claims
+    try:
+        piece = collapse_variables(corr, [mapping]).pieces[0]
+    except SpanError:
+        return  # a false claim collapses nothing
+    assert completes_to_itself(piece)
 
 
 def test_single_piece_equals_completes_each_side_once(monkeypatch):
@@ -884,8 +910,8 @@ def _draw_middle(data, field):
     ring = PolynomialRing(field, ("t", "t_inv") + extra, frozenset(["t"]))
     relations = [ring.var("t") * ring.var("t_inv") - ring.one()]
     for pair in [("t", "u"), extra[-2:]][: len(extra)]:
-        relations.append(_draw_poly(data, ring, pair))
-    return ring, relations, ring.var(extra[-1]) + _draw_poly(data, ring, (extra[-1], "t"))
+        relations.append(_draw_poly(data.draw, ring, pair))
+    return ring, relations, ring.var(extra[-1]) + _draw_poly(data.draw, ring, (extra[-1], "t"))
 
 
 def _variant(data, field, middle):

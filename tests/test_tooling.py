@@ -186,31 +186,46 @@ def _identifier(node) -> str | None:
     return None
 
 
+# every memo of ``src/flatspan``, with its bound
+MEMOS = {
+    "orders._grevlex_weights": 64,
+    "groebner._packing": 64,
+    # a map_ring slot plan per (renamed source names, target names)
+    "poly._slot_plan": 256,
+    "polyparse.parse_polynomial": 256,
+    # verify_compat asks for three spans' parts, alpha's second
+    "cancellation._family_parts": 4,
+}
+
+
 def test_every_memo_is_bounded():
-    """Each ``lru_cache`` of ``src/flatspan`` is called with an explicit
-    finite ``maxsize`` and ``functools.cache`` is not used, so no memo can
-    grow with the number of inputs a process sees."""
-    memos, unbounded = [], []
-    for path in sorted((ROOT / "src" / "flatspan").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    """Each ``lru_cache`` of ``src/flatspan`` decorates a function of
+    :data:`MEMOS` with its explicit finite ``maxsize``, and
+    ``functools.cache`` is not used, so no memo can grow with the number of
+    inputs a process sees."""
+    memos, unbounded = {}, []
+    for module, tree in _library_trees():
         bounded = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and _identifier(node.func) == "lru_cache":
-                size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
-                if len(size) == 1 and isinstance(size[0], ast.Constant):
-                    if isinstance(size[0].value, int) and size[0].value > 0:
-                        bounded.add(node.func)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                if isinstance(dec, ast.Call) and _identifier(dec.func) == "lru_cache":
+                    size = [k.value for k in dec.keywords if k.arg == "maxsize"] + dec.args[:1]
+                    if len(size) == 1 and isinstance(size[0], ast.Constant):
+                        if type(size[0].value) is int and size[0].value > 0:
+                            memos[f"{module}.{node.name}"] = size[0].value
+                            bounded.add(dec.func)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "functools":
-                unbounded += [f"{path.stem}: imports cache" for a in node.names if a.name == "cache"]
-            elif _identifier(node) == "lru_cache":
-                (memos if node in bounded else unbounded).append(f"{path.stem}:{node.lineno}")
+                unbounded += [f"{module}: imports cache" for a in node.names if a.name == "cache"]
+            elif _identifier(node) == "lru_cache" and node not in bounded:
+                unbounded.append(f"{module}:{node.lineno}")
             elif isinstance(node, ast.Attribute) and node.attr == "cache":
                 if _identifier(node.value) == "functools":
-                    unbounded.append(f"{path.stem}:{node.lineno} functools.cache")
+                    unbounded.append(f"{module}:{node.lineno} functools.cache")
     assert not unbounded
-    assert len(memos) >= 3  # groebner._packing, cancellation._family_parts, polyparse.parse_polynomial
-
+    assert memos == MEMOS
 
 
 def _owned(node, owner):
