@@ -289,7 +289,7 @@ def _contracted(doc, req, budget):
             "contraction expects the span to target a punctured-line power"
         )
     n = len(primaries)
-    datum = standard_contraction_data(n, scheme.ring.field, budget=budget)
+    datum = standard_contraction_data(n, scheme.ring.field)
     if datum.scheme != scheme:
         wanted = "t" if n == 1 else f"t1..t{n}"
         raise WorkspaceError(

@@ -21,8 +21,10 @@ line, restricted to the open set of a generator (``spans.restrict_to_open``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import lru_cache, reduce
+from types import MappingProxyType
 
 from .budget import Budget, InputError
 from .fields import QQ, Field
@@ -69,15 +71,16 @@ class ContractionDatum:
     the scheme's coordinates plus the parameter ``u_name``; ``cofactors``
     holds w divided by the matching coordinate image.  Instances are built
     through :func:`make_contraction_datum`, which checks every hypothesis
-    symbolically instead of trusting the caller.
+    symbolically instead of trusting the caller, and their three maps are
+    read-only, so one checked datum can be shared.
     """
 
     scheme: AffineScheme
-    base_point: dict[str, object]
+    base_point: Mapping[str, object]
     u_name: str
     w: Polynomial
-    f_images: dict[str, Polynomial]
-    cofactors: dict[str, Polynomial]
+    f_images: Mapping[str, Polynomial]
+    cofactors: Mapping[str, Polynomial]
 
     @property
     def u_ring(self) -> PolynomialRing:
@@ -176,11 +179,11 @@ def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
 
 def make_contraction_datum(
     scheme: AffineScheme,
-    base_point: dict[str, object],
+    base_point: Mapping[str, object],
     u_name: str,
     w: Polynomial,
-    f_images: dict[str, Polynomial],
-    cofactors: dict[str, Polynomial],
+    f_images: Mapping[str, Polynomial],
+    cofactors: Mapping[str, Polynomial],
     budget: Budget | None = None,
 ) -> ContractionDatum:
     """Assemble and symbolically verify interpolation data.
@@ -199,20 +202,28 @@ def make_contraction_datum(
                 if point[name] == field.zero:
                     raise ContractionError(f"base point puts the inverted coordinate {name!r} at 0")
                 point[comp] = field.inv(point[name])
-    datum = ContractionDatum(scheme, point, u_name, w, dict(f_images), dict(cofactors))
+    datum = ContractionDatum(
+        scheme,
+        MappingProxyType(point),
+        u_name,
+        w,
+        MappingProxyType(dict(f_images)),
+        MappingProxyType(dict(cofactors)),
+    )
     _check_datum(datum, budget)
     return datum
 
 
-def standard_contraction_data(
-    n: int, field: Field = QQ, budget: Budget | None = None
-) -> ContractionDatum:
+@lru_cache(maxsize=16, typed=True)
+def standard_contraction_data(n: int, field: Field = QQ) -> ContractionDatum:
     """Interpolation data on a product of ``n`` punctured lines.
 
     The weight is the product of the straight-line segments u*t_i + (1-u)
     joining each coordinate to 1, and the coordinate flow rescales along
     the same segments.  All hypotheses are verified symbolically before
-    the datum is returned.
+    the datum is returned.  It is built and checked once per ``(n, field)``
+    (the field's type included) and then shared: the checks charge no
+    budget step, so no caller's budget misses a charge.
     """
     if n < 1:
         raise ContractionError("need at least one coordinate")
@@ -238,7 +249,6 @@ def standard_contraction_data(
         w,
         segments,
         cofactors,
-        budget=budget,
     )
 
 
@@ -351,16 +361,14 @@ def _build_chart(
 ) -> ContractedChart:
     """The input crossed with the parameter line (``lined``, each piece's
     copy named in ``u_names``) on ``D(generator)``, target legs flowed."""
-    opened, loc_names = restrict_to_open(lined, generator)
-    pieces = []
-    for piece, u2 in zip(opened.pieces, u_names):
-        ring = piece.ring
-        images = _weight_images(piece, datum, ring, ring.var(u2))
+
+    def flowed(i: int, ring: PolynomialRing, relations: list[Polynomial]) -> dict[str, Polynomial]:
+        images = _weight_images(lined.pieces[i], datum, ring, ring.var(u_names[i]))
         weight = datum.w.substitute(images, ring)
 
         # the generator lies in (relations, weight), so the weight is a unit
         # wherever the generator is; no inverse means the chart piece is empty
-        reciprocal = modular_inverse(weight, list(piece.relations), budget=budget)
+        reciprocal = modular_inverse(weight, relations, budget=budget)
         if reciprocal is None:
             reciprocal = ring.zero()
 
@@ -368,8 +376,9 @@ def _build_chart(
         for name in datum.primary:
             tgt[name] = datum.f_images[name].substitute(images, ring)
             tgt[companion_name(name)] = datum.cofactors[name].substitute(images, ring) * reciprocal
-        pieces.append(replace(piece, tgt_map=tuple((v, tgt[v]) for v in datum.scheme.ring.names)))
-    corr = replace(opened, pieces=tuple(pieces))
+        return tgt
+
+    corr, loc_names = restrict_to_open(lined, generator, flowed)
     certificate = certify_finite_flat(corr, budget=budget)
     return ContractedChart(generator, corr, certificate, u_names, loc_names)
 

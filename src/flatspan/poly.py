@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .budget import InputError
@@ -227,14 +227,10 @@ class Polynomial:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check(self, other: Polynomial):
-        if self.ring != other.ring:
-            raise RingMismatch(f"ring mismatch: {self.ring.names} vs {other.ring.names}")
-
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check(other)
+        _same_ring(self.ring, other.ring)
         f = self.ring.field
         out = dict(self._terms)
         for exp, c in other._terms.items():
@@ -257,21 +253,8 @@ class Polynomial:
     def __mul__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check(other)
-        f = self.ring.field
-        out: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                for x in e:
-                    if x > MAX_EXPONENT:
-                        raise ExponentOverflow(f"exponent {x} exceeds {MAX_EXPONENT}")
-                s = f.add(out.get(e, f.zero), f.mul(c1, c2))
-                if not s:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.ring, out)
+        _same_ring(self.ring, other.ring)
+        return Polynomial._relabeled(self.ring, _product(self._terms, other._terms, self.ring.field))
 
     def __pow__(self, k: int) -> Polynomial:
         if k < 0:
@@ -347,37 +330,40 @@ class Polynomial:
     def substitute(self, images: Mapping[str, Polynomial], target: PolynomialRing) -> Polynomial:
         """Apply the ring map given by ``images``; names without an image
         must exist verbatim in the target ring.  Renaming variables is
-        :meth:`map_ring`'s job; with no images this is ``map_ring(target)``."""
+        :meth:`map_ring`'s job; with no images this is ``map_ring(target)``.
+
+        Each term is multiplied out on raw terms, variable by variable, and
+        added into the running sum, so the terms, their order and any error
+        are those of ``sum(c * prod(image**k))`` built from polynomials.  The
+        power of each (variable, exponent) is found once per call
+        (:func:`_power_terms`); a monomial or constant power costs a term one
+        exponent shift and one coefficient product."""
         if not images:
             return self.map_ring(target)
         f = target.field
         if f != self.ring.field:
             raise RingMismatch("cannot substitute across different fields")
-        cache: dict[tuple[int, int], Polynomial] = {}
-
-        def var_power(i: int, k: int) -> Polynomial:
-            key = (i, k)
-            if key not in cache:
-                name = self.ring.names[i]
-                base = images.get(name)
-                if base is None:
-                    base = target.var(name)
-                cache[key] = base**k
-            return cache[key]
-
+        names, unit = self.ring.names, (0,) * target.nvars
+        powers: dict[tuple[int, int], dict] = {}
         total: dict[tuple[int, ...], object] = {}
         for exp, c in self._terms.items():
-            term = target.const(1).scale(c)
+            term = {unit: c}
             for i, k in enumerate(exp):
                 if k:
-                    term = term * var_power(i, k)
-            for e, tc in term._terms.items():
+                    power = powers.get((i, k))
+                    if power is None:
+                        base = images.get(names[i])
+                        power = powers[i, k] = _power_terms(
+                            target.var(names[i]) if base is None else base, k, target
+                        )
+                    term = _product(term, power, f)
+            for e, tc in term.items():
                 s = f.add(total.get(e, f.zero), tc)
                 if not s:
                     total.pop(e, None)
                 else:
                     total[e] = s
-        return Polynomial(target, total)
+        return Polynomial._relabeled(target, total)
 
     # -- comparison ----------------------------------------------------
 
@@ -400,6 +386,52 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<poly {self}>"
+
+
+def _same_ring(ring: PolynomialRing, other: PolynomialRing) -> None:
+    if ring is not other and ring != other:
+        raise RingMismatch(f"ring mismatch: {ring.names} vs {other.names}")
+
+
+def _product(a: dict, b: dict, f: Field) -> dict:
+    """The terms of the product of two term dicts, ``a``'s terms outermost;
+    an exponent past the cap raises :class:`ExponentOverflow`."""
+    out: dict[tuple[int, ...], object] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            if max(e, default=0) > MAX_EXPONENT:
+                x = next(x for x in e if x > MAX_EXPONENT)
+                raise ExponentOverflow(f"exponent {x} exceeds {MAX_EXPONENT}")
+            s = f.add(out.get(e, f.zero), f.mul(c1, c2))
+            if not s:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _power_terms(base: Polynomial, k: int, target: PolynomialRing) -> dict:
+    """The terms of ``base**k``, which must live in ``target``.  A monomial
+    whose power stays under the cap is shifted and its coefficient raised;
+    anything else is ``base**k`` itself, which raises an overflow where the
+    power does, before the ring is compared."""
+    terms = base._terms
+    if len(terms) == 1:
+        ((a, c),) = terms.items()
+        if max(a, default=0) * k <= MAX_EXPONENT:
+            _same_ring(target, base.ring)
+            f, coeff, bits = target.field, target.field.one, k
+            while bits:
+                if bits & 1:
+                    coeff = f.mul(coeff, c)
+                bits >>= 1
+                if bits:
+                    c = f.mul(c, c)
+            return {a if k == 1 else tuple(x * k for x in a): coeff}
+    power = base**k
+    _same_ring(target, power.ring)
+    return power._terms
 
 
 def laurent_valuation(p: Polynomial, name: str) -> int | None:

@@ -17,7 +17,7 @@ by name or by position.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
@@ -342,21 +342,31 @@ def cross(
 
 
 def restrict_to_open(
-    corr: Correspondence, g: Polynomial
+    corr: Correspondence,
+    g: Polynomial,
+    flow: Callable[[int, PolynomialRing, list[Polynomial]], Mapping[str, Polynomial]] | None = None,
 ) -> tuple[Correspondence, tuple[str, ...]]:
     """Restrict ``corr`` to ``D(g)`` of its source (:func:`~flatspan.schemes.localize`).
     Each piece adjoins the reciprocal of ``g`` pulled back along its source
     leg, named after the localized source's new coordinate, with its unit
     relation after the moved relations and carried by the new source leg.
-    Returns the span and each piece's reciprocal."""
+    Its target legs are moved too, unless ``flow`` is given: then piece
+    ``i``'s target legs are ``flow(i, ring, relations)``, built in its new
+    ring from its new relations, and the old ones are never moved.  Returns
+    the span and each piece's reciprocal."""
     source, aux = localize(corr.source, g)
     pieces, names = [], []
-    for piece in corr.pieces:
+    for i, piece in enumerate(corr.pieces):
         ring, (name,) = piece.ring.adjoin([aux])
         legs = {v: piece.src(v).map_ring(ring) for v in corr.source.ring.names}
-        unit = g.substitute(legs, ring) * ring.var(name) - ring.one()
-        new_leg = {aux: ring.var(name)}
-        pieces.append(rebuild_piece(piece, ring, {}, source, corr.target, [unit], src=new_leg))
+        relations = [r.map_ring(ring) for r in piece.relations]
+        relations.append(g.substitute(legs, ring) * ring.var(name) - ring.one())
+        legs[aux] = ring.var(name)
+        if flow is None:
+            tgt = {v: piece.tgt(v).map_ring(ring) for v in corr.target.ring.names}
+        else:
+            tgt = flow(i, ring, relations)
+        pieces.append(make_piece(ring, relations, legs, tgt, source, corr.target))
         names.append(name)
     return Correspondence(source, corr.target, tuple(pieces)), tuple(names)
 

@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import flatspan
+from flatspan.budget import Budget
 from flatspan.cli import main
 from flatspan.contraction import (
     ContractionError,
@@ -22,13 +24,14 @@ from flatspan.contraction import (
     standard_contraction_data,
     verify_contraction_endpoints,
 )
-from flatspan.fields import QQ
+from flatspan.fields import GF, QQ
 from flatspan.groebner import ideals_equal
 from flatspan.poly import PolynomialRing
 from flatspan.reports import correspondence_to_json, outcome_to_json
 from flatspan.schemes import affine_line, point, torus, torus_power
 from flatspan.spans import (
     Correspondence,
+    SpanPiece,
     add,
     identity_span,
     make_piece,
@@ -216,6 +219,53 @@ def test_a_zero_base_point_on_an_inverted_coordinate_is_rejected():
     d = standard_contraction_data(1)
     with pytest.raises(ContractionError, match="'t' at 0"):
         make_contraction_datum(d.scheme, {"t": QQ.zero}, "u", d.w, d.f_images, d.cofactors)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=["QQ", "GF7", "GF101"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_shared_standard_datum_charges_no_step(n, field):
+    """Checking the standard datum's hypotheses spends nothing, which is
+    what lets one checked datum per (n, field) serve every caller: no
+    caller's budget misses a charge."""
+    datum = standard_contraction_data(n, field)
+    budget = Budget()
+    again = make_contraction_datum(
+        datum.scheme, datum.base_point, datum.u_name, datum.w, datum.f_images, datum.cofactors, budget
+    )
+    assert budget.used == 0
+    assert again == datum
+    assert standard_contraction_data(n, field) is datum
+
+
+def test_the_shared_standard_datum_is_read_only():
+    datum = standard_contraction_data(1)
+    for table in (datum.base_point, datum.f_images, datum.cofactors):
+        with pytest.raises(TypeError):
+            table["t"] = datum.w
+    with pytest.raises(FrozenInstanceError):
+        datum.w = datum.u_ring.one()
+    assert str(datum.f_images["t"]) == "t*u - u + 1"
+
+
+def test_a_run_builds_the_standard_datum_once(monkeypatch, tmp_path, capsys):
+    """A document's ``contract`` and ``verify-contraction`` checks share one
+    datum, built and checked once."""
+    import flatspan.contraction as contraction
+
+    built = []
+    original = contraction.make_contraction_datum
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return original(*args, **kwargs)
+
+    standard_contraction_data.cache_clear()
+    monkeypatch.setattr(contraction, "make_contraction_datum", counted)
+    doc = tmp_path / "on-base-point.fsw"
+    doc.write_text(ON_BASE_POINT, encoding="utf-8")
+    assert main(["run", str(doc)]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +700,36 @@ def test_chart_legs_respect_both_schemes(name):
     assert result.charts
     for chart in result.charts:
         validate_correspondence(chart.correspondence)
+
+
+def test_a_chart_builds_each_piece_once(monkeypatch):
+    """Each chart piece is made once, with the flowed target legs: the
+    input's own target legs are never moved onto the chart only to be
+    replaced."""
+    import flatspan.contraction as contraction
+
+    made, building = [], []
+    init, build, certify = SpanPiece.__init__, contraction._build_chart, contraction.certify_finite_flat
+
+    def counted_init(self, *args, **kwargs):
+        if building:
+            made.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_build(lined, *args):
+        building.append(lined)
+        return build(lined, *args)
+
+    def certify_unwatched(corr, budget=None):
+        building.clear()
+        return certify(corr, budget=budget)
+
+    monkeypatch.setattr(SpanPiece, "__init__", counted_init)
+    monkeypatch.setattr(contraction, "_build_chart", counted_build)
+    monkeypatch.setattr(contraction, "certify_finite_flat", certify_unwatched)
+    result = contract(add(rational_point(2), sqrt_two_span()), standard_contraction_data(1))
+    assert result.charts
+    assert len(made) == 2 * len(result.charts)
 
 
 @pytest.mark.parametrize(

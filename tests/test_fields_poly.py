@@ -312,20 +312,55 @@ def _substitute_by_fold(p, images, target):
     return total
 
 
-@settings(max_examples=60, deadline=None)
+def _substituted(substitute, p, images, target):
+    try:
+        q = substitute(p, images, target)
+    except (RingMismatch, ExponentOverflow) as err:
+        return type(err).__name__, str(err)
+    return list(q.terms().items())
+
+
+# exponents of a monomial image: small, or large enough that a power or a
+# product of powers passes MAX_EXPONENT
+image_exps = st.sampled_from([0, 1, 2, 3, 2**30, MAX_EXPONENT])
+
+
+def _image(data, S, kind):
+    """An image of ``kind`` over ``S``; ``foreign`` lives in a ring with
+    other names or another field."""
+    exps3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    nonzero = coeffs.filter(lambda c: c % 5)
+    if kind == "polynomial":
+        return _from_items(S, data.draw(st.lists(st.tuples(exps3, coeffs), max_size=3)))
+    if kind == "monomial":
+        exp = data.draw(st.tuples(image_exps, image_exps, image_exps))
+        return Polynomial(S, {exp: S.field.one}).scale(data.draw(nonzero))
+    if kind == "constant":
+        return S.const(data.draw(nonzero))
+    if kind == "zero":
+        return S.zero()
+    other = data.draw(
+        st.sampled_from(
+            [PolynomialRing(S.field, ("u", "y", "w")), PolynomialRing(GF(7), S.names)]
+        )
+    )
+    return data.draw(st.sampled_from([other.var(other.names[0]), other.one(), other.zero()]))
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_substitute_matches_the_running_sum(data):
+    """Same terms in the same order, or the same error type and message, as
+    the fold; images are polynomials, monomials (with powers and products
+    past the cap), constants, zero, or polynomials of another ring."""
     exps3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+    kinds = st.sampled_from(["polynomial", "monomial", "constant", "zero", "foreign"])
     for field in (QQ, GF(5)):
         R = PolynomialRing(field, ("x", "y", "z"))
         S = PolynomialRing(field, ("u", "y", "z"))
         p = _from_items(R, data.draw(st.lists(st.tuples(exps3, coeffs), max_size=6)))
         mapped = data.draw(st.lists(st.sampled_from(R.names), unique=True))
-        images = {
-            v: _from_items(S, data.draw(st.lists(st.tuples(exps3, coeffs), max_size=3)))
-            for v in mapped
-        }
+        images = {v: _image(data, S, data.draw(kinds)) for v in mapped}
         images.setdefault("x", S.var("u"))  # S has no x
-        got = p.substitute(images, S)
-        want = _substitute_by_fold(p, images, S)
-        assert list(got.terms().items()) == list(want.terms().items())
+        got = _substituted(Polynomial.substitute, p, images, S)
+        assert got == _substituted(_substitute_by_fold, p, images, S)

@@ -195,6 +195,9 @@ MEMOS = {
     "polyparse.parse_polynomial": 256,
     # verify_compat asks for three spans' parts, alpha's second
     "cancellation._family_parts": 4,
+    # a checked standard datum per (n, field): a document's contraction
+    # checks share one, and a batch keeps QQ's and the recent primes'
+    "contraction.standard_contraction_data": 16,
 }
 
 
