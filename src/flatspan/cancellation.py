@@ -11,10 +11,11 @@ are :func:`filtration_index`, :func:`verify_compat` and
 Every blended family of one span shares its feet, its extended middle
 rings, the moved relations and legs, and the cut polynomials; only the
 blend relation differs.  Those parts depend on the span alone and charge
-no budget, so they are built once and kept for the last four spans asked
-for, and a search over the ``(m, n, sign)`` box builds each family from
-them: the span, torus feet forgotten as in :func:`cancel_slice`,
-crossed with the parameter line (:func:`~flatspan.spans.cross`).
+no budget, so they are built once: the last four spans' parts are kept,
+and the last 64 cuts (:func:`cut_value`).  A search over the
+``(m, n, sign)`` box builds each family from them: the span, torus feet
+forgotten as in :func:`cancel_slice`, crossed with the parameter line
+(:func:`~flatspan.spans.cross`).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .spans import (
     cross,
     degree,
     equals,
+    graph_span,
     identity_span,
     lift_into_certificate,
     make_piece,
@@ -79,11 +81,14 @@ PARAMETER = "s"
 # cut and blend polynomials
 
 
+@lru_cache(maxsize=64)
 def cut_value(n: int, sign: str, main: Polynomial, aux: Polynomial | None = None) -> Polynomial:
     """``main**n + 1`` for sign ``+`` and ``main**n + aux`` for sign ``-``.
 
     ``main`` and ``aux`` are typically the structure-map images of the
-    source and target torus coordinates; the minus cut needs both.
+    source and target torus coordinates; the minus cut needs both.  A
+    search over a window asks for each cut of one span many times, so the
+    last 64 cuts are kept.
     """
     if n < 1:
         raise InputError("cut exponent must be at least 1")
@@ -337,33 +342,19 @@ def _forget_torus_feet(alpha: Correspondence) -> tuple[Correspondence, str, str]
     src_t, tgt_t = _torus_feet(alpha)
     source = strip_coordinates(alpha.source, [src_t])
     target = strip_coordinates(alpha.target, [tgt_t])
-    pieces = tuple(
-        replace(
-            piece,
-            src_map=tuple(leg for leg in piece.src_map if leg[0] in source.ring.names),
-            tgt_map=tuple(leg for leg in piece.tgt_map if leg[0] in target.ring.names),
-        )
-        for piece in alpha.pieces
-    )
+    pieces = tuple(rebuild_piece(p, p.ring, {}, source, target) for p in alpha.pieces)
     return Correspondence(source, target, pieces), src_t, tgt_t
 
 
 class _PieceParts(NamedTuple):
     """One middle piece moved into its ring extended by the parameter: the
-    moved relations and legs (the parameter leg set), the parameter ``s``,
-    the torus images ``main`` and ``aux``, and the cut polynomials made so
-    far, keyed by ``(k, sign)``."""
+    moved relations and legs (the parameter leg set), the parameter ``s``
+    and the torus images ``main`` and ``aux`` its cuts are made of."""
 
     moved: SpanPiece
     s: Polynomial
     main: Polynomial
     aux: Polynomial
-    cuts: dict[tuple[int, str], Polynomial]
-
-    def cut(self, k: int, sign: str) -> Polynomial:
-        if (k, sign) not in self.cuts:
-            self.cuts[k, sign] = cut_value(k, sign, self.main, self.aux)
-        return self.cuts[k, sign]
 
 
 @lru_cache(maxsize=4)
@@ -384,7 +375,7 @@ def _family_parts(
     for piece, moved, pvar in zip(alpha.pieces, family.pieces, pvars):
         ring = moved.ring
         main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
-        pieces.append(_PieceParts(moved, ring.var(pvar), main, aux, {}))
+        pieces.append(_PieceParts(moved, ring.var(pvar), main, aux))
     return family.source, family.target, s_name, tuple(pieces)
 
 
@@ -406,14 +397,11 @@ def blended_family(
     the relation appended here.
     """
     source, target, s_name, parts = _family_parts(alpha)
-    pieces = tuple(
-        replace(
-            p.moved,
-            relations=p.moved.relations + (blend_value(p.s, p.cut(n, sign), p.cut(m, sign)),),
-        )
-        for p in parts
-    )
-    return Correspondence(source, target, pieces), s_name
+    pieces = []
+    for p in parts:
+        blend = blend_value(p.s, *(cut_value(k, sign, p.main, p.aux) for k in (n, m)))
+        pieces.append(rebuild_piece(p.moved, p.moved.ring, {}, source, target, [blend]))
+    return Correspondence(source, target, tuple(pieces)), s_name
 
 
 def cancel_family(
@@ -429,11 +417,11 @@ def cancel_slice(alpha: Correspondence, n: int, sign: str) -> Correspondence:
     """Cut the middle along the n-th torus cut locus, dropping both torus
     feet."""
     bare, src_t, tgt_t = _forget_torus_feet(alpha)
-    cuts = (cut_value(n, sign, piece.src(src_t), piece.tgt(tgt_t)) for piece in alpha.pieces)
-    pieces = tuple(
-        replace(kept, relations=kept.relations + (cut,)) for kept, cut in zip(bare.pieces, cuts)
-    )
-    return replace(bare, pieces=pieces)
+    pieces = []
+    for p in alpha.pieces:
+        cut = cut_value(n, sign, p.src(src_t), p.tgt(tgt_t))
+        pieces.append(rebuild_piece(p, p.ring, {}, bare.source, bare.target, [cut]))
+    return Correspondence(bare.source, bare.target, tuple(pieces))
 
 
 def restrict_parameter(corr: Correspondence, name: str, value) -> Correspondence:
@@ -706,14 +694,8 @@ def unit_collapse(field) -> Correspondence:
     """The self-correspondence of the torus in ``t`` that factors through
     the unit point."""
     G = torus(field, "t")
-    ring = PolynomialRing(field, ("t", "t_inv"), frozenset(["t"]))
-    t, t_inv = ring.var("t"), ring.var("t_inv")
-    relations = [t * t_inv - ring.one()]
-    src = {"t": t, "t_inv": t_inv}
-    one = ring.one()
-    tgt = {"t": one, "t_inv": one}
-    piece = make_piece(ring, relations, src, tgt, G, G)
-    return Correspondence(G, G, (piece,))
+    one = G.ring.one()
+    return graph_span(G, G, {"t": one, "t_inv": one})
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .budget import InputError
 from .fields import Field
-from .poly import Polynomial, PolynomialRing, companion_name
+from .poly import INVERSE_SUFFIX, Polynomial, PolynomialRing, companion_name
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def strip_coordinates(scheme: AffineScheme, names: list[str]) -> AffineScheme:
         used = rel.variables()
         if used & gone:
             touched = sorted(used & gone)
-            base = touched[0].removesuffix("_inv")
+            base = touched[0].removesuffix(INVERSE_SUFFIX)
             unit = (
                 scheme.ring.var(base) * scheme.ring.var(companion_name(base)) - scheme.ring.one()
                 if companion_name(base) in scheme.ring.names

@@ -89,23 +89,33 @@ class Correspondence:
                     raise SpanError("structure map image lives outside the piece ring")
 
 
-def _map_tuple(images: dict[str, Polynomial], order: tuple[str, ...]):
-    return tuple((name, images[name]) for name in order)
+def _legs(side: str, images: Mapping[str, Polynomial], foot: AffineScheme):
+    """``images`` as a leg onto ``foot``, in the order of its coordinates,
+    which it must name exactly, or a :class:`SpanError` naming ``side``."""
+    names = foot.ring.names
+    if len(images) != len(names) or not all(v in images for v in names):
+        problems = [f"has no image of {v!r}" for v in names if v not in images] + [
+            f"names {v!r}, not a coordinate of its foot" for v in images if v not in names
+        ]
+        raise SpanError(f"{side} map " + " and ".join(problems))
+    return tuple((v, images[v]) for v in names)
 
 
 def make_piece(
     ring: PolynomialRing,
-    relations: list[Polynomial],
-    src_images: dict[str, Polynomial],
-    tgt_images: dict[str, Polynomial],
+    relations: Sequence[Polynomial],
+    src_images: Mapping[str, Polynomial],
+    tgt_images: Mapping[str, Polynomial],
     source: AffineScheme,
     target: AffineScheme,
 ) -> SpanPiece:
+    """The one checked way to build a piece: its legs must give exactly one
+    image per coordinate of ``source`` and ``target``."""
     return SpanPiece(
         ring,
         tuple(relations),
-        _map_tuple(src_images, source.ring.names),
-        _map_tuple(tgt_images, target.ring.names),
+        _legs("source", src_images, source),
+        _legs("target", tgt_images, target),
     )
 
 
@@ -123,24 +133,27 @@ def rebuild_piece(
     ``ring``) for the piece variables they name.
 
     Every other piece variable keeps its name, so with no images this is
-    ``map_ring(ring)``.  The relations are moved in order and followed by
-    ``extra``.  Each leg coordinate of ``source``/``target`` that
-    ``src``/``tgt`` does not name keeps the moved image of the piece's own
-    leg.
+    ``map_ring(ring)``, and nothing is moved when ``ring`` is the piece's
+    own.  The relations are moved in order and followed by ``extra``.  Each
+    leg coordinate of ``source``/``target`` that ``src``/``tgt`` does not
+    name keeps the moved image of the piece's own leg, a leg of a
+    coordinate the new foot lacks is dropped, and :func:`make_piece` checks
+    the legs against the feet.
     """
-    src = src or {}
-    tgt = tgt or {}
+    same = not images and ring is piece.ring
+
+    def moved_legs(old, foot: AffineScheme, override) -> dict[str, Polynomial]:
+        out = dict(override or {})
+        for k, p in old:
+            if k in foot.ring.names and k not in out:
+                out[k] = p if same else p.substitute(images, ring)
+        return out
+
     return make_piece(
         ring,
-        [r.substitute(images, ring) for r in piece.relations] + list(extra),
-        {
-            v: src[v] if v in src else piece.src(v).substitute(images, ring)
-            for v in source.ring.names
-        },
-        {
-            v: tgt[v] if v in tgt else piece.tgt(v).substitute(images, ring)
-            for v in target.ring.names
-        },
+        [r if same else r.substitute(images, ring) for r in piece.relations] + list(extra),
+        moved_legs(piece.src_map, source, src),
+        moved_legs(piece.tgt_map, target, tgt),
         source,
         target,
     )
@@ -156,8 +169,6 @@ def graph_span(
     source: AffineScheme, target: AffineScheme, images: dict[str, Polynomial]
 ) -> Correspondence:
     """The graph of the morphism sending target coordinates to ``images``."""
-    if set(images) != set(target.ring.names):
-        raise SpanError("graph images must cover exactly the target coordinates")
     ident = {v: source.ring.var(v) for v in source.ring.names}
     piece = make_piece(source.ring, list(source.relations), ident, images, source, target)
     corr = Correspondence(source, target, (piece,))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .budget import InputError
 from .fields import Field, FieldError, field_from_name
-from .poly import PolynomialRing, companion_name
+from .poly import INVERSE_SUFFIX, PolynomialRing, companion_name
 from .polyparse import MAX_DIGITS, ParseError, format_polynomial, parse_polynomial
 from .reports import COMMANDS, check_line
 from .schemes import AffineScheme, affine_line, point, product, torus, torus_power
@@ -307,7 +307,7 @@ class _Parser:
             elif keyword == "rels":
                 rels_text = tuple((line, part) for part in _split_list(rest))
             elif keyword in ("source", "target"):
-                entries = []
+                entries, keys = [], set()
                 for part in _split_list(rest):
                     key, colon, value = part.partition(":")
                     key, value = key.strip(), value.strip()
@@ -315,6 +315,9 @@ class _Parser:
                         raise self.error(
                             f"expected COORD: POLY entries, got {part!r}", line
                         )
+                    if key in keys:
+                        raise self.error(f"duplicate {keyword} entry for {key!r}", line)
+                    keys.add(key)
                     entries.append((line, key, value))
                 if keyword == "source":
                     src_text = tuple(entries)
@@ -327,7 +330,7 @@ class _Parser:
                     line,
                 )
         inverted = frozenset(
-            v for v in names if companion_name(v) in names and not v.endswith("_inv")
+            v for v in names if companion_name(v) in names and not v.endswith(INVERSE_SUFFIX)
         )
         ring = PolynomialRing(field, names, inverted)
         relations = [_poly(text, ring, line) for line, text in rels_text]
@@ -335,7 +338,7 @@ class _Parser:
         tgt = {key: _poly(text, ring, line) for line, key, text in tgt_text}
         try:
             return make_piece(ring, relations, src, tgt, source, target)
-        except (SpanError, KeyError) as err:
+        except SpanError as err:
             raise self.error(f"piece maps do not match the feet: {err}", opened)
 
     def parse_check(self, line: int, text: str) -> None:

@@ -1174,6 +1174,22 @@ def test_recheck_names_a_block_it_cannot_read(capsys, tmp_path, kind, tamper, me
     assert text.splitlines() == [f"b1: certificate could not be rebuilt: {message}"]
 
 
+def test_recheck_catches_a_stray_leg(capsys, tmp_path):
+    """A stored piece whose source map names a coordinate its foot lacks is
+    no span a check could have written, so it is a finding, not dropped."""
+    _, payload, out = structured(capsys, tmp_path, "cancel-families")
+    [report] = [r for r in payload["reports"] if r["name"] == "f1"]
+    [block] = [b for b in report["certificates"] if b["kind"] == "finite-flat"]
+    block["span"]["pieces"][0]["source"]["bogus"] = "1"
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("cancel-families"), "--recheck", str(out))
+    assert (code, err) == (1, "")
+    assert text.splitlines() == [
+        "f1: certificate could not be rebuilt: "
+        "source map names 'bogus', not a coordinate of its foot"
+    ]
+
+
 def test_a_torus_power_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
     """The power is refused before ``int()``, which would raise a builtin
     error on more than 4300 digits."""

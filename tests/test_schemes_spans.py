@@ -36,6 +36,7 @@ from flatspan.spans import (
     graph_span,
     identity_span,
     make_piece,
+    rebuild_piece,
     recheck_certificate,
     simplify,
     validate_correspondence,
@@ -174,6 +175,63 @@ def test_torus_power_cover_degrees():
 
 def test_graph_span_has_degree_one():
     assert degree(torus_squaring()) == 1
+
+
+@pytest.mark.parametrize(
+    "src, tgt, message",
+    [
+        ({}, {"x": "y"}, "source map has no image of 'x'"),
+        ({"x": "y", "z": "1"}, {"x": "y"}, "source map names 'z', not a coordinate of its foot"),
+        (
+            {"x": "y"},
+            {"z": "y"},
+            "target map has no image of 'x' and names 'z', not a coordinate of its foot",
+        ),
+    ],
+    ids=["missing", "unknown", "both"],
+)
+def test_make_piece_takes_one_image_per_foot_coordinate(src, tgt, message):
+    line = affine_line(QQ, "x")
+    ring = PolynomialRing(QQ, ("y",))
+    src, tgt = ({k: parse_polynomial(v, ring) for k, v in legs.items()} for legs in (src, tgt))
+    with pytest.raises(SpanError) as caught:
+        make_piece(ring, [], src, tgt, line, line)
+    assert str(caught.value) == message
+
+
+def test_graph_span_images_go_through_the_leg_check():
+    gm = torus(QQ, "t")
+    with pytest.raises(SpanError, match="^target map has no image of 't_inv'$"):
+        graph_span(gm, gm, {"t": gm.ring.var("t") ** 2})
+
+
+def test_rebuild_piece_checks_its_override_legs():
+    line = affine_line(QQ, "x")
+    ring = PolynomialRing(QQ, ("y",))
+    y = ring.var("y")
+    piece = make_piece(ring, [y * y], {"x": y}, {"x": y}, line, line)
+    with pytest.raises(SpanError, match="^source map names 'z', not a coordinate of its foot$"):
+        rebuild_piece(piece, ring, {}, line, line, src={"z": y})
+    # the piece's target is a point, the new one a line: nothing to keep
+    onto_point = rebuild_piece(piece, ring, {}, line, point(QQ))
+    with pytest.raises(SpanError, match="^target map has no image of 'x'$"):
+        rebuild_piece(onto_point, ring, {}, line, line)
+
+
+def test_rebuild_piece_in_its_own_ring_moves_nothing():
+    """With no images and the piece's own ring, the relations and legs are
+    the piece's own objects, followed by the extra relations; a leg of a
+    coordinate the new foot lacks is dropped."""
+    line, pt = affine_line(QQ, "x"), point(QQ)
+    ring = PolynomialRing(QQ, ("y",))
+    y = ring.var("y")
+    piece = make_piece(ring, [y * y], {"x": y}, {"x": y + ring.one()}, line, line)
+    rebuilt = rebuild_piece(piece, ring, {}, line, pt, [y**3])
+    assert rebuilt.relations == (y * y, y**3) and rebuilt.relations[0] is piece.relations[0]
+    assert rebuilt.src_map[0][1] is piece.src_map[0][1]
+    assert rebuilt.tgt_map == ()
+    moved = rebuild_piece(piece, PolynomialRing(QQ, ("y",)), {}, line, line)
+    assert moved == piece and moved.relations[0] is not piece.relations[0]
 
 
 def test_certify_detects_non_finite_middle():

@@ -2,8 +2,8 @@
 them in step with the program.  The program's modules import in layers, use
 every name they import and share private names only where listed, the
 grammar document's command table is the program's, every memo is bounded,
-only ``fields`` imports ``fractions``, rings are built only where listed
-and builtin errors are caught only where outside input is read."""
+only ``fields`` imports ``fractions``, rings and pieces are built only where
+listed and builtin errors are caught only where outside input is read."""
 
 from __future__ import annotations
 
@@ -195,6 +195,9 @@ MEMOS = {
     "polyparse.parse_polynomial": 256,
     # verify_compat asks for three spans' parts, alpha's second
     "cancellation._family_parts": 4,
+    # a window search asks for each cut of one span once per family it
+    # blends, and verify_compat's composites share their torus images
+    "cancellation.cut_value": 64,
     # a checked standard datum per (n, field): a document's contraction
     # checks share one, and a batch keeps QQ's and the recent primes'
     "contraction.standard_contraction_data": 16,
@@ -272,7 +275,6 @@ RING_BUILDERS = {
     "schemes.affine_line",
     "schemes.torus",
     "schemes.torus_power",
-    "cancellation.unit_collapse",
     "cancellation.verify_cancellation",
     "reports.ring_from_json",
     "workspace._Parser.parse_piece",
@@ -283,6 +285,29 @@ def test_rings_are_built_only_from_literal_names_or_input():
     """A variable is named, and a ring built, only where :data:`RING_BUILDERS`
     says, so ``adjoin`` alone picks the name of an adjoined variable."""
     assert set(_callers("PolynomialRing")) == RING_BUILDERS
+
+
+# the functions of ``src/flatspan`` that call ``SpanPiece``: the one checked
+# builder, and the two rewrites that keep a piece's legs as they stand
+PIECE_BUILDERS = {"spans.make_piece", "spans._eliminate_linear", "spans._canonical"}
+PIECE_FIELDS = {"relations", "src_map", "tgt_map"}
+
+
+def test_pieces_are_built_only_by_make_piece():
+    """Every piece of ``src/flatspan`` comes from :data:`PIECE_BUILDERS`, so
+    its legs are checked against its feet, and no ``replace`` outside
+    ``spans`` edits a piece's relations or legs by hand."""
+    assert set(_callers("SpanPiece")) == PIECE_BUILDERS
+    edits = [
+        f"{module}:{node.lineno}"
+        for module, tree in _library_trees()
+        if module != "spans"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _identifier(node.func) == "replace"
+        and PIECE_FIELDS & {k.arg for k in node.keywords}
+    ]
+    assert not edits
 
 
 def _library_trees():
@@ -351,8 +376,6 @@ def test_private_names_cross_modules_only_where_listed():
 # the functions of ``src/flatspan`` where outside input is read and a builtin
 # error it makes a reader raise becomes an input error
 INPUT_BOUNDARIES = {
-    # a source or target entry for a coordinate the span's foot lacks
-    "workspace._Parser.parse_piece",
     # int() of an integer argument past the interpreter's digit limit
     "workspace.check_request",
     # json.loads of a report file

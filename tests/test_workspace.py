@@ -165,6 +165,47 @@ def test_piece_map_mismatch_points_at_the_span():
         parse_workspace(broken)
 
 
+LINE_DOC = """\
+field QQ
+scheme L = line x
+span f : L -> L {
+  piece {
+    vars x
+    source x: x
+    target x: x
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            "source x: x",
+            "source x: x, bogus: 2*x",
+            "line 4: piece maps do not match the feet: "
+            "source map names 'bogus', not a coordinate of its foot",
+        ),
+        ("source x: x", "source x: 2*x, x: x", "line 6: duplicate source entry for 'x'"),
+        (
+            "    target x: x\n",
+            "",
+            "line 4: piece maps do not match the feet: target map has no image of 'x'",
+        ),
+    ],
+    ids=["unknown", "duplicate", "missing"],
+)
+def test_a_leg_gives_one_entry_per_coordinate_of_its_foot(old, new, message):
+    """An entry for a coordinate the foot lacks, or a second entry for one
+    coordinate, is an error rather than dropped or overwritten, and a
+    missing coordinate is named with its side."""
+    assert parse_workspace(LINE_DOC).spans["f"]
+    with pytest.raises(WorkspaceError) as caught:
+        parse_workspace(LINE_DOC.replace(old, new))
+    assert str(caught.value) == message
+
+
 def test_check_arguments_are_canonicalized():
     doc_text = SPAN_DOC.replace(
         "check c1 = certify idg", "check c1 = cancel idg n: 2 sign: + m: 007"
