@@ -9,12 +9,12 @@ are :func:`filtration_index`, :func:`verify_compat` and
 :func:`verify_cancellation`.
 
 Every blended family of one span shares its feet, its extended middle
-rings, the moved relations and legs, and the cut polynomials; only the
-blend relation differs.  Those parts depend on the span alone and charge
-no budget, so they are built once: the last four spans' parts are kept,
-and the last 64 cuts (:func:`cut_value`).  A search over the
-``(m, n, sign)`` box builds each family from them: the span, torus feet
-forgotten as in :func:`cancel_slice`, crossed with the parameter line
+rings and the moved relations and legs; only the blend relation differs.
+Those parts depend on the span alone and charge no budget, so they are
+built once, and the last four spans' parts are kept.  A search over the
+``(m, n, sign)`` box builds each family from them and its two cuts (sums
+of monomial powers, not memoized): the span, torus feet forgotten as in
+:func:`cancel_slice`, crossed with the parameter line
 (:func:`~flatspan.spans.cross`).
 """
 
@@ -81,14 +81,11 @@ PARAMETER = "s"
 # cut and blend polynomials
 
 
-@lru_cache(maxsize=64)
 def cut_value(n: int, sign: str, main: Polynomial, aux: Polynomial | None = None) -> Polynomial:
     """``main**n + 1`` for sign ``+`` and ``main**n + aux`` for sign ``-``.
 
     ``main`` and ``aux`` are typically the structure-map images of the
-    source and target torus coordinates; the minus cut needs both.  A
-    search over a window asks for each cut of one span many times, so the
-    last 64 cuts are kept.
+    source and target torus coordinates; the minus cut needs both.
     """
     if n < 1:
         raise InputError("cut exponent must be at least 1")

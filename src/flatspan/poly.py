@@ -218,12 +218,7 @@ class Polynomial:
         return max(sum(exp) for exp in self._terms)
 
     def variables(self) -> set[str]:
-        used = set()
-        for exp in self._terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(self.ring.names[i])
-        return used
+        return {self.ring.names[i] for exp in self._terms for i, e in enumerate(exp) if e}
 
     # -- arithmetic ----------------------------------------------------
 
@@ -231,15 +226,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _same_ring(self.ring, other.ring)
-        f = self.ring.field
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = f.add(out.get(exp, f.zero), c)
-            if not s:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return Polynomial(self.ring, out)
+        terms = add_terms(dict(self._terms), other._terms.items(), self.ring.field)
+        return Polynomial._relabeled(self.ring, terms)
 
     def __neg__(self) -> Polynomial:
         f = self.ring.field
@@ -259,15 +247,24 @@ class Polynomial:
     def __pow__(self, k: int) -> Polynomial:
         if k < 0:
             raise InputError("negative power; use the companion of an inverted name")
-        result = self.ring.one()
-        base = self
+        if len(self._terms) == 1:  # a monomial: shift it, and raise its coefficient
+            ((a, c),) = self._terms.items()
+            if max(a, default=0) * k <= MAX_EXPONENT:
+                f, coeff, bits = self.ring.field, self.ring.field.one, k
+                while bits:
+                    if bits & 1:
+                        coeff = f.mul(coeff, c)
+                    bits >>= 1
+                    if bits:
+                        c = f.mul(c, c)
+                return Polynomial._relabeled(self.ring, {tuple(x * k for x in a): coeff})
+        result, base = self.ring.one(), self
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k >> 1
-            if base_needed:
+            k >>= 1
+            if k:
                 base = base * base
-            k = base_needed
         return result
 
     def scale(self, c) -> Polynomial:
@@ -333,18 +330,18 @@ class Polynomial:
         :meth:`map_ring`'s job; with no images this is ``map_ring(target)``.
 
         Each term is multiplied out on raw terms, variable by variable, and
-        added into the running sum, so the terms, their order and any error
-        are those of ``sum(c * prod(image**k))`` built from polynomials.  The
-        power of each (variable, exponent) is found once per call
-        (:func:`_power_terms`); a monomial or constant power costs a term one
-        exponent shift and one coefficient product."""
+        added into the running sum (:func:`add_terms`), so the terms, their
+        order and any error are those of ``sum(c * prod(image**k))`` built
+        from polynomials.  The power of each (variable, exponent) is taken
+        once per call; a monomial or constant power is an exponent shift (see
+        :meth:`__pow__`)."""
         if not images:
             return self.map_ring(target)
         f = target.field
         if f != self.ring.field:
             raise RingMismatch("cannot substitute across different fields")
         names, unit = self.ring.names, (0,) * target.nvars
-        powers: dict[tuple[int, int], dict] = {}
+        powers: dict[tuple[int, int], Polynomial] = {}
         total: dict[tuple[int, ...], object] = {}
         for exp, c in self._terms.items():
             term = {unit: c}
@@ -352,17 +349,10 @@ class Polynomial:
                 if k:
                     power = powers.get((i, k))
                     if power is None:
-                        base = images.get(names[i])
-                        power = powers[i, k] = _power_terms(
-                            target.var(names[i]) if base is None else base, k, target
-                        )
-                    term = _product(term, power, f)
-            for e, tc in term.items():
-                s = f.add(total.get(e, f.zero), tc)
-                if not s:
-                    total.pop(e, None)
-                else:
-                    total[e] = s
+                        power = powers[i, k] = (images.get(names[i]) or target.var(names[i])) ** k
+                        _same_ring(target, power.ring)
+                    term = _product(term, power._terms, f)
+            add_terms(total, term.items(), f)
         return Polynomial._relabeled(target, total)
 
     # -- comparison ----------------------------------------------------
@@ -393,6 +383,25 @@ def _same_ring(ring: PolynomialRing, other: PolynomialRing) -> None:
         raise RingMismatch(f"ring mismatch: {ring.names} vs {other.names}")
 
 
+def add_terms(total: dict, pairs: Iterable, field: Field) -> dict:
+    """``total`` with each ``(exponent, coefficient)`` of ``pairs`` added in,
+    in place: the one way terms are summed.  A new exponent is stored as
+    given (its coefficient nonzero and canonical), a sum is taken only where
+    the exponent is already present, and an exponent that cancels is
+    deleted."""
+    for exp, c in pairs:
+        old = total.get(exp)
+        if old is None:
+            total[exp] = c
+            continue
+        s = field.add(old, c)
+        if s:
+            total[exp] = s
+        else:
+            del total[exp]
+    return total
+
+
 def _product(a: dict, b: dict, f: Field) -> dict:
     """The terms of the product of two term dicts, ``a``'s terms outermost;
     an exponent past the cap raises :class:`ExponentOverflow`."""
@@ -411,29 +420,6 @@ def _product(a: dict, b: dict, f: Field) -> dict:
     return out
 
 
-def _power_terms(base: Polynomial, k: int, target: PolynomialRing) -> dict:
-    """The terms of ``base**k``, which must live in ``target``.  A monomial
-    whose power stays under the cap is shifted and its coefficient raised;
-    anything else is ``base**k`` itself, which raises an overflow where the
-    power does, before the ring is compared."""
-    terms = base._terms
-    if len(terms) == 1:
-        ((a, c),) = terms.items()
-        if max(a, default=0) * k <= MAX_EXPONENT:
-            _same_ring(target, base.ring)
-            f, coeff, bits = target.field, target.field.one, k
-            while bits:
-                if bits & 1:
-                    coeff = f.mul(coeff, c)
-                bits >>= 1
-                if bits:
-                    c = f.mul(c, c)
-            return {a if k == 1 else tuple(x * k for x in a): coeff}
-    power = base**k
-    _same_ring(target, power.ring)
-    return power._terms
-
-
 def laurent_valuation(p: Polynomial, name: str) -> int | None:
     """Minimal (exponent of name) - (exponent of companion) over the terms.
 
@@ -444,8 +430,4 @@ def laurent_valuation(p: Polynomial, name: str) -> int | None:
         return None
     i = p.ring.index(name)
     j = p.ring.index(companion_name(name)) if companion_name(name) in p.ring.names else None
-    vals = []
-    for exp in p.terms():
-        v = exp[i] - (exp[j] if j is not None else 0)
-        vals.append(v)
-    return min(vals)
+    return min(exp[i] - (exp[j] if j is not None else 0) for exp in p._terms)

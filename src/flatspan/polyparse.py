@@ -17,7 +17,7 @@ reproduces the polynomial bit for bit.
 
 Parsing is one pass over the tokens.  A term made of numbers and
 identifiers accumulates one coefficient and one exponent vector, and a
-sum adds each term into one dict, cancelling and re-inserting terms as
+sum adds each term into one dict by ``poly.add_terms``, as
 ``Polynomial.__add__`` does.  ``Polynomial`` arithmetic runs only for the
 power of a number or of a parenthesized factor, and for the rest of a
 term once a parenthesized factor has joined it.  So the result equals,
@@ -40,7 +40,7 @@ from functools import lru_cache
 
 from .budget import InputError
 from .fields import FieldError
-from .poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing
+from .poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing, add_terms
 
 # deepest parenthesis nesting accepted; each level takes four parser frames
 MAX_NESTING = 100
@@ -117,20 +117,10 @@ class _Parser:
 
     def parse_expr(self) -> dict[tuple[int, ...], object]:
         """The sum's terms: exponent tuple to nonzero coefficient."""
-        f = self.field
         total: dict[tuple[int, ...], object] = {}
         negative = False
         while True:
-            for exp, c in self.parse_term(negative):
-                old = total.get(exp)
-                if old is None:
-                    total[exp] = c
-                    continue
-                s = f.add(old, c)
-                if s:
-                    total[exp] = s
-                else:
-                    del total[exp]
+            add_terms(total, self.parse_term(negative), self.field)
             op = self.toks[self.i][1]
             if op != "+" and op != "-":
                 return total

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -144,7 +145,7 @@ def certificate_from_json(data: dict) -> PieceCertificate:
             for var, rows in data["matrices"].items()
         )
     )
-    return PieceCertificate(
+    cert = PieceCertificate(
         ring,
         split,
         tuple(_poly(t, ring) for t in data["basis"]),
@@ -155,6 +156,9 @@ def certificate_from_json(data: dict) -> PieceCertificate:
         tuple(_poly(t, base) for t in data["fitting_below"]),
         tuple(_poly(t, base) for t in data["fitting_at"]),
     )
+    if data["rank"] != cert.rank:
+        raise ReportError(f"piece rank {data['rank']!r} is not its staircase size {cert.rank}")
+    return cert
 
 
 def outcome_to_json(outcome: CertifyOutcome) -> dict:
@@ -510,9 +514,21 @@ def recheck_envelope(
     return True, [f"recheck: {len(reports)} report(s) agree"]
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object read back; a key given twice is an error, not a last
+    entry that wins."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ReportError(f"report repeats the key {key!r} in one object")
+    return obj
+
+
 def load_envelope(text: str) -> dict:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
+    except ReportError:  # a repeated key, which the ValueError clause would misname
+        raise
     except json.JSONDecodeError as err:
         raise ReportError(f"report is not valid JSON: {err}") from err
     except RecursionError:

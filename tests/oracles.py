@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 from operator import add, itemgetter, sub
 from typing import Iterable
 
-from flatspan.budget import Budget
+from flatspan.budget import Budget, InputError
 from flatspan.cancellation import (
     PARAMETER,
     FiltrationEntry,
@@ -323,6 +323,24 @@ def accumulating_map_ring(p: Polynomial, target: PolynomialRing, rename: dict[st
         else:
             out[key] = s
     return Polynomial(target, out)
+
+
+def looping_power(self: Polynomial, k: int) -> Polynomial:
+    """``self**k`` by square-and-multiply on whole polynomials, a monomial
+    included: the reference for :meth:`Polynomial.__pow__`, whose terms,
+    term order and errors it must give."""
+    if k < 0:
+        raise InputError("negative power; use the companion of an inverted name")
+    result = self.ring.one()
+    base = self
+    while k:
+        if k & 1:
+            result = result * base
+        base_needed = k >> 1
+        if base_needed:
+            base = base * base
+        k = base_needed
+    return result
 
 
 def slot_loop_map_ring(p: Polynomial, target: PolynomialRing, rename: dict[str, str] | None = None) -> Polynomial:

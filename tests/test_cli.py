@@ -1190,6 +1190,37 @@ def test_recheck_catches_a_stray_leg(capsys, tmp_path):
     ]
 
 
+def test_recheck_refuses_a_key_given_twice(capsys, tmp_path):
+    """A stored leg map with two images of one coordinate is no envelope a
+    run writes: reading it is an input error, not a last entry that wins."""
+    _, payload, out = structured(capsys, tmp_path, "cancel-families")
+    [report] = [r for r in payload["reports"] if r["name"] == "f1"]
+    [block] = [b for b in report["certificates"] if b["kind"] == "finite-flat"]
+    block["span"]["pieces"][0]["source"] = {"s": "twice"}
+    text = json.dumps(payload).replace('{"s": "twice"}', '{"s": "s + 7", "s": "s"}')
+    assert text.count('"s": "s + 7"') == 1
+    out.write_text(text, encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("cancel-families"), "--recheck", str(out))
+    assert (code, text) == (2, "")
+    assert err == "error: report repeats the key 's' in one object\n"
+
+
+def test_recheck_reads_each_piece_rank(capsys, tmp_path):
+    """A piece certificate's stored rank must be its staircase size."""
+    _, payload, out = structured(capsys, tmp_path, "cancel-families")
+    [report] = [r for r in payload["reports"] if r["name"] == "f1"]
+    [block] = [b for b in report["certificates"] if b["kind"] == "finite-flat"]
+    [piece] = block["outcome"]["pieces"]
+    assert piece["rank"] == 1
+    piece["rank"] = 2
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("cancel-families"), "--recheck", str(out))
+    assert (code, err) == (1, "")
+    assert text.splitlines() == [
+        "f1: certificate could not be rebuilt: piece rank 2 is not its staircase size 1"
+    ]
+
+
 def test_a_torus_power_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
     """The power is refused before ``int()``, which would raise a builtin
     error on more than 4300 digits."""

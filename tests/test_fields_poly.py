@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatspan.budget import InputError
 from flatspan.fields import GF, QQ, FieldError, field_from_name, field_name
 from flatspan.poly import (
     ExponentOverflow,
@@ -13,6 +14,8 @@ from flatspan.poly import (
     companion_name,
     laurent_valuation,
 )
+
+from oracles import looping_power
 
 
 def ring_qq(*names, inverted=()):
@@ -364,3 +367,47 @@ def test_substitute_matches_the_running_sum(data):
         images.setdefault("x", S.var("u"))  # S has no x
         got = _substituted(Polynomial.substitute, p, images, S)
         assert got == _substituted(_substitute_by_fold, p, images, S)
+
+
+def _powered(power, p, k):
+    try:
+        q = power(p, k)
+    except InputError as err:
+        return type(err).__name__, str(err)
+    return [(e, type(c), c) for e, c in q.terms().items()]
+
+
+# exponents at and around the cap boundary, where a power of a monomial
+# stays under MAX_EXPONENT or passes it
+cap_exps = st.sampled_from([0, 1, 2, 3, 2**30 - 1, 2**30, 2**30 + 1, MAX_EXPONENT])
+cap_powers = st.sampled_from([2**30 - 1, 2**30, MAX_EXPONENT, 2**31])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_power_matches_the_whole_polynomial_loop(data):
+    """``p ** k`` has the terms, term order, coefficient types and errors of
+    square-and-multiply on whole polynomials: monomials with exponents at
+    the cap boundary, constants (0 and ±1 included), several terms, over QQ
+    (fractions included) and GF(p).  A QQ coefficient other than 0 or ±1
+    is raised only to small powers."""
+    field = data.draw(st.sampled_from([QQ, GF(5), GF(MAX_EXPONENT)]))
+    R = PolynomialRing(field, ("x", "y", "z"))
+    units = st.sampled_from([0, 1, -1])
+    fractions = st.tuples(st.integers(-5, 5), st.integers(1, 4))
+    kind = data.draw(st.sampled_from(["monomial", "constant", "polynomial"]))
+    if kind == "polynomial":
+        items = st.tuples(st.tuples(cap_exps, cap_exps, cap_exps), fractions)
+        terms = data.draw(st.lists(items, min_size=2, max_size=4))
+        p = _from_items(R, [(e, field.from_fraction(*c)) for e, c in terms])
+        k = data.draw(st.integers(-1, 4))
+    else:
+        cap = cap_exps if kind == "monomial" else st.just(0)
+        exp = data.draw(st.tuples(cap, cap, cap))
+        unit = data.draw(st.booleans())
+        c = data.draw(units) if unit else field.from_fraction(*data.draw(fractions))
+        p = Polynomial(R, {exp: field.add(field.zero, c)})
+        small = st.integers(-1, 6)
+        big = st.one_of(small, st.integers(0, 64), cap_powers)
+        k = data.draw(big if unit or field is not QQ else small)
+    assert _powered(Polynomial.__pow__, p, k) == _powered(looping_power, p, k)

@@ -195,9 +195,6 @@ MEMOS = {
     "polyparse.parse_polynomial": 256,
     # verify_compat asks for three spans' parts, alpha's second
     "cancellation._family_parts": 4,
-    # a window search asks for each cut of one span once per family it
-    # blends, and verify_compat's composites share their torus images
-    "cancellation.cut_value": 64,
     # a checked standard datum per (n, field): a document's contraction
     # checks share one, and a batch keeps QQ's and the recent primes'
     "contraction.standard_contraction_data": 16,
@@ -308,6 +305,35 @@ def test_pieces_are_built_only_by_make_piece():
         and PIECE_FIELDS & {k.arg for k in node.keywords}
     ]
     assert not edits
+
+
+# the functions of ``src/flatspan`` that read ``add`` off a field: the
+# canonical constant, the one routine that sums terms, the product of two
+# term dicts and the Groebner kernel's reduction loop
+COEFFICIENT_ADDERS = {
+    "poly.PolynomialRing.const",
+    "poly.add_terms",
+    "poly._product",
+    "groebner._reduce_full",
+}
+
+
+def test_coefficients_are_added_only_where_listed():
+    """``f.add``, ``field.add`` and ``<x>.field.add`` appear only in the
+    functions of :data:`COEFFICIENT_ADDERS`, so a sum of polynomials, a
+    substitution and a parsed sum all add their terms by ``poly.add_terms``."""
+    adders = {
+        owner
+        for module, tree in _library_trees()
+        for owner, node in _owned(tree, module)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "add"
+        and (
+            (isinstance(node.value, ast.Name) and node.value.id in ("f", "field"))
+            or (isinstance(node.value, ast.Attribute) and node.value.attr == "field")
+        )
+    }
+    assert adders == COEFFICIENT_ADDERS
 
 
 def _library_trees():
