@@ -27,7 +27,6 @@ from typing import Iterable, NamedTuple
 from .budget import Budget, InputError
 from .fields import QQ, field_name
 from .groebner import (
-    DivisorTable,
     groebner_basis,
     ideal_intersection,
     ideals_equal,
@@ -35,7 +34,6 @@ from .groebner import (
     saturate,
 )
 from .modules import CertifyOutcome, multiplication_matrix_from
-from .orders import fiber_order
 from .poly import (
     Polynomial,
     PolynomialRing,
@@ -53,10 +51,8 @@ from .schemes import (
 from .spans import (
     Correspondence,
     SpanPiece,
-    _canonical,
-    _pieces_equal,
     certify_finite_flat,
-    collapse_variables,
+    collapsed_equal,
     compose,
     cross,
     degree,
@@ -158,7 +154,7 @@ def _certified(alpha: Correspondence, budget: Budget, task: str) -> CertifyOutco
     return outcome
 
 
-def _bound_from_values(
+def bound_from_values(
     alpha: Correspondence,
     outcome: CertifyOutcome,
     labelled: list[tuple[str, Polynomial]],
@@ -168,11 +164,10 @@ def _bound_from_values(
     piece = _single_piece(alpha, "valuation bound")
     tvar = detect_torus_coordinate(alpha.source)
     cert = outcome.pieces[0]
-    table = DivisorTable(cert.ring, cert.groebner, fiber_order(cert.ring.nvars, cert.split))
     entries = []
     for label, value in labelled:
         lifted = lift_into_certificate(piece, cert, value)
-        matrix = multiplication_matrix_from(table, cert.split, lifted, list(cert.staircase), budget)
+        matrix = multiplication_matrix_from(cert.table, cert.split, lifted, list(cert.staircase), budget)
         for i, row in enumerate(matrix):
             for j, entry in enumerate(row):
                 v = laurent_valuation(entry, tvar)
@@ -196,7 +191,7 @@ def flatness_bound(
     """
     budget = budget or Budget()
     outcome = _certified(alpha, budget, "valuation bound")
-    return _bound_from_values(alpha, outcome, [("f", f)], budget)
+    return bound_from_values(alpha, outcome, [("f", f)], budget)
 
 
 def flatness_bound_ext(
@@ -215,7 +210,7 @@ def flatness_bound_ext(
     """
     budget = budget or Budget()
     outcome = _certified(alpha, budget, "valuation bound")
-    return _bound_from_values(alpha, outcome, [("f1", f1), ("f2", f2)], budget)
+    return bound_from_values(alpha, outcome, [("f1", f1), ("f2", f2)], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +539,8 @@ def filtration_index(
     _, tgt_t = _torus_feet(alpha)
     t2_inv = alpha.pieces[0].tgt(companion_name(tgt_t)).map_ring(piece.ring)
     outcome = _certified(extended, budget, "valuation bound")
-    bound_plus = _bound_from_values(extended, outcome, [("f1", -s), ("f2", -(one - s))], budget)
-    bound_minus = _bound_from_values(
+    bound_plus = bound_from_values(extended, outcome, [("f1", -s), ("f2", -(one - s))], budget)
+    bound_minus = bound_from_values(
         extended, outcome, [("f1", -(s * t2_inv)), ("f2", -((one - s) * t2_inv))], budget
     )
     return FiltrationReport(index, window, tuple(entries), blocking, bound_plus, bound_minus)
@@ -567,37 +562,6 @@ class CompatReport:
     @property
     def ok(self) -> bool:
         return self.push_ok and self.pull_ok
-
-
-def _collapsed_equal(
-    left: Correspondence,
-    left_collapse: dict[str, Polynomial],
-    right: Correspondence,
-    right_collapse: dict[str, Polynomial],
-    budget: Budget,
-) -> tuple[bool, str]:
-    """Collapse the given middle variables of both single-piece sides (the
-    quotients are unchanged) and compare the canonical presentations.
-
-    A collapsed piece's relations already are the reduced basis of its ring
-    (:func:`~flatspan.spans.collapse_variables`), so only its legs are
-    reduced; when both sides were collapsed into one ring they are compared
-    as they stand, and otherwise the right side is completed in the left
-    one's ring."""
-    if left.source != right.source or left.target != right.target:
-        return False, "the two sides have different feet"
-    _single_piece(left, "naturality comparison")
-    _single_piece(right, "naturality comparison")
-    lp = collapse_variables(left, [left_collapse], budget=budget).pieces[0]
-    rp = collapse_variables(right, [right_collapse], budget=budget).pieces[0]
-    canonical = _canonical(lp, lp.ring, {}, budget, complete=not left_collapse)
-    if right_collapse and rp.ring == lp.ring:
-        equal = canonical == _canonical(rp, rp.ring, {}, budget, complete=False)
-    else:
-        equal = _pieces_equal(canonical, rp, budget)
-    if equal:
-        return True, ""
-    return False, "canonical presentations differ"
 
 
 def _require_free_names(*corrs: Correspondence) -> None:
@@ -661,7 +625,7 @@ def verify_compat(
     lhs, push_collapse = blended_through(gamma, after=True)
     family = cancel_family(alpha, m, n, sign, budget=budget)
     rhs = compose(family.correspondence, gamma)
-    push_ok, why = _collapsed_equal(lhs, push_collapse, rhs, {}, budget)
+    push_ok, why = collapsed_equal(lhs, push_collapse, rhs, {}, budget)
     if not push_ok:
         details.append(f"target side: {why}")
 
@@ -671,7 +635,7 @@ def verify_compat(
     rhs2 = compose(beta_line, family.correspondence)
     # no middle or foot uses PARAMETER, so composition leaves it unrenamed
     rhs_collapse = {sb: rhs2.pieces[0].ring.var(PARAMETER)}
-    pull_ok, why = _collapsed_equal(lhs2, pull_collapse, rhs2, rhs_collapse, budget)
+    pull_ok, why = collapsed_equal(lhs2, pull_collapse, rhs2, rhs_collapse, budget)
     if not pull_ok:
         details.append(f"source side: {why}")
 

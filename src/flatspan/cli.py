@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .budget import DEFAULT_STEPS, Budget, BudgetExhausted, InputError
 from .cancellation import (
-    _bound_from_values,
+    bound_from_values,
     cancel_family,
     cancel_slice,
     filtration_index,
@@ -150,7 +150,7 @@ def _h_bound(doc, req, budget):
         labelled = [("f", f)]
     else:
         labelled = [("f1", f), ("f2", parse_polynomial(f2_text, ring))]
-    rep = _bound_from_values(alpha, outcome, labelled, budget)
+    rep = bound_from_values(alpha, outcome, labelled, budget)
     table = [
         f"{e.label}[{e.row},{e.col}] valuation {e.valuation}: {format_polynomial(e.value)}"
         for e in rep.entries

@@ -42,12 +42,10 @@ from .schemes import AffineScheme, affine_line, torus, torus_power
 from .spans import (
     Correspondence,
     SpanError,
-    _combined_relations,
-    _combined_ring,
-    _fiber_rename,
     certify_finite_flat,
     cross,
     equals,
+    piece_over_base,
     rebuild_piece,
     restrict_to_open,
 )
@@ -321,9 +319,7 @@ def _image_on_source(
     per_piece: list[list[Polynomial]] = []
     pulled_record: list[Polynomial] = []
     for piece in alpha.pieces:
-        combined = _combined_ring(piece, target_ring)
-        rename = _fiber_rename(piece, combined)
-        relations = _combined_relations(piece, source, combined)
+        combined, rename, relations = piece_over_base(piece, source, target_ring)
         images = _weight_images(piece, datum, combined, combined.var(source_u), rename)
         weight = datum.w.substitute(images, combined)
         pulled_record.append(weight)

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .budget import Budget
 from .groebner import DivisorTable, groebner_basis
-from .orders import GrevLex, exp_divides, fiber_order
+from .orders import GrevLex, MonomialOrder, exp_divides, fiber_order
 from .poly import Polynomial, PolynomialRing
 
 
@@ -61,7 +62,8 @@ class PieceCertificate:
     """A free piece over the base: the reduced basis under
     :func:`fiber_order`, its staircase and labels, every fiber variable's
     multiplication matrix, the base basis, and the Fitting ideals below and
-    at the rank."""
+    at the rank.  The matrices, base basis and Fitting ideals live in
+    :attr:`base_ring`, the variables of ``ring`` after its ``split`` first."""
 
     ring: PolynomialRing
     split: int
@@ -76,6 +78,26 @@ class PieceCertificate:
     @property
     def rank(self) -> int:
         return len(self.staircase)
+
+    @staticmethod
+    def base_of(ring: PolynomialRing, split: int) -> PolynomialRing:
+        """The base ring of a certificate ring: its variables after the
+        first ``split``."""
+        return ring.drop(ring.names[:split])
+
+    @property
+    def base_ring(self) -> PolynomialRing:
+        return self.base_of(self.ring, self.split)
+
+    @property
+    def order(self) -> MonomialOrder:
+        """The block order of :attr:`groebner`, fiber variables over base."""
+        return fiber_order(self.ring.nvars, self.split)
+
+    @cached_property
+    def table(self) -> DivisorTable:
+        """:attr:`groebner` packed once for division under :attr:`order`."""
+        return DivisorTable(self.ring, self.groebner, self.order)
 
 
 @dataclass(frozen=True)
@@ -249,7 +271,7 @@ def multiplication_matrix_from(
     of the last ``nvars - split`` variables.
     """
     ring = table.ring
-    base_ring = ring.drop(ring.names[:split])
+    base_ring = PieceCertificate.base_of(ring, split)
     index = {exp: j for j, exp in enumerate(staircase)}
     pad = (0,) * (ring.nvars - split)
     rows = []
@@ -270,8 +292,7 @@ def multiplication_matrix_from(
 def multiplication_matrix(cert: PieceCertificate, element: Polynomial, budget: Budget | None = None):
     """Matrix of multiplication by an element of the combined ring, over
     the staircase basis of a piece certificate."""
-    table = DivisorTable(cert.ring, cert.groebner, fiber_order(cert.ring.nvars, cert.split))
-    return multiplication_matrix_from(table, cert.split, element, list(cert.staircase), budget)
+    return multiplication_matrix_from(cert.table, cert.split, element, list(cert.staircase), budget)
 
 
 def staircase_labels(names: tuple[str, ...], staircase) -> tuple[str, ...]:

@@ -8,7 +8,8 @@
 Identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and must name ring variables.
 Parentheses nest at most :data:`MAX_NESTING` deep, so the recursive
 descent stays far from the interpreter's recursion limit, and an integer
-literal has at most :data:`MAX_DIGITS` digits past its leading zeros.  An
+literal has at most :data:`MAX_DIGITS` digits past its leading zeros, as
+has a power of a number over QQ, in its numerator and denominator.  An
 exponent past ``MAX_EXPONENT``, written or reached by a product or power,
 is a :class:`ParseError` at the last token of the factor that reached it.
 Whitespace is insignificant.  ``format_polynomial`` emits the canonical
@@ -194,6 +195,11 @@ class _Parser:
             return atom**k
         c, slot, _ = atom
         if slot < 0:
+            # m**k >= 16**MAX_DIGITS when k * (bits(m) - 1) >= 4 * MAX_DIGITS: tested
+            # first, so m**k is computed, and compared, only below 2**(8 * MAX_DIGITS)
+            m = 1 if self.field.characteristic else max(abs(c.numerator), c.denominator)
+            if m > 1 and (k * (m.bit_length() - 1) >= 4 * MAX_DIGITS or m**k >= 10**MAX_DIGITS):
+                raise self.error(f"power of a number longer than {MAX_DIGITS} digits", pos)
             return (self.ring.const(c) ** k).constant_value(), slot, 0
         return c, slot, k
 

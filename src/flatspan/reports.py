@@ -138,7 +138,7 @@ def certificate_to_json(cert: PieceCertificate) -> dict:
 def certificate_from_json(data: dict) -> PieceCertificate:
     ring = ring_from_json(data["ring"])
     split = data["split"]
-    base = ring.drop(ring.names[:split])
+    base = PieceCertificate.base_of(ring, split)
     matrices = tuple(
         sorted(
             (var, tuple(tuple(_poly(e, base) for e in row) for row in rows))
@@ -176,8 +176,7 @@ def outcome_from_json(data: dict) -> CertifyOutcome:
     witness = []
     for text in data.get("witness", ()):
         if pieces:
-            ring = pieces[0].ring
-            witness.append(_poly(text, ring.drop(ring.names[: pieces[0].split])))
+            witness.append(_poly(text, pieces[0].base_ring))
     return CertifyOutcome(
         data["status"], data.get("rank"), pieces, data.get("detail", ""), tuple(witness)
     )

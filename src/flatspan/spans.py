@@ -30,7 +30,6 @@ from .modules import (
     analyze_module,
     classify_basis,
 )
-from .orders import fiber_order
 from .poly import Polynomial, PolynomialRing, companion_name
 from .schemes import AffineScheme, localize
 from .schemes import product as scheme_product
@@ -442,6 +441,34 @@ def equals(left: Correspondence, right: Correspondence, budget: Budget | None = 
     return True
 
 
+def collapsed_equal(
+    left: Correspondence,
+    left_collapse: Mapping[str, Polynomial],
+    right: Correspondence,
+    right_collapse: Mapping[str, Polynomial],
+    budget: Budget | None = None,
+) -> tuple[bool, str]:
+    """Collapse the given middle variables of both single-piece sides (the
+    quotients are unchanged) and compare the canonical presentations.
+
+    A collapsed piece's relations already are the reduced basis of its ring
+    (:func:`collapse_variables`), so only its legs are reduced; when both
+    sides were collapsed into one ring they are compared as they stand, and
+    otherwise the right side is completed in the left one's ring."""
+    if left.source != right.source or left.target != right.target:
+        return False, "the two sides have different feet"
+    lp = collapse_variables(left, [left_collapse], budget=budget).pieces[0]
+    rp = collapse_variables(right, [right_collapse], budget=budget).pieces[0]
+    canonical = _canonical(lp, lp.ring, {}, budget, complete=not left_collapse)
+    if right_collapse and rp.ring == lp.ring:
+        equal = canonical == _canonical(rp, rp.ring, {}, budget, complete=False)
+    else:
+        equal = _pieces_equal(canonical, rp, budget)
+    if equal:
+        return True, ""
+    return False, "canonical presentations differ"
+
+
 # ---------------------------------------------------------------------------
 # certification
 
@@ -457,9 +484,8 @@ def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> C
     certs = []
     base = corr.source
     for index, piece in enumerate(corr.pieces):
-        combined = _combined_ring(piece, base.ring)
+        combined, _, relations = piece_over_base(piece, base)
         split = len(piece.ring.names)
-        relations = _combined_relations(piece, base, combined)
         outcome = analyze_module(
             combined, split, relations, base.ring, list(base.relations), budget=budget
         )
@@ -483,13 +509,14 @@ def recheck_certificate(
 ) -> bool:
     """Confirm a stored certificate without recomputing its Groebner bases.
 
-    The stored basis must pass the S-pair criterion and reduce the piece's
-    defining relations to zero, and the stored base basis must be the
-    source's reduced basis (the one basis recomputed here).  Then the stored
-    basis is classified the way certification classifies it
-    (:func:`~flatspan.modules.classify_basis`), which must certify the piece
-    with exactly the stored certificate.  The rank must be the total
-    staircase size.
+    The stored ring and split must be the ones certification derives from
+    the piece and the source (:func:`piece_over_base`), and the stored base
+    basis the source's reduced basis (the one basis recomputed here).  The
+    stored basis must pass the S-pair criterion and reduce the piece's
+    defining relations to zero.  Then it is classified the way
+    certification classifies it (:func:`~flatspan.modules.classify_basis`),
+    which must certify the piece with exactly the stored certificate.  The
+    rank must be the total staircase size.
     """
     if not outcome.certified or len(corr.pieces) != len(outcome.pieces):
         return False
@@ -497,24 +524,19 @@ def recheck_certificate(
         return False
     base_basis = tuple(groebner_basis(list(corr.source.relations), budget=budget))
     for piece, cert in zip(corr.pieces, outcome.pieces):
-        combined = cert.ring
-        # the stored matrices and base basis live over the certificate's base
-        # block, which must be the source ring itself
-        base_ring = combined.drop(combined.names[: cert.split])
-        if cert.split != len(piece.ring.names) or base_ring != corr.source.ring:
+        combined, _, relations = piece_over_base(piece, corr.source)
+        if (cert.ring, cert.split) != (combined, len(piece.ring.names)):
             return False
         if cert.base_groebner != base_basis:
             return False
-        order = fiber_order(combined.nvars, cert.split)
-        basis = [b for b in cert.groebner if not b.is_zero()]
-        if not spolynomial_pairs_reduce(basis, order, budget=budget):
+        table = cert.table
+        if not spolynomial_pairs_reduce(table.basis, cert.order, budget=budget):
             return False
-        table = DivisorTable(combined, basis, order)
-        for rel in _combined_relations(piece, corr.source, combined):
+        for rel in relations:
             if not table.reduce(rel, budget).is_zero():
                 return False
         try:
-            derived = classify_basis(table, cert.split, base_ring, base_basis, budget)
+            derived = classify_basis(table, cert.split, corr.source.ring, base_basis, budget)
         except PresentationError:
             return False
         if derived.pieces != (cert,):
@@ -542,8 +564,8 @@ def collapse_variables(
     those elements, in the order kept, are the reduced degree-reverse-lex
     basis of the collapsed piece's ring (Elimination Theorem): what
     :func:`~flatspan.groebner.groebner_basis` returns for them.
-    ``cancellation._collapsed_equal`` relies on this and does not complete
-    a collapsed piece again.  Raises :class:`SpanError`, before any Groebner
+    :func:`collapsed_equal` relies on this and does not complete a
+    collapsed piece again.  Raises :class:`SpanError`, before any Groebner
     work, when a doomed name is not a variable of its piece or an image uses
     a doomed variable, and when a claim fails.
     """
@@ -588,30 +610,21 @@ def lift_into_certificate(
     certificate ring, so lifted values can be reduced against the stored
     basis alongside the base coordinates.
     """
-    return value.map_ring(cert.ring, _fiber_rename(piece, cert.ring))
+    return value.map_ring(cert.ring, dict(zip(piece.ring.names, cert.ring.names)))
 
 
-def _fiber_rename(piece: SpanPiece, combined: PolynomialRing) -> dict[str, str]:
-    """The piece's variables onto the leading (fiber) names of ``combined``,
-    in order."""
-    return dict(zip(piece.ring.names, combined.names))
-
-
-def _combined_ring(piece: SpanPiece, base_ring: PolynomialRing) -> PolynomialRing:
-    """``base_ring`` with the piece's variables adjoined and moved to the
-    front, in order."""
-    merged, fresh = base_ring.adjoin(piece.ring.names, piece.ring.inverted)
-    return merged.leading(fresh)
-
-
-def _combined_relations(
-    piece: SpanPiece, base: AffineScheme, combined: PolynomialRing
-) -> list[Polynomial]:
-    """The defining relations of a piece over ``base``, rebuilt in a combined
-    ring whose leading variables stand for the piece's, in order."""
-    rename = _fiber_rename(piece, combined)
+def piece_over_base(
+    piece: SpanPiece, base: AffineScheme, ring: PolynomialRing | None = None
+) -> tuple[PolynomialRing, dict[str, str], list[Polynomial]]:
+    """A certificate's layout: ``ring`` (``base``'s own unless given) with the
+    piece's variables adjoined and moved to the front, in order; the rename
+    of the piece's variables onto them; and the defining relations of the
+    piece over ``base``, rebuilt there."""
+    merged, fresh = (ring or base.ring).adjoin(piece.ring.names, piece.ring.inverted)
+    combined = merged.leading(fresh)
+    rename = dict(zip(piece.ring.names, fresh))
     relations = [r.map_ring(combined, rename) for r in piece.relations]
     relations += [r.map_ring(combined) for r in base.relations]
     for v in base.ring.names:
         relations.append(combined.var(v) - piece.src(v).map_ring(combined, rename))
-    return relations
+    return combined, rename, relations

@@ -19,10 +19,10 @@ from flatspan.cancellation import (
     PARAMETER,
     FiltrationEntry,
     FiltrationReport,
-    _bound_from_values,
     _certified,
     _single_piece,
     _torus_feet,
+    bound_from_values,
     cancel_family,
     cut_value,
 )
@@ -50,14 +50,13 @@ from flatspan.spans import (
     SpanError,
     SpanPiece,
     _canonical,
-    _combined_relations,
-    _combined_ring,
     _piece_sort_key,
     _pieces_equal,
     certify_finite_flat,
     collapse_variables,
     cross,
     make_piece,
+    piece_over_base,
     rebuild_piece,
     simplify_piece,
 )
@@ -407,7 +406,7 @@ def twice_completed_equal(
     right_collapse: dict[str, Polynomial],
     budget: Budget,
 ) -> tuple[bool, str]:
-    """``cancellation._collapsed_equal`` completing both collapsed sides
+    """``spans.collapsed_equal`` completing both collapsed sides
     again before comparing them: the reference for its verdicts, details
     and :class:`IncomparableSpans` cases."""
     if left.source != right.source or left.target != right.target:
@@ -537,7 +536,7 @@ def enumerated_recheck(corr: Correspondence, outcome: CertifyOutcome, budget: Bu
         basis = [b for b in cert.groebner if not b.is_zero()]
         if not spolynomial_pairs_reduce(basis, order, budget=budget):
             return False
-        for rel in _combined_relations(piece, corr.source, combined):
+        for rel in piece_over_base(piece, corr.source)[2]:
             if not normal_form(rel, basis, order, budget=budget).is_zero():
                 return False
         table = DivisorTable(combined, basis, order)
@@ -568,10 +567,10 @@ def leads_certificate(corr: Correspondence) -> CertifyOutcome | None:
     base_basis = tuple(groebner_basis(list(base.relations)))
     pieces = []
     for piece in corr.pieces:
-        combined = _combined_ring(piece, base.ring)
+        combined, _, relations = piece_over_base(piece, base)
         split = len(piece.ring.names)
         order = fiber_order(combined.nvars, split)
-        basis = groebner_basis(_combined_relations(piece, base, combined), order)
+        basis = groebner_basis(relations, order)
         if any(g.is_constant() for g in basis):
             stair = []
         else:
@@ -684,8 +683,8 @@ def full_box_filtration(
     _, tgt_t = _torus_feet(alpha)
     t2_inv = alpha.pieces[0].tgt(companion_name(tgt_t)).map_ring(ring)
     outcome = _certified(extended, budget, "valuation bound")
-    bound_plus = _bound_from_values(extended, outcome, [("f1", -s), ("f2", -(one - s))], budget)
-    bound_minus = _bound_from_values(
+    bound_plus = bound_from_values(extended, outcome, [("f1", -s), ("f2", -(one - s))], budget)
+    bound_minus = bound_from_values(
         extended, outcome, [("f1", -(s * t2_inv)), ("f2", -((one - s) * t2_inv))], budget
     )
     return FiltrationReport(index, window, tuple(entries), blocking, bound_plus, bound_minus)

@@ -812,13 +812,13 @@ def test_naturality_collapses_leave_their_rings_reduced_bases(draw):
     """Each piece ``verify_compat`` collapses (both sides of the source
     comparison and the left side of the target one) has relations that are
     the reduced degree-reverse-lex basis of its ring."""
-    import flatspan.cancellation as cancellation
+    import flatspan.spans as spans
     from oracles import completes_to_itself
 
     def collapsed(args, out):
         return [p for p, mapping in zip(out.pieces, args[1]) if mapping]
 
-    report, calls = recorded(cancellation, "collapse_variables", collapsed, draw)
+    report, calls = recorded(spans, "collapse_variables", collapsed, draw)
     assert report.ok, report.detail
     pieces = [p for found in calls for p in found]
     assert len(pieces) == 3
@@ -894,14 +894,14 @@ def unreduced(corr, mapping):
 @given(naturality_draws(), st.lists(st.sampled_from(TAMPERS), min_size=1, max_size=3), st.data())
 def test_collapsed_comparison_matches_completing_both_sides(draw, tampers, data):
     """On both sides of gate-style draws, as built and with the right side
-    tampered, ``_collapsed_equal`` gives the verdict and detail of completing
+    tampered, ``collapsed_equal`` gives the verdict and detail of completing
     both collapsed sides again, and raises ``IncomparableSpans`` in the same
     cases.  So it does where one side has nothing to collapse and is
     presented by relations that are no reduced basis."""
     import flatspan.cancellation as cancellation
     from oracles import twice_completed_equal
 
-    _, calls = recorded(cancellation, "_collapsed_equal", lambda args, out: args[:4], draw)
+    _, calls = recorded(cancellation, "collapsed_equal", lambda args, out: args[:4], draw)
     assert len(calls) == 2
     for left, left_collapse, right, right_collapse in calls:
         plain = unreduced(left, left_collapse)
@@ -912,7 +912,7 @@ def test_collapsed_comparison_matches_completing_both_sides(draw, tampers, data)
             cases.append((left, left_collapse, right, right_collapse))
         for args in cases:
             want = _compared(twice_completed_equal, *args)
-            assert _compared(cancellation._collapsed_equal, *args) == want
+            assert _compared(cancellation.collapsed_equal, *args) == want
 
 
 def _counting_completions(patch):
@@ -945,7 +945,7 @@ def test_compat_completes_three_times_fewer_than_completing_both_sides(monkeypat
     assert verify_compat(*draw).ok
     now = len(calls)
     calls.clear()
-    monkeypatch.setattr(cancellation, "_collapsed_equal", twice_completed_equal)
+    monkeypatch.setattr(cancellation, "collapsed_equal", twice_completed_equal)
     assert verify_compat(*draw).ok
     assert (now, len(calls)) == (6, 9)
 

@@ -1221,6 +1221,30 @@ def test_recheck_reads_each_piece_rank(capsys, tmp_path):
     ]
 
 
+def test_recheck_derives_the_certificate_ring(capsys, tmp_path):
+    """A certificate's ring is the one certification builds from the piece
+    and the source, so fiber variables renamed consistently through the
+    stored ring, basis and matrices are a finding, not a layout trusted."""
+    _, payload, out = structured(capsys, tmp_path, "cancel-families")
+    [report] = [r for r in payload["reports"] if r["name"] == "f1"]
+    [block] = [b for b in report["certificates"] if b["kind"] == "finite-flat"]
+    [piece] = block["outcome"]["pieces"]
+    assert piece["ring"] == {"field": "QQ", "names": ["t", "t_inv", "s2", "s"], "inverted": ["t"]}
+    renamed = {"t": "a", "t_inv": "a_inv", "s2": "b"}
+
+    def rename(text):
+        return re.sub(r"[A-Za-z_]\w*", lambda m: renamed.get(m[0], m[0]), text)
+
+    piece["ring"]["names"] = [renamed.get(v, v) for v in piece["ring"]["names"]]
+    piece["ring"]["inverted"] = ["a"]
+    piece["basis"] = [rename(g) for g in piece["basis"]]
+    piece["matrices"] = {renamed[v]: rows for v, rows in piece["matrices"].items()}
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("cancel-families"), "--recheck", str(out))
+    assert (code, err) == (1, "")
+    assert text.splitlines() == ["f1: stored finite-flat certificate fails re-validation"]
+
+
 def test_a_torus_power_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
     """The power is refused before ``int()``, which would raise a builtin
     error on more than 4300 digits."""

@@ -79,6 +79,28 @@ def test_integer_literals_are_bounded_at_a_stated_length():
     assert parse_polynomial("x^" + "0" * MAX_DIGITS + "3", R2) == R2.var("x") ** 3
 
 
+def test_a_power_of_a_number_is_bounded_at_the_literal_length():
+    """Over QQ a power of a number whose numerator or denominator would
+    pass ``MAX_DIGITS`` digits is refused at its exponent before it is
+    computed: 10^4299 and 2^14284 have 4300 digits, 10^4300 and 2^14285 one
+    more.  Over GF(5) every power within the exponent cap parses."""
+    ring = PolynomialRing(QQ, ("x",))
+    x = ring.var("x")
+    assert parse_polynomial(f"10^{MAX_DIGITS - 1}*x", ring) == x.scale(10 ** (MAX_DIGITS - 1))
+    assert parse_polynomial("1/2^14284", ring) == ring.const(QQ.from_fraction(1, 2**14284))
+    for text, col in [(f"10^{MAX_DIGITS}*x", 4), ("1/2^14285", 5), ("x + 3^2147483647*x", 7)]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, ring)
+        assert time.perf_counter() - start < 1.0
+        assert (info.value.message, info.value.col) == (
+            f"power of a number longer than {MAX_DIGITS} digits",
+            col,
+        )
+    five = PolynomialRing(GF(5), ("x",))
+    assert parse_polynomial("3^2147483647*x", five) == five.var("x").scale(2)
+
+
 @pytest.mark.parametrize(
     "text, col",
     [

@@ -935,7 +935,7 @@ def test_one_basis_collapse_matches_the_two_basis_collapse(claims):
 @settings(max_examples=60, deadline=None)
 @given(collapse_claims())
 def test_collapsed_relations_are_the_reduced_basis_of_their_ring(claims):
-    """``_collapsed_equal`` takes a collapsed piece's relations as its
+    """``collapsed_equal`` takes a collapsed piece's relations as its
     canonical basis; this is why it may."""
     from flatspan.spans import collapse_variables
     from oracles import completes_to_itself

@@ -1,8 +1,8 @@
 """The benchmark's tracer names program functions and budget phases; keep
 them in step with the program.  The program's modules import in layers, use
-every name they import and share private names only where listed, the
-grammar document's command table is the program's, every memo is bounded,
-only ``fields`` imports ``fractions``, rings and pieces are built only where
+every name they import and share no private name, the grammar document's
+command table is the program's, every memo is bounded, only ``fields``
+imports ``fractions``, rings, pieces and block orders are made only where
 listed and builtin errors are caught only where outside input is read."""
 
 from __future__ import annotations
@@ -284,6 +284,22 @@ def test_rings_are_built_only_from_literal_names_or_input():
     assert set(_callers("PolynomialRing")) == RING_BUILDERS
 
 
+# the functions of ``src/flatspan`` that call ``fiber_order``: completion with
+# doomed variables leading, certification, and a certificate's own block
+# order, which its division table and a recheck's S-pair test use
+BLOCK_ORDERS = {
+    "groebner.elimination_basis",
+    "modules.analyze_module",
+    "modules.PieceCertificate.order",
+}
+
+
+def test_block_orders_are_picked_only_where_listed():
+    """``fiber_order`` is called only in :data:`BLOCK_ORDERS`, so a bound, a
+    matrix and a recheck divide by the certificate's own table."""
+    assert set(_callers("fiber_order")) == BLOCK_ORDERS
+
+
 # the functions of ``src/flatspan`` that call ``SpanPiece``: the one checked
 # builder, and the two rewrites that keep a piece's legs as they stand
 PIECE_BUILDERS = {"spans.make_piece", "spans._eliminate_linear", "spans._canonical"}
@@ -372,31 +388,18 @@ def test_only_the_fields_module_imports_fractions():
     assert importers == ["fields"]
 
 
-# private names one module of ``src/flatspan`` imports from another; each
-# new one needs its own entry
-PRIVATE_IMPORTS = {
-    # the naturality check canonicalizes one side once and matches the other
-    ("cancellation", "spans", "_canonical"),
-    ("cancellation", "spans", "_pieces_equal"),
-    # the source image is eliminated in the ring certification builds
-    ("contraction", "spans", "_combined_relations"),
-    ("contraction", "spans", "_combined_ring"),
-    ("contraction", "spans", "_fiber_rename"),
-    # a bound over a certificate the command has already checked
-    ("cli", "cancellation", "_bound_from_values"),
-}
-
-
-def test_private_names_cross_modules_only_where_listed():
-    found = {
-        (module, node.module, alias.name)
+def test_no_private_name_crosses_a_module():
+    """No ``src/flatspan`` module imports another's private name: a decision
+    such as a certificate's ring layout stays behind the module that owns it."""
+    found = [
+        f"{module} imports {node.module}.{alias.name}"
         for module, tree in _library_trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names
         if alias.name.startswith("_") and not alias.name.endswith("__")
-    }
-    assert found == PRIVATE_IMPORTS
+    ]
+    assert not found
 
 
 # the functions of ``src/flatspan`` where outside input is read and a builtin
