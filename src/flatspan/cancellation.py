@@ -11,17 +11,22 @@ are :func:`filtration_index`, :func:`verify_compat` and
 Every blended family of one span shares its feet, its extended middle
 rings and the moved relations and legs; only the blend relation differs.
 Those parts depend on the span alone and charge no budget, so they are
-built once, and the last four spans' parts are kept.  A search over the
-``(m, n, sign)`` box builds each family from them and its two cuts (sums
-of monomial powers, not memoized): the span, torus feet forgotten as in
-:func:`cancel_slice`, crossed with the parameter line
-(:func:`~flatspan.spans.cross`).
+built once, and the last four spans' parts are kept: the span, torus feet
+forgotten as in :func:`cancel_slice`, crossed with the parameter line
+(:func:`~flatspan.spans.cross`).  So is each piece's certificate layout
+over the family's source, the first time a family of the span is
+certified: the combined ring and every relation but the blend, which sits
+right after the moved relations.  :func:`cancel_family` builds only the
+blend (a sum of monomial powers, not memoized), in the combined ring, and
+certifies through :func:`~flatspan.spans.certify_laid_out`; the family
+span is built only for a caller that reads it
+(:attr:`FamilyReport.correspondence`), never by :func:`filtration_index`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .budget import Budget, InputError
@@ -52,6 +57,7 @@ from .spans import (
     Correspondence,
     SpanPiece,
     certify_finite_flat,
+    certify_laid_out,
     collapsed_equal,
     compose,
     cross,
@@ -61,6 +67,7 @@ from .spans import (
     identity_span,
     lift_into_certificate,
     make_piece,
+    piece_over_base,
     rebuild_piece,
 )
 
@@ -302,15 +309,26 @@ def shifted_slice(
 
 @dataclass(frozen=True)
 class FamilyReport:
-    """A blended family together with its certification attempt.
+    """The certification attempt of ``alpha``'s blended ``(m, n, sign)``
+    family, carried along even when it is inconclusive or negative.
 
-    The certification outcome is always carried along, even when it is
-    inconclusive or negative.
+    The family span itself, :attr:`correspondence`, is built from ``alpha``
+    on first use: certification reads only the span's shared layout
+    (:func:`cancel_family`), and a search that reads only the status and
+    rank never builds it.
     """
 
-    correspondence: Correspondence
+    alpha: Correspondence
+    m: int
+    n: int
+    sign: str
     certificate: CertifyOutcome
     parameter: str
+
+    @cached_property
+    def correspondence(self) -> Correspondence:
+        """The :func:`blended_family` that :attr:`certificate` certifies."""
+        return blended_family(self.alpha, self.m, self.n, self.sign)[0]
 
     @property
     def certified(self) -> bool:
@@ -338,28 +356,61 @@ def _forget_torus_feet(alpha: Correspondence) -> tuple[Correspondence, str, str]
     return Correspondence(source, target, pieces), src_t, tgt_t
 
 
-class _PieceParts(NamedTuple):
-    """One middle piece moved into its ring extended by the parameter: the
-    moved relations and legs (the parameter leg set), the parameter ``s``
-    and the torus images ``main`` and ``aux`` its cuts are made of."""
+class _Cuts(NamedTuple):
+    """The parameter ``s`` and the torus images ``main`` and ``aux`` a
+    piece's cuts are made of, in one ring."""
 
-    moved: SpanPiece
     s: Polynomial
     main: Polynomial
     aux: Polynomial
 
+    def blend(self, m: int, n: int, sign: str) -> Polynomial:
+        """The relation of the ``(m, n, sign)`` family in this ring."""
+        return blend_value(self.s, *(cut_value(k, sign, self.main, self.aux) for k in (n, m)))
+
+
+class _PieceParts(NamedTuple):
+    """One middle piece moved into its ring extended by the parameter (the
+    moved relations and legs, the parameter leg set) and its cuts there."""
+
+    moved: SpanPiece
+    cuts: _Cuts
+
+
+@dataclass(frozen=True)
+class _FamilyParts:
+    """What every blended family of one span shares: the source with its
+    torus factor traded for the parameter line, the target without its
+    torus factor, the parameter's name, and the parts of each piece."""
+
+    source: AffineScheme
+    target: AffineScheme
+    parameter: str
+    pieces: tuple[_PieceParts, ...]
+
+    @cached_property
+    def layouts(self) -> tuple[tuple[PolynomialRing, list, list, _Cuts], ...]:
+        """Each piece's certificate layout over :attr:`source`
+        (:func:`~flatspan.spans.piece_over_base`) without its blend, laid
+        out once, when a family is first certified: the combined ring, the
+        relations the blend follows (the moved ones), those after it (the
+        source's and the identifications), and the cuts in that ring."""
+        out = []
+        for p in self.pieces:
+            ring, rename, relations = piece_over_base(p.moved, self.source)
+            cut = len(p.moved.relations)
+            cuts = _Cuts(*(q.map_ring(ring, rename) for q in p.cuts))
+            out.append((ring, relations[:cut], relations[cut:], cuts))
+        return tuple(out)
+
 
 @lru_cache(maxsize=4)
-def _family_parts(
-    alpha: Correspondence,
-) -> tuple[AffineScheme, AffineScheme, str, tuple[_PieceParts, ...]]:
-    """What every blended family of ``alpha`` shares: the source with its
-    torus factor traded for the parameter line, the target without its
-    torus factor, the parameter's name, and the parts of each piece.  A
-    function of ``alpha`` alone that charges no budget, kept for the last
-    four spans asked for: :func:`verify_compat` asks for two composites
-    around ``alpha``'s own family, so a caller that then certifies that
-    family again still finds ``alpha``'s parts."""
+def _family_parts(alpha: Correspondence) -> _FamilyParts:
+    """The parts every blended family of ``alpha`` shares.  A function of
+    ``alpha`` alone that charges no budget, kept for the last four spans
+    asked for: :func:`verify_compat` asks for two composites around
+    ``alpha``'s own family, so a caller that then certifies that family
+    again still finds ``alpha``'s parts."""
     bare, src_t, tgt_t = _forget_torus_feet(alpha)
     _, (s_name,) = bare.source.ring.adjoin([PARAMETER])
     family, pvars = cross(bare, affine_line(bare.source.field, s_name), PARAMETER)
@@ -367,8 +418,8 @@ def _family_parts(
     for piece, moved, pvar in zip(alpha.pieces, family.pieces, pvars):
         ring = moved.ring
         main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
-        pieces.append(_PieceParts(moved, ring.var(pvar), main, aux))
-    return family.source, family.target, s_name, tuple(pieces)
+        pieces.append(_PieceParts(moved, _Cuts(ring.var(pvar), main, aux)))
+    return _FamilyParts(family.source, family.target, s_name, tuple(pieces))
 
 
 def blended_family(
@@ -388,21 +439,32 @@ def blended_family(
     keeps the last four spans), so the families of one span differ only in
     the relation appended here.
     """
-    source, target, s_name, parts = _family_parts(alpha)
-    pieces = []
-    for p in parts:
-        blend = blend_value(p.s, *(cut_value(k, sign, p.main, p.aux) for k in (n, m)))
-        pieces.append(rebuild_piece(p.moved, p.moved.ring, {}, source, target, [blend]))
-    return Correspondence(source, target, tuple(pieces)), s_name
+    parts = _family_parts(alpha)
+    source, target = parts.source, parts.target
+    pieces = tuple(
+        rebuild_piece(p.moved, p.moved.ring, {}, source, target, [p.cuts.blend(m, n, sign)])
+        for p in parts.pieces
+    )
+    return Correspondence(source, target, pieces), parts.parameter
 
 
 def cancel_family(
     alpha: Correspondence, m: int, n: int, sign: str, *, budget: Budget | None = None
 ) -> FamilyReport:
-    """The :func:`blended_family` of ``alpha`` with its certification
-    attempt."""
-    corr, s_name = blended_family(alpha, m, n, sign)
-    return FamilyReport(corr, certify_finite_flat(corr, budget=budget or Budget()), s_name)
+    """Certify the :func:`blended_family` of ``alpha`` without building it.
+
+    Every family of one span has the same certificate layout but for its
+    blend relation, which follows the moved relations, so each piece is
+    laid out once per span (:attr:`_FamilyParts.layouts`) and the blend is
+    built in the combined ring.  The outcome and the budget charged are
+    those of :func:`~flatspan.spans.certify_finite_flat` on the family.
+    """
+    parts = _family_parts(alpha)
+    layouts = (
+        (ring, [*head, cuts.blend(m, n, sign), *tail]) for ring, head, tail, cuts in parts.layouts
+    )
+    outcome = certify_laid_out(layouts, parts.source, budget or Budget())
+    return FamilyReport(alpha, m, n, sign, outcome, parts.parameter)
 
 
 def cancel_slice(alpha: Correspondence, n: int, sign: str) -> Correspondence:

@@ -33,7 +33,8 @@ alone, and a reduction step's quotient coefficient is the cancelled
 coefficient itself: no inversion or division happens per step.
 
 Pending S-pairs sit in one heap as records ``(*rank, j, i, lcm)`` with
-``i < j``; the pair's lcm is computed once, when it is pushed.  A schedule
+``i < j``; the pair's lcm is computed once, when it is pushed (the sum of
+the two leads when they are coprime, as packing is linear).  A schedule
 is only the ``rank`` a pair gets then.  "normal" ranks by the packed lcm,
 which orders like its key.  "fifo" ranks by nothing, so ``(j, i)``
 decides: pairs are created in increasing ``(j, i)`` order, so the smallest
@@ -246,13 +247,14 @@ def _buchberger_dicts(
             table.append((lms[-1], _monic(field, r)))
 
     rank = _SCHEDULES[strategy]
-    lcm_of = packing.lcm
+    lcm_of, coprime = packing.lcm, packing.coprime
     queue: list[tuple] = []
 
     def push(j: int):
         lj = lms[j]
         for i in range(j):
-            lcm = lcm_of(lms[i], lj)
+            li = lms[i]
+            lcm = li + lj if coprime(li, lj) else lcm_of(li, lj)
             heappush(queue, (*rank(lcm), j, i, lcm))
 
     for j in range(len(table)):

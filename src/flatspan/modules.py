@@ -224,13 +224,15 @@ def classify_basis(
         else:
             mixed.append(g)
 
-    # torsion: a base-only element not already implied by the base relations
+    # torsion: a base-only element not already implied by the base relations;
+    # the base basis is packed for division only when there is one to test
     torsion = []
-    base_table = DivisorTable(base_ring, base_basis)
-    for g in base_only:
-        in_base = g.map_ring(base_ring)
-        if not base_table.reduce(in_base, budget).is_zero():
-            torsion.append(in_base)
+    if base_only:
+        base_table = DivisorTable(base_ring, base_basis)
+        for g in base_only:
+            in_base = g.map_ring(base_ring)
+            if not base_table.reduce(in_base, budget).is_zero():
+                torsion.append(in_base)
     if torsion:
         witness = ", ".join(str(w) for w in torsion)
         return CertifyOutcome(

@@ -9,7 +9,8 @@ Identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and must name ring variables.
 Parentheses nest at most :data:`MAX_NESTING` deep, so the recursive
 descent stays far from the interpreter's recursion limit, and an integer
 literal has at most :data:`MAX_DIGITS` digits past its leading zeros, as
-has a power of a number over QQ, in its numerator and denominator.  An
+has a power of a number or of a parenthesized single term over QQ, in the
+numerator and denominator of its coefficient.  An
 exponent past ``MAX_EXPONENT``, written or reached by a product or power,
 is a :class:`ParseError` at the last token of the factor that reached it.
 Whitespace is insignificant.  ``format_polynomial`` emits the canonical
@@ -192,16 +193,26 @@ class _Parser:
         if k > MAX_EXPONENT:
             raise self.error(f"exponent {k} exceeds {MAX_EXPONENT}", pos)
         if isinstance(atom, Polynomial):
+            coefficients = atom.terms().values()
+            if len(coefficients) == 1:  # a monomial: its coefficient is raised
+                self.check_power(*coefficients, k, pos)
             return atom**k
         c, slot, _ = atom
         if slot < 0:
-            # m**k >= 16**MAX_DIGITS when k * (bits(m) - 1) >= 4 * MAX_DIGITS: tested
-            # first, so m**k is computed, and compared, only below 2**(8 * MAX_DIGITS)
-            m = 1 if self.field.characteristic else max(abs(c.numerator), c.denominator)
-            if m > 1 and (k * (m.bit_length() - 1) >= 4 * MAX_DIGITS or m**k >= 10**MAX_DIGITS):
-                raise self.error(f"power of a number longer than {MAX_DIGITS} digits", pos)
+            self.check_power(c, k, pos)
             return (self.ring.const(c) ** k).constant_value(), slot, 0
         return c, slot, k
+
+    def check_power(self, c, k: int, pos: int) -> None:
+        """Refuse ``c**k`` over QQ when its numerator or denominator would
+        pass ``MAX_DIGITS`` digits, before it is computed."""
+        if self.field.characteristic:
+            return
+        # m**k >= 16**MAX_DIGITS when k * (bits(m) - 1) >= 4 * MAX_DIGITS: tested
+        # first, so m**k is computed, and compared, only below 2**(8 * MAX_DIGITS)
+        m = max(abs(c.numerator), c.denominator)
+        if m > 1 and (k * (m.bit_length() - 1) >= 4 * MAX_DIGITS or m**k >= 10**MAX_DIGITS):
+            raise self.error(f"power of a number longer than {MAX_DIGITS} digits", pos)
 
     def parse_atom(self):
         kind, text, pos = self.next()

@@ -17,7 +17,7 @@ by name or by position.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
@@ -477,17 +477,30 @@ def certify_finite_flat(corr: Correspondence, budget: Budget | None = None) -> C
     """Certify the middle finite locally free over the source, piecewise.
 
     The certificate is a monomial staircase basis per piece plus the
-    multiplication matrices of every fiber variable; rank is the total
-    staircase size.  The first piece that fails gives the outcome, with
-    ``piece {index}: `` in front of its detail.
+    multiplication matrices of every fiber variable; each piece is laid
+    out over the source (:func:`piece_over_base`) only when the pieces
+    before it certify, and :func:`certify_laid_out` classifies it.
     """
+    layouts = (piece_over_base(piece, corr.source) for piece in corr.pieces)
+    return certify_laid_out(((ring, rels) for ring, _, rels in layouts), corr.source, budget)
+
+
+def certify_laid_out(
+    layouts: Iterable[tuple[PolynomialRing, list[Polynomial]]],
+    base: AffineScheme,
+    budget: Budget | None = None,
+) -> CertifyOutcome:
+    """Certify pieces laid out over ``base``, in order: each is a combined
+    ring and the piece's defining relations there, as
+    :func:`piece_over_base` gives them.  The fiber block is the combined
+    ring's variables before ``base``'s.  Rank is the total staircase size.
+    The first piece that fails gives the outcome, with ``piece {index}: ``
+    in front of its detail, and later pieces are not read."""
     certs = []
-    base = corr.source
-    for index, piece in enumerate(corr.pieces):
-        combined, _, relations = piece_over_base(piece, base)
-        split = len(piece.ring.names)
+    for index, (ring, relations) in enumerate(layouts):
+        split = ring.nvars - base.ring.nvars
         outcome = analyze_module(
-            combined, split, relations, base.ring, list(base.relations), budget=budget
+            ring, split, relations, base.ring, list(base.relations), budget=budget
         )
         if not outcome.certified:
             return replace(outcome, detail=f"piece {index}: {outcome.detail}")
@@ -619,7 +632,9 @@ def piece_over_base(
     """A certificate's layout: ``ring`` (``base``'s own unless given) with the
     piece's variables adjoined and moved to the front, in order; the rename
     of the piece's variables onto them; and the defining relations of the
-    piece over ``base``, rebuilt there."""
+    piece over ``base``, rebuilt there: the piece's relations in order, then
+    ``base``'s, then one identification of each base coordinate with its
+    source leg."""
     merged, fresh = (ring or base.ring).adjoin(piece.ring.names, piece.ring.inverted)
     combined = merged.leading(fresh)
     rename = dict(zip(piece.ring.names, fresh))

@@ -39,13 +39,16 @@ from flatspan.spans import (
     Correspondence,
     SpanError,
     SpanPiece,
+    add,
     certify_finite_flat,
     collapse_variables,
+    compose,
     cross,
     degree,
     equals,
     graph_span,
     make_piece,
+    piece_over_base,
     restrict_to_open,
 )
 from oracles import blended_family_from_scratch, full_box_filtration
@@ -504,6 +507,71 @@ def test_families_from_shared_parts_equal_families_from_scratch(specs, calls):
         assert json.dumps(block, sort_keys=True) == json.dumps(oracle, sort_keys=True)
 
 
+def layout_span(kind, field, k, c):
+    """The spans :func:`blend_span` makes, a cover composed with a square
+    graph, and a two-piece span: the zero middle, whose families all
+    certify, beside a cover, which decides and numbers its piece 1."""
+    if kind == "composite":
+        return compose(blend_span("cover", field, k, c), blend_span("graph", field, 2, 1))
+    if kind == "two pieces":
+        return add(empty_torus_span(field), blend_span("cover", field, k, c))
+    return blend_span(kind, field, k, c)
+
+
+def certified_within(certify, limit=None):
+    """The outcome and the steps charged, or where the budget ran out."""
+    budget = Budget(limit) if limit else Budget()
+    try:
+        return certify(budget), budget.used
+    except BudgetExhausted as err:
+        return "exhausted", err.phase, budget.used
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.tuples(
+        st.sampled_from(["graph", "cover", "unit", "composite", "two pieces"]),
+        st.sampled_from([QQ, GF(5), GF(7)]),
+        st.integers(1, 3),
+        st.sampled_from([-2, -1, 1, 2, 3]),
+    ),
+    m=st.integers(1, 3),
+    n=st.integers(1, 3),
+    sign=st.sampled_from(["+", "-"]),
+)
+def test_families_certified_from_the_span_layout_equal_certified_families(spec, m, n, sign):
+    """Certifying a family from its span's shared layout gives the outcome,
+    the steps and, under every smaller budget, the exhausted phase that
+    certifying the built family gives."""
+    alpha = layout_span(*spec)
+    family, _ = blended_family(alpha, m, n, sign)
+
+    def from_layout(budget):
+        return cancel_family(alpha, m, n, sign, budget=budget).certificate
+
+    def from_family(budget):
+        return certify_finite_flat(family, budget=budget)
+
+    expected = certified_within(from_family)
+    assert certified_within(from_layout) == expected
+    for limit in range(1, expected[-1] + 1):
+        assert certified_within(from_layout, limit) == certified_within(from_family, limit)
+
+
+def test_filtration_builds_no_family_span(monkeypatch):
+    """The search reads only each family's status and rank, so it certifies
+    from the span's layout and never builds a family span."""
+    import flatspan.cancellation as cancellation
+
+    expected = filtration_index(double_triple_cover(), window=3)
+
+    def refused(*args):
+        raise AssertionError("the search built a family span")
+
+    monkeypatch.setattr(cancellation, "blended_family", refused)
+    assert filtration_index(double_triple_cover(), window=3) == expected
+
+
 def test_filtration_builds_the_family_parts_once(monkeypatch):
     import flatspan.cancellation as cancellation
 
@@ -727,21 +795,30 @@ def test_families_commute_for_the_unit_collapse():
 
 
 def test_compat_certifies_only_the_reported_family(monkeypatch):
+    """One certification runs, and it lays out the reported family's own
+    pieces over that family's source."""
     import flatspan.cancellation as cancellation
 
-    original = cancellation.certify_finite_flat
+    original = cancellation.certify_laid_out
     certified = []
 
-    def counting(corr, **kwargs):
-        certified.append(corr)
-        return original(corr, **kwargs)
+    def counting(layouts, base, budget=None):
+        layouts = list(layouts)
+        certified.append((layouts, base))
+        return original(layouts, base, budget)
 
-    monkeypatch.setattr(cancellation, "certify_finite_flat", counting)
+    def refused(corr, **kwargs):
+        raise AssertionError("a span was certified outside the family path")
+
+    monkeypatch.setattr(cancellation, "certify_laid_out", counting)
+    monkeypatch.setattr(cancellation, "certify_finite_flat", refused)
     beta = point_span("b^2 - 2", ["b"])
     gamma = point_span("c^2", ["c"])
     report = verify_compat(double_triple_cover(), beta, gamma, 2, 2, "+")
     assert report.ok, report.detail
-    assert certified == [report.family.correspondence]
+    family = report.family.correspondence
+    laid_out = [piece_over_base(p, family.source) for p in family.pieces]
+    assert certified == [([(ring, rels) for ring, _, rels in laid_out], family.source)]
 
 
 def test_compat_rejects_colliding_middle_names():
@@ -952,27 +1029,38 @@ def test_compat_completes_three_times_fewer_than_completing_both_sides(monkeypat
 
 def test_compat_then_its_family_builds_alpha_parts_once(monkeypatch):
     """``verify_compat`` blends two composites around ``alpha``'s own family,
-    and the kept parts still hold ``alpha``'s when its family is certified
-    again, as a passing check's certificate is."""
+    and the kept parts still hold ``alpha``'s, with its one layout, when its
+    family is certified again, as a passing check's certificate is."""
     import flatspan.cancellation as cancellation
 
     alpha = double_triple_cover()
-    original = cancellation.strip_coordinates
-    stripped = []
+    original_strip, original_layout = cancellation.strip_coordinates, cancellation.piece_over_base
+    stripped, laid_out = [], []
 
     def counted(scheme, names):
         stripped.append(scheme)
-        return original(scheme, names)
+        return original_strip(scheme, names)
+
+    def laid(piece, base, ring=None):
+        laid_out.append(piece)
+        return original_layout(piece, base, ring)
 
     cancellation._family_parts.cache_clear()
     monkeypatch.setattr(cancellation, "strip_coordinates", counted)
-    verify_compat(alpha, point_span("b^2 - 2", ["b"]), point_span("c^2", ["c"]), 2, 3, "-")
-    cancel_family(alpha, 2, 3, "-")
+    monkeypatch.setattr(cancellation, "piece_over_base", laid)
+    report = verify_compat(alpha, point_span("b^2 - 2", ["b"]), point_span("c^2", ["c"]), 2, 3, "-")
+    again = cancel_family(alpha, 2, 3, "-")
+    assert again.certificate == report.family.certificate
     # the two composites' parts and alpha's, built once each, strip two
     # feet apiece; building alpha's twice would make 8
     assert len(stripped) == 6
+    # alpha's one piece is laid out once for both certifications, and the
+    # composites, which are only blended, never are
+    assert len(laid_out) == 1
     info = cancellation._family_parts.cache_info()
-    assert (info.hits, info.misses) == (1, 3)
+    # the misses are the two composites and alpha; the hits are the family
+    # span verify_compat composes and the second certification
+    assert (info.hits, info.misses) == (2, 3)
 
 
 # ---------------------------------------------------------------------------

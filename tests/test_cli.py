@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import re
+import time
 from pathlib import Path
 
 import jsonschema
@@ -572,6 +573,24 @@ def test_an_overlong_integer_in_a_document_is_an_input_error(capsys, tmp_path, n
     code, out, err = run_cli(capsys, "run", str(doc))
     assert (code, out) == (2, "")
     assert err == f"error: line 10: bad polynomial {new[5:]!r}: {message}\n"
+
+
+@pytest.mark.parametrize("power", ["(3)^1000000*x", "(3*x)^250000", "(1/3)^2147483647"])
+def test_a_long_power_of_a_parenthesized_number_is_an_input_error(capsys, tmp_path, power):
+    doc = tmp_path / "power.fsw"
+    new = f"rels t*t_inv - 1 + {power}"
+    text = Path(workspace("valuation-bounds")).read_text(encoding="utf-8")
+    doc.write_text(text.replace("rels t*t_inv - 1", new), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", str(doc))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    message = "power of a number longer than 4300 digits"
+    assert err == f"error: line 10: bad polynomial {new[5:]!r}: {message}\n"
+    code, out, err = run_cli(
+        capsys, "bound", "--workspace", workspace("valuation-bounds"), "--corr", "Z", "--f", power
+    )
+    assert (code, out, err) == (2, "", f"error: bad polynomial {power!r}: {message}\n")
 
 
 def test_an_overlong_integer_in_a_flag_is_an_input_error(capsys):

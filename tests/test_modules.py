@@ -171,3 +171,25 @@ def test_free_analysis_round_trips_through_fitting_criterion():
     pres = ModulePresentation(base, out.pieces[0].labels, ())
     assert locally_free_of_rank(pres, 3)
     assert not locally_free_of_rank(pres, 2)
+
+
+def test_the_base_basis_is_packed_only_for_a_torsion_test(monkeypatch):
+    """``classify_basis`` builds a division table of the base basis only
+    when a base-only element needs the torsion test."""
+    import flatspan.modules as modules
+
+    original = modules.DivisorTable
+    rings = []
+
+    def counted(ring, *args):
+        rings.append(ring)
+        return original(ring, *args)
+
+    monkeypatch.setattr(modules, "DivisorTable", counted)
+    ring, base = ring_of(["t", "x"]), ring_of(["x"])
+    free = analyze_module(ring, 1, [parse_polynomial("t^2 - x", ring)], base, [])
+    assert free.status == "certified" and rings == [ring]
+    rings.clear()
+    torsion = [parse_polynomial("t - 1", ring), parse_polynomial("x", ring)]
+    out = analyze_module(ring, 1, torsion, base, [])
+    assert out.status == "not_locally_free" and rings == [ring, base]

@@ -46,3 +46,21 @@ def test_linear_key_orders_like_tuples_and_packs_additively(data, n):
         for b in sample:
             assert exp_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
             assert exp_coprime(a, b) == all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 8))
+def test_the_lcm_of_coprime_monomials_is_their_packed_sum(data, n):
+    """The Groebner kernel takes ``a + b`` for the lcm of coprime leads when
+    it pushes their pair; that is the packed lcm under every order."""
+    exps = st.lists(st.sampled_from([0, 1, 2, 2**20, MAX_EXPONENT]), min_size=n, max_size=n)
+    a, b = data.draw(exps), data.draw(exps)
+    # each variable in at most one of them
+    owner = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    a = tuple(x if mine else 0 for x, mine in zip(a, owner))
+    b = tuple(0 if mine else y for y, mine in zip(b, owner))
+    for order in _orders(n):
+        packing = _packing(order)
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.coprime(pa, pb)
+        assert packing.lcm(pa, pb) == pa + pb

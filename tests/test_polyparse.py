@@ -104,6 +104,42 @@ def test_a_power_of_a_number_is_bounded_at_the_literal_length():
 @pytest.mark.parametrize(
     "text, col",
     [
+        ("(3)^1000000*x", 5),
+        ("x*(3*x)^250000", 9),
+        ("(1/3)^14285", 7),
+        ("y + (-(2*x*y))^2147483647", 16),
+        ("((3)^2000)^5", 12),
+    ],
+)
+def test_a_power_of_a_parenthesized_monomial_is_bounded_like_a_number(text, col):
+    """Over QQ a parenthesized term raised to a power raises its coefficient,
+    which obeys the rule for a power of a number: refused at the exponent,
+    before it is computed."""
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, R2)
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.message, info.value.col) == (
+        f"power of a number longer than {MAX_DIGITS} digits",
+        col,
+    )
+
+
+def test_powers_of_parenthesized_monomials_within_the_rule_parse():
+    x = R2.var("x")
+    assert parse_polynomial(f"(10*x)^{MAX_DIGITS - 1}", R2) == x ** (MAX_DIGITS - 1) * R2.const(
+        10 ** (MAX_DIGITS - 1)
+    )
+    assert parse_polynomial("((3)^2000)^4", R2) == R2.const(3**8000)
+    assert parse_polynomial("(x)^2147483647", R2) == x**MAX_EXPONENT
+    five = PolynomialRing(GF(5), ("x",))
+    assert parse_polynomial("(3*x)^2147483647", five) == five.var("x") ** MAX_EXPONENT * five.const(2)
+    assert parse_polynomial("(1/3)^2147483647*x", five) == five.var("x").scale(3)
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
         ("y*x^2147483647*x", 16),  # the literal product: at the factor that overflows
         ("x*(x^2147483647 + y)", 20),  # a parenthesized product: at its closing parenthesis
         ("(x*y)^2147483647*\n  (x + 1)", 9),  # the same across lines: line 2

@@ -300,6 +300,19 @@ def test_block_orders_are_picked_only_where_listed():
     assert set(_callers("fiber_order")) == BLOCK_ORDERS
 
 
+# the one function of ``src/flatspan`` that calls ``analyze_module``: the
+# certification loop that a span's pieces and a blended family's laid-out
+# pieces both run through, which numbers the pieces and sums their ranks
+CERTIFICATION_LOOPS = ["spans.certify_laid_out"]
+
+
+def test_modules_are_analyzed_only_by_the_certification_loop():
+    """``analyze_module`` is called once, in :data:`CERTIFICATION_LOOPS`, so
+    every certification, a blended family's too, reports its pieces the
+    same way."""
+    assert _callers("analyze_module") == CERTIFICATION_LOOPS
+
+
 # the functions of ``src/flatspan`` that call ``SpanPiece``: the one checked
 # builder, and the two rewrites that keep a piece's legs as they stand
 PIECE_BUILDERS = {"spans.make_piece", "spans._eliminate_linear", "spans._canonical"}
