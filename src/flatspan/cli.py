@@ -19,8 +19,10 @@ Exit codes depend on the verdict only: 0 pass, 1 fail, 2 input error,
 run exits with the numerically largest code among its reports.  A check
 that raises :class:`~flatspan.budget.BudgetExhausted` is inconclusive and
 one that raises :class:`~flatspan.budget.InputError` is an error; outside a
-check, an ``InputError`` or ``OSError`` exits 2.  Any other exception is a
-bug and a traceback, whatever status the process exits with.
+check, an ``InputError`` or ``OSError`` exits 2, and a ``BudgetExhausted``
+(say, while a document's spans are validated) prints one ``inconclusive:``
+line and exits 3.  Any other exception is a bug and a traceback, whatever
+status the process exits with.
 """
 
 from __future__ import annotations
@@ -545,6 +547,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except BudgetExhausted as err:
+        print(f"inconclusive: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,7 +8,10 @@ to a chosen base point.  Pulling the vanishing locus of w back through the
 middle of ``alpha`` and pushing it down to Y x A^1 produces a closed locus
 that the construction must avoid; its complement carries a restricted
 middle which, composed with f, interpolates between ``alpha`` and the
-constant correspondence at the base point.
+constant correspondence at the base point.  The one datum is the
+standard one of :func:`standard_contraction_data`: straight-line segments
+from each coordinate to the base point 1, with its hypotheses checked
+symbolically once per ``(n, field)``.
 
 Everything is presented by ideals.  The pushforward along the middle is
 computed by variable elimination, which is sound here because a certified
@@ -67,10 +70,10 @@ class ContractionDatum:
     ``f_images`` and ``cofactors`` map the primary (inverted) coordinates.
     ``w`` and the entries of ``f_images``/``cofactors`` live in a ring on
     the scheme's coordinates plus the parameter ``u_name``; ``cofactors``
-    holds w divided by the matching coordinate image.  Instances are built
-    through :func:`make_contraction_datum`, which checks every hypothesis
-    symbolically instead of trusting the caller, and their three maps are
-    read-only, so one checked datum can be shared.
+    holds w divided by the matching coordinate image.  The one datum is
+    the standard one of :func:`standard_contraction_data`, whose
+    hypotheses are checked symbolically once per ``(n, field)``; its three
+    maps are read-only, so the checked datum can be shared.
     """
 
     scheme: AffineScheme
@@ -100,39 +103,17 @@ def base_point_ideal(datum: ContractionDatum) -> tuple[Polynomial, ...]:
 
 
 def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
-    scheme = datum.scheme
-    ring = scheme.ring
+    """Check the contraction's hypotheses symbolically: the weight is one
+    at parameter 0 and a unit along the base point, and the flow of each
+    primary coordinate restores it at parameter 1, reaches the base point
+    at parameter 0 and fixes it, with cofactor times image the weight."""
+    ring = datum.scheme.ring
     uring = datum.u_ring
     uname = datum.u_name
-    primary = datum.primary
-    for v in ring.names:
-        if v not in ring.inverted and v not in {companion_name(p) for p in primary}:
-            raise ContractionError(
-                "supported base schemes are products of punctured lines; "
-                f"coordinate {v!r} has no inverse"
-            )
-    expected = set(ring.names) | {uname}
-    if set(uring.names) != expected:
-        raise ContractionError(
-            "the weight function must live on the scheme coordinates plus "
-            f"the parameter {uname!r}"
-        )
-    if not set(primary) <= set(datum.f_images) & set(datum.cofactors):
-        raise ContractionError(
-            "coordinate images and cofactors must cover the primary coordinates"
-        )
     point = datum.base_point
-    if set(point) != set(ring.names):
-        raise ContractionError("base point must assign a value to every coordinate")
-    for name in primary:
-        comp = companion_name(name)
-        if ring.field.mul(point[name], point[comp]) != ring.field.one:
-            raise ContractionError(
-                f"base point values for {name!r} and {comp!r} are not inverse"
-            )
 
     base_table = DivisorTable(
-        uring, groebner_basis([r.map_ring(uring) for r in scheme.relations], budget=budget)
+        uring, groebner_basis([r.map_ring(uring) for r in datum.scheme.relations], budget=budget)
     )
 
     def reduces_to_zero(p: Polynomial) -> bool:
@@ -148,10 +129,8 @@ def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
     if not at_point.is_constant() or at_point.is_zero():
         raise ContractionError("weight function is not a unit along the base point")
 
-    for name in primary:
+    for name in datum.primary:
         img = datum.f_images[name]
-        if img.ring != uring:
-            raise ContractionError("coordinate images must live in the weight ring")
         at_one = img.substitute({uname: uring.const(1)}, uring)
         if not reduces_to_zero(at_one - uring.var(name)):
             raise ContractionError(
@@ -175,52 +154,16 @@ def _check_datum(datum: ContractionDatum, budget: Budget) -> None:
             )
 
 
-def make_contraction_datum(
-    scheme: AffineScheme,
-    base_point: Mapping[str, object],
-    u_name: str,
-    w: Polynomial,
-    f_images: Mapping[str, Polynomial],
-    cofactors: Mapping[str, Polynomial],
-    budget: Budget | None = None,
-) -> ContractionDatum:
-    """Assemble and symbolically verify interpolation data.
-
-    ``base_point`` may omit companion coordinates; they are filled in with
-    field inverses.  Raises :class:`ContractionError` when any hypothesis
-    fails.
-    """
-    budget = budget or Budget()
-    field = scheme.ring.field
-    point = dict(base_point)
-    for name in list(point):
-        if name in scheme.ring.inverted:
-            comp = companion_name(name)
-            if comp not in point:
-                if point[name] == field.zero:
-                    raise ContractionError(f"base point puts the inverted coordinate {name!r} at 0")
-                point[comp] = field.inv(point[name])
-    datum = ContractionDatum(
-        scheme,
-        MappingProxyType(point),
-        u_name,
-        w,
-        MappingProxyType(dict(f_images)),
-        MappingProxyType(dict(cofactors)),
-    )
-    _check_datum(datum, budget)
-    return datum
-
-
 @lru_cache(maxsize=16, typed=True)
 def standard_contraction_data(n: int, field: Field = QQ) -> ContractionDatum:
     """Interpolation data on a product of ``n`` punctured lines.
 
     The weight is the product of the straight-line segments u*t_i + (1-u)
-    joining each coordinate to 1, and the coordinate flow rescales along
-    the same segments.  All hypotheses are verified symbolically before
-    the datum is returned.  It is built and checked once per ``(n, field)``
-    (the field's type included) and then shared: the checks charge no
+    joining each coordinate to 1, the coordinate flow rescales along the
+    same segments, and the base point puts every coordinate, companions
+    included, at 1.  This is the only datum: its hypotheses are verified
+    symbolically before it is returned, once per ``(n, field)`` (the
+    field's type included), and it is then shared: the checks charge no
     budget step, so no caller's budget misses a charge.
     """
     if n < 1:
@@ -240,14 +183,17 @@ def standard_contraction_data(n: int, field: Field = QQ) -> ContractionDatum:
             if other != v:
                 cof = cof * segments[other]
         cofactors[v] = cof
-    return make_contraction_datum(
+    point = {v: field.one for v in primary + [companion_name(v) for v in primary]}
+    datum = ContractionDatum(
         scheme,
-        {v: field.one for v in primary},
+        MappingProxyType(point),
         u_name,
         w,
-        segments,
-        cofactors,
+        MappingProxyType(segments),
+        MappingProxyType(cofactors),
     )
+    _check_datum(datum, Budget())
+    return datum
 
 
 # ---------------------------------------------------------------------------

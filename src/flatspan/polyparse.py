@@ -10,7 +10,10 @@ Parentheses nest at most :data:`MAX_NESTING` deep, so the recursive
 descent stays far from the interpreter's recursion limit, and an integer
 literal has at most :data:`MAX_DIGITS` digits past its leading zeros, as
 has a power of a number or of a parenthesized single term over QQ, in the
-numerator and denominator of its coefficient.  An
+numerator and denominator of its coefficient.  Over QQ so has every
+coefficient a product or a sum makes: one past the rule is a
+:class:`ParseError` at the last token of the factor or term that made it,
+so every coefficient parsed can be printed.  An
 exponent past ``MAX_EXPONENT``, written or reached by a product or power,
 is a :class:`ParseError` at the last token of the factor that reached it.
 Whitespace is insignificant.  ``format_polynomial`` emits the canonical
@@ -82,6 +85,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+def _too_long(m: int) -> bool:
+    """Whether ``m >= 0`` has more than ``MAX_DIGITS`` digits.  Its bit
+    length decides unless ``m`` lies between ``8**MAX_DIGITS`` and
+    ``16**MAX_DIGITS``, so the test is O(1) below and above that band."""
+    bits = m.bit_length()
+    return bits > 4 * MAX_DIGITS or (bits > 3 * MAX_DIGITS and m >= 10**MAX_DIGITS)
+
+
 def _position(text: str, pos: int) -> tuple[int, int]:
     """One-based line and column of offset ``pos``."""
     line = text.count("\n", 0, pos)
@@ -122,7 +133,13 @@ class _Parser:
         total: dict[tuple[int, ...], object] = {}
         negative = False
         while True:
-            add_terms(total, self.parse_term(negative), self.field)
+            terms = self.parse_term(negative)
+            size = len(total)
+            add_terms(total, terms, self.field)
+            # parse_term checked the term's own coefficients; a sum is made only
+            # where an exponent meets an earlier term's, and then total grows less
+            if len(total) - size < len(terms):
+                self.check_coefficients([total[e] for e, _ in terms if e in total])
             op = self.toks[self.i][1]
             if op != "+" and op != "-":
                 return total
@@ -143,12 +160,18 @@ class _Parser:
             factor = self.parse_factor()
             if prod is not None:
                 prod = prod * self.polynomial(factor)
+                self.check_coefficients(prod.terms().values())
             elif isinstance(factor, Polynomial):
                 prod = Polynomial(self.ring, {tuple(exp): coef}) * factor
+                self.check_coefficients(prod.terms().values())
             else:
                 c, slot, k = factor
                 if slot < 0:
+                    # a single number is a literal or a checked power, within the rule
+                    product = coef != f.one
                     coef = f.mul(coef, c)
+                    if product:
+                        self.check_coefficients((coef,))
                 else:
                     e = exp[slot] + k
                     # a zero product absorbs every later factor unchecked
@@ -209,10 +232,21 @@ class _Parser:
         if self.field.characteristic:
             return
         # m**k >= 16**MAX_DIGITS when k * (bits(m) - 1) >= 4 * MAX_DIGITS: tested
-        # first, so m**k is computed, and compared, only below 2**(8 * MAX_DIGITS)
+        # first, so m**k is computed, and sized, only below 2**(8 * MAX_DIGITS)
         m = max(abs(c.numerator), c.denominator)
-        if m > 1 and (k * (m.bit_length() - 1) >= 4 * MAX_DIGITS or m**k >= 10**MAX_DIGITS):
+        if m > 1 and (k * (m.bit_length() - 1) >= 4 * MAX_DIGITS or _too_long(m**k)):
             raise self.error(f"power of a number longer than {MAX_DIGITS} digits", pos)
+
+    def check_coefficients(self, coefficients) -> None:
+        """Refuse, over QQ, a coefficient whose numerator or denominator
+        passes ``MAX_DIGITS`` digits, at the last token read: the end of
+        the factor or term that made it."""
+        if self.field.characteristic:
+            return
+        for c in coefficients:
+            if _too_long(max(abs(c.numerator), c.denominator)):
+                pos = self.toks[self.i - 1][2]
+                raise self.error(f"coefficient longer than {MAX_DIGITS} digits", pos)
 
     def parse_atom(self):
         kind, text, pos = self.next()

@@ -643,6 +643,25 @@ def torus_power_graph(field, k):
     return graph_span(G, G, {"t": r.var("t") ** k, "t_inv": r.var("t_inv") ** k})
 
 
+def torus_negated_power_graph(field, k):
+    """The graph of ``t -> -t**k`` on the torus."""
+    G = torus(field, "t")
+    r = G.ring
+    return graph_span(G, G, {"t": -(r.var("t") ** k), "t_inv": -(r.var("t_inv") ** k)})
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_filtration_with_no_certified_level_has_no_index(k):
+    """The graph of ``t -> -t**k`` fails its ``(k, k, -)`` family, so no
+    level of window ``k`` certifies entirely: no index, and that family
+    blocks."""
+    report = filtration_index(torus_negated_power_graph(QQ, k), window=k)
+    assert (report.index, report.found) == (None, False)
+    assert report.blocking == (k, k, "-")
+    status = {(e.m, e.n, e.sign): e.status for e in report.entries}
+    assert status[k, k, "-"] == "not_finite"
+
+
 def empty_torus_span(field):
     """A torus self-span with the zero ring as middle: rank 0, so every
     family certifies, off the diagonal too."""

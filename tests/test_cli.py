@@ -593,6 +593,52 @@ def test_a_long_power_of_a_parenthesized_number_is_an_input_error(capsys, tmp_pa
     assert (code, out, err) == (2, "", f"error: bad polynomial {power!r}: {message}\n")
 
 
+BIG_COEFFICIENT = """workspace big
+field QQ
+scheme L = line x
+span S : L -> L {
+  piece {
+    vars x, y
+    rels REL
+    source x: x
+    target x: y
+  }
+}
+check c = certify S
+"""
+NINES = "9" * 4300  # the longest literal the parser reads
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize(
+    "rel",
+    ["y - 10^3000*10^3000", f"y - {NINES}*x - x", "y - (10^3000)*(10^3000)"],
+    ids=["product", "sum", "parenthesized"],
+)
+def test_a_coefficient_past_the_literal_length_is_an_input_error(capsys, tmp_path, rel, fmt):
+    """A product or sum whose QQ coefficient passes 4300 digits is refused
+    while the document is read, where it used to be parsed and then fail
+    to print with a ``ValueError`` traceback."""
+    doc = tmp_path / "big.fsw"
+    doc.write_text(BIG_COEFFICIENT.replace("REL", rel), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", str(doc), "--format", fmt)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: line 7: bad polynomial {rel!r}: coefficient longer than 4300 digits\n"
+
+
+def test_a_literal_at_the_length_limit_parses_prints_and_rechecks(capsys, tmp_path):
+    doc = tmp_path / "long.fsw"
+    doc.write_text(BIG_COEFFICIENT.replace("REL", f"y - {NINES}*x"), encoding="utf-8")
+    out = tmp_path / "long.json"
+    code, text, err = run_cli(capsys, "run", str(doc), "--format", "structured", "--out", str(out))
+    assert (code, text, err) == (0, "", "")
+    assert f"-{NINES}*x + y" in out.read_text(encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", str(doc), "--recheck", str(out))
+    assert (code, text, err) == (0, "recheck: 1 report(s) agree\n", "")
+
+
 def test_an_overlong_integer_in_a_flag_is_an_input_error(capsys):
     f = "x*t_inv + " + LONG
     code, out, err = run_cli(
@@ -1153,6 +1199,60 @@ def test_a_library_bug_in_a_recheck_propagates(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(flatspan.reports, "recheck_certificate", _raise_a_bug)
     with pytest.raises(ValueError, match="a library bug"):
         main(["run", workspace("span-algebra"), "--recheck", str(out)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", workspace("span-algebra")],
+        ["run", workspace("span-algebra"), "--format", "structured"],
+        ["certify", "--workspace", workspace("span-algebra"), "--corr", "idg"],
+    ],
+    ids=["run", "structured", "single"],
+)
+def test_a_budget_spent_while_a_document_loads_is_inconclusive(capsys, monkeypatch, argv):
+    """Each span of a document is validated as it is read, under a budget
+    of its own; running out there is one ``inconclusive:`` line and exit 3,
+    never a traceback."""
+    import flatspan.workspace
+    from flatspan.budget import BudgetExhausted
+
+    def spent(corr):
+        raise BudgetExhausted(1000000, "basis")
+
+    monkeypatch.setattr(flatspan.workspace, "validate_correspondence", spent)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "inconclusive: step budget of 1000000 exhausted during basis\n"
+
+
+NEGATED_SQUARE = """workspace neg
+field QQ
+scheme G = torus t
+span neg : G -> G {
+  piece {
+    vars t, t_inv
+    rels t*t_inv - 1
+    source t: t, t_inv: t_inv
+    target t: -t^2, t_inv: -t_inv^2
+  }
+}
+check ix = filtration neg window: 2
+"""
+
+
+def test_a_filtration_with_no_certified_level_fails_and_rechecks(capsys, tmp_path):
+    doc = tmp_path / "neg.fsw"
+    doc.write_text(NEGATED_SQUARE, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(doc))
+    assert (code, err) == (1, "")
+    head = re.sub(r"\(\d+ ms\)$", "(ms)", out.splitlines()[0])
+    assert head == "[fail] ix filtration neg -- no fully certified level within window 2 (ms)"
+    assert "    blocking: 2,2,-" in out.splitlines()
+    report = tmp_path / "neg.json"
+    assert main(["run", str(doc), "--format", "structured", "--out", str(report)]) == 1
+    code, out, err = run_cli(capsys, "run", str(doc), "--recheck", str(report))
+    assert (code, out, err) == (0, "recheck: 1 report(s) agree\n", "")
 
 
 def _zero_entry(block):

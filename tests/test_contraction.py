@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +20,6 @@ from flatspan.contraction import (
     _slice_chart,
     base_point_ideal,
     contract,
-    make_contraction_datum,
     standard_contraction_data,
     verify_contraction_endpoints,
 )
@@ -132,93 +131,52 @@ def test_base_point_sits_at_one():
     assert [str(g) for g in base_point_ideal(datum2)] == ["t1 - 1", "t2 - 1"]
 
 
+def _broken(**fields):
+    """The standard datum on one coordinate with ``fields`` replaced."""
+    return replace(standard_contraction_data(1), **fields)
+
+
+def _raises_on_check(datum, message):
+    with pytest.raises(ContractionError, match=message):
+        flatspan.contraction._check_datum(datum, Budget())
+
+
 def test_weight_must_be_one_at_parameter_zero():
-    scheme = punctured_line()
-    good = standard_contraction_data(1)
-    uring = good.u_ring
-    u, t = uring.var("u"), uring.var("t")
-    with pytest.raises(ContractionError, match="parameter 0"):
-        make_contraction_datum(
-            scheme,
-            {"t": QQ.from_int(1)},
-            "u",
-            u * t,
-            {"t": good.f_images["t"]},
-            {"t": uring.one()},
-        )
+    uring = standard_contraction_data(1).u_ring
+    _raises_on_check(_broken(w=uring.var("u") * uring.var("t")), "parameter 0")
+
+
+def test_weight_must_be_a_unit_along_the_base_point():
+    uring = standard_contraction_data(1).u_ring
+    # one at parameter 0, but 1 - u at the base point
+    _raises_on_check(_broken(w=uring.one() - uring.var("u")), "unit along the base point")
 
 
 def test_flow_must_restore_coordinates_at_parameter_one():
-    scheme = punctured_line()
-    good = standard_contraction_data(1)
-    uring = good.u_ring
+    uring = standard_contraction_data(1).u_ring
     u, t = uring.var("u"), uring.var("t")
-    with pytest.raises(ContractionError, match="restore"):
-        make_contraction_datum(
-            scheme,
-            {"t": QQ.from_int(1)},
-            "u",
-            good.w,
-            {"t": u * t * t + uring.one() - u},
-            {"t": uring.one()},
-        )
+    _raises_on_check(_broken(f_images={"t": u * t * t + uring.one() - u}), "restore")
 
 
-def test_base_point_companions_must_be_inverse():
-    scheme = punctured_line()
-    good = standard_contraction_data(1)
-    with pytest.raises(ContractionError, match="not inverse"):
-        make_contraction_datum(
-            scheme,
-            {"t": QQ.from_int(1), "t_inv": QQ.from_int(2)},
-            "u",
-            good.w,
-            dict(good.f_images),
-            dict(good.cofactors),
-        )
+def test_flow_must_reach_the_base_point_at_parameter_zero():
+    uring = standard_contraction_data(1).u_ring
+    u, t = uring.var("u"), uring.var("t")
+    # restores t at 1, but sits at 2 at parameter 0
+    image = u * t + uring.const(2) * (uring.one() - u)
+    _raises_on_check(_broken(f_images={"t": image}), "reach the base point in 't'")
+
+
+def test_flow_must_fix_the_base_point():
+    uring = standard_contraction_data(1).u_ring
+    u, t = uring.var("u"), uring.var("t")
+    # t at parameter 1 and 1 at parameter 0, but 1 - u + u^2 at the base point
+    image = u * t + uring.one() - u + u * (u - uring.one())
+    _raises_on_check(_broken(f_images={"t": image}), "moves the base point in 't'")
 
 
 def test_cofactors_must_multiply_back_to_the_weight():
-    scheme = punctured_line()
-    good = standard_contraction_data(1)
-    uring = good.u_ring
-    with pytest.raises(ContractionError, match="cofactor"):
-        make_contraction_datum(
-            scheme,
-            {"t": QQ.from_int(1)},
-            "u",
-            good.w,
-            dict(good.f_images),
-            {"t": uring.var("u")},
-        )
-
-
-@pytest.mark.parametrize(
-    "base_point, images, cofactors, message",
-    [
-        ({}, None, None, "base point must assign a value to every coordinate"),
-        (None, {}, None, "cover the primary coordinates"),
-        (None, None, {}, "cover the primary coordinates"),
-    ],
-    ids=["base-point", "images", "cofactors"],
-)
-def test_datum_coverage_is_checked(base_point, images, cofactors, message):
-    good = standard_contraction_data(1)
-    with pytest.raises(ContractionError, match=message):
-        make_contraction_datum(
-            good.scheme,
-            {"t": QQ.one} if base_point is None else base_point,
-            "u",
-            good.w,
-            good.f_images if images is None else images,
-            good.cofactors if cofactors is None else cofactors,
-        )
-
-
-def test_a_zero_base_point_on_an_inverted_coordinate_is_rejected():
-    d = standard_contraction_data(1)
-    with pytest.raises(ContractionError, match="'t' at 0"):
-        make_contraction_datum(d.scheme, {"t": QQ.zero}, "u", d.w, d.f_images, d.cofactors)
+    uring = standard_contraction_data(1).u_ring
+    _raises_on_check(_broken(cofactors={"t": uring.var("u")}), "cofactor")
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=["QQ", "GF7", "GF101"])
@@ -229,11 +187,8 @@ def test_the_shared_standard_datum_charges_no_step(n, field):
     caller's budget misses a charge."""
     datum = standard_contraction_data(n, field)
     budget = Budget()
-    again = make_contraction_datum(
-        datum.scheme, datum.base_point, datum.u_name, datum.w, datum.f_images, datum.cofactors, budget
-    )
+    flatspan.contraction._check_datum(datum, budget)
     assert budget.used == 0
-    assert again == datum
     assert standard_contraction_data(n, field) is datum
 
 
@@ -250,22 +205,20 @@ def test_the_shared_standard_datum_is_read_only():
 def test_a_run_builds_the_standard_datum_once(monkeypatch, tmp_path, capsys):
     """A document's ``contract`` and ``verify-contraction`` checks share one
     datum, built and checked once."""
-    import flatspan.contraction as contraction
+    checked = []
+    original = flatspan.contraction._check_datum
 
-    built = []
-    original = contraction.make_contraction_datum
-
-    def counted(*args, **kwargs):
-        built.append(args[0])
-        return original(*args, **kwargs)
+    def counted(datum, budget):
+        checked.append(datum)
+        return original(datum, budget)
 
     standard_contraction_data.cache_clear()
-    monkeypatch.setattr(contraction, "make_contraction_datum", counted)
+    monkeypatch.setattr(flatspan.contraction, "_check_datum", counted)
     doc = tmp_path / "on-base-point.fsw"
     doc.write_text(ON_BASE_POINT, encoding="utf-8")
     assert main(["run", str(doc)]) == 0
     capsys.readouterr()
-    assert len(built) == 1
+    assert len(checked) == 1
 
 
 # ---------------------------------------------------------------------------

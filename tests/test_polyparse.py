@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -137,6 +138,50 @@ def test_powers_of_parenthesized_monomials_within_the_rule_parse():
     assert parse_polynomial("(1/3)^2147483647*x", five) == five.var("x").scale(3)
 
 
+NINES = "9" * MAX_DIGITS
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("y - 10^3000*10^3000", 16),
+        (f"y - {NINES}*x - x", MAX_DIGITS + 10),
+        ("y - (10^3000)*(10^3000)", 23),
+        ("1/10^3000*x*1/10^3000", 18),
+        ("x*(y + 10^2200)^2", 17),
+        (f"{NINES}*x + {NINES}*x - {NINES}*x", 2 * MAX_DIGITS + 7),
+    ],
+    ids=["product", "sum", "parenthesized", "denominator", "power-of-a-sum", "sum-before-cancelling"],
+)
+def test_a_coefficient_past_the_literal_length_is_refused_where_it_is_made(text, col):
+    """Over QQ a coefficient whose numerator or denominator passes
+    ``MAX_DIGITS`` digits is refused at the last token of the factor or
+    summand that made it, even when a later summand would cancel it."""
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text, R2)
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.message, info.value.col) == (
+        f"coefficient longer than {MAX_DIGITS} digits",
+        col,
+    )
+
+
+def test_coefficients_at_the_literal_length_parse_and_print():
+    """``10^4299`` and ``-(10^4300 - 1)`` have 4300 digits, and a product or
+    sum that stays within them parses and prints back; over GF(5) the rule
+    does not apply."""
+    x, y = R2.var("x"), R2.var("y")
+    p = parse_polynomial(f"y - {NINES}*x", R2)
+    assert p == y - x.scale(10**MAX_DIGITS - 1)
+    assert format_polynomial(p) == f"-{NINES}*x + y"
+    assert parse_polynomial(format_polynomial(p), R2) == p
+    assert parse_polynomial("10^2000*10^2299*x", R2) == x.scale(10 ** (MAX_DIGITS - 1))
+    assert parse_polynomial(f"{NINES}*x - {NINES}*x + y", R2) == y
+    five = PolynomialRing(GF(5), ("x", "y"))
+    assert parse_polynomial("y - 10^3000*10^3000 + 3", five) == five.var("y") + five.const(3)
+
+
 @pytest.mark.parametrize(
     "text, col",
     [
@@ -198,6 +243,15 @@ def test_print_parse_roundtrip(items, which):
 _BIG_EXPONENTS = [str(MAX_EXPONENT - 1), str(MAX_EXPONENT), str(MAX_EXPONENT + 1), "007"]
 _OVERFLOW = ["x^" + str(MAX_EXPONENT), "x", "0", "(y)"]
 _JUNK = ["$", ".", "\u00e9", "\n  ", "\t", "(", ")", "^", "/", "*", "+", "2", "x1"]
+_NUMBER_POWER = re.compile(r"(?<!\w)(\d+)\s*\^\s*(\d+)")
+
+
+def _powers_a_number_past_the_rule(text):
+    """Whether a number other than 0 and 1 takes an exponent of at least
+    ``4 * MAX_DIGITS``, as ``0^2147483647`` does with a ``2`` inserted
+    beside its base.  The parser refuses that power by the digit rule; the
+    reference, which has no such rule, would compute it for minutes."""
+    return any(int(m) > 1 and int(k) >= 4 * MAX_DIGITS for m, k in _NUMBER_POWER.findall(text))
 
 
 def _factor(draw, depth):
@@ -238,11 +292,14 @@ def _texts(draw):
     """Texts in the grammar and around it: ``-`` chains, ``a/b`` literals,
     coefficients that vanish over GF(5), exponents at and past the cap,
     ``0^0``, zero factors around an overflow, cancelling summands, nested
-    and powered parentheses, and with some junk inserted."""
+    and powered parentheses, and with some junk inserted, unless the junk
+    would make a long power of a number."""
     text = _expr(draw)
     if draw(st.integers(0, 3)) == 0:
         at = draw(st.integers(0, len(text)))
-        text = text[:at] + draw(st.sampled_from(_JUNK)) + text[at:]
+        junked = text[:at] + draw(st.sampled_from(_JUNK)) + text[at:]
+        if not _powers_a_number_past_the_rule(junked):
+            text = junked
     return text
 
 

@@ -336,6 +336,13 @@ def test_pieces_are_built_only_by_make_piece():
     assert not edits
 
 
+def test_the_standard_datum_is_the_only_contraction_datum():
+    """``contraction.standard_contraction_data`` is the only code of
+    ``src/flatspan`` that calls ``ContractionDatum``, so every datum a
+    contraction sees is the standard one, its hypotheses checked."""
+    assert _callers("ContractionDatum") == ["contraction.standard_contraction_data"]
+
+
 # the functions of ``src/flatspan`` that read ``add`` off a field: the
 # canonical constant, the one routine that sums terms, the product of two
 # term dicts and the Groebner kernel's reduction loop
