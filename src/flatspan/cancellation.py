@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .budget import Budget, InputError
 from .fields import QQ, field_name
@@ -124,14 +124,9 @@ class BoundEntry:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Effective exponent bound extracted from multiplication matrices.
+    """Effective exponent bound extracted from multiplication matrices;
+    :meth:`admits` is the per-entry criterion itself."""
 
-    ``n_bound`` is the least nonnegative ``N`` such that every slice
-    exponent ``n > N`` clears all entry valuations; :meth:`admits` is the
-    per-entry criterion itself.
-    """
-
-    n_bound: int
     torus_var: str
     entries: tuple[BoundEntry, ...]
 
@@ -139,10 +134,11 @@ class BoundReport:
         """Whether the valuation criterion certifies the n-th slice."""
         return all(n + e.valuation >= 1 for e in self.entries)
 
-    @staticmethod
-    def least(valuations: Iterable[int]) -> int:
-        """The ``n_bound`` of entries with these valuations."""
-        return max(0, -min(valuations, default=0))
+    @property
+    def n_bound(self) -> int:
+        """The least nonnegative ``N`` such that every slice exponent
+        ``n > N`` clears all entry valuations."""
+        return max(0, -min((e.valuation for e in self.entries), default=0))
 
 
 def _single_piece(alpha: Correspondence, task: str) -> SpanPiece:
@@ -180,7 +176,7 @@ def bound_from_values(
                 v = laurent_valuation(entry, tvar)
                 if v is not None:
                     entries.append(BoundEntry(label, i, j, v, entry))
-    return BoundReport(BoundReport.least(e.valuation for e in entries), tvar, tuple(entries))
+    return BoundReport(tvar, tuple(entries))
 
 
 def flatness_bound(
@@ -580,8 +576,7 @@ def filtration_index(
                     decided[m, n, sign] = replace(decided[n, m, sign], m=m, n=n)
                     continue
                 out = cancel_family(alpha, m, n, sign, budget=budget).certificate
-                rank = out.rank if out.certified else None
-                decided[m, n, sign] = FiltrationEntry(m, n, sign, out.status, rank)
+                decided[m, n, sign] = FiltrationEntry(m, n, sign, out.status, out.rank)
     entries = list(decided.values())
     failing = [(e.m, e.n, e.sign) for e in entries if e.status != "certified"]
 

@@ -365,12 +365,9 @@ def contract(
     )
 
     charts = tuple(_build_chart(lined, u_names, datum, g, budget) for g in image)
-    rank: int | None = before.rank
-    for chart in charts:
-        if not chart.certificate.certified or chart.certificate.rank != before.rank:
-            rank = None
-    if not charts:
-        rank = None
+    # every chart must certify with the input's rank, and some chart must exist
+    ranks = {chart.certificate.rank for chart in charts}
+    rank = before.rank if ranks == {before.rank} else None
 
     chain = (
         ("weight-locus", (datum.w,)),

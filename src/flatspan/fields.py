@@ -21,6 +21,19 @@ class FieldError(InputError):
     pass
 
 
+# longest numerator or denominator of a QQ value, in digits: the
+# interpreter's default limit for converting between an int and its digits
+MAX_DIGITS = 4300
+
+
+def too_long(m: int) -> bool:
+    """Whether ``m >= 0`` has more than ``MAX_DIGITS`` digits.  Its bit
+    length decides unless ``m`` lies between ``8**MAX_DIGITS`` and
+    ``16**MAX_DIGITS``, so the test is O(1) below and above that band."""
+    bits = m.bit_length()
+    return bits > 4 * MAX_DIGITS or (bits > 3 * MAX_DIGITS and m >= 10**MAX_DIGITS)
+
+
 class Field:
     """Common type of the exact coefficient fields, :class:`RationalField`
     and :class:`PrimeField`; each supplies ``add``, ``sub``, ``mul``,
@@ -72,6 +85,10 @@ class RationalField(Field):
         return r if r.denominator != 1 else r.numerator
 
     def to_str(self, a) -> str:
+        """``a`` as text; a numerator or denominator past ``MAX_DIGITS``
+        digits is a :class:`FieldError`, as no parse could read it back."""
+        if too_long(max(abs(a.numerator), a.denominator)):
+            raise FieldError(f"a coefficient longer than {MAX_DIGITS} digits cannot be written")
         return str(a)
 
     def __repr__(self) -> str:

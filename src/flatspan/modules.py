@@ -60,24 +60,25 @@ class ModulePresentation:
 @dataclass(frozen=True)
 class PieceCertificate:
     """A free piece over the base: the reduced basis under
-    :func:`fiber_order`, its staircase and labels, every fiber variable's
-    multiplication matrix, the base basis, and the Fitting ideals below and
-    at the rank.  The matrices, base basis and Fitting ideals live in
-    :attr:`base_ring`, the variables of ``ring`` after its ``split`` first."""
+    :func:`fiber_order`, its staircase, every fiber variable's
+    multiplication matrix and the base basis.  The matrices and base basis
+    live in :attr:`base_ring`, the variables of ``ring`` after its
+    ``split`` first.  What restates these (labels, rank) is derived."""
 
     ring: PolynomialRing
     split: int
     groebner: tuple[Polynomial, ...]
     staircase: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
     matrices: tuple[tuple[str, tuple[tuple[Polynomial, ...], ...]], ...]
     base_groebner: tuple[Polynomial, ...]
-    fitting_below: tuple[Polynomial, ...] = ()
-    fitting_at: tuple[Polynomial, ...] = ()
 
     @property
     def rank(self) -> int:
         return len(self.staircase)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return staircase_labels(self.ring.names[: self.split], self.staircase)
 
     @staticmethod
     def base_of(ring: PolynomialRing, split: int) -> PolynomialRing:
@@ -107,7 +108,6 @@ class CertifyOutcome:
     ``not_locally_free``, the torsion witness."""
 
     status: str  # certified | not_finite | not_locally_free | inconclusive
-    rank: int | None = None
     pieces: tuple[PieceCertificate, ...] = ()
     detail: str = ""
     witness: tuple[Polynomial, ...] = ()
@@ -115,6 +115,11 @@ class CertifyOutcome:
     @property
     def certified(self) -> bool:
         return self.status == "certified"
+
+    @property
+    def rank(self) -> int | None:
+        """The total staircase size when certified, else None."""
+        return sum(cert.rank for cert in self.pieces) if self.certified else None
 
 
 def _staircase(pure: list[tuple[int, ...]], split: int) -> list[tuple[int, ...]] | int:
@@ -197,19 +202,8 @@ def classify_basis(
     fiber_names = ring.names[:split]
 
     def certified(stair, matrices) -> CertifyOutcome:
-        cert = PieceCertificate(
-            ring,
-            split,
-            tuple(basis),
-            tuple(stair),
-            staircase_labels(fiber_names, stair),
-            matrices,
-            tuple(base_basis),
-            # a free presentation has no relations: Fitt_{r-1} = 0 and Fitt_r = (1)
-            fitting_below=(),
-            fitting_at=(base_ring.one(),),
-        )
-        return CertifyOutcome("certified", cert.rank, (cert,))
+        cert = PieceCertificate(ring, split, tuple(basis), tuple(stair), matrices, tuple(base_basis))
+        return CertifyOutcome("certified", (cert,))
 
     if any(g.is_constant() for g in basis):
         return certified((), ())

@@ -44,14 +44,11 @@ import re
 from functools import lru_cache
 
 from .budget import InputError
-from .fields import FieldError
+from .fields import MAX_DIGITS, FieldError, too_long
 from .poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing, add_terms
 
 # deepest parenthesis nesting accepted; each level takes four parser frames
 MAX_NESTING = 100
-# longest integer literal accepted, past leading zeros: the interpreter's
-# default limit for converting a digit string to an int
-MAX_DIGITS = 4300
 _EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
@@ -83,14 +80,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         raise ParseError(f"unexpected character {stripped[0]!r}", *_position(text, pos))
     toks.append(("eof", "", len(text)))
     return toks
-
-
-def _too_long(m: int) -> bool:
-    """Whether ``m >= 0`` has more than ``MAX_DIGITS`` digits.  Its bit
-    length decides unless ``m`` lies between ``8**MAX_DIGITS`` and
-    ``16**MAX_DIGITS``, so the test is O(1) below and above that band."""
-    bits = m.bit_length()
-    return bits > 4 * MAX_DIGITS or (bits > 3 * MAX_DIGITS and m >= 10**MAX_DIGITS)
 
 
 def _position(text: str, pos: int) -> tuple[int, int]:
@@ -234,7 +223,7 @@ class _Parser:
         # m**k >= 16**MAX_DIGITS when k * (bits(m) - 1) >= 4 * MAX_DIGITS: tested
         # first, so m**k is computed, and sized, only below 2**(8 * MAX_DIGITS)
         m = max(abs(c.numerator), c.denominator)
-        if m > 1 and (k * (m.bit_length() - 1) >= 4 * MAX_DIGITS or _too_long(m**k)):
+        if m > 1 and (k * (m.bit_length() - 1) >= 4 * MAX_DIGITS or too_long(m**k)):
             raise self.error(f"power of a number longer than {MAX_DIGITS} digits", pos)
 
     def check_coefficients(self, coefficients) -> None:
@@ -244,7 +233,7 @@ class _Parser:
         if self.field.characteristic:
             return
         for c in coefficients:
-            if _too_long(max(abs(c.numerator), c.denominator)):
+            if too_long(max(abs(c.numerator), c.denominator)):
                 pos = self.toks[self.i - 1][2]
                 raise self.error(f"coefficient longer than {MAX_DIGITS} digits", pos)
 

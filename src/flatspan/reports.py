@@ -5,11 +5,15 @@ input, and one report per request.  Pass reports embed their supporting
 data — presentations, Groebner bases, staircases, multiplication
 matrices — so that ``recheck`` can confirm them later without running
 the original pipeline again: stored bases are validated by S-pair
-reduction rather than recomputed from scratch.
+reduction, and the source's base basis is the one completion recheck
+runs.
 
 Recheck reads each stored request, result and certificate block once
 through :func:`_read`, which makes a malformed one a :class:`ReportError`
-and so a finding; an exception out of a check is a bug.
+and so a finding; an exception out of a check is a bug.  A stored leaf
+that restates others (a piece's labels, Fitting ideals and rank, a
+certified outcome's status, rank, detail and witness, a valuation and a
+bound) is derived on reading and must equal the stored one.
 """
 
 from __future__ import annotations
@@ -129,10 +133,22 @@ def certificate_to_json(cert: PieceCertificate) -> dict:
             for var, rows in cert.matrices
         },
         "base_basis": [format_polynomial(g) for g in cert.base_groebner],
-        "fitting_below": [format_polynomial(g) for g in cert.fitting_below],
-        "fitting_at": [format_polynomial(g) for g in cert.fitting_at],
+        # the Fitting ideals below and at the rank, 0 and (1): a free
+        # presentation has no relations
+        "fitting_below": [],
+        "fitting_at": ["1"],
         "rank": cert.rank,
     }
+
+
+def _restated(
+    data: dict, key: str, derived, finding: str = "stored {key} {stored!r} is not {derived!r}", **names
+) -> None:
+    """``data[key]`` restates what was read with it, so it must equal
+    ``derived``; otherwise ``finding``, formatted with ``key``, ``stored``,
+    ``derived`` and ``names``, is a :class:`ReportError`."""
+    if data[key] != derived:
+        raise ReportError(finding.format(key=key, stored=data[key], derived=derived, **names))
 
 
 def certificate_from_json(data: dict) -> PieceCertificate:
@@ -150,14 +166,13 @@ def certificate_from_json(data: dict) -> PieceCertificate:
         split,
         tuple(_poly(t, ring) for t in data["basis"]),
         tuple(tuple(e) for e in data["staircase"]),
-        tuple(data["labels"]),
         matrices,
         tuple(_poly(t, base) for t in data["base_basis"]),
-        tuple(_poly(t, base) for t in data["fitting_below"]),
-        tuple(_poly(t, base) for t in data["fitting_at"]),
     )
-    if data["rank"] != cert.rank:
-        raise ReportError(f"piece rank {data['rank']!r} is not its staircase size {cert.rank}")
+    _restated(data, "rank", cert.rank, "piece rank {stored!r} is not its staircase size {derived}")
+    _restated(data, "labels", list(cert.labels))
+    _restated(data, "fitting_below", [])
+    _restated(data, "fitting_at", ["1"])
     return cert
 
 
@@ -172,14 +187,12 @@ def outcome_to_json(outcome: CertifyOutcome) -> dict:
 
 
 def outcome_from_json(data: dict) -> CertifyOutcome:
-    pieces = tuple(certificate_from_json(c) for c in data["pieces"])
-    witness = []
-    for text in data.get("witness", ()):
-        if pieces:
-            witness.append(_poly(text, pieces[0].base_ring))
-    return CertifyOutcome(
-        data["status"], data.get("rank"), pieces, data.get("detail", ""), tuple(witness)
-    )
+    """A stored outcome, which a finite-flat block holds only certified:
+    with no detail and no witness."""
+    outcome = CertifyOutcome("certified", tuple(certificate_from_json(c) for c in data["pieces"]))
+    for key, derived in (("status", "certified"), ("rank", outcome.rank), ("detail", ""), ("witness", [])):
+        _restated(data, key, derived)
+    return outcome
 
 
 def finite_flat_block(corr: Correspondence, outcome: CertifyOutcome) -> dict:
@@ -339,9 +352,10 @@ def request_from_json(report: dict) -> tuple[str, str]:
 
 
 def bound_from_json(block: dict) -> BoundReport:
-    """A valuation-bound block read back, with the bound and valuations it
-    claims.  Entries must be nonzero polynomials of the block's ring and the
-    torus variable an inverted variable of it, or no valuation is defined."""
+    """A valuation-bound block read back.  Entries must be nonzero
+    polynomials of the block's ring and the torus variable an inverted
+    variable of it, or no valuation is defined; each stored valuation, and
+    the stored bound, must be the one the entries give."""
     tvar, entries = block["torus_var"], []
     if block["entries"]:
         ring = ring_from_json(block["ring"])
@@ -352,8 +366,13 @@ def bound_from_json(block: dict) -> BoundReport:
             value = _poly(entry["value"], ring)
             if value.is_zero():
                 raise ReportError(f"entry {label}[{row},{col}] is zero")
-            entries.append(BoundEntry(label, row, col, entry["valuation"], value))
-    return BoundReport(block["bound"], tvar, tuple(entries))
+            valuation = laurent_valuation(value, tvar)
+            claim = "entry {at} claims valuation {stored}, recomputed {derived}"
+            _restated(entry, "valuation", valuation, claim, at=f"{label}[{row},{col}]")
+            entries.append(BoundEntry(label, row, col, valuation, value))
+    report = BoundReport(tvar, tuple(entries))
+    _restated(block, "bound", report.n_bound, "stored bound {stored} disagrees with entries")
+    return report
 
 
 def block_from_json(block: dict):
@@ -361,24 +380,6 @@ def block_from_json(block: dict):
     if block["kind"] == "finite-flat":
         return correspondence_from_json(block["span"]), outcome_from_json(block["outcome"])
     return bound_from_json(block)
-
-
-def _block_finding(kind: str, block, limit: int) -> str | None:
-    """Why a block read back does not recheck within ``limit`` steps, or None."""
-    if kind == "finite-flat":
-        if recheck_certificate(*block, budget=Budget(limit)):
-            return None
-        return "stored finite-flat certificate fails re-validation"
-    if not block.entries:
-        return None if block.n_bound == 0 else "empty valuation table cannot force a bound"
-    for e in block.entries:
-        val = laurent_valuation(e.value, block.torus_var)
-        if val != e.valuation:
-            at = f"{e.label}[{e.row},{e.col}]"
-            return f"entry {at} claims valuation {e.valuation}, recomputed {val}"
-    if block.n_bound != BoundReport.least(e.valuation for e in block.entries):
-        return f"stored bound {block.n_bound} disagrees with entries"
-    return None
 
 
 # report data keys that restate a certificate: the block kind, and how to
@@ -411,8 +412,9 @@ def _claim_findings(command: str, data: dict, blocks: list) -> list[str]:
 def _report_findings(report: dict, lines: set[str] | None, limit: int) -> list[str]:
     """Why a stored report with a known verdict disagrees, or nothing.  It
     must answer a check, its result and certificate blocks must read back,
-    each block must recheck under ``limit`` steps, and a pass's claims
-    must hold of its blocks (compared only when all of them read back)."""
+    each finite-flat block must recheck under ``limit`` steps, and a pass's
+    claims must hold of its blocks (compared only when all of them read
+    back)."""
     try:
         command, line = _read(request_from_json, report)
     except ReportError:
@@ -443,9 +445,8 @@ def _report_findings(report: dict, lines: set[str] | None, limit: int) -> list[s
         except ReportError as err:
             findings.append(f"certificate could not be rebuilt: {err}")
             continue
-        finding = _block_finding(kind, read, limit)
-        if finding:
-            findings.append(finding)
+        if kind == "finite-flat" and not recheck_certificate(*read, budget=Budget(limit)):
+            findings.append("stored finite-flat certificate fails re-validation")
         blocks.append((kind, read))
     if report["verdict"] == "pass" and len(blocks) == len(certificates):
         findings += _claim_findings(command, data, blocks)

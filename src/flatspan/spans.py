@@ -493,9 +493,9 @@ def certify_laid_out(
     """Certify pieces laid out over ``base``, in order: each is a combined
     ring and the piece's defining relations there, as
     :func:`piece_over_base` gives them.  The fiber block is the combined
-    ring's variables before ``base``'s.  Rank is the total staircase size.
-    The first piece that fails gives the outcome, with ``piece {index}: ``
-    in front of its detail, and later pieces are not read."""
+    ring's variables before ``base``'s.  The first piece that fails gives
+    the outcome, with ``piece {index}: `` in front of its detail, and later
+    pieces are not read."""
     certs = []
     for index, (ring, relations) in enumerate(layouts):
         split = ring.nvars - base.ring.nvars
@@ -505,7 +505,7 @@ def certify_laid_out(
         if not outcome.certified:
             return replace(outcome, detail=f"piece {index}: {outcome.detail}")
         certs += outcome.pieces
-    return CertifyOutcome(status="certified", rank=sum(c.rank for c in certs), pieces=tuple(certs))
+    return CertifyOutcome("certified", tuple(certs))
 
 
 def degree(corr: Correspondence, budget: Budget | None = None) -> int:
@@ -513,34 +513,29 @@ def degree(corr: Correspondence, budget: Budget | None = None) -> int:
     outcome = certify_finite_flat(corr, budget=budget)
     if not outcome.certified:
         raise SpanError(f"degree undefined: {outcome.status} ({outcome.detail})")
-    assert outcome.rank is not None
     return outcome.rank
 
 
 def recheck_certificate(
     corr: Correspondence, outcome: CertifyOutcome, budget: Budget | None = None
 ) -> bool:
-    """Confirm a stored certificate without recomputing its Groebner bases.
+    """Confirm a stored certificate; the source's base basis is the one
+    completion run here.
 
     The stored ring and split must be the ones certification derives from
-    the piece and the source (:func:`piece_over_base`), and the stored base
-    basis the source's reduced basis (the one basis recomputed here).  The
-    stored basis must pass the S-pair criterion and reduce the piece's
-    defining relations to zero.  Then it is classified the way
-    certification classifies it (:func:`~flatspan.modules.classify_basis`),
-    which must certify the piece with exactly the stored certificate.  The
-    rank must be the total staircase size.
+    the piece and the source (:func:`piece_over_base`).  The stored basis
+    must pass the S-pair criterion and reduce the piece's defining
+    relations to zero.  Then it is classified the way certification
+    classifies it (:func:`~flatspan.modules.classify_basis`) over the
+    source's reduced basis, which must certify the piece with exactly the
+    stored certificate, base basis included.
     """
     if not outcome.certified or len(corr.pieces) != len(outcome.pieces):
-        return False
-    if outcome.rank != sum(len(cert.staircase) for cert in outcome.pieces):
         return False
     base_basis = tuple(groebner_basis(list(corr.source.relations), budget=budget))
     for piece, cert in zip(corr.pieces, outcome.pieces):
         combined, _, relations = piece_over_base(piece, corr.source)
         if (cert.ring, cert.split) != (combined, len(piece.ring.names)):
-            return False
-        if cert.base_groebner != base_basis:
             return False
         table = cert.table
         if not spolynomial_pairs_reduce(table.basis, cert.order, budget=budget):

@@ -38,9 +38,9 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .budget import InputError
-from .fields import Field, FieldError, field_from_name
+from .fields import MAX_DIGITS, Field, FieldError, field_from_name
 from .poly import INVERSE_SUFFIX, PolynomialRing, companion_name
-from .polyparse import MAX_DIGITS, ParseError, format_polynomial, parse_polynomial
+from .polyparse import ParseError, format_polynomial, parse_polynomial
 from .reports import COMMANDS, check_line
 from .schemes import AffineScheme, affine_line, point, product, torus, torus_power
 from .spans import Correspondence, SpanError, make_piece, validate_correspondence

@@ -37,7 +37,7 @@ from flatspan.groebner import (
     normal_form,
     spolynomial_pairs_reduce,
 )
-from flatspan.modules import PresentationError, multiplication_matrix_from, staircase_labels
+from flatspan.modules import PresentationError, multiplication_matrix_from
 from flatspan.orders import GrevLex, MonomialOrder, exp_divides, fiber_order
 from flatspan.poly import MAX_EXPONENT, ExponentOverflow, Polynomial, PolynomialRing, RingMismatch, companion_name
 from flatspan.polyparse import MAX_NESTING, ParseError
@@ -516,12 +516,10 @@ def fiber_dimension(corr: Correspondence, point: dict[str, object]) -> int | Non
 
 def enumerated_recheck(corr: Correspondence, outcome: CertifyOutcome, budget: Budget | None = None) -> bool:
     """A recheck that inspects the certificate field by field: the S-pair
-    criterion, the relations, no mixed lead, the staircase and labels the
-    pure leads give, a matrix per fiber variable and each stored matrix
+    criterion, the relations, no mixed lead, the staircase the pure leads
+    give, a matrix per fiber variable and each stored matrix
     recomputed.  It runs no torsion test."""
     if not outcome.certified or len(corr.pieces) != len(outcome.pieces):
-        return False
-    if outcome.rank != sum(len(cert.staircase) for cert in outcome.pieces):
         return False
     base_basis = tuple(groebner_basis(list(corr.source.relations), budget=budget))
     for piece, cert in zip(corr.pieces, outcome.pieces):
@@ -543,7 +541,7 @@ def enumerated_recheck(corr: Correspondence, outcome: CertifyOutcome, budget: Bu
         pure, _, mixed = _sort_leads(basis, order, cert.split)
         stair = [] if any(b.is_constant() for b in basis) else box_staircase(pure, cert.split)
         fiber = combined.names[: cert.split]
-        if mixed or stair != list(cert.staircase) or cert.labels != staircase_labels(fiber, stair):
+        if mixed or stair != list(cert.staircase):
             return False
         if stair and not set(fiber) <= {name for name, _ in cert.matrices}:
             return False
@@ -584,14 +582,8 @@ def leads_certificate(corr: Correspondence) -> CertifyOutcome | None:
             for v in sorted(fiber)
             if stair
         )
-        # the Fitting ideals of a free module around its rank: 0 and (1)
-        pieces.append(
-            PieceCertificate(
-                combined, split, tuple(basis), tuple(stair), staircase_labels(fiber, stair),
-                matrices, base_basis, (), (base.ring.one(),),
-            )
-        )
-    return CertifyOutcome("certified", sum(c.rank for c in pieces), tuple(pieces))
+        pieces.append(PieceCertificate(combined, split, tuple(basis), tuple(stair), matrices, base_basis))
+    return CertifyOutcome("certified", tuple(pieces))
 
 
 # ---------------------------------------------------------------------------

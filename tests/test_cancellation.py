@@ -30,7 +30,7 @@ from flatspan.cancellation import (
 )
 from flatspan.fields import GF, QQ
 from flatspan.groebner import groebner_basis
-from flatspan.modules import CertifyOutcome
+from flatspan.modules import CertifyOutcome, PieceCertificate
 from flatspan.poly import PolynomialRing, companion_name
 from flatspan.polyparse import parse_polynomial
 from flatspan.reports import finite_flat_block
@@ -705,11 +705,12 @@ def test_filtration_certifies_each_mirror_pair_once(monkeypatch):
     calls = []
 
     def labelled(alpha, m, n, sign, *, budget=None):
-        # a real family with a fake outcome that names its own triple
+        # a real family with a fake outcome whose rank names its own triple
         calls.append((m, n, sign))
         fam = original(alpha, m, n, sign, budget=budget)
         rank = 100 * m + 10 * n + (sign == "+")
-        return replace(fam, certificate=CertifyOutcome("certified", rank))
+        stub = PieceCertificate(alpha.source.ring, 0, (), ((),) * rank, (), ())
+        return replace(fam, certificate=CertifyOutcome("certified", (stub,)))
 
     monkeypatch.setattr(cancellation, "cancel_family", labelled)
     report = filtration_index(torus_identity(QQ), window=3)

@@ -1371,3 +1371,101 @@ def test_a_torus_power_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
     doc.write_text("field QQ\nscheme G = torus^" + LONG + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "run", str(doc))
     assert (code, out, err) == (2, "", "error: line 2: torus power longer than 4300 digits\n")
+
+
+def _leaves(node, path=()):
+    """The path of each leaf of a JSON value: a scalar or an empty list or
+    object."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def _edited(value):
+    """Another value of a leaf: a number plus one, a text with ``" + 1"``
+    appended (so a polynomial stays one), an empty list holding ``"1"``."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + " + 1"
+    return ["1"]
+
+
+# the leaves of a stored certificate block that recheck reads without
+# checking, each with why; an edit that parses back to the same value is no
+# tamper, and ``_edited`` makes none
+UNCHECKED_LEAVES = {
+    ("b1", "entries", 0, "label"): "names the entry in findings only (ROADMAP item 1)",
+    ("b1", "entries", 0, "row"): "names the entry in findings only (ROADMAP item 1)",
+    ("b1", "entries", 0, "col"): "names the entry in findings only (ROADMAP item 1)",
+    ("b1", "entries", 0, "value"): "only its valuation is checked, and the edit keeps it "
+    "(ROADMAP item 1: no entry is tied to a multiplication matrix)",
+}
+
+
+@pytest.mark.parametrize(
+    "name, check, kind, part",
+    [
+        ("cancel-families", "f1", "finite-flat", "outcome"),
+        ("valuation-bounds", "b1", "valuation-bound", None),
+    ],
+    ids=["f1-outcome", "b1-valuation-bound"],
+)
+def test_recheck_checks_every_leaf_of_a_certificate_block(capsys, tmp_path, name, check, kind, part):
+    """Each leaf of the block (of its outcome, for a finite-flat one),
+    edited alone, makes ``run --recheck`` exit 1, except those
+    :data:`UNCHECKED_LEAVES` names, which still agree."""
+    _, payload, out = structured(capsys, tmp_path, name, "--only", check)
+    [block] = [b for b in payload["reports"][0]["certificates"] if b["kind"] == kind]
+    root = block[part] if part else block
+    agreeing = []
+    for path in list(_leaves(root)):
+        *steps, last = path
+        parent = root
+        for step in steps:
+            parent = parent[step]
+        original, parent[last] = parent[last], _edited(parent[last])
+        out.write_text(json.dumps(payload), encoding="utf-8")
+        code, text, err = run_cli(capsys, "run", workspace(name), "--recheck", str(out))
+        parent[last] = original
+        assert code in (0, 1) and err == "", (path, text)
+        if code == 0:
+            agreeing.append((check, *path))
+    assert agreeing == [leaf for leaf in UNCHECKED_LEAVES if leaf[0] == check]
+
+
+BIG_BASIS = """\
+field QQ
+scheme L = line x
+span B : L -> L {
+  piece {
+    vars x, y, z
+    rels y - 10^3000*x, z - 10^3000*y
+    source x: x
+    target x: z
+  }
+}
+check c = certify B
+"""
+WRITE_RULE = "a coefficient longer than 4300 digits cannot be written"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_certificate_past_the_digit_rule_is_an_error_report(capsys, tmp_path, fmt):
+    """Every literal is within the parser's cap, but the reduced basis holds
+    ``z - 10^6000*x``, which no report could write and no parse read back:
+    the check ends as one error report that names the rule."""
+    doc = tmp_path / "big.fsw"
+    doc.write_text(BIG_BASIS, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", str(doc), "--format", fmt)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (2, "")
+    if fmt == "text":
+        assert re.fullmatch(rf"\[error\] c certify B -- {WRITE_RULE} \(\d+ ms\)\n", out)
+    else:
+        [report] = json.loads(out)["reports"]
+        assert (report["verdict"], report["detail"], report["certificates"]) == ("error", WRITE_RULE, [])

@@ -541,9 +541,8 @@ def test_recheck_rejects_an_incomplete_staircase(staircase):
     from dataclasses import replace
 
     cover, out = _root_cover()
-    labels = ("1",) * len(staircase)
-    thin = replace(out.pieces[0], staircase=staircase, labels=labels, matrices=())
-    assert not recheck_certificate(cover, replace(out, rank=len(staircase), pieces=(thin,)))
+    thin = replace(out.pieces[0], staircase=staircase, matrices=())
+    assert not recheck_certificate(cover, replace(out, pieces=(thin,)))
 
 
 def test_recheck_rejects_a_missing_matrix():
@@ -554,12 +553,27 @@ def test_recheck_rejects_a_missing_matrix():
     assert not recheck_certificate(cover, replace(out, pieces=(bare,)))
 
 
-def test_recheck_rejects_a_rank_the_pieces_do_not_add_up_to():
-    from dataclasses import replace
+def _recheck_stored(span, out, edit):
+    """Recheck a certify pass carrying ``out``'s block after ``edit``
+    changes its stored outcome in place; returns the findings."""
+    import json
 
+    from flatspan.reports import Report, envelope_json, finite_flat_block, input_digest, recheck_envelope
+
+    block = json.loads(json.dumps(finite_flat_block(span, out)))
+    edit(block["outcome"])
+    report = Report("c", "certify", ("a",), {}, "pass", certificates=[block])
+    return recheck_envelope(envelope_json([report], input_digest("x")))[1]
+
+
+def test_recheck_rejects_a_rank_the_pieces_do_not_add_up_to():
+    """The stored outcome rank restates the total staircase size."""
     cover, out = _root_cover()
-    assert recheck_certificate(cover, out)
-    assert not recheck_certificate(cover, replace(out, rank=5))
+    assert out.rank == 2
+    assert _recheck_stored(cover, out, lambda o: None) == ["recheck: 1 report(s) agree"]
+    assert _recheck_stored(cover, out, lambda o: o.update(rank=5)) == [
+        "c: certificate could not be rebuilt: stored rank 5 is not 2"
+    ]
 
 
 def test_recheck_rejects_a_foreign_base_basis():
@@ -573,12 +587,11 @@ def test_recheck_rejects_a_foreign_base_basis():
 
 
 def test_recheck_rejects_labels_the_staircase_does_not_carry():
-    from dataclasses import replace
-
     cover, out = _root_cover()
     assert out.pieces[0].labels == ("1", "y")
-    relabelled = replace(out.pieces[0], labels=("7",))
-    assert not recheck_certificate(cover, replace(out, pieces=(relabelled,)))
+    assert _recheck_stored(cover, out, lambda o: o["pieces"][0].update(labels=["7"])) == [
+        "c: certificate could not be rebuilt: stored labels ['7'] is not ['1', 'y']"
+    ]
 
 
 def test_recheck_rejects_a_mixed_lead():
@@ -601,8 +614,8 @@ def test_recheck_rejects_a_mixed_lead():
     stair = [(0, 0), (1, 0)]
     table = DivisorTable(combined, basis, fiber_order(3, 2))
     matrices = tuple((v, multiplication_matrix_from(table, 2, combined.var(v), stair)) for v in "yz")
-    cert = PieceCertificate(combined, 2, tuple(basis), tuple(stair), ("1", "y"), matrices, ())
-    assert not recheck_certificate(span, CertifyOutcome("certified", 2, (cert,)))
+    cert = PieceCertificate(combined, 2, tuple(basis), tuple(stair), matrices, ())
+    assert not recheck_certificate(span, CertifyOutcome("certified", (cert,)))
 
 
 def test_recheck_rejects_a_staircase_over_the_unit_ideal():
@@ -620,10 +633,9 @@ def test_recheck_rejects_a_staircase_over_the_unit_ideal():
         cert,
         groebner=cert.groebner + (cert.ring.var("y"),),
         staircase=((0,),),
-        labels=("1",),
         matrices=(("y", ((zero,),)),),
     )
-    assert not recheck_certificate(empty, replace(out, rank=1, pieces=(forged,)))
+    assert not recheck_certificate(empty, replace(out, pieces=(forged,)))
 
 
 def test_recheck_rejects_foreign_relations():
@@ -671,14 +683,11 @@ def test_certification_failures_name_their_piece_and_witness(kind, detail, witne
 
 def test_recheck_rejects_tampered_fitting_ideals():
     """A free piece's Fitting ideals below and at its rank are 0 and (1)."""
-    from dataclasses import replace
-
     cover, out = _root_cover()
-    cert = out.pieces[0]
-    base = cert.ring.drop(cert.ring.names[: cert.split])
-    assert (cert.fitting_below, cert.fitting_at) == ((), (base.one(),))
-    for edit in (dict(fitting_at=()), dict(fitting_below=(base.one(),))):
-        assert not recheck_certificate(cover, replace(out, pieces=(replace(cert, **edit),)))
+    for key, value, free in (("fitting_at", [], ["1"]), ("fitting_below", ["1"], [])):
+        assert _recheck_stored(cover, out, lambda o: o["pieces"][0].update({key: value})) == [
+            f"c: certificate could not be rebuilt: stored {key} {value!r} is not {free!r}"
+        ]
 
 
 def test_recheck_rejects_a_certificate_of_a_torsion_module():
@@ -709,7 +718,6 @@ def _tampers(out):
     edits = [
         dict(staircase=cert.staircase + ((7,) * cert.split,)),
         dict(staircase=cert.staircase[:-1]),
-        dict(labels=cert.labels[:-1] + ("7",)),
         dict(matrices=cert.matrices[1:]),
         dict(base_groebner=cert.base_groebner + (base.one() + base.one(),)),
         dict(groebner=cert.groebner[1:]),
@@ -719,8 +727,7 @@ def _tampers(out):
         name, rows = cert.matrices[0]
         bumped = ((rows[0][0] + base.one(),) + rows[0][1:],) + rows[1:]
         edits.append(dict(matrices=((name, bumped),) + cert.matrices[1:]))
-    forged = [replace(out, pieces=(replace(cert, **edit),) + out.pieces[1:]) for edit in edits]
-    return forged + [replace(out, rank=out.rank + 1)]
+    return [replace(out, pieces=(replace(cert, **edit),) + out.pieces[1:]) for edit in edits]
 
 
 def _assert_rejects_what_the_enumerated_recheck_rejects(span, out):
