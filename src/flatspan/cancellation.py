@@ -13,14 +13,15 @@ rings and the moved relations and legs; only the blend relation differs.
 Those parts depend on the span alone and charge no budget, so they are
 built once, and the last four spans' parts are kept: the span, torus feet
 forgotten as in :func:`cancel_slice`, crossed with the parameter line
-(:func:`~flatspan.spans.cross`).  So is each piece's certificate layout
-over the family's source, the first time a family of the span is
-certified: the combined ring and every relation but the blend, which sits
-right after the moved relations.  :func:`cancel_family` builds only the
-blend (a sum of monomial powers, not memoized), in the combined ring, and
-certifies through :func:`~flatspan.spans.certify_laid_out`; the family
-span is built only for a caller that reads it
-(:attr:`FamilyReport.correspondence`), never by :func:`filtration_index`.
+(:func:`~flatspan.spans.cross`).  So is each moved piece's certificate
+layout over the family's source (:func:`~flatspan.spans.piece_over_base`),
+the first time a family of the span is certified.  A family's blend (a sum
+of monomial powers, not memoized) is made only in the moved piece's ring;
+:func:`cancel_family` renames it into the layout's ring, puts it right
+after the moved relations and certifies through
+:func:`~flatspan.spans.certify_laid_out`.  The family span is built only
+for a caller that reads it (:attr:`FamilyReport.correspondence`), never by
+:func:`filtration_index`.
 """
 
 from __future__ import annotations
@@ -324,7 +325,7 @@ class FamilyReport:
     @cached_property
     def correspondence(self) -> Correspondence:
         """The :func:`blended_family` that :attr:`certificate` certifies."""
-        return blended_family(self.alpha, self.m, self.n, self.sign)[0]
+        return blended_family(self.alpha, self.m, self.n, self.sign)
 
     @property
     def certified(self) -> bool:
@@ -365,39 +366,25 @@ class _Cuts(NamedTuple):
         return blend_value(self.s, *(cut_value(k, sign, self.main, self.aux) for k in (n, m)))
 
 
-class _PieceParts(NamedTuple):
-    """One middle piece moved into its ring extended by the parameter (the
-    moved relations and legs, the parameter leg set) and its cuts there."""
-
-    moved: SpanPiece
-    cuts: _Cuts
-
-
 @dataclass(frozen=True)
 class _FamilyParts:
     """What every blended family of one span shares: the source with its
     torus factor traded for the parameter line, the target without its
-    torus factor, the parameter's name, and the parts of each piece."""
+    torus factor, the parameter's name, and each piece moved into its ring
+    extended by the parameter, with its cuts there."""
 
     source: AffineScheme
     target: AffineScheme
     parameter: str
-    pieces: tuple[_PieceParts, ...]
+    pieces: tuple[tuple[SpanPiece, _Cuts], ...]
 
     @cached_property
-    def layouts(self) -> tuple[tuple[PolynomialRing, list, list, _Cuts], ...]:
-        """Each piece's certificate layout over :attr:`source`
-        (:func:`~flatspan.spans.piece_over_base`) without its blend, laid
-        out once, when a family is first certified: the combined ring, the
-        relations the blend follows (the moved ones), those after it (the
-        source's and the identifications), and the cuts in that ring."""
-        out = []
-        for p in self.pieces:
-            ring, rename, relations = piece_over_base(p.moved, self.source)
-            cut = len(p.moved.relations)
-            cuts = _Cuts(*(q.map_ring(ring, rename) for q in p.cuts))
-            out.append((ring, relations[:cut], relations[cut:], cuts))
-        return tuple(out)
+    def layouts(self) -> tuple[tuple[PolynomialRing, dict[str, str], list[Polynomial]], ...]:
+        """Each moved piece's certificate layout over :attr:`source`, as
+        :func:`~flatspan.spans.piece_over_base` gives it (the combined ring,
+        the rename onto it, the relations), made once, when a family is
+        first certified."""
+        return tuple(piece_over_base(moved, self.source) for moved, _ in self.pieces)
 
 
 @lru_cache(maxsize=4)
@@ -414,21 +401,19 @@ def _family_parts(alpha: Correspondence) -> _FamilyParts:
     for piece, moved, pvar in zip(alpha.pieces, family.pieces, pvars):
         ring = moved.ring
         main, aux = piece.src(src_t).map_ring(ring), piece.tgt(tgt_t).map_ring(ring)
-        pieces.append(_PieceParts(moved, _Cuts(ring.var(pvar), main, aux)))
+        pieces.append((moved, _Cuts(ring.var(pvar), main, aux)))
     return _FamilyParts(family.source, family.target, s_name, tuple(pieces))
 
 
-def blended_family(
-    alpha: Correspondence, m: int, n: int, sign: str
-) -> tuple[Correspondence, str]:
+def blended_family(alpha: Correspondence, m: int, n: int, sign: str) -> Correspondence:
     """Blend the m-th and n-th cut loci of the middle into one family.
 
     ``alpha`` must run between torus-augmented schemes.  The middle gains
     the relation ``blend(m, n)`` in a fresh parameter; the source trades
     its torus factor for the parameter line, and the target forgets its
     torus factor.  Specializing the parameter to 1 recovers the n-th cut,
-    0 the m-th (see :func:`restrict_parameter`).  Returns the family and
-    the name of its parameter coordinate; nothing is certified.
+    0 the m-th (see :func:`restrict_parameter`).  Nothing is certified;
+    the parameter's name is :attr:`FamilyReport.parameter`.
 
     Everything but the blend relation depends on ``alpha`` alone, charges
     no budget and is built once per span (:func:`_family_parts`, which
@@ -438,10 +423,10 @@ def blended_family(
     parts = _family_parts(alpha)
     source, target = parts.source, parts.target
     pieces = tuple(
-        rebuild_piece(p.moved, p.moved.ring, {}, source, target, [p.cuts.blend(m, n, sign)])
-        for p in parts.pieces
+        rebuild_piece(moved, moved.ring, {}, source, target, [cuts.blend(m, n, sign)])
+        for moved, cuts in parts.pieces
     )
-    return Correspondence(source, target, pieces), parts.parameter
+    return Correspondence(source, target, pieces)
 
 
 def cancel_family(
@@ -449,16 +434,19 @@ def cancel_family(
 ) -> FamilyReport:
     """Certify the :func:`blended_family` of ``alpha`` without building it.
 
-    Every family of one span has the same certificate layout but for its
-    blend relation, which follows the moved relations, so each piece is
-    laid out once per span (:attr:`_FamilyParts.layouts`) and the blend is
-    built in the combined ring.  The outcome and the budget charged are
-    those of :func:`~flatspan.spans.certify_finite_flat` on the family.
+    Each piece is laid out once per span (:attr:`_FamilyParts.layouts`).
+    The blend, made as :func:`blended_family` makes it and renamed into
+    the combined ring, goes right after the piece's own relations, where
+    :func:`~flatspan.spans.piece_over_base` puts it for the family's piece.
+    The outcome and the budget charged are those of
+    :func:`~flatspan.spans.certify_finite_flat` on the family.
     """
     parts = _family_parts(alpha)
-    layouts = (
-        (ring, [*head, cuts.blend(m, n, sign), *tail]) for ring, head, tail, cuts in parts.layouts
-    )
+    layouts = []
+    for (moved, cuts), (ring, rename, relations) in zip(parts.pieces, parts.layouts):
+        own = len(moved.relations)
+        blend = cuts.blend(m, n, sign).map_ring(ring, rename)
+        layouts.append((ring, [*relations[:own], blend, *relations[own:]]))
     outcome = certify_laid_out(layouts, parts.source, budget or Budget())
     return FamilyReport(alpha, m, n, sign, outcome, parts.parameter)
 
@@ -671,7 +659,7 @@ def verify_compat(
                 f"middle variable names collide between the {spans} spans; rename them apart"
             )
         composite = compose(alpha, crossed) if after else compose(crossed, alpha)
-        lhs, _ = blended_family(composite, m, n, sign)
+        lhs = blended_family(composite, m, n, sign)
         ring = lhs.pieces[0].ring
         glue = {
             w: leg(foot).map_ring(ring),

@@ -56,6 +56,7 @@ from .reports import (
     Report,
     ReportError,
     bound_block,
+    bound_data,
     correspondence_to_json,
     envelope_json,
     finite_flat_block,
@@ -153,18 +154,8 @@ def _h_bound(doc, req, budget):
     else:
         labelled = [("f1", f), ("f2", parse_polynomial(f2_text, ring))]
     rep = bound_from_values(alpha, outcome, labelled, budget)
-    table = [
-        f"{e.label}[{e.row},{e.col}] valuation {e.valuation}: {format_polynomial(e.value)}"
-        for e in rep.entries
-    ]
-    data = {"bound": rep.n_bound, "torus_var": rep.torus_var, "entries": table}
     certificates = [finite_flat_block(alpha, outcome), bound_block(rep)]
-    return (
-        "pass",
-        f"every exponent above {rep.n_bound} is admitted",
-        data,
-        certificates,
-    )
+    return "pass", f"every exponent above {rep.n_bound} is admitted", bound_data(rep), certificates
 
 
 def _h_slice(doc, req, budget):

@@ -13,7 +13,9 @@ through :func:`_read`, which makes a malformed one a :class:`ReportError`
 and so a finding; an exception out of a check is a bug.  A stored leaf
 that restates others (a piece's labels, Fitting ideals and rank, a
 certified outcome's status, rank, detail and witness, a valuation and a
-bound) is derived on reading and must equal the stored one.
+bound) is derived on reading and must equal the stored one.  A bound
+pass's valuation bound and data are derived again from its request over
+its finite-flat certificate, by the call and the rendering the check used.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import NamedTuple
 
 from . import __version__
 from .budget import DEFAULT_STEPS, Budget, InputError
-from .cancellation import BoundEntry, BoundReport
+from .cancellation import BoundEntry, BoundReport, bound_from_values
 from .fields import field_from_name, field_name
-from .modules import CertifyOutcome, PieceCertificate
+from .modules import CertifyOutcome, PieceCertificate, PresentationError
 from .poly import Polynomial, PolynomialRing, laurent_valuation
 from .polyparse import ParseError, format_polynomial, parse_polynomial
 from .schemes import AffineScheme
@@ -205,6 +207,16 @@ def finite_flat_block(corr: Correspondence, outcome: CertifyOutcome) -> dict:
     }
 
 
+def bound_data(report: BoundReport) -> dict:
+    """A bound pass's report data: the bound, the torus variable and one
+    line per entry."""
+    entries = [
+        f"{e.label}[{e.row},{e.col}] valuation {e.valuation}: {format_polynomial(e.value)}"
+        for e in report.entries
+    ]
+    return {"bound": report.n_bound, "torus_var": report.torus_var, "entries": entries}
+
+
 def bound_block(report: BoundReport) -> dict:
     """Serialize a valuation-bound report; entries carry their own ring."""
     ring = report.entries[0].value.ring if report.entries else None
@@ -355,9 +367,12 @@ def bound_from_json(block: dict) -> BoundReport:
     """A valuation-bound block read back.  Entries must be nonzero
     polynomials of the block's ring and the torus variable an inverted
     variable of it, or no valuation is defined; each stored valuation, and
-    the stored bound, must be the one the entries give."""
+    the stored bound, must be the one the entries give.  A block with no
+    entries is written with no ring."""
     tvar, entries = block["torus_var"], []
-    if block["entries"]:
+    if not block["entries"]:
+        _restated(block, "ring", None)
+    else:
         ring = ring_from_json(block["ring"])
         if tvar not in ring.inverted:
             raise ReportError(f"torus variable {tvar!r} is not an inverted variable of the ring")
@@ -409,12 +424,45 @@ def _claim_findings(command: str, data: dict, blocks: list) -> list[str]:
     return findings
 
 
+def _bound_values(ring: PolynomialRing, args: dict) -> list[tuple[str, Polynomial]]:
+    """A bound request's ``f`` (and ``f2``) in ``ring``, labelled as the
+    check labels them."""
+    f = _poly(args["f"], ring)
+    if "f2" not in args:
+        return [("f", f)]
+    return [("f1", f), ("f2", _poly(args["f2"], ring))]
+
+
+def _bound_findings(args: dict, data: dict, blocks: list, limit: int) -> list[str]:
+    """A bound pass's valuation-bound block and data must be what
+    :func:`~flatspan.cancellation.bound_from_values` makes of its request's
+    ``f`` (and ``f2``), parsed in the piece ring of its finite-flat block,
+    over that block under ``limit`` steps: the call the check wrote them
+    with."""
+    kinds = [kind for kind, _ in blocks]
+    if kinds != ["finite-flat", "valuation-bound"] or len(blocks[0][1][0].pieces) != 1:
+        return ["a bound pass carries a single-piece finite-flat block, then a valuation bound"]
+    (_, (span, outcome)), (_, bound) = blocks
+    try:
+        labelled = _read(lambda a: _bound_values(span.pieces[0].ring, a), args)
+        derived = bound_from_values(span, outcome, labelled, Budget(limit))
+    except (InputError, PresentationError) as err:
+        return [f"the valuation bound could not be re-derived: {err}"]
+    findings = []
+    if bound != derived:
+        findings.append("stored valuation bound is not the one its request re-derives")
+    if data != bound_data(derived):
+        findings.append("report data is not what its re-derived valuation bound gives")
+    return findings
+
+
 def _report_findings(report: dict, lines: set[str] | None, limit: int) -> list[str]:
     """Why a stored report with a known verdict disagrees, or nothing.  It
     must answer a check, its result and certificate blocks must read back,
     each finite-flat block must recheck under ``limit`` steps, and a pass's
     claims must hold of its blocks (compared only when all of them read
-    back)."""
+    back).  A bound pass that agrees so far has its valuation bound
+    re-derived."""
     try:
         command, line = _read(request_from_json, report)
     except ReportError:
@@ -450,6 +498,8 @@ def _report_findings(report: dict, lines: set[str] | None, limit: int) -> list[s
         blocks.append((kind, read))
     if report["verdict"] == "pass" and len(blocks) == len(certificates):
         findings += _claim_findings(command, data, blocks)
+    if command == "bound" and report["verdict"] == "pass" and not findings:
+        findings += _bound_findings(report["request"]["args"], data, blocks, limit)
     return findings
 
 
@@ -465,9 +515,11 @@ def recheck_envelope(
     (a line of the workspace when one is supplied, else a known command),
     every embedded certificate (each under one budget of ``budget_limit``
     steps), that each pass carries the certificate kind its command needs,
-    and that each pass report's rank, degree or bound is the one its
-    certificates carry.  Returns overall agreement plus human-readable
-    findings; a budget that runs out raises :class:`BudgetExhausted`.
+    that each pass report's rank, degree or bound is the one its
+    certificates carry, and that a bound pass's valuation bound is the one
+    its request makes over its finite-flat certificate.  Returns overall
+    agreement plus human-readable findings; a budget that runs out raises
+    :class:`BudgetExhausted`.
     """
     keys = ("tool", "version", "schema_version", "input_digest", "exit_code", "reports")
     messages = [f"envelope is missing {key!r}" for key in keys if key not in payload]

@@ -380,7 +380,7 @@ def presentation(corr):
 
 
 REWRITES = {
-    "blended_family": lambda a: blended_family(a, 2, 3, "-")[0],
+    "blended_family": lambda a: blended_family(a, 2, 3, "-"),
     "cancel_family": lambda a: cancel_family(a, 2, 3, "-").correspondence,
     "cancel_slice": lambda a: cancel_slice(a, 3, "-"),
     "restrict_parameter": lambda a: restrict_parameter(
@@ -499,11 +499,12 @@ def test_families_from_shared_parts_equal_families_from_scratch(specs, calls):
     cancellation._family_parts.cache_clear()
     for which, m, n, sign in calls:
         alpha = blend_span(*specs[0]) if which == "first rebuilt" else spans[which]
-        expected = blended_family_from_scratch(alpha, m, n, sign)
+        expected, parameter = blended_family_from_scratch(alpha, m, n, sign)
         assert blended_family(alpha, m, n, sign) == expected
         fam = cancel_family(alpha, m, n, sign)
+        assert fam.parameter == parameter
         block = finite_flat_block(fam.correspondence, fam.certificate)
-        oracle = finite_flat_block(expected[0], certify_finite_flat(expected[0]))
+        oracle = finite_flat_block(expected, certify_finite_flat(expected))
         assert json.dumps(block, sort_keys=True) == json.dumps(oracle, sort_keys=True)
 
 
@@ -544,7 +545,7 @@ def test_families_certified_from_the_span_layout_equal_certified_families(spec, 
     the steps and, under every smaller budget, the exhausted phase that
     certifying the built family gives."""
     alpha = layout_span(*spec)
-    family, _ = blended_family(alpha, m, n, sign)
+    family = blended_family(alpha, m, n, sign)
 
     def from_layout(budget):
         return cancel_family(alpha, m, n, sign, budget=budget).certificate

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flatspan.cli import main
 
@@ -1394,18 +1395,6 @@ def _edited(value):
     return ["1"]
 
 
-# the leaves of a stored certificate block that recheck reads without
-# checking, each with why; an edit that parses back to the same value is no
-# tamper, and ``_edited`` makes none
-UNCHECKED_LEAVES = {
-    ("b1", "entries", 0, "label"): "names the entry in findings only (ROADMAP item 1)",
-    ("b1", "entries", 0, "row"): "names the entry in findings only (ROADMAP item 1)",
-    ("b1", "entries", 0, "col"): "names the entry in findings only (ROADMAP item 1)",
-    ("b1", "entries", 0, "value"): "only its valuation is checked, and the edit keeps it "
-    "(ROADMAP item 1: no entry is tied to a multiplication matrix)",
-}
-
-
 @pytest.mark.parametrize(
     "name, check, kind, part",
     [
@@ -1416,8 +1405,8 @@ UNCHECKED_LEAVES = {
 )
 def test_recheck_checks_every_leaf_of_a_certificate_block(capsys, tmp_path, name, check, kind, part):
     """Each leaf of the block (of its outcome, for a finite-flat one),
-    edited alone, makes ``run --recheck`` exit 1, except those
-    :data:`UNCHECKED_LEAVES` names, which still agree."""
+    edited alone, makes ``run --recheck`` exit 1.  An edit that parses back
+    to the same value would be no tamper, and ``_edited`` makes none."""
     _, payload, out = structured(capsys, tmp_path, name, "--only", check)
     [block] = [b for b in payload["reports"][0]["certificates"] if b["kind"] == kind]
     root = block[part] if part else block
@@ -1434,7 +1423,90 @@ def test_recheck_checks_every_leaf_of_a_certificate_block(capsys, tmp_path, name
         assert code in (0, 1) and err == "", (path, text)
         if code == 0:
             agreeing.append((check, *path))
-    assert agreeing == [leaf for leaf in UNCHECKED_LEAVES if leaf[0] == check]
+    assert agreeing == []
+
+
+def _b1_bound(payload):
+    """``b1``'s report and its valuation-bound block."""
+    [report] = [r for r in payload["reports"] if r["name"] == "b1"]
+    [block] = [b for b in report["certificates"] if b["kind"] == "valuation-bound"]
+    return report, block
+
+
+def _set_ring(key, value):
+    return lambda payload: _b1_bound(payload)[1]["ring"].__setitem__(key, value)
+
+
+def _empty_bound(payload):
+    """Gap (b) of ROADMAP item 1: no entries, and both bounds 0, with the
+    null ring a block without entries is written with."""
+    report, block = _b1_bound(payload)
+    block["entries"], block["ring"], block["bound"], report["data"]["bound"] = [], None, 0, 0
+
+
+def _data_line(payload):
+    report, _ = _b1_bound(payload)
+    report["data"]["entries"][0] = "f[0,0] valuation -2: x*t_inv^2 + 1"
+
+
+def _data_torus_var(payload):
+    _b1_bound(payload)[0]["data"]["torus_var"] = "x"
+
+
+def _swapped_blocks(payload):
+    _b1_bound(payload)[0]["certificates"].reverse()
+
+
+@pytest.mark.parametrize(
+    "tamper, finding",
+    [
+        (_set_ring("field", "Fp:5"), "stored valuation bound"),
+        (_set_ring("names", ["x", "t", "t_inv", "y"]), "stored valuation bound"),
+        (_empty_bound, "stored valuation bound"),
+        (_data_line, "report data"),
+        (_data_torus_var, "report data"),
+        (_swapped_blocks, "a bound pass carries"),
+    ],
+    ids=["field", "extra-name", "emptied", "data-line", "data-torus-var", "swapped"],
+)
+def test_recheck_rederives_the_valuation_bound_of_a_bound_pass(capsys, tmp_path, tamper, finding):
+    """Each tamper leaves ``b1``'s blocks readable, its finite-flat block
+    intact and its claimed bound equal to its block's, but the valuation
+    bound or the data is not what the request's ``f`` makes over the
+    finite-flat block, or the blocks are not in the order the check
+    writes them.  An entry's edited ``value``, ``row``, ``col`` or
+    ``label`` is one of the leaf edits of
+    :func:`test_recheck_checks_every_leaf_of_a_certificate_block`."""
+    _, payload, out = structured(capsys, tmp_path, "valuation-bounds")
+    tamper(payload)
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    code, text, err = run_cli(capsys, "run", workspace("valuation-bounds"), "--recheck", str(out))
+    assert (code, err) == (1, "")
+    assert text.startswith(f"b1: {finding}") and "agree" not in text
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ({}, "'f'"),
+        ({"f": "x*("}, "stored polynomial 'x*(' does not parse"),
+        ({"f": "y"}, "stored polynomial 'y' does not parse"),
+        ({"f": 3}, "expected string or bytes-like object"),
+        ({"f": "x*t_inv^2", "f2": "x^"}, "stored polynomial 'x^' does not parse"),
+    ],
+    ids=["missing", "unparsable", "foreign-variable", "not-text", "bad-f2"],
+)
+def test_a_bound_that_cannot_be_rederived_is_a_finding(capsys, tmp_path, args, message):
+    """Without the workspace to tie the request to, a bound request whose
+    ``f`` is missing or does not parse in the piece ring is a finding."""
+    from flatspan.reports import recheck_envelope
+
+    _, payload, _ = structured(capsys, tmp_path, "valuation-bounds", "--only", "b1")
+    payload["reports"][0]["request"]["args"] = args
+    ok, messages = recheck_envelope(payload)
+    assert not ok
+    [line] = messages
+    assert line.startswith(f"b1: the valuation bound could not be re-derived: {message}")
 
 
 BIG_BASIS = """\
@@ -1469,3 +1541,111 @@ def test_a_certificate_past_the_digit_rule_is_an_error_report(capsys, tmp_path, 
     else:
         [report] = json.loads(out)["reports"]
         assert (report["verdict"], report["detail"], report["certificates"]) == ("error", WRITE_RULE, [])
+
+
+# the feet a generated span runs over: its coordinates, the relations among
+# them, and a polynomial in them that a fiber relation may carry
+BASES = {
+    "point": ("point", [], [], "1"),
+    "line": ("line x", ["x"], [], "x"),
+    "torus": ("torus t", ["t", "t_inv"], ["t*t_inv - 1"], "t_inv"),
+}
+
+
+@st.composite
+def big_spans(draw):
+    """A single-piece span ``S -> S`` over a point, the x-line or a torus,
+    identity on the foot, with one fiber variable ``y`` cut out by one
+    relation: over QQ its coefficients reach about 10^1000, fractions
+    included; over GF(32003) they are integers as long, reduced."""
+    prime = draw(st.sampled_from([None, 32003]))
+    foot, names, rels, carried = BASES[draw(st.sampled_from(sorted(BASES)))]
+    bound = 10**1000
+    degree, terms = draw(st.integers(1, 3)), []
+    for power in range(degree, -1, -1):
+        num = draw(st.integers(-bound, bound))
+        den = 1 if prime else draw(st.one_of(st.just(1), st.integers(1, bound)))
+        coefficient = str(num) if den == 1 else f"{num}/{den}"
+        # the leading coefficient is a constant, so the fiber is finite
+        factor = carried if power < degree and draw(st.booleans()) else "1"
+        terms.append(f"({coefficient})*{factor}*y^{power}")
+    legs = ", ".join(f"{v}: {v}" for v in names)
+    piece = [f"    vars {', '.join(names + ['y'])}", f"    rels {', '.join(rels + [' + '.join(terms)])}"]
+    if legs:
+        piece += [f"    source {legs}", f"    target {legs}"]
+    k, n, sign = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.sampled_from("+-"))
+    return "\n".join(
+        [
+            f"field {'Fp ' + str(prime) if prime else 'QQ'}",
+            f"scheme S = {foot}",
+            "span a : S -> S {",
+            "  piece {",
+            *piece,
+            "  }",
+            "}",
+            "check c1 = certify a",
+            f"check c2 = bound a f: {carried}*y^{k}",
+            f"check c3 = cancel-slice a n: {n} sign: {sign}",
+            "check c4 = add a a",
+            "",
+        ]
+    )
+
+
+# y^11 is c^5*y on y^2 = c, past the rule when c has 1,000 digits
+PAST_THE_RULE = f"""\
+field QQ
+scheme S = torus t
+span a : S -> S {{
+  piece {{
+    vars t, t_inv, y
+    rels t*t_inv - 1, y^2 - {7 * 10**999 + 1}
+    source t: t, t_inv: t_inv
+    target t: t, t_inv: t_inv
+  }}
+}}
+check c1 = certify a
+check c2 = bound a f: t_inv*y^11
+check c3 = cancel-slice a n: 2 sign: -
+check c4 = add a a
+"""
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=big_spans())
+@example(text=PAST_THE_RULE)
+def test_every_number_a_check_writes_reads_back(text):
+    """Every report of ``certify``, ``bound``, ``cancel-slice`` and ``add``
+    on a span with coefficients near the digit rule is either an error that
+    names the rule, or its blocks and result read back to what was written;
+    no check raises, and the envelope rechecks as agreeing."""
+    from flatspan.cli import execute_check
+    from flatspan.reports import (
+        block_from_json,
+        bound_block,
+        correspondence_from_json,
+        correspondence_to_json,
+        envelope_json,
+        finite_flat_block,
+        input_digest,
+        recheck_envelope,
+    )
+    from flatspan.workspace import parse_workspace, print_workspace
+
+    doc = parse_workspace(text)
+    reports = [execute_check(doc, req) for req in doc.checks]
+    canonical = print_workspace(doc)
+    envelope = json.loads(json.dumps(envelope_json(reports, input_digest(canonical))))
+    for report in envelope["reports"]:
+        if report["verdict"] == "error" and report["detail"] == WRITE_RULE:
+            continue
+        for block in report["certificates"]:
+            read = block_from_json(block)
+            written = finite_flat_block(*read) if block["kind"] == "finite-flat" else bound_block(read)
+            assert written == block
+        result = report["data"].get("result")
+        if result is not None:
+            assert correspondence_to_json(correspondence_from_json(result)) == result
+    if text == PAST_THE_RULE:
+        assert envelope["reports"][1]["detail"] == WRITE_RULE
+    assert recheck_envelope(envelope, canonical) == (True, ["recheck: 4 report(s) agree"])

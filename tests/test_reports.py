@@ -17,7 +17,9 @@ from flatspan.reports import (
     EXIT_CODES,
     Report,
     ReportError,
+    block_from_json,
     bound_block,
+    bound_data,
     certificate_from_json,
     certificate_to_json,
     correspondence_from_json,
@@ -142,9 +144,12 @@ def test_bound_block_roundtrips_and_rechecks():
     f = parse_polynomial("t*t_inv^2", ident.pieces[0].ring)
     rep = flatness_bound(ident, f)
     assert rep.n_bound == 1
-    # a bound pass carries the finite-flat certificate its bound is read from
+    # a bound pass carries the finite-flat certificate its bound is read
+    # from, and the data the check writes of the bound
     blocks = [finite_flat_block(ident, certify_finite_flat(ident)), bound_block(rep)]
-    report = Report("b", "bound", ("a",), {"f": "t*t_inv^2"}, "pass", certificates=blocks)
+    report = Report(
+        "b", "bound", ("a",), {"f": "t*t_inv^2"}, "pass", data=bound_data(rep), certificates=blocks
+    )
     payload = json.loads(json.dumps(envelope_json([report], input_digest("x"))))
     ok, messages = recheck_envelope(payload)
     assert ok, messages
@@ -160,6 +165,17 @@ def test_bound_block_with_wrong_valuation_is_caught():
     ok, messages = recheck_envelope(payload)
     assert not ok
     assert any("recomputed -1" in m for m in messages)
+
+
+def test_a_bound_block_without_entries_names_no_ring():
+    """A bound with no entries is written with a null ring, so a stored ring
+    there is no block a check could have written."""
+    ident = torus_identity(QQ)
+    block = bound_block(flatness_bound(ident, ident.pieces[0].ring.zero()))
+    assert (block["ring"], block["entries"]) == (None, [])
+    block["ring"] = {"field": "Fp:5", "names": ["q"], "inverted": []}
+    with pytest.raises(ReportError, match="stored ring .* is not None"):
+        block_from_json(block)
 
 
 def test_exit_codes_follow_verdicts_exactly():

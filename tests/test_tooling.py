@@ -343,6 +343,13 @@ def test_the_standard_datum_is_the_only_contraction_datum():
     assert _callers("ContractionDatum") == ["contraction.standard_contraction_data"]
 
 
+def test_a_familys_cuts_are_made_once_per_piece():
+    """``cancellation._family_parts`` is the only code of ``src/flatspan``
+    that calls ``_Cuts``, in each moved piece's ring, so a family's blend is
+    made there alone, for the family span and its certificate alike."""
+    assert _callers("_Cuts") == ["cancellation._family_parts"]
+
+
 # the functions of ``src/flatspan`` that read ``add`` off a field: the
 # canonical constant, the one routine that sums terms, the product of two
 # term dicts and the Groebner kernel's reduction loop
